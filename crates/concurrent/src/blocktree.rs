@@ -17,13 +17,17 @@
 //! OS threads call [`append`](ConcurrentBlockTree::append) /
 //! [`read`](ConcurrentBlockTree::read) concurrently.  Appends run the
 //! refinement `getToken* ; consumeToken` (Definition 3.7) against the
-//! chosen mediator and then *install* the winning block: insert it into the
-//! rich arena [`BlockTree`] (incremental leaf set and best-tip tracking)
-//! under a writer mutex, mirror it into the wait-free [`SnapshotStore`],
-//! and publish the new `(length, selected tip)` pair with one release
-//! store.  Reads never take the mutex: they decode the published pair with
-//! one acquire load and walk frozen parent links — wait-free, as the
-//! reductions require.
+//! chosen mediator and then *install* the winning block.  There is one
+//! install loop, run under the one writer mutex: per block it validates
+//! chaining, mirrors the block into the wait-free [`SnapshotStore`], links
+//! it into the rich arena [`BlockTree`] and appends it to the durable
+//! sink; it ends with one release store publishing the new `(length,
+//! selected tip)` pair.  A mediated append is that loop over a run of one,
+//! [`ingest_batch`](ConcurrentBlockTree::ingest_batch) is that loop over a
+//! staged batch, and the fault seams sit inside it — so the chaos drills
+//! and the fault-free paths execute the same code.  Reads never take the
+//! mutex: they decode the published pair with one acquire load and walk
+//! frozen parent links — wait-free, as the reductions require.
 //!
 //! CAS losers **help**: the winning block returned by the failed
 //! `compare_and_swap` is installed by the loser too (idempotently), so the
@@ -38,8 +42,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::{Mutex as StdMutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use btadt_core::invariant::{check_block_tree, InvariantViolation};
 use btadt_oracle::{FrugalOracle, MeritTable, OracleConfig, OracleStats, SharedOracle};
@@ -49,7 +52,6 @@ use btadt_types::{
     Block, BlockBuilder, BlockId, BlockTree, Blockchain, LengthScore, NodeIdx, Score, Transaction,
     WorkScore,
 };
-use parking_lot::Mutex;
 
 use crate::cas_from_oracle::OracleCas;
 use crate::fault::{FaultAction, FaultSession, Seam};
@@ -167,19 +169,36 @@ pub struct AppendOutcome {
     pub get_token_attempts: u64,
 }
 
+/// Everything the writer mutex serializes.
+struct Writer {
+    tree: BlockTree,
+    /// Optional durable sink: every installed block is mirrored into this
+    /// chunked [`BlockStore`], so the durable record sequence is exactly
+    /// the install order.  Chaos cells attach a store over a faulted
+    /// medium here and crash/recover it in their epilogue.
+    durable: Option<BlockStore>,
+}
+
+/// Which tip an install publishes.
+#[derive(Clone, Copy)]
+enum PublishTip {
+    /// The tip the selection function picks from the updated tree.
+    Selected,
+    /// The newest installed block itself, without re-running the
+    /// selection — the racy path's last-writer-wins bug.  Publishing under
+    /// the writer lock keeps the store itself coherent (the bug is the tip
+    /// choice, not memory corruption).
+    Own,
+}
+
 /// The shared-memory BlockTree replica.
 pub struct ConcurrentBlockTree {
-    writer: StdMutex<BlockTree>,
+    writer: Mutex<Writer>,
     store: SnapshotStore,
     mediator: Mediator,
     tip_rule: TipRule,
     nonce: AtomicU64,
     clients: usize,
-    /// Optional durable sink: every installed block is mirrored into this
-    /// chunked [`BlockStore`] under the writer lock, so the durable record
-    /// sequence is exactly the install order.  Chaos cells attach a store
-    /// over a faulted medium here and crash/recover it in their epilogue.
-    durable: Mutex<Option<BlockStore>>,
     /// Writer-mutex poison recoveries performed by [`Self::lock_writer`] —
     /// observable evidence that a monitor or helper *healed* a dead
     /// writer's lock instead of propagating its panic.
@@ -245,13 +264,15 @@ impl ConcurrentBlockTree {
 
     fn with_mediator(mediator: Mediator, clients: usize) -> Self {
         ConcurrentBlockTree {
-            writer: StdMutex::new(BlockTree::new()),
+            writer: Mutex::new(Writer {
+                tree: BlockTree::new(),
+                durable: None,
+            }),
             store: SnapshotStore::new(),
             mediator,
             tip_rule: TipRule::default(),
             nonce: AtomicU64::new(1),
             clients: clients.max(1),
-            durable: Mutex::new(None),
             poison_heals: AtomicU64::new(0),
             trace: None,
         }
@@ -284,7 +305,7 @@ impl ConcurrentBlockTree {
     /// Every subsequently installed block is appended to it under the
     /// writer lock.
     pub fn with_durable_store(self, store: BlockStore) -> Self {
-        *self.durable.lock() = Some(store);
+        self.lock_writer().durable = Some(store);
         self
     }
 
@@ -292,7 +313,7 @@ impl ConcurrentBlockTree {
     /// hand-off point for the chaos epilogue's crash/recover drill.
     /// Subsequent installs stop mirroring.
     pub fn take_durable_store(&self) -> Option<BlockStore> {
-        self.durable.lock().take()
+        self.lock_writer().durable.take()
     }
 
     /// How many times `lock_writer` recovered the writer mutex from
@@ -307,7 +328,7 @@ impl ConcurrentBlockTree {
     /// A clone of the writer-side tree (takes the writer lock; epilogue
     /// and diagnostic use, not the hot path).
     pub fn writer_tree_snapshot(&self) -> BlockTree {
-        self.lock_writer().clone()
+        self.lock_writer().tree.clone()
     }
 
     /// Which append path this replica runs.
@@ -383,7 +404,7 @@ impl ConcurrentBlockTree {
     /// Maximum fork degree of the writer-side tree (takes the writer lock;
     /// diagnostic, not part of the hot path).
     pub fn max_fork_degree(&self) -> usize {
-        self.lock_writer().max_fork_degree()
+        self.lock_writer().tree.max_fork_degree()
     }
 
     /// Acquires the writer mutex, **recovering from poison** instead of
@@ -392,13 +413,13 @@ impl ConcurrentBlockTree {
     /// the best tip over the committed prefix and clears the poison flag.
     /// Installs happen store-first, so the writer tree never runs ahead of
     /// the arena and the heal is always a (re-)publish, never a rebuild.
-    fn lock_writer(&self) -> MutexGuard<'_, BlockTree> {
+    fn lock_writer(&self) -> MutexGuard<'_, Writer> {
         match self.writer.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {
                 self.writer.clear_poison();
                 let guard = poisoned.into_inner();
-                self.heal_after_poison(&guard);
+                self.heal_after_poison(&guard.tree);
                 // ORDERING: Relaxed — counter increment only; the heal's
                 // republish already synchronized via the store's release
                 // publish, and the mutex orders this against other writers.
@@ -427,8 +448,8 @@ impl ConcurrentBlockTree {
     /// is a block the tree knows).  Takes the writer lock; intended for
     /// debug monitors and chaos harnesses, not the hot path.
     pub fn check_invariants(&self) -> Vec<InvariantViolation> {
-        let tree = self.lock_writer();
-        let mut violations = check_block_tree(&tree);
+        let tree = &self.lock_writer().tree;
+        let mut violations = check_block_tree(tree);
         let view = self.store.snapshot();
         if view.len as usize > tree.len() {
             violations.push(InvariantViolation {
@@ -536,60 +557,52 @@ impl ConcurrentBlockTree {
         prepared: PreparedAppend,
         session: &mut FaultSession<'_>,
     ) -> Result<AppendOutcome, IngestError> {
-        match &self.mediator {
+        let PreparedAppend {
+            client,
+            parent,
+            block,
+        } = prepared;
+        // `getToken* ; consumeToken` against the mediator ...
+        let outcome = match &self.mediator {
             Mediator::Frugal(oracle) => {
-                let cas = OracleCas::new(oracle.clone(), prepared.parent.id);
-                let (grant, attempts) = oracle.get_token_until_granted(
-                    prepared.client,
-                    &prepared.parent,
-                    prepared.block.clone(),
-                );
+                let cas = OracleCas::new(oracle.clone(), parent.id);
+                let (grant, attempts) =
+                    oracle.get_token_until_granted(client, &parent, block.clone());
                 session.apply(Seam::CasPreConsume);
-                match cas.compare_and_swap(&grant) {
-                    None => {
-                        // We won the register K[h]: ours is the unique child
-                        // of this parent; install and publish it.  A stall
-                        // here is exactly the window helping covers.
-                        self.emit(
-                            prepared.client,
-                            SyncEventKind::CasWin {
-                                parent: prepared.parent.id,
-                            },
-                        );
-                        session.apply(Seam::CasWinPreInstall);
-                        self.install(prepared.client, &grant.block, session)?;
-                        Ok(AppendOutcome {
-                            appended: true,
-                            block: grant.block,
-                            observed: None,
-                            get_token_attempts: attempts,
-                        })
-                    }
-                    Some(winner) => {
-                        // Helping: make sure the winner is installed even if
-                        // the winning thread has not gotten there yet.
-                        self.emit(
-                            prepared.client,
-                            SyncEventKind::CasLoss {
-                                parent: prepared.parent.id,
-                            },
-                        );
-                        session.apply(Seam::CasLossPreHelp);
-                        self.install(prepared.client, &winner, session)?;
-                        Ok(AppendOutcome {
-                            appended: false,
-                            block: prepared.block,
-                            observed: Some(winner),
-                            get_token_attempts: attempts,
-                        })
-                    }
+                let observed = cas.compare_and_swap(&grant);
+                // Winning the register K[h] makes ours the unique child of
+                // this parent; a stall before its install is exactly the
+                // window the losers' helping covers.
+                let (event, seam) = match observed {
+                    None => (
+                        SyncEventKind::CasWin { parent: parent.id },
+                        Seam::CasWinPreInstall,
+                    ),
+                    Some(_) => (
+                        SyncEventKind::CasLoss { parent: parent.id },
+                        Seam::CasLossPreHelp,
+                    ),
+                };
+                self.emit(client, event);
+                session.apply(seam);
+                AppendOutcome {
+                    appended: observed.is_none(),
+                    block: if observed.is_none() {
+                        grant.block
+                    } else {
+                        block
+                    },
+                    observed,
+                    get_token_attempts: attempts,
                 }
             }
             Mediator::Prodigal { slots, capacity } => {
                 let slot = {
-                    let mut map = slots.lock();
+                    // Every update is one `entry` call, so the map is
+                    // valid even if a holder panicked.
+                    let mut map = slots.lock().unwrap_or_else(PoisonError::into_inner);
                     Arc::clone(
-                        map.entry(prepared.parent.id)
+                        map.entry(parent.id)
                             .or_insert_with(|| Arc::new(SnapshotConsumeToken::new(*capacity))),
                     )
                 };
@@ -597,50 +610,53 @@ impl ConcurrentBlockTree {
                     FaultAction::DuplicateConsume => {
                         // A duplicated consume is an update/scan replay; the
                         // register overwrite is idempotent.
-                        let _ = slot.consume_token(prepared.client, prepared.block.clone());
-                        let set = slot.consume_token(prepared.client, prepared.block.clone());
+                        let _ = slot.consume_token(client, block.clone());
+                        let set = slot.consume_token(client, block.clone());
                         debug_assert!(
-                            set.iter().any(|b| b.id == prepared.block.id),
+                            set.iter().any(|b| b.id == block.id),
                             "a prodigal consume always retains the caller's token"
                         );
                     }
                     FaultAction::DropConsumeResult => {
                         // Installation must not depend on the returned set.
-                        let _ = slot.consume_token(prepared.client, prepared.block.clone());
+                        let _ = slot.consume_token(client, block.clone());
                     }
                     _ => {
-                        let set = slot.consume_token(prepared.client, prepared.block.clone());
+                        let set = slot.consume_token(client, block.clone());
                         debug_assert!(
-                            set.iter().any(|b| b.id == prepared.block.id),
+                            set.iter().any(|b| b.id == block.id),
                             "a prodigal consume always retains the caller's token"
                         );
                     }
                 }
-                self.emit(
-                    prepared.client,
-                    SyncEventKind::TokenConsume {
-                        parent: prepared.parent.id,
-                    },
-                );
+                self.emit(client, SyncEventKind::TokenConsume { parent: parent.id });
                 session.apply(Seam::SnapshotPreInstall);
-                self.install(prepared.client, &prepared.block, session)?;
-                Ok(AppendOutcome {
+                AppendOutcome {
                     appended: true,
-                    block: prepared.block,
+                    block,
                     observed: None,
                     get_token_attempts: 1,
-                })
+                }
             }
-            Mediator::Racy => {
-                self.install_racy(prepared.client, &prepared.block, session)?;
-                Ok(AppendOutcome {
-                    appended: true,
-                    block: prepared.block,
-                    observed: None,
-                    get_token_attempts: 0,
-                })
-            }
-        }
+            Mediator::Racy => AppendOutcome {
+                appended: true,
+                block,
+                observed: None,
+                get_token_attempts: 0,
+            },
+        };
+        // ... then the one graft.  A CAS loser helps: it installs the
+        // winner it observed, in case the winning thread has not gotten
+        // there yet.  The racy path publishes its own block, so the tip
+        // derives from the client's *unlocked* prepare-time head load —
+        // exactly what the race detector keys on.
+        let tip = match self.mediator {
+            Mediator::Racy => PublishTip::Own,
+            _ => PublishTip::Selected,
+        };
+        let graft = outcome.observed.as_ref().unwrap_or(&outcome.block);
+        self.install(client, graft, session, tip)?;
+        Ok(outcome)
     }
 
     /// The full append operation: prepare on the current tip, then commit.
@@ -649,149 +665,92 @@ impl ConcurrentBlockTree {
         self.commit(prepared)
     }
 
-    /// Inserts a block into the writer tree, mirrors it into the wait-free
-    /// store, and publishes the tip `choose_tip` picks from the updated
-    /// tree (given the new block's store index).  Idempotent: helping may
-    /// install the same winner twice.
-    ///
-    /// Chaining is validated *before* any mutation, and the arena mirror is
-    /// pushed before the tree insert; together these guarantee that an
-    /// error — or an injected panic at a writer seam — never leaves the
-    /// writer tree ahead of the store, which is what makes
-    /// [`heal_after_poison`](ConcurrentBlockTree::heal_after_poison) a pure
-    /// republish.
-    fn install_with_tip(
-        &self,
-        client: usize,
-        block: &Block,
-        session: &mut FaultSession<'_>,
-        locked_tip: bool,
-        choose_tip: impl FnOnce(&BlockTree, u32) -> u32,
-    ) -> Result<(), IngestError> {
-        let mut tree = self.lock_writer();
+    /// Runs `f` with the writer lock held, bracketed by the trace's
+    /// `LockAcquire` / `LockRelease` events.
+    fn with_writer<R>(&self, client: usize, f: impl FnOnce(&mut Writer) -> R) -> R {
+        let mut writer = self.lock_writer();
         self.emit(client, SyncEventKind::LockAcquire);
-        let result = self.install_locked(client, &mut tree, block, session, locked_tip, choose_tip);
+        let result = f(&mut writer);
         // Emitted while still holding the guard, so the next acquirer's
         // LockAcquire necessarily records after this.
         self.emit(client, SyncEventKind::LockRelease);
         result
     }
 
-    /// The body of [`install_with_tip`](Self::install_with_tip), run with
-    /// the writer lock held: a batch-of-one through the shared per-block
-    /// installer, followed by the tip publish.
-    fn install_locked(
+    /// Installs one block — a mediated `commit` is the install loop over a
+    /// run of one.  Idempotent: helping may install the same winner twice.
+    fn install(
         &self,
         client: usize,
-        tree: &mut BlockTree,
         block: &Block,
         session: &mut FaultSession<'_>,
-        locked_tip: bool,
-        choose_tip: impl FnOnce(&BlockTree, u32) -> u32,
+        tip: PublishTip,
     ) -> Result<(), IngestError> {
-        let store_idx = match self.install_one_locked(client, tree, block, session)? {
-            // Idempotent helping: the block is already installed (and
-            // therefore already published by whoever installed it).
-            None => return Ok(()),
-            Some(idx) => idx,
-        };
-        session.apply(Seam::WriterPrePublish);
-        let tip = choose_tip(tree, store_idx);
-        self.store.publish(tree.len() as u32, tip);
-        self.emit(
-            client,
-            SyncEventKind::HeadStore {
-                version: pack_version(tree.len() as u32, tip),
-                locked: locked_tip,
-            },
-        );
-        Ok(())
-    }
-
-    /// The tip stage for one block, run with the writer lock held and
-    /// *without* publishing: validates chaining, pushes into the wait-free
-    /// arena, inserts into the writer tree and mirrors into the durable
-    /// sink.  Returns the arena index, or `None` when the block was
-    /// already present.  Both the single-block install and the batch
-    /// ingest loop go through here, so every entry point shares one
-    /// validation and one install order.
-    fn install_one_locked(
-        &self,
-        client: usize,
-        tree: &mut BlockTree,
-        block: &Block,
-        session: &mut FaultSession<'_>,
-    ) -> Result<Option<u32>, IngestError> {
-        if tree.contains(block.id) {
-            return Ok(None);
-        }
-        let parent_id = block.parent.ok_or(IngestError::MissingParent(block.id))?;
-        let parent_idx = tree
-            .idx_of(parent_id)
-            .ok_or(IngestError::UnknownParent(parent_id))?;
-        let expected = tree.block_at(parent_idx).height + 1;
-        if block.height != expected {
-            return Err(IngestError::HeightMismatch {
-                block: block.id,
-                recorded: block.height,
-                expected,
+        self.with_writer(client, |writer| {
+            if writer.tree.contains(block.id) {
+                // Already installed, and therefore already published by
+                // whoever installed it.
+                return Ok(());
+            }
+            let mut outcome = Ok(());
+            let run = std::iter::once(((0, block.clone()), None));
+            self.install_run(client, writer, run, session, tip, |_, result| {
+                outcome = result
             });
-        }
-        session.apply(Seam::WriterPreInsert);
-        let store_idx = self.store.try_push(block.clone(), Some(parent_idx.0))?;
-        self.emit(client, SyncEventKind::ArenaPush { idx: store_idx });
-        tree.insert(block.clone())
-            .expect("chaining was validated above");
-        debug_assert_eq!(
-            Some(store_idx),
-            tree.idx_of(block.id).map(|i| i.0),
-            "store indices mirror arena indices"
-        );
-        // Mirror into the durable sink while still serialized by the
-        // writer lock: the `contains` fast path above already deduplicated
-        // helping installs, so each block is persisted exactly once, in
-        // install order.  Whether the bytes *survive* is the medium's
-        // business — a faulted medium is the point of the chaos drills.
-        if let Some(durable) = self.durable.lock().as_mut() {
-            durable.append(block);
-        }
-        Ok(Some(store_idx))
+            outcome
+        })
     }
 
-    /// The amortized ready-run install for fault-free batches: per block,
-    /// the same validation and store-first mirror as
-    /// [`install_one_locked`](Self::install_one_locked), but with the tree
-    /// inserts deferred to one [`BlockTree::insert_batch`] so the arena
-    /// reserves once and leaf/incumbent bookkeeping reconciles once per
-    /// batch instead of once per block.  Returns `true` iff at least one
-    /// block was installed.
-    fn install_run_locked(
+    /// The one install loop, run with the writer lock held: every block
+    /// that enters the replica — a mediated append, a helped CAS winner, a
+    /// staged batch — is installed here.
+    ///
+    /// `run` yields `((position, block), staged parent)` parents-first,
+    /// every block absent from the writer tree (the caller staged the run
+    /// under this same lock hold); a staged parent `Some(j)` names the
+    /// `j`-th entry of the run, `None` a block already in the tree.  Per
+    /// block: validate chaining, cross [`Seam::WriterPreInsert`], push into
+    /// the wait-free arena, link into the writer tree, append to the
+    /// durable sink — with [`Seam::WriterMidBatch`] crossed between
+    /// blocks — and `report(position, result)`.  If anything landed, one
+    /// [`Seam::WriterPrePublish`] and one publish of `tip` end the run.
+    ///
+    /// Chaining is validated *before* any mutation and the arena mirror is
+    /// pushed before the tree link, so an error never leaves the writer
+    /// tree ahead of the store; an injected panic at a seam unwinds
+    /// through the tree's batch session, which reconciles the leaf set and
+    /// best tips for exactly the linked prefix.  Together these make
+    /// [`heal_after_poison`](ConcurrentBlockTree::heal_after_poison) a pure
+    /// republish.  Whether durable bytes *survive* is the medium's
+    /// business — a faulted medium is the point of the chaos drills.
+    fn install_run(
         &self,
         client: usize,
-        tree: &mut BlockTree,
-        ready: Vec<(usize, Block)>,
-        ready_parents: &[Option<usize>],
-        verdicts: &mut [Option<IngestVerdict>],
-    ) -> bool {
-        // Arena slot and height each ready entry landed at (`None` if its
-        // mirror failed): staging's parent resolution indexes straight
-        // into this, so in-batch parents cost a vector read, not a hash.
-        let mut landed: Vec<Option<(u32, u64)>> = Vec::with_capacity(ready.len());
-        let base = tree.len() as u32;
-        let mut accepted: Vec<Block> = Vec::with_capacity(ready.len());
-        let mut accepted_parents: Vec<Option<NodeIdx>> = Vec::with_capacity(ready.len());
-        let mut durable = self.durable.lock();
-        for (k, (pos, block)) in ready.into_iter().enumerate() {
-            let mirrored = (|| -> Result<(u32, u64, u32), IngestError> {
+        writer: &mut Writer,
+        run: impl Iterator<Item = ((usize, Block), Option<usize>)>,
+        session: &mut FaultSession<'_>,
+        tip: PublishTip,
+        mut report: impl FnMut(usize, Result<(), IngestError>),
+    ) {
+        let Writer { tree, durable } = writer;
+        let mut batch = tree.begin_batch(run.size_hint().0);
+        // Arena slot and height each entry landed at (`None` if it was
+        // refused): in-batch parents cost a vector read, not a hash.
+        let mut landed: Vec<Option<(NodeIdx, u64)>> = Vec::with_capacity(run.size_hint().0);
+        for (k, ((pos, block), staged_parent)) in run.enumerate() {
+            if k > 0 {
+                session.apply(Seam::WriterMidBatch);
+            }
+            let installed = (|| {
                 let parent_id = block.parent.ok_or(IngestError::MissingParent(block.id))?;
-                let (parent_arena, parent_height) = match ready_parents[k] {
+                let (parent_idx, parent_height) = match staged_parent {
+                    Some(j) => landed[j].ok_or(IngestError::UnknownParent(parent_id))?,
                     None => {
-                        let idx = tree
+                        let idx = batch
                             .idx_of(parent_id)
                             .ok_or(IngestError::UnknownParent(parent_id))?;
-                        (idx.0, tree.block_at(idx).height)
+                        (idx, batch.block_at(idx).height)
                     }
-                    Some(j) => landed[j].ok_or(IngestError::UnknownParent(parent_id))?,
                 };
                 let expected = parent_height + 1;
                 if block.height != expected {
@@ -801,36 +760,39 @@ impl ConcurrentBlockTree {
                         expected,
                     });
                 }
-                let store_idx = self.store.try_push(block.clone(), Some(parent_arena))?;
-                debug_assert_eq!(
-                    store_idx,
-                    base + accepted.len() as u32,
-                    "store indices mirror arena indices"
-                );
+                session.apply(Seam::WriterPreInsert);
+                let store_idx = self.store.try_push(block.clone(), Some(parent_idx.0))?;
                 self.emit(client, SyncEventKind::ArenaPush { idx: store_idx });
-                if let Some(durable) = durable.as_mut() {
-                    durable.append(&block);
+                let height = block.height;
+                let idx = batch
+                    .push(block, Some(parent_idx))
+                    .expect("chaining was validated above");
+                debug_assert_eq!(store_idx, idx.0, "store indices mirror arena indices");
+                if let Some(durable) = durable {
+                    durable.append(batch.block_at(idx));
                 }
-                Ok((store_idx, block.height, parent_arena))
+                Ok((idx, height))
             })();
-            match mirrored {
-                Ok((store_idx, height, parent_arena)) => {
-                    landed.push(Some((store_idx, height)));
-                    verdicts[pos] = Some(IngestVerdict::Accepted);
-                    accepted.push(block);
-                    accepted_parents.push(Some(NodeIdx(parent_arena)));
-                }
-                Err(e) => {
-                    landed.push(None);
-                    verdicts[pos] = Some(IngestVerdict::from_result::<IngestError>(Err(e)));
-                }
-            }
+            landed.push(installed.as_ref().ok().copied());
+            report(pos, installed.map(drop));
         }
-        let installed_any = !accepted.is_empty();
-        for result in tree.insert_batch_resolved(accepted, &accepted_parents) {
-            result.expect("chaining was validated above");
-        }
-        installed_any
+        batch.finish();
+        let Some(&(newest, _)) = landed.iter().flatten().last() else {
+            return;
+        };
+        session.apply(Seam::WriterPrePublish);
+        let tip_idx = match tip {
+            PublishTip::Selected => self.selected_tip(tree),
+            PublishTip::Own => newest.0,
+        };
+        self.store.publish(tree.len() as u32, tip_idx);
+        self.emit(
+            client,
+            SyncEventKind::HeadStore {
+                version: pack_version(tree.len() as u32, tip_idx),
+                locked: matches!(tip, PublishTip::Selected),
+            },
+        );
     }
 
     /// The tip the current rule selects from the writer tree, as an arena
@@ -860,95 +822,32 @@ impl ConcurrentBlockTree {
     /// crashing mid-batch with the lock held: the already-installed
     /// prefix is mirrored store-first, so the poison heal republishes
     /// exactly that prefix.
-    ///
-    /// A passthrough session has no seams to offer, so the ready run
-    /// takes an amortized path instead: validate and mirror each block
-    /// store-first, then land the survivors with one
-    /// [`BlockTree::insert_batch`].  The two paths produce identical
-    /// verdicts, tree state, and store contents — only the faulted one
-    /// has observable per-block install boundaries.
     pub fn ingest_batch_with_faults(
         &self,
         client: usize,
         blocks: Vec<Block>,
         session: &mut FaultSession<'_>,
     ) -> BatchReport {
-        let mut tree = self.lock_writer();
-        self.emit(client, SyncEventKind::LockAcquire);
-        let StagedBatch {
-            ready,
-            ready_parents,
-            orphans: _,
-            mut verdicts,
-        } = stage_batch(blocks, |id| tree.contains(id));
-        let mut installed_any = false;
-        if session.is_passthrough() {
-            installed_any =
-                self.install_run_locked(client, &mut tree, ready, &ready_parents, &mut verdicts);
-        } else {
-            for (i, (pos, block)) in ready.iter().enumerate() {
-                if i > 0 {
-                    session.apply(Seam::WriterMidBatch);
-                }
-                let verdict = match self.install_one_locked(client, &mut tree, block, session) {
-                    Ok(Some(_)) => {
-                        installed_any = true;
-                        IngestVerdict::Accepted
-                    }
-                    Ok(None) => IngestVerdict::Duplicate,
-                    Err(e) => IngestVerdict::from_result::<IngestError>(Err(e)),
-                };
-                verdicts[*pos] = Some(verdict);
-            }
-        }
-        if installed_any {
-            session.apply(Seam::WriterPrePublish);
-            let tip = self.selected_tip(&tree);
-            self.store.publish(tree.len() as u32, tip);
-            self.emit(
-                client,
-                SyncEventKind::HeadStore {
-                    version: pack_version(tree.len() as u32, tip),
-                    locked: true,
-                },
-            );
-        }
-        self.emit(client, SyncEventKind::LockRelease);
-        drop(tree);
+        let verdicts = self.with_writer(client, |writer| {
+            let StagedBatch {
+                ready,
+                ready_parents,
+                orphans: _,
+                mut verdicts,
+            } = stage_batch(blocks, |id| writer.tree.contains(id));
+            let run = ready.into_iter().zip(ready_parents);
+            let tip = PublishTip::Selected;
+            self.install_run(client, writer, run, session, tip, |pos, result| {
+                verdicts[pos] = Some(IngestVerdict::from_result(result))
+            });
+            verdicts
+        });
         BatchReport::from_verdicts(
             verdicts
                 .into_iter()
                 .map(|v| v.expect("every input position receives a verdict"))
                 .collect(),
         )
-    }
-
-    /// The mediated install: publishes the freshly re-selected best tip.
-    fn install(
-        &self,
-        client: usize,
-        block: &Block,
-        session: &mut FaultSession<'_>,
-    ) -> Result<(), IngestError> {
-        self.install_with_tip(client, block, session, true, |tree, _| {
-            self.selected_tip(tree)
-        })
-    }
-
-    /// The racy install: inserts the block but publishes *it* as the tip
-    /// without re-running the selection — last-writer-wins.  Publishing
-    /// under the writer lock keeps the store itself coherent (the bug is
-    /// the tip choice, not memory corruption).
-    fn install_racy(
-        &self,
-        client: usize,
-        block: &Block,
-        session: &mut FaultSession<'_>,
-    ) -> Result<(), IngestError> {
-        // `locked_tip: false`: the published tip derives from the client's
-        // *unlocked* prepare-time head load, which is exactly what the
-        // race detector keys on.
-        self.install_with_tip(client, block, session, false, |_, store_idx| store_idx)
     }
 }
 
@@ -959,7 +858,7 @@ impl ConcurrentBlockTree {
 /// — this door is for blocks that already exist elsewhere (sync, replay).
 impl Ingest for ConcurrentBlockTree {
     fn knows_block(&self, id: BlockId) -> bool {
-        self.lock_writer().contains(id)
+        self.lock_writer().tree.contains(id)
     }
 
     fn ingest_block(&mut self, block: Block) -> IngestVerdict {
@@ -1288,40 +1187,129 @@ mod tests {
     #[test]
     fn a_mid_batch_panic_heals_to_exactly_the_installed_prefix() {
         use crate::fault::{FaultAction, FaultPlan, FaultSession, Seam};
-        let t = ConcurrentBlockTree::eventual(2);
-        t.append(0, vec![]);
-        let tip = t.tip_block();
-        let b1 = BlockBuilder::new(&tip).nonce(21).build();
-        let b2 = BlockBuilder::new(&b1).nonce(22).build();
-        let b3 = BlockBuilder::new(&b2).nonce(23).build();
-        // The writer dies at the first WriterMidBatch crossing: b1 is
-        // installed and mirrored, b2/b3 are not, no tip was published —
-        // and the writer mutex is poisoned.
-        let plan = FaultPlan::quiet(1).arm(Seam::WriterMidBatch, FaultAction::Panic, 100);
-        let batch = vec![b1.clone(), b2.clone(), b3.clone()];
-        let crashed = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let mut session = FaultSession::new(&plan, 0);
-                    t.ingest_batch_with_faults(0, batch, &mut session)
+        use btadt_store::{SimMedium, StoreConfig};
+
+        // A plan whose first firing is a panic at client 0's
+        // `occurrence`-th (0-based) crossing of `seam`.
+        let panic_at = |seam: Seam, occurrence: u32| -> FaultPlan {
+            (0..)
+                .map(|seed| FaultPlan::quiet(seed).arm(seam, FaultAction::Panic, 25))
+                .find(|plan| {
+                    (0..=occurrence).all(|o| {
+                        (plan.decide(0, seam, o) == FaultAction::Panic) == (o == occurrence)
+                    })
                 })
-                .join()
-        });
-        assert!(crashed.is_err(), "the injected panic propagates to join");
-        assert_eq!(t.height(), 1, "the installed prefix stays unpublished");
-        // The next writer recovers the poisoned mutex; the heal republishes
-        // exactly the installed prefix before the append proceeds.
-        let out = t.append(1, vec![]);
-        assert!(out.appended);
-        let tree = t.writer_tree_snapshot();
-        assert!(tree.contains(b1.id), "the installed prefix survived");
-        assert!(!tree.contains(b2.id), "the uninstalled tail did not");
-        assert!(!tree.contains(b3.id));
-        assert!(t.check_invariants().is_empty());
-        // Batch ingest keeps working post-heal and picks up the tail.
-        let report = t.ingest_batch(1, vec![b2, b3]);
-        assert_eq!(report.accepted, 2);
-        assert!(t.check_invariants().is_empty());
+                .expect("some seed fires first at the requested occurrence")
+        };
+        fn ids<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Vec<BlockId> {
+            blocks.into_iter().map(|b| b.id).collect()
+        }
+
+        const BATCH: usize = 8;
+        // Every seam inside the install loop, at every crossing, with the
+        // number of batch blocks installed when the writer dies there.
+        let mut cases: Vec<(Seam, u32, usize)> = Vec::new();
+        for k in 0..BATCH {
+            cases.push((Seam::WriterPreInsert, k as u32, k));
+            if k > 0 {
+                cases.push((Seam::WriterMidBatch, k as u32 - 1, k));
+            }
+        }
+        cases.push((Seam::WriterPrePublish, 0, BATCH));
+
+        for (seam, occurrence, installed) in cases {
+            let what = format!("{} crossing {occurrence}", seam.label());
+            let t = ConcurrentBlockTree::eventual(2)
+                .with_durable_store(BlockStore::create(SimMedium::new(), StoreConfig::small()));
+            let first = t.append(0, vec![]).block;
+            // A forked batch, parents-first: the chain b1..b5 on the tip
+            // interleaved with the sibling branch c1..c3 off b2.
+            let b1 = BlockBuilder::new(&first).nonce(21).build();
+            let b2 = BlockBuilder::new(&b1).nonce(22).build();
+            let b3 = BlockBuilder::new(&b2).nonce(23).build();
+            let c1 = BlockBuilder::new(&b2).nonce(31).work(3).build();
+            let b4 = BlockBuilder::new(&b3).nonce(24).build();
+            let c2 = BlockBuilder::new(&c1).nonce(32).build();
+            let b5 = BlockBuilder::new(&b4).nonce(25).build();
+            let c3 = BlockBuilder::new(&c2).nonce(33).build();
+            let batch = vec![b1, b2, b3, c1, b4, c2, b5, c3];
+            assert_eq!(batch.len(), BATCH);
+
+            // The writer dies at the seam with the lock held: the prefix
+            // is installed and mirrored, the tail is not, no tip was
+            // published — and the writer mutex is poisoned.
+            let plan = panic_at(seam, occurrence);
+            let crashed = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let mut session = FaultSession::new(&plan, 0);
+                        t.ingest_batch_with_faults(0, batch.clone(), &mut session)
+                    })
+                    .join()
+            });
+            assert!(crashed.is_err(), "{what}: the injected panic propagates");
+            assert_eq!(t.height(), 1, "{what}: the prefix stays unpublished");
+
+            // The next lock acquisition recovers the poisoned mutex; the
+            // heal is a pure republish because the tree's indices already
+            // describe exactly the installed prefix.
+            let tree = t.writer_tree_snapshot();
+            assert_eq!(t.poison_heals(), 1, "{what}");
+            let mut expected = BlockTree::new();
+            expected.insert(first.clone()).unwrap();
+            for block in &batch[..installed] {
+                expected.insert(block.clone()).unwrap();
+            }
+            assert_eq!(tree.leaves(), expected.leaves(), "{what}");
+            for largest in [true, false] {
+                assert_eq!(
+                    tree.best_leaf_by_height(largest),
+                    expected.best_leaf_by_height(largest),
+                    "{what}"
+                );
+                assert_eq!(
+                    tree.best_leaf_by_work(largest),
+                    expected.best_leaf_by_work(largest),
+                    "{what}"
+                );
+            }
+            let prefix: Vec<Block> = expected.blocks().cloned().collect();
+            assert_eq!(ids(tree.blocks()), ids(&prefix), "{what}");
+            for i in 0..prefix.len() as u32 {
+                assert_eq!(
+                    tree.interval_at(NodeIdx(i)),
+                    expected.interval_at(NodeIdx(i)),
+                    "{what}: interval label of slot {i}"
+                );
+                assert_eq!(t.store.block(i).id, prefix[i as usize].id, "{what}");
+            }
+            assert_eq!(t.store.pushed() as usize, prefix.len(), "{what}");
+            assert_eq!(
+                t.len(),
+                prefix.len(),
+                "{what}: the heal published the prefix"
+            );
+            let durable = t.lock_writer().durable.as_ref().map(BlockStore::blocks);
+            assert_eq!(
+                ids(&durable.expect("attached")),
+                ids(&prefix[1..]),
+                "{what}"
+            );
+            assert!(t.check_invariants().is_empty(), "{what}");
+
+            // Batch ingest keeps working post-heal and picks up the tail;
+            // mediated appends chain on the healed tip.
+            let report = t.ingest_batch(1, batch[installed..].to_vec());
+            assert_eq!(report.accepted, BATCH - installed, "{what}");
+            assert!(t.append(1, vec![]).appended, "{what}");
+            assert!(t.check_invariants().is_empty(), "{what}");
+            let durable = t.take_durable_store().expect("attached");
+            assert_eq!(
+                durable.len(),
+                t.len() - 1,
+                "{what}: every install persisted once"
+            );
+        }
     }
 
     #[test]

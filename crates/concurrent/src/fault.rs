@@ -435,13 +435,6 @@ impl<'a> FaultSession<'a> {
     pub fn injected(&self) -> u64 {
         self.injected
     }
-
-    /// `true` iff this session carries no plan and can never inject: the
-    /// batch installer uses this to take its amortized path, which has no
-    /// per-block seams to offer.
-    pub fn is_passthrough(&self) -> bool {
-        self.plan.is_none()
-    }
 }
 
 #[cfg(test)]

@@ -59,22 +59,26 @@ impl Ingest for BlockTree {
         IngestVerdict::from_result(self.insert(block))
     }
 
-    /// Batch override: the staged ready set goes through
-    /// [`BlockTree::insert_batch`], which labels reachability intervals
-    /// for the whole batch and amortizes the leaf-set and tip
-    /// maintenance into one epilogue.
+    /// Batch override: the staged ready run goes through one
+    /// [`BatchInsert`](btadt_types::BatchInsert) session, with staging's
+    /// in-batch parent resolution forwarded as slot hints, so the
+    /// leaf-set and tip maintenance is reconciled once per batch.
     fn ingest_batch(&mut self, blocks: Vec<Block>) -> BatchReport {
-        let staged = stage_batch(blocks, |id| self.contains(id));
         let StagedBatch {
             ready,
+            ready_parents,
             mut verdicts,
             ..
-        } = staged;
-        let (positions, ready_blocks): (Vec<usize>, Vec<Block>) = ready.into_iter().unzip();
-        let results = self.insert_batch(&ready_blocks);
-        for (pos, result) in positions.into_iter().zip(results) {
-            verdicts[pos] = Some(IngestVerdict::from_result(result));
+        } = stage_batch(blocks, |id| self.contains(id));
+        let mut batch = self.begin_batch(ready.len());
+        // Arena slot each ready entry landed at (`None` if it was refused).
+        let mut landed = Vec::with_capacity(ready.len());
+        for ((pos, block), parent) in ready.into_iter().zip(ready_parents) {
+            let result = batch.push(block, parent.and_then(|j| landed[j]));
+            landed.push(result.ok());
+            verdicts[pos] = Some(IngestVerdict::from_result(result.map(drop)));
         }
+        batch.finish();
         finish_report(verdicts)
     }
 }

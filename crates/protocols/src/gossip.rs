@@ -52,7 +52,7 @@
 use btadt_netsim::{Context, SimTime};
 use btadt_pipeline::{stage_batch, BatchReport, IngestVerdict, StagedBatch};
 use btadt_store::{BlockStore, RecoveryReport};
-use btadt_types::{Block, BlockBuilder, BlockId, BlockTree, Transaction};
+use btadt_types::{Block, BlockBuilder, BlockId, BlockTree, InsertError, Transaction};
 
 use crate::extract::ReplicaLog;
 use crate::journal::{Journal, JournalKind, RecoveryMode};
@@ -415,25 +415,10 @@ impl GossipSync {
             ..
         } = stage_batch(blocks, |id| self.tree.contains(id));
         for (pos, block) in ready {
-            let verdict = match self.tree.insert(block.clone()) {
-                Ok(()) => {
-                    log.record_applied(at, block.clone());
-                    self.journal_applied(block);
-                    IngestVerdict::Accepted
-                }
-                // Staging resolved the parent, but the insert still
-                // refused (e.g. a height inconsistency): buffer it, as the
-                // single-block path always did.
-                Err(_) => {
-                    self.orphans.push(block);
-                    IngestVerdict::Orphaned
-                }
-            };
-            verdicts[pos] = Some(verdict);
+            verdicts[pos] = Some(self.attach(block, Some((at, log))));
         }
-        for (_, block) in orphans {
-            self.orphans.push(block);
-        }
+        self.orphans
+            .extend(orphans.into_iter().map(|(_, block)| block));
         self.drain_orphans(at, log);
         if self.orphans.is_empty() {
             self.sync_floor = None;
@@ -456,22 +441,40 @@ impl GossipSync {
     fn drain_orphans(&mut self, at: SimTime, log: &mut ReplicaLog) {
         loop {
             let mut progressed = false;
-            let mut remaining = Vec::new();
+            // `attach` re-pools whatever still cannot link.
             for orphan in std::mem::take(&mut self.orphans) {
-                if self.tree.contains(orphan.id) {
-                    continue;
-                }
-                if self.tree.insert(orphan.clone()).is_ok() {
-                    log.record_applied(at, orphan.clone());
-                    self.journal_applied(orphan);
-                    progressed = true;
-                } else {
-                    remaining.push(orphan);
-                }
+                progressed |= self.attach(orphan, Some((at, log))).is_accepted();
             }
-            self.orphans = remaining;
             if !progressed {
                 break;
+            }
+        }
+    }
+
+    /// The one attach step behind every door: insert the block, dropping
+    /// it if the tree already has it and pooling it as an orphan if the
+    /// tree refuses it (staging may have resolved the parent and the insert
+    /// still refuse, e.g. on a height inconsistency).  `applied` carries
+    /// the log of a *fresh* application, which is recorded and journaled;
+    /// replay and recovery pass `None` (those applications were recorded
+    /// before the crash, and replay never re-journals).
+    fn attach(
+        &mut self,
+        block: Block,
+        applied: Option<(SimTime, &mut ReplicaLog)>,
+    ) -> IngestVerdict {
+        match self.tree.insert(block.clone()) {
+            Ok(()) => {
+                if let Some((at, log)) = applied {
+                    log.record_applied(at, block.clone());
+                    self.journal_applied(block);
+                }
+                IngestVerdict::Accepted
+            }
+            Err(InsertError::Duplicate(_)) => IngestVerdict::Duplicate,
+            Err(_) => {
+                self.orphans.push(block);
+                IngestVerdict::Orphaned
             }
         }
     }
@@ -668,14 +671,20 @@ impl GossipSync {
     fn replay_journal(&mut self, limit: Option<usize>) -> usize {
         let take = limit.unwrap_or(self.journal.len());
         let blocks: Vec<Block> = self.journal.blocks().take(take).cloned().collect();
-        let mut replayed = 0usize;
+        self.restore(blocks)
+    }
+
+    /// Re-attaches `blocks` (parents-first) after a crash, bypassing the
+    /// replica log and the journal.  Returns the number newly attached.
+    fn restore(&mut self, blocks: impl IntoIterator<Item = Block>) -> usize {
+        let mut restored = 0usize;
         for block in blocks {
-            if !self.tree.contains(block.id) && self.tree.insert(block).is_ok() {
-                replayed += 1;
+            if self.attach(block, None).is_accepted() {
+                restored += 1;
             }
         }
-        self.stats.replayed_blocks += replayed as u64;
-        replayed
+        self.stats.replayed_blocks += restored as u64;
+        restored
     }
 
     /// Simulates a crash-restart: all volatile state (tree, orphans, sync
@@ -732,24 +741,18 @@ impl GossipSync {
             return 0;
         };
         let config = store.config();
-        let (recovered, report, mut survivors) = BlockStore::recover(store.into_medium(), config);
+        let (recovered, report, survivors) = BlockStore::recover(store.into_medium(), config);
         self.last_recovery = Some(report);
         self.store = Some(recovered);
-        survivors.sort_by_key(|b| (b.height, b.id));
-        let mut restored = 0usize;
-        for block in survivors {
-            if self.tree.contains(block.id) {
-                continue;
-            }
-            if self.tree.insert(block.clone()).is_ok() {
-                restored += 1;
-            } else {
-                // Ancestry lost to corruption: buffer so delta sync can
-                // re-attach it once the gap is fetched from a peer.
-                self.orphans.push(block);
-            }
-        }
-        self.stats.replayed_blocks += restored as u64;
+        // Survivors come back in record (= install) order; staging keeps
+        // that order — the one the interval labels were allocated in — and
+        // splits off what lost its ancestry to corruption, which waits in
+        // the orphan pool for delta sync to fetch the gap from a peer.
+        let StagedBatch { ready, orphans, .. } =
+            stage_batch(survivors, |id| self.tree.contains(id));
+        let restored = self.restore(ready.into_iter().map(|(_, block)| block));
+        self.orphans
+            .extend(orphans.into_iter().map(|(_, block)| block));
         restored
     }
 }
@@ -941,6 +944,37 @@ mod tests {
         assert!(sync.insert_with_orphans(SimTime(99), next.clone(), &mut log));
         assert!(sync.durable_store().unwrap().contains(next.id));
         assert_eq!(sync.durable_store().unwrap().blocks().len(), 21);
+    }
+
+    #[test]
+    fn checkpoint_recovery_replays_in_install_order_without_a_reindex_storm() {
+        // Height-major replay fragments the interval labels' pockets
+        // (docs/PIPELINE.md § "Stable topological order"): on this tree it
+        // ran ~10⁵ reindex passes.  Record order is the order the labels
+        // were allocated in, so recovery must cost no more passes than the
+        // ingest that wrote the store.
+        use btadt_store::{SimMedium, StoreConfig};
+        use btadt_types::workload::Workload;
+        let source = Workload::new(14).random_tree(2_000, 0.7, 4);
+        let blocks: Vec<Block> = source.blocks().skip(1).cloned().collect();
+        let store = BlockStore::create(SimMedium::new(), StoreConfig::default());
+        let mut sync = GossipSync::new(0).with_durable_store(store);
+        let mut log = ReplicaLog::new();
+        for batch in blocks.chunks(64) {
+            let report = sync.apply_batch(SimTime(0), batch.to_vec(), &mut log);
+            assert_eq!(report.accepted, batch.len());
+        }
+        let ingest_reindexes = sync.tree().reachability_reindexes();
+
+        let restored = sync.note_rejoin(RecoveryMode::Checkpoint);
+        assert_eq!(restored, blocks.len(), "every durable block comes back");
+        assert!(sync.orphans.is_empty());
+        assert_eq!(sync.tree().sorted_ids(), source.sorted_ids());
+        let recover_reindexes = sync.tree().reachability_reindexes();
+        assert!(
+            recover_reindexes <= ingest_reindexes,
+            "recovery ran {recover_reindexes} reindex passes, the ingest {ingest_reindexes}"
+        );
     }
 
     #[test]

@@ -269,25 +269,39 @@ impl CheckpointedReplica {
 
     /// Re-inserts pending blocks until no progress: each pass admits every
     /// block whose parent became resident.  Quadratic in the worst case
-    /// but pending sets are corruption-sized, not history-sized.
-    fn settle_pending(&mut self) {
+    /// but pending sets are corruption-sized, not history-sized.  Returns
+    /// the blocks it linked, in link order.
+    fn settle_pending(&mut self) -> Vec<Block> {
+        let mut linked = Vec::new();
         loop {
-            let mut progressed = false;
+            let before = linked.len();
             let mut still = Vec::with_capacity(self.pending.len());
             for block in std::mem::take(&mut self.pending) {
                 if self.hot.contains(block.id) {
                     continue; // duplicate
                 }
                 match self.hot.insert(block.clone()) {
-                    Ok(()) => progressed = true,
+                    Ok(()) => linked.push(block),
                     Err(_) => still.push(block),
                 }
             }
             self.pending = still;
-            if !progressed || self.pending.is_empty() {
-                break;
+            if linked.len() == before || self.pending.is_empty() {
+                return linked;
             }
         }
+    }
+
+    /// Settles the pending pool and persists what it linked: a batch's
+    /// orphans wait in the pool unpersisted (recovery survivors and
+    /// peer-served blocks are already durable).
+    fn settle_and_persist(&mut self) {
+        for block in self.settle_pending() {
+            if !self.store.contains(block.id) {
+                self.store.append(&block);
+            }
+        }
+        self.note_resident();
     }
 
     /// The parent ids the pending blocks are waiting for — the exact
@@ -326,19 +340,7 @@ impl CheckpointedReplica {
                 self.store.append(block);
             }
         }
-        self.settle_pending();
-        // Settled pending blocks were already persisted at recovery time
-        // only if they survived; re-check and persist the newly linked.
-        let linked: Vec<Block> = self
-            .hot
-            .blocks()
-            .filter(|b| !b.is_genesis() && !self.store.contains(b.id))
-            .cloned()
-            .collect();
-        for block in linked {
-            self.store.append(&block);
-        }
-        self.note_resident();
+        self.settle_and_persist();
         self.hot.len() - before
     }
 }
@@ -370,17 +372,7 @@ impl Ingest for CheckpointedReplica {
         }
         // A settled orphan still reports `Orphaned` — the verdict describes
         // what staging saw, and pooling (not rejection) is the contract.
-        self.settle_pending();
-        let linked: Vec<Block> = self
-            .hot
-            .blocks()
-            .filter(|b| !b.is_genesis() && !self.store.contains(b.id))
-            .cloned()
-            .collect();
-        for block in linked {
-            self.store.append(&block);
-        }
-        self.note_resident();
+        self.settle_and_persist();
         BatchReport::from_verdicts(
             verdicts
                 .into_iter()

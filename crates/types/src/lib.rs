@@ -54,7 +54,7 @@ pub use reference::NaiveBlockTree;
 pub use score::{ChainScore, LengthScore, Score, WorkScore};
 pub use selection::{GhostSelection, HeaviestChain, LongestChain, SelectionFunction, TieBreak};
 pub use transaction::{Transaction, TxId};
-pub use tree::{BlockIdHasher, BlockTree, InsertError, NodeIdx};
+pub use tree::{BatchInsert, BlockIdHasher, BlockTree, InsertError, NodeIdx};
 pub use validity::{
     AlwaysValid, CompositeValidity, MaxPayload, NeverValid, NoDoubleSpend, StructuralValidity,
     ValidityPredicate,

@@ -26,6 +26,16 @@
 //! * [`chain_to`](BlockTree::chain_to) walks dense parent indices without
 //!   re-hashing block identifiers.
 //!
+//! ## One link step
+//!
+//! Every block enters through a [`BatchInsert`] session
+//! ([`begin_batch`](BlockTree::begin_batch) → `push` → `finish`): `push`
+//! resolves and verifies the parent, labels the node's reachability
+//! interval, and links it into the slab; the leaf set and the four best
+//! tips are reconciled once when the session ends — including when a
+//! panic unwinds through it.  [`insert`](BlockTree::insert) is a run of
+//! one, [`insert_batch`](BlockTree::insert_batch) a loop over `push`.
+//!
 //! A key slab invariant — parents are always inserted before their children,
 //! so `parent.idx < child.idx` — makes whole-tree aggregation a single
 //! reverse pass ([`subtree_work_table`](BlockTree::subtree_work_table),
@@ -40,7 +50,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::block::{Block, BlockId, GENESIS_ID};
+use crate::block::{Block, BlockId};
 use crate::chain::Blockchain;
 use crate::reachability::{Interval, ReachabilityIndex, Topology};
 
@@ -183,26 +193,7 @@ impl Topology for SlabTopology<'_> {
 impl BlockTree {
     /// Creates a tree containing only the genesis block.
     pub fn new() -> Self {
-        let genesis = Block::genesis();
-        let genesis_work = genesis.work;
-        let mut index = BlockIdMap::default();
-        index.insert(genesis.id, NodeIdx::GENESIS);
-        BlockTree {
-            nodes: vec![BlockNode {
-                block: genesis,
-                parent: None,
-                children: Vec::new(),
-                cumulative_work: genesis_work,
-            }],
-            index,
-            leaf_ids: BTreeSet::from([GENESIS_ID]),
-            best_height_largest: (0, GENESIS_ID),
-            best_height_smallest: (0, GENESIS_ID),
-            best_work_largest: (genesis_work, GENESIS_ID),
-            best_work_smallest: (genesis_work, GENESIS_ID),
-            max_fork_degree: 0,
-            reach: ReachabilityIndex::with_root(),
-        }
+        Self::rerooted(Block::genesis())
     }
 
     /// Creates a tree rooted at an arbitrary block — the representation of
@@ -217,7 +208,7 @@ impl BlockTree {
     /// and cumulative work restarts at `root.work`, which preserves every
     /// comparison *within* the window (all paths share the pruned prefix).
     ///
-    /// `rerooted(Block::genesis())` is equivalent to [`BlockTree::new`].
+    /// `rerooted(Block::genesis())` is [`BlockTree::new`].
     pub fn rerooted(root: Block) -> Self {
         let mut root = root;
         root.parent = None;
@@ -350,78 +341,12 @@ impl BlockTree {
     /// under the same parent creates a fork; the tree itself never forbids
     /// forks — fork control is the role of the token oracle.
     ///
-    /// Amortized O(log n): one interning insert plus the incremental
-    /// leaf-set and tip maintenance.
+    /// Amortized O(log n): a [`BatchInsert`] run of one.
     pub fn insert(&mut self, block: Block) -> Result<(), InsertError> {
-        if self.index.contains_key(&block.id) {
-            return Err(InsertError::Duplicate(block.id));
-        }
-        let parent_id = block.parent.ok_or(InsertError::MissingParent(block.id))?;
-        let parent_idx = self
-            .idx_of(parent_id)
-            .ok_or(InsertError::UnknownParent(parent_id))?;
-        let parent = &self.nodes[parent_idx.at()];
-        let expected = parent.block.height + 1;
-        if block.height != expected {
-            return Err(InsertError::HeightMismatch {
-                block: block.id,
-                recorded: block.height,
-                expected,
-            });
-        }
-        let parent_work = parent.cumulative_work;
-        let cumulative_work = parent_work + block.work;
-        let idx = NodeIdx(u32::try_from(self.nodes.len()).expect("arena capacity exceeded"));
-
-        // Label the new node before linking it, so a reindex pass walks the
-        // consistent pre-insertion topology.
-        self.reach.attach(parent_idx, &SlabTopology(&self.nodes));
-
-        // Link into the parent and maintain the incremental indices.
-        let parent = &mut self.nodes[parent_idx.at()];
-        let parent_was_leaf = parent.children.is_empty();
-        parent.children.push(idx);
-        self.max_fork_degree = self.max_fork_degree.max(parent.children.len());
-        if parent_was_leaf {
-            self.leaf_ids.remove(&parent_id);
-        }
-        self.leaf_ids.insert(block.id);
-        let (h, id) = (block.height, block.id);
-        let (best_h, best_id) = self.best_height_largest;
-        if h > best_h || (h == best_h && id > best_id) {
-            self.best_height_largest = (h, id);
-        }
-        let (best_h, best_id) = self.best_height_smallest;
-        if h > best_h || (h == best_h && id < best_id) {
-            self.best_height_smallest = (h, id);
-        }
-        // A parent incumbent whose work-0 child merely ties it leaves the
-        // true heaviest leaf ambiguous: rescan.  (Unreachable for work ≥ 1.)
-        let stale_work_incumbent = parent_was_leaf
-            && cumulative_work == parent_work
-            && (self.best_work_largest.1 == parent_id || self.best_work_smallest.1 == parent_id);
-
-        self.index.insert(block.id, idx);
-        self.nodes.push(BlockNode {
-            block,
-            parent: Some(parent_idx),
-            children: Vec::new(),
-            cumulative_work,
-        });
-
-        if stale_work_incumbent {
-            self.rescan_best_work();
-        } else {
-            let (best_w, best_id) = self.best_work_largest;
-            if cumulative_work > best_w || (cumulative_work == best_w && id > best_id) {
-                self.best_work_largest = (cumulative_work, id);
-            }
-            let (best_w, best_id) = self.best_work_smallest;
-            if cumulative_work > best_w || (cumulative_work == best_w && id < best_id) {
-                self.best_work_smallest = (cumulative_work, id);
-            }
-        }
-        Ok(())
+        let mut batch = self.begin_batch(0);
+        let result = batch.push(block, None).map(drop);
+        batch.finish();
+        result
     }
 
     /// Inserts a topologically-sorted batch of blocks in one pass,
@@ -429,97 +354,57 @@ impl BlockTree {
     /// per-block semantics as [`insert`](Self::insert): a block that fails
     /// is skipped, every other block still lands.
     ///
-    /// This is the tip stage of the batch-ingest pipeline.  Compared to a
-    /// loop of single inserts it amortizes the bookkeeping across the
-    /// batch:
-    ///
-    /// * arena and interning capacity are reserved once up front;
-    /// * chain-shaped batches resolve each parent from a one-entry memo of
-    ///   the previous insertion instead of the interning map;
-    /// * reachability intervals are still labeled per block (allocation
-    ///   order matters for the labels), but the leaf set and the four
-    ///   best-tip incumbents are reconciled once in a single epilogue over
-    ///   the freshly inserted slab range instead of per block.
-    ///
     /// Blocks must arrive parents-first (any topological order works —
     /// [`delta_above`](Self::delta_above) and the pipeline's stage-2 both
     /// produce one); a child that precedes its in-batch parent is
     /// reported as `UnknownParent`, exactly as the equivalent sequence of
     /// single inserts would.
     pub fn insert_batch(&mut self, blocks: &[Block]) -> Vec<Result<(), InsertError>> {
-        self.insert_batch_inner(blocks.iter().cloned(), None)
-    }
-
-    /// [`insert_batch`](Self::insert_batch) with the caller's parent
-    /// resolution: `parents[k]`, when `Some`, names the arena slot of
-    /// `blocks[k]`'s parent (the batch-ingest pipeline's tip stage knows
-    /// it from the store mirror, so the interning map is never probed for
-    /// it).  A hint is *verified* against the slot's id — a stale or
-    /// wrong hint degrades to `UnknownParent`, never a mislinked block —
-    /// and `None` falls back to the memo-and-interning-map resolution.
-    /// Takes the blocks by value: the accepted ones move straight into
-    /// the arena instead of being re-cloned from a slice.
-    pub fn insert_batch_resolved(
-        &mut self,
-        blocks: Vec<Block>,
-        parents: &[Option<NodeIdx>],
-    ) -> Vec<Result<(), InsertError>> {
-        assert_eq!(
-            blocks.len(),
-            parents.len(),
-            "one parent hint slot per block"
-        );
-        self.insert_batch_inner(blocks.into_iter(), Some(parents))
-    }
-
-    fn insert_batch_inner(
-        &mut self,
-        blocks: impl ExactSizeIterator<Item = Block>,
-        parents: Option<&[Option<NodeIdx>]>,
-    ) -> Vec<Result<(), InsertError>> {
-        let start = self.nodes.len();
-        self.nodes.reserve(blocks.len());
-        self.index.reserve(blocks.len());
-        // One-entry memo of the previous insertion: chain-shaped batches
-        // hit it for every block after the first.
-        let mut last: Option<(BlockId, NodeIdx)> = None;
-        // Pre-batch parents that stop being leaves, reconciled in the
-        // epilogue.
-        let mut outside_parents: Vec<BlockId> = Vec::new();
+        let mut batch = self.begin_batch(blocks.len());
         let results = blocks
-            .enumerate()
-            .map(|(k, block)| {
-                let hint = parents.and_then(|p| p[k]);
-                self.batch_insert_one(block, hint, start, &mut last, &mut outside_parents)
-            })
+            .iter()
+            .map(|block| batch.push(block.clone(), None).map(drop))
             .collect();
-        self.finish_batch(start, &outside_parents);
+        batch.finish();
         results
     }
 
-    /// Resolves and validates one batch block's parent link without
-    /// touching the tree: the slot the parent lives at plus the child's
-    /// cumulative work.  Split out so [`batch_insert_one`] can roll back
-    /// its eager interning on the (rare) failure paths.
-    fn resolve_batch_parent(
-        &self,
-        block: &Block,
-        hint: Option<NodeIdx>,
+    /// Opens a batch session — the tree's one link step, shared by
+    /// [`insert`](Self::insert) (a run of one), [`insert_batch`](Self::insert_batch)
+    /// and the ingest pipeline's tip stage.  `additional` sizes the arena
+    /// and interning reservations (0 when unknown).
+    pub fn begin_batch(&mut self, additional: usize) -> BatchInsert<'_> {
+        self.nodes.reserve(additional);
+        self.index.reserve(additional);
+        BatchInsert {
+            start: self.nodes.len(),
+            last: None,
+            tree: self,
+        }
+    }
+
+    /// The one link step: resolve and verify the parent (hint → `last`
+    /// memo → interning map), label, link, push.  Leaves the leaf set and
+    /// best tips to [`reconcile`](Self::reconcile).
+    fn link(
+        &mut self,
+        block: Block,
+        parent_hint: Option<NodeIdx>,
         last: Option<(BlockId, NodeIdx)>,
-    ) -> Result<(NodeIdx, u64), InsertError> {
+    ) -> Result<NodeIdx, InsertError> {
+        if self.index.contains_key(&block.id) {
+            return Err(InsertError::Duplicate(block.id));
+        }
         let parent_id = block.parent.ok_or(InsertError::MissingParent(block.id))?;
-        let parent_idx = match hint {
-            Some(idx) => idx,
-            None => match last {
-                Some((id, idx)) if id == parent_id => idx,
-                _ => self
-                    .idx_of(parent_id)
-                    .ok_or(InsertError::UnknownParent(parent_id))?,
-            },
+        let parent_idx = match (parent_hint, last) {
+            (Some(idx), _) => idx,
+            (None, Some((id, idx))) if id == parent_id => idx,
+            _ => self
+                .idx_of(parent_id)
+                .ok_or(InsertError::UnknownParent(parent_id))?,
         };
-        // One bounds-checked read serves three checks: a bogus hint, a
-        // self-parenting block (whose eager interning entry resolves to
-        // its own not-yet-pushed slot), and the parent's height.
+        // One bounds-checked read verifies a hint and fetches the parent's
+        // height and work.
         let parent = self
             .nodes
             .get(parent_idx.at())
@@ -533,75 +418,51 @@ impl BlockTree {
                 expected,
             });
         }
-        Ok((parent_idx, parent.cumulative_work + block.work))
-    }
-
-    /// One iteration of the batch loop: validation and slab linking with
-    /// the same checks (and error precedence) as [`insert`](Self::insert),
-    /// but deferring leaf-set and incumbent maintenance to
-    /// [`finish_batch`](Self::finish_batch).
-    fn batch_insert_one(
-        &mut self,
-        block: Block,
-        hint: Option<NodeIdx>,
-        start: usize,
-        last: &mut Option<(BlockId, NodeIdx)>,
-        outside_parents: &mut Vec<BlockId>,
-    ) -> Result<(), InsertError> {
+        let cumulative_work = parent.cumulative_work + block.work;
         let idx = NodeIdx(u32::try_from(self.nodes.len()).expect("arena capacity exceeded"));
-        // Duplicate check and interning share one probe: claim the slot
-        // eagerly, roll the entry back if validation fails below.
-        match self.index.entry(block.id) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                return Err(InsertError::Duplicate(block.id));
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(idx);
-            }
-        }
-        let (parent_idx, cumulative_work) = match self.resolve_batch_parent(&block, hint, *last) {
-            Ok(resolved) => resolved,
-            Err(e) => {
-                self.index.remove(&block.id);
-                return Err(e);
-            }
-        };
 
-        // Same ordering as `insert`: label before linking.
+        // Label the new node before linking it, so a reindex pass walks the
+        // consistent pre-insertion topology.
         self.reach.attach(parent_idx, &SlabTopology(&self.nodes));
 
         let parent = &mut self.nodes[parent_idx.at()];
-        if parent.children.is_empty() && parent_idx.at() < start {
-            outside_parents.push(block.parent.expect("resolved above"));
-        }
         parent.children.push(idx);
         self.max_fork_degree = self.max_fork_degree.max(parent.children.len());
-        *last = Some((block.id, idx));
+        self.index.insert(block.id, idx);
         self.nodes.push(BlockNode {
             block,
             parent: Some(parent_idx),
             children: Vec::new(),
             cumulative_work,
         });
-        Ok(())
+        Ok(idx)
     }
 
-    /// The batch epilogue: reconciles the leaf set and the four best-tip
-    /// incumbents for everything inserted since `start`.
+    /// Reconciles the leaf set and the four best-tip incumbents for
+    /// everything linked since `start`.
     ///
-    /// Only new *leaves* need comparing — an inserted interior node is
-    /// strictly out-heighted by some inserted descendant leaf, and for
-    /// work the leaf dominates or ties, with the tie (work-0 chains)
-    /// caught by the same not-a-leaf rescan backstop single inserts use.
-    fn finish_batch(&mut self, start: usize, outside_parents: &[BlockId]) {
-        if self.nodes.len() == start {
-            return;
-        }
-        for id in outside_parents {
-            self.leaf_ids.remove(id);
-        }
+    /// Only new *leaves* need comparing — a linked interior node is
+    /// strictly out-heighted by some linked descendant leaf, and for work
+    /// the leaf dominates or ties.  The tie is the one case an incumbent
+    /// can go stale: a pre-batch heaviest leaf that gained only work-0
+    /// descendants survives the comparisons while no longer being a leaf,
+    /// so the leaf set is rescanned.  (Block work is ≥ 1 everywhere blocks
+    /// are built; the rescan is a correctness backstop, not a hot path.)
+    fn reconcile(&mut self, start: usize) {
+        // A work incumbent that stopped being a leaf and has not (yet)
+        // been displaced by a new leaf.
+        let (mut stale_largest, mut stale_smallest) = (false, false);
         for i in start..self.nodes.len() {
             let node = &self.nodes[i];
+            let parent_idx = node.parent.expect("only the root is parentless");
+            let parent = &self.nodes[parent_idx.at()];
+            // The first child of a pre-batch leaf retires that leaf.
+            if parent_idx.at() < start && parent.children[0].at() == i {
+                let parent_id = parent.block.id;
+                self.leaf_ids.remove(&parent_id);
+                stale_largest |= parent_id == self.best_work_largest.1;
+                stale_smallest |= parent_id == self.best_work_smallest.1;
+            }
             if !node.children.is_empty() {
                 continue;
             }
@@ -618,24 +479,21 @@ impl BlockTree {
             let (best_w, best_id) = self.best_work_largest;
             if w > best_w || (w == best_w && id > best_id) {
                 self.best_work_largest = (w, id);
+                stale_largest = false;
             }
             let (best_w, best_id) = self.best_work_smallest;
             if w > best_w || (w == best_w && id < best_id) {
                 self.best_work_smallest = (w, id);
+                stale_smallest = false;
             }
         }
-        // A pre-batch work incumbent that gained only work-0 descendants
-        // can survive the comparisons above while no longer being a leaf;
-        // rescan, exactly as `insert`'s backstop does.
-        if !self.leaf_ids.contains(&self.best_work_largest.1)
-            || !self.leaf_ids.contains(&self.best_work_smallest.1)
-        {
+        if stale_largest || stale_smallest {
             self.rescan_best_work();
         }
     }
 
     /// Recomputes the heaviest-work incumbents from the leaf set.  Only
-    /// reached through the work-0 tie backstop in [`insert`](Self::insert).
+    /// reached through the work-0 tie backstop in [`reconcile`](Self::reconcile).
     fn rescan_best_work(&mut self) {
         let mut largest: Option<(u64, BlockId)> = None;
         let mut smallest: Option<(u64, BlockId)> = None;
@@ -858,10 +716,63 @@ impl Default for BlockTree {
     }
 }
 
+/// An open batch of inserts: every block entering a [`BlockTree`] is linked
+/// by [`push`](BatchInsert::push), and the leaf set and best tips are
+/// reconciled once when the session ends — at [`finish`](BatchInsert::finish),
+/// or on drop if a panic unwinds through the caller mid-batch, so the tree's
+/// indices always describe exactly the blocks that were linked.
+///
+/// Dereferences to the tree for lookups between pushes; until the session
+/// ends the leaf set and best tips still describe the pre-batch tree.
+pub struct BatchInsert<'a> {
+    tree: &'a mut BlockTree,
+    start: usize,
+    /// One-entry memo of the previous link: chain-shaped batches resolve
+    /// every parent after the first from it.
+    last: Option<(BlockId, NodeIdx)>,
+}
+
+impl BatchInsert<'_> {
+    /// Links one block under its parent and returns its arena slot.
+    ///
+    /// `parent_hint`, when `Some`, names the parent's arena slot (the
+    /// ingest pipeline's tip stage knows it, so the interning map is never
+    /// probed for it).  A hint is *verified* against the slot's id — a
+    /// stale or wrong hint degrades to `UnknownParent`, never a mislinked
+    /// block — and `None` falls back to the memo, then the interning map.
+    pub fn push(
+        &mut self,
+        block: Block,
+        parent_hint: Option<NodeIdx>,
+    ) -> Result<NodeIdx, InsertError> {
+        let id = block.id;
+        let idx = self.tree.link(block, parent_hint, self.last)?;
+        self.last = Some((id, idx));
+        Ok(idx)
+    }
+
+    /// Ends the session, reconciling the leaf set and best tips.
+    pub fn finish(self) {}
+}
+
+impl std::ops::Deref for BatchInsert<'_> {
+    type Target = BlockTree;
+
+    fn deref(&self) -> &BlockTree {
+        self.tree
+    }
+}
+
+impl Drop for BatchInsert<'_> {
+    fn drop(&mut self) {
+        self.tree.reconcile(self.start);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockBuilder;
+    use crate::block::{BlockBuilder, GENESIS_ID};
 
     /// Builds genesis -> a -> b and a fork genesis -> a -> c.
     fn forked_tree() -> (BlockTree, Block, Block, Block) {
@@ -1201,6 +1112,117 @@ mod tests {
             sequential.insert(blk.clone()).unwrap();
         }
         assert_same_observables(&batched, &sequential);
+    }
+
+    #[test]
+    fn work_zero_ties_match_the_naive_reference_at_every_run_split() {
+        // The work-0 backstop through both run lengths: a prefix of the
+        // stream goes in as runs of one, the rest as one batch, so for
+        // every split the ties land either in a single insert or mid-run.
+        use crate::reference::NaiveBlockTree;
+        use crate::selection::TieBreak;
+
+        let zero_child = |parent: &Block, nonce: u64| {
+            let mut child = BlockBuilder::new(parent).nonce(nonce).build();
+            child.work = 0; // bypasses the builder's work ≥ 1 clamp
+            child
+        };
+        let genesis = Block::genesis();
+        let a = BlockBuilder::new(&genesis).nonce(1).work(5).build();
+        let b = BlockBuilder::new(&genesis).nonce(2).work(5).build();
+        let light = BlockBuilder::new(&genesis).nonce(3).work(1).build();
+        let zero_a = zero_child(&a, 10);
+        let filler = BlockBuilder::new(&light).nonce(4).work(1).build();
+        let zero_b = zero_child(&b, 11);
+        let zero_zero_a = zero_child(&zero_a, 12);
+        let stream = [a, b, light, zero_a, filler, zero_b, zero_zero_a];
+
+        let assert_matches = |tree: &BlockTree, naive: &NaiveBlockTree, what: &str| {
+            assert_eq!(tree.leaves(), naive.leaves(), "{what}");
+            for tie in [TieBreak::LargestId, TieBreak::SmallestId] {
+                assert_eq!(
+                    tree.best_leaf_by_work(tie.prefers_largest()),
+                    naive.select_heaviest(tie).tip().id,
+                    "{what}: heaviest under {tie:?}"
+                );
+                assert_eq!(
+                    tree.best_leaf_by_height(tie.prefers_largest()),
+                    naive.select_longest(tie).tip().id,
+                    "{what}: longest under {tie:?}"
+                );
+            }
+        };
+        for split in 0..=stream.len() {
+            let mut tree = BlockTree::new();
+            let mut naive = NaiveBlockTree::new();
+            for blk in &stream[..split] {
+                tree.insert(blk.clone()).unwrap();
+                naive.insert(blk.clone()).unwrap();
+                assert_matches(&tree, &naive, &format!("run of one, split {split}"));
+            }
+            assert!(tree
+                .insert_batch(&stream[split..])
+                .iter()
+                .all(Result::is_ok));
+            for blk in &stream[split..] {
+                naive.insert(blk.clone()).unwrap();
+            }
+            assert_matches(&tree, &naive, &format!("batch, split {split}"));
+        }
+    }
+
+    #[test]
+    fn a_dropped_batch_session_reconciles_the_linked_prefix() {
+        // A panic unwinding through an open session must leave the leaf
+        // set and best tips describing exactly the blocks linked so far.
+        let (base, _a, b, c) = forked_tree();
+        let d = BlockBuilder::new(&b).nonce(7).build();
+        let e = BlockBuilder::new(&d).nonce(8).build();
+        let f = BlockBuilder::new(&c).nonce(9).build();
+        let mut unwound = base.clone();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut batch = unwound.begin_batch(3);
+            batch.push(d.clone(), None).unwrap();
+            batch.push(e.clone(), None).unwrap();
+            panic!("writer dies mid-batch");
+        }));
+        assert!(caught.is_err());
+        let mut sequential = base;
+        sequential.insert(d).unwrap();
+        sequential.insert(e).unwrap();
+        assert_same_observables(&unwound, &sequential);
+        // The tree keeps working after the unwind.
+        unwound.insert(f.clone()).unwrap();
+        sequential.insert(f).unwrap();
+        assert_same_observables(&unwound, &sequential);
+    }
+
+    #[test]
+    fn a_wrong_parent_hint_degrades_to_unknown_parent() {
+        let (mut tree, a, b, _c) = forked_tree();
+        let before = tree.clone();
+        let d = BlockBuilder::new(&b).nonce(7).build();
+        let a_idx = tree.idx_of(a.id).unwrap();
+        let mut batch = tree.begin_batch(1);
+        assert_eq!(
+            batch.push(d.clone(), Some(a_idx)),
+            Err(InsertError::UnknownParent(b.id)),
+            "a hint naming the wrong slot never mislinks"
+        );
+        assert_eq!(
+            batch.push(d.clone(), Some(NodeIdx(99))),
+            Err(InsertError::UnknownParent(b.id)),
+            "nor does an out-of-range one"
+        );
+        batch.finish();
+        assert_same_observables(&tree, &before);
+        let b_idx = tree.idx_of(b.id).unwrap();
+        let mut batch = tree.begin_batch(1);
+        assert_eq!(batch.push(d.clone(), Some(b_idx)), Ok(NodeIdx(4)));
+        assert_eq!(batch.len(), 5, "lookups see the linked block mid-session");
+        batch.finish();
+        assert_eq!(tree.leaves().len(), 2);
+        assert_eq!(tree.best_leaf_by_height(true), d.id);
     }
 
     #[test]
