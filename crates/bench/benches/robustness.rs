@@ -1,7 +1,7 @@
 //! `cargo bench -p btadt-bench --bench robustness` — the robustness suite.
 //!
 //! Runs the full chaos grid (seeds × fault plans × thread counts × paths),
-//! the crash-recovery comparison (restart vs journal) and the hardened-sync
+//! the crash-recovery comparison (restart vs checkpoint) and the hardened-sync
 //! fault drills, then writes `BENCH_robustness.json` at the workspace root.
 //! Every field in the report is deterministic — verdicts, recovery rounds
 //! and sync counters, never wall times — so the committed baseline diffs

@@ -20,7 +20,7 @@
 //!
 //! Exits nonzero when any cell is dirty (criterion not admitted, or an
 //! invariant violation observed), any recovery run fails to converge or
-//! drops journaled blocks, or any sync drill fails to converge.
+//! drops blocks its durable store held, or any sync drill fails to converge.
 
 use btadt_bench::harness::workspace_root;
 use btadt_bench::robustness::{

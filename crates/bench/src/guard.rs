@@ -188,9 +188,9 @@ fn push_bool_fields(
 /// * `chaos` / `recovery` / `sync` (robustness suite): `admitted` per
 ///   chaos cell, `converged` + `self_mined_kept` per recovery run,
 ///   `converged` per sync drill — plus a synthetic
-///   `metrics/journal_beats_restart` row derived from the report's mean
-///   recovery rounds, admitted iff the journal mode was strictly cheaper
-///   than the journal-less restart (so the ISSUE 6 acceptance ratio is
+///   `metrics/checkpoint_beats_restart` row derived from the report's mean
+///   recovery rounds, admitted iff the checkpoint mode was strictly cheaper
+///   than the store-less restart (so the ISSUE 6 acceptance ratio is
 ///   guarded alongside the boolean verdicts, not just recorded);
 /// * `steady` / `corruption` (durable-store suite): `under_ceiling` per
 ///   steady row, `healed` + `converged` + `clean` per corruption cell.
@@ -270,20 +270,20 @@ pub fn verdicts_from_report(doc: &Json) -> Result<Vec<VerdictRow>, String> {
         }
     }
     if let Some(metrics) = doc.get("metrics") {
-        // The journal-vs-restart mean-rounds ratio of the robustness
-        // report, distilled to a verdict: journal recovery must stay
-        // *strictly* cheaper than a journal-less full re-sync.
-        if let (Some(journal), Some(restart)) = (
+        // The checkpoint-vs-restart mean-rounds ratio of the robustness
+        // report, distilled to a verdict: recovery from the durable store
+        // must stay *strictly* cheaper than a store-less full re-sync.
+        if let (Some(checkpoint), Some(restart)) = (
             metrics
-                .get("journal_recovery_rounds")
+                .get("checkpoint_recovery_rounds")
                 .and_then(Json::as_f64),
             metrics
                 .get("restart_recovery_rounds")
                 .and_then(Json::as_f64),
         ) {
             rows.push(VerdictRow {
-                key: "metrics/journal_beats_restart".to_string(),
-                admitted: journal > 0.0 && restart > 0.0 && journal < restart,
+                key: "metrics/checkpoint_beats_restart".to_string(),
+                admitted: checkpoint > 0.0 && restart > 0.0 && checkpoint < restart,
             });
         }
     }
@@ -529,7 +529,7 @@ mod tests {
         );
         let rows = verdicts_from_str(
             r#"{"chaos": [{"cell": "strong-cas/token-chaos/s5/t2", "admitted": true}],
-                "recovery": [{"seed": 5, "mode": "journal", "converged": true, "self_mined_kept": true}],
+                "recovery": [{"seed": 5, "mode": "checkpoint", "converged": true, "self_mined_kept": true}],
                 "sync": [{"fault": "corruption", "seed": 5, "converged": true}]}"#,
         )
         .unwrap();
@@ -586,33 +586,33 @@ mod tests {
     }
 
     #[test]
-    fn the_journal_vs_restart_ratio_is_guarded_as_a_verdict() {
+    fn the_checkpoint_vs_restart_ratio_is_guarded_as_a_verdict() {
         // Strictly cheaper: admitted.
         let rows = verdicts_from_str(
             r#"{"sync": [{"fault": "loss-churn", "seed": 5, "converged": true}],
-                "metrics": {"journal_recovery_rounds": 2.0, "restart_recovery_rounds": 5.3}}"#,
+                "metrics": {"checkpoint_recovery_rounds": 2.0, "restart_recovery_rounds": 5.3}}"#,
         )
         .unwrap();
         let ratio = rows
             .iter()
-            .find(|r| r.key == "metrics/journal_beats_restart")
+            .find(|r| r.key == "metrics/checkpoint_beats_restart")
             .expect("ratio row present");
         assert!(ratio.admitted);
-        // Journal no longer cheaper: the verdict flips, so a baseline that
+        // Checkpoint no longer cheaper: the verdict flips, so a baseline that
         // recorded it admitted fails the guard.
         let rows = verdicts_from_str(
             r#"{"sync": [{"fault": "loss-churn", "seed": 5, "converged": true}],
-                "metrics": {"journal_recovery_rounds": 6.0, "restart_recovery_rounds": 5.3}}"#,
+                "metrics": {"checkpoint_recovery_rounds": 6.0, "restart_recovery_rounds": 5.3}}"#,
         )
         .unwrap();
         let fresh = rows
             .iter()
-            .find(|r| r.key == "metrics/journal_beats_restart")
+            .find(|r| r.key == "metrics/checkpoint_beats_restart")
             .unwrap();
         assert!(!fresh.admitted);
         let report = compare_verdicts(std::slice::from_ref(ratio), std::slice::from_ref(fresh));
         assert!(!report.passed());
-        assert_eq!(report.flipped, vec!["metrics/journal_beats_restart"]);
+        assert_eq!(report.flipped, vec!["metrics/checkpoint_beats_restart"]);
         // Reports without the recovery metrics (scenarios, concurrent)
         // simply do not grow the row.
         let rows = verdicts_from_str(

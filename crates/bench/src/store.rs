@@ -22,6 +22,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+use btadt_concurrent::Ingest;
 use btadt_core::{check_block_tree, check_store_tree_agreement};
 use btadt_store::{CheckpointedReplica, ReplicaConfig, SimMedium, StoreConfig, MANIFEST};
 use btadt_types::{Block, BlockBuilder, BlockId};
@@ -197,7 +198,10 @@ fn grow(replica: &mut CheckpointedReplica, n: usize, seed: u64) -> Vec<Block> {
             .nonce(i as u64)
             .work(1 + state % 3)
             .build();
-        replica.ingest(block.clone()).expect("parent is hot");
+        assert!(
+            replica.ingest_block(block.clone()).is_accepted(),
+            "parent is hot"
+        );
         if block.height
             > tips
                 .last()

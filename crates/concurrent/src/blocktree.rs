@@ -810,7 +810,7 @@ impl ConcurrentBlockTree {
     /// with a single tip publish at the end — the tip stage of the
     /// batch-ingest pipeline, and the door gossip delta-sync and recovery
     /// replay enter through.  Unmediated: batches carry blocks that
-    /// already won admission elsewhere (a peer's tree, a journal), so no
+    /// already won admission elsewhere (a peer's tree, a durable store), so no
     /// oracle tokens are consumed.  Returns one verdict per input block.
     pub fn ingest_batch(&self, client: usize, blocks: Vec<Block>) -> BatchReport {
         self.ingest_batch_with_faults(client, blocks, &mut FaultSession::passthrough())

@@ -6,7 +6,7 @@
 //! incremental state is to recompute it from first principles and compare.
 //! [`check_block_tree`] does exactly that through the tree's *public* API,
 //! so it can run against any replica (simulated, shared-memory, recovered
-//! from a journal) without privileged access:
+//! from a durable store) without privileged access:
 //!
 //! 1. **Link consistency** — every non-genesis block's parent is present,
 //!    sits exactly one height below, and lists the block among its

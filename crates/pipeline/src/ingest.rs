@@ -2,6 +2,7 @@
 
 use btadt_types::{Block, BlockId, BlockTree, NaiveBlockTree};
 
+use crate::pool::{ingest_pooled, OrphanPool};
 use crate::stage::{stage_batch, StagedBatch};
 use crate::verdict::{BatchReport, IngestVerdict};
 
@@ -59,27 +60,13 @@ impl Ingest for BlockTree {
         IngestVerdict::from_result(self.insert(block))
     }
 
-    /// Batch override: the staged ready run goes through one
-    /// [`BatchInsert`](btadt_types::BatchInsert) session, with staging's
-    /// in-batch parent resolution forwarded as slot hints, so the
-    /// leaf-set and tip maintenance is reconciled once per batch.
+    /// Batch override: the pooled door over a throwaway pool — the ready
+    /// run goes through one [`BatchInsert`](btadt_types::BatchInsert)
+    /// session with staging's parent resolution forwarded as slot hints,
+    /// and the batch's orphans are dropped with the pool (a bare tree
+    /// keeps none; nothing waits in a fresh pool, so nothing is released).
     fn ingest_batch(&mut self, blocks: Vec<Block>) -> BatchReport {
-        let StagedBatch {
-            ready,
-            ready_parents,
-            mut verdicts,
-            ..
-        } = stage_batch(blocks, |id| self.contains(id));
-        let mut batch = self.begin_batch(ready.len());
-        // Arena slot each ready entry landed at (`None` if it was refused).
-        let mut landed = Vec::with_capacity(ready.len());
-        for ((pos, block), parent) in ready.into_iter().zip(ready_parents) {
-            let result = batch.push(block, parent.and_then(|j| landed[j]));
-            landed.push(result.ok());
-            verdicts[pos] = Some(IngestVerdict::from_result(result.map(drop)));
-        }
-        batch.finish();
-        finish_report(verdicts)
+        ingest_pooled(self, &mut OrphanPool::default(), blocks, |_| {})
     }
 }
 

@@ -1,7 +1,7 @@
 //! Staged batch-ingest pipeline for the BT-ADT.
 //!
-//! Every block that enters a replica — mined locally, gossiped by a peer,
-//! replayed from a journal or recovered from cold storage — passes through
+//! Every block that enters a replica — mined locally, gossiped by a peer
+//! or recovered from the durable store — passes through
 //! the same three conceptual stages (the staging discipline of
 //! production blockDAG nodes, cf. rusty-kaspa's `header_processor` /
 //! `body_processor` / `virtual_processor` split):
@@ -23,15 +23,22 @@
 //! (Accepted / Duplicate / Orphaned / Rejected).  Single-block entry
 //! points are batches of one; batch entry points return a
 //! [`BatchReport`] with a verdict per input block.
+//!
+//! Replicas that keep orphans keep them in an [`OrphanPool`] and link
+//! through [`ingest_pooled`], the pipeline over a `BlockTree` with the
+//! pool behind it: a block that links releases exactly its waiting
+//! children.
 
 #![warn(missing_docs)]
 
 mod error;
 mod ingest;
+mod pool;
 mod stage;
 mod verdict;
 
 pub use error::IngestError;
 pub use ingest::Ingest;
+pub use pool::{ingest_pooled, OrphanPool};
 pub use stage::{stage_batch, validate_isolated, StagedBatch};
 pub use verdict::{BatchReport, IngestVerdict};

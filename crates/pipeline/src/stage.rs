@@ -20,8 +20,10 @@ use crate::error::IngestError;
 use crate::verdict::IngestVerdict;
 
 /// Block ids are already structural hashes, so staging's membership map
-/// uses the same pass-through hasher as the tree's interning map.
-type IdMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockIdHasher>>;
+/// (and the orphan pool) use the same pass-through hasher as the tree's
+/// interning map.
+pub(crate) type IdHasher = BuildHasherDefault<BlockIdHasher>;
+type IdMap<V> = HashMap<BlockId, V, IdHasher>;
 
 /// Stage 1: structural validation in isolation.
 ///
@@ -196,8 +198,9 @@ pub fn stage_batch(blocks: Vec<Block>, contains: impl Fn(BlockId) -> bool) -> St
     }
 
     let mut orphans: Vec<(usize, Block)> = slots.into_iter().flatten().collect();
-    // Orphans keep a topological order too (pools re-offer them wholesale,
-    // so parents-first keeps the retry a single pass).
+    // Orphans keep a topological order too: the pool files siblings in
+    // this order and releases them in it, and link order is behaviour
+    // (docs/PIPELINE.md § "Stable topological order").
     orphans.sort_by_key(|(_, b)| (b.height, b.id));
     for (pos, _) in &orphans {
         verdicts[*pos] = Some(IngestVerdict::Orphaned);

@@ -10,11 +10,15 @@
 //! Inputs are deterministic: a seeded workload tree, a seeded
 //! Fisher–Yates shuffle, and chunked offers with orphan re-offer loops —
 //! the shuffled and orphan-heavy shapes gossip delta-sync actually
-//! produces.
+//! produces.  The pooled door ([`ingest_pooled`]) takes the same inputs:
+//! it must end where the repeated-pass drain it replaced ends, and its
+//! pool must hand back exactly the children of what linked.
 
-use btadt_pipeline::{Ingest, IngestVerdict};
+use std::collections::HashMap;
+
+use btadt_pipeline::{ingest_pooled, BatchReport, Ingest, IngestVerdict, OrphanPool};
 use btadt_types::workload::Workload;
-use btadt_types::{Block, BlockTree, NaiveBlockTree, NodeIdx};
+use btadt_types::{Block, BlockId, BlockTree, NaiveBlockTree, NodeIdx, GENESIS_ID};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -198,4 +202,112 @@ fn batch_path_labels_intervals_byte_identically() {
             via_block.cumulative_work_at(idx)
         );
     }
+}
+
+/// The door the pool replaced, as the reference: stage and link the batch,
+/// keep its orphans in a list, and re-offer the whole list until a pass
+/// links nothing.
+#[derive(Default)]
+struct RepeatedPassDoor {
+    tree: BlockTree,
+    orphans: Vec<Block>,
+}
+
+impl RepeatedPassDoor {
+    fn offer(&mut self, blocks: Vec<Block>) -> BatchReport {
+        let report = self.pass(blocks);
+        loop {
+            let waiting = std::mem::take(&mut self.orphans);
+            if self.pass(waiting).accepted == 0 {
+                return report;
+            }
+        }
+    }
+
+    /// One pass: ingest `blocks`, keep what orphaned.
+    fn pass(&mut self, blocks: Vec<Block>) -> BatchReport {
+        let report = self.tree.ingest_batch(blocks.clone());
+        for (block, verdict) in blocks.into_iter().zip(&report.verdicts) {
+            if *verdict == IngestVerdict::Orphaned {
+                self.orphans.push(block);
+            }
+        }
+        report
+    }
+
+    fn missing_parents(&self) -> Vec<BlockId> {
+        let mut missing: Vec<BlockId> = self
+            .orphans
+            .iter()
+            .filter_map(|b| b.parent)
+            .filter(|p| !self.orphans.iter().any(|b| b.id == *p))
+            .collect();
+        missing.sort_unstable();
+        missing.dedup();
+        missing
+    }
+}
+
+#[test]
+fn the_pooled_door_matches_the_repeated_pass_drain_round_for_round() {
+    for seed in [1u64, 7, 42] {
+        let blocks = workload_blocks(seed, 300);
+        for chunk in [1usize, 17, 64] {
+            let mut stream = shuffled(&blocks, seed ^ chunk as u64);
+            // A flooding network re-offers: repeat a slice of the stream.
+            let again: Vec<Block> = stream.iter().skip(20).take(40).cloned().collect();
+            stream.splice(100..100, again);
+
+            let mut reference = RepeatedPassDoor::default();
+            let (mut tree, mut pool) = (BlockTree::new(), OrphanPool::default());
+            let mut linked: Vec<BlockId> = Vec::new();
+            for batch in stream.chunks(chunk) {
+                let want = reference.offer(batch.to_vec());
+                let got =
+                    ingest_pooled(&mut tree, &mut pool, batch.to_vec(), |b| linked.push(b.id));
+                assert_eq!(got, want, "verdicts diverged (seed {seed}, chunk {chunk})");
+                assert_eq!(tree.sorted_ids(), reference.tree.sorted_ids());
+                assert_eq!(pool.missing_parents(), reference.missing_parents());
+            }
+            assert!(pool.is_empty());
+            assert_eq!(linked.len(), blocks.len(), "each block linked once");
+            assert_eq!(tree.len(), blocks.len() + 1);
+        }
+    }
+}
+
+#[test]
+fn the_pool_releases_only_the_children_of_the_block_that_linked() {
+    // Every block of a shuffled forky tree is pooled; walking the tree from
+    // genesis, each `release` must hand back exactly the waiting children
+    // of that one parent, in arrival order, and touch nothing else.
+    let blocks = workload_blocks(13, 400);
+    let stream = shuffled(&blocks, 77);
+    let mut pool = OrphanPool::default();
+    let mut arrivals: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    for block in &stream {
+        assert!(pool.insert(block.clone()));
+        assert!(!pool.insert(block.clone()), "a re-offer is dropped");
+        let parent = block.parent.expect("non-genesis");
+        arrivals.entry(parent).or_default().push(block.id);
+    }
+    assert_eq!(pool.len(), stream.len());
+    assert_eq!(pool.missing_parents(), vec![GENESIS_ID]);
+
+    let mut frontier = vec![GENESIS_ID];
+    let mut released_total = 0;
+    while let Some(parent) = frontier.pop() {
+        let before = pool.len();
+        let released: Vec<BlockId> = pool.release(parent).iter().map(|b| b.id).collect();
+        assert_eq!(
+            released,
+            arrivals.remove(&parent).unwrap_or_default(),
+            "exactly the children of {parent:?}, as they arrived"
+        );
+        assert_eq!(pool.len(), before - released.len(), "nothing else moved");
+        released_total += released.len();
+        frontier.extend(released);
+    }
+    assert_eq!(released_total, stream.len());
+    assert!(pool.is_empty() && arrivals.is_empty());
 }

@@ -33,8 +33,8 @@ use btadt_oracle::{Cell, Tape};
 use btadt_types::{Block, BlockId, BlockTree, Blockchain};
 
 use crate::extract::ReplicaLog;
+use crate::gossip::RecoveryMode;
 use crate::gossip::{self, GossipSync, ResponseClass, RETRY_TIMER, SYNC_TAIL_ROUNDS};
-use crate::journal::RecoveryMode;
 use crate::messages::Msg;
 use crate::pow::{PowConfig, PowReplica};
 

@@ -141,7 +141,7 @@ fn run_pow(spec: ProtocolSpec, ghost: bool) -> (Vec<ReplicaLog>, usize) {
         mine_until: spec.duration * 4,
         sync_interval: 8,
         seed: spec.seed,
-        recovery: crate::journal::RecoveryMode::default(),
+        recovery: crate::gossip::RecoveryMode::default(),
     };
     let replicas: Vec<PowReplica> = (0..spec.replicas)
         .map(|i| PowReplica::new(i, config.clone()))

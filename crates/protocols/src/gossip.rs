@@ -34,28 +34,21 @@
 //!   requester issues a continuation strictly above the highest block it
 //!   just received, so progress is guaranteed and re-sync of a long chain
 //!   costs `ceil(missing / MAX_SYNC_BATCH)` rounds.
-//! * **Write-ahead journal** — every applied block is appended to a
-//!   [`Journal`]; [`GossipSync::crash_restart`] replays it so a recovering
-//!   process only delta-syncs the gap (see [`RecoveryMode`]).  Replay is
-//!   **idempotent**: already-present blocks are skipped and replay never
-//!   re-journals, so a crash *during* replay followed by a second recovery
-//!   ([`GossipSync::resume_replay`]) applies only the unreplayed tail and a
-//!   double replay of the same WAL is a no-op.
-//! * **Durable checkpoint store** — a replica built with
-//!   [`GossipSync::with_durable_store`] mirrors every applied block into a
-//!   `btadt-store` [`BlockStore`] (chunked, checksummed, atomically
-//!   checkpointed).  [`RecoveryMode::Checkpoint`] rejoins run the store's
-//!   verifying recovery pipeline instead of the WAL: torn tails are
-//!   truncated, corrupt chunks quarantined, and whatever corruption cost is
-//!   healed by the same delta-sync machinery that covers the churn gap.
+//! * **One durable log** — the tree, the orphan pool and the optional
+//!   `btadt-store` [`BlockStore`] are one [`ReplicaCore`]: every block that
+//!   links is persisted before it is recorded as applied, and a
+//!   [`RecoveryMode::Checkpoint`] rejoin runs the store's verifying
+//!   recovery (torn tails truncated, corrupt chunks quarantined) and sends
+//!   the survivors back through the same ingest door, so the process only
+//!   delta-syncs the gap it missed plus whatever corruption cost.  Recovery
+//!   is idempotent — a crash during it is answered by running it again.
 
 use btadt_netsim::{Context, SimTime};
-use btadt_pipeline::{stage_batch, BatchReport, IngestVerdict, StagedBatch};
-use btadt_store::{BlockStore, RecoveryReport};
-use btadt_types::{Block, BlockBuilder, BlockId, BlockTree, InsertError, Transaction};
+use btadt_pipeline::{BatchReport, IngestVerdict};
+use btadt_store::{BlockStore, RecoveryReport, ReplicaCore};
+use btadt_types::{Block, BlockBuilder, BlockId, BlockTree, Transaction};
 
 use crate::extract::ReplicaLog;
-use crate::journal::{Journal, JournalKind, RecoveryMode};
 use crate::messages::Msg;
 
 /// How many anti-entropy rounds keep running after mining stops, so that
@@ -164,7 +157,7 @@ pub struct SyncStats {
     pub corrupt_rejected: u64,
     /// Churn rejoins observed.
     pub rejoins: u64,
-    /// Blocks restored from the journal across all recoveries.
+    /// Blocks restored from the durable store across all recoveries.
     pub replayed_blocks: u64,
     /// Value of `requests_sent` at the most recent rejoin; the difference
     /// from the current value is the post-recovery sync cost.
@@ -189,6 +182,36 @@ impl SyncStats {
     }
 }
 
+/// What a replica's `on_rejoin` does with its state after a churn window.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RecoveryMode {
+    /// Volatile state survives the window (a paused process, not a crashed
+    /// one).  This is the historical behavior and the default.
+    #[default]
+    Retain,
+    /// Crash-stop then restart with no durable storage: the tree is wiped
+    /// and rebuilt from genesis via full delta re-sync.
+    Restart,
+    /// Crash then recover from the durable block store of `btadt-store`:
+    /// run the checksum-verifying recovery pipeline (truncate the torn
+    /// tail, quarantine corrupt chunks), relink the surviving blocks, and
+    /// delta-sync both the churn gap *and* whatever corruption cost.
+    /// Requires a store attached via [`GossipSync::with_durable_store`];
+    /// without one it degrades to [`RecoveryMode::Restart`].
+    Checkpoint,
+}
+
+impl RecoveryMode {
+    /// Short label used by benches and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            RecoveryMode::Retain => "retain",
+            RecoveryMode::Restart => "restart",
+            RecoveryMode::Checkpoint => "checkpoint",
+        }
+    }
+}
+
 /// Classification of an incoming [`Msg::Blocks`] response.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResponseClass {
@@ -202,11 +225,13 @@ pub enum ResponseClass {
     Stale,
 }
 
-/// A replica's local tree plus the orphan-repair / delta-sync state.
+/// A replica's durable core plus the orphan-repair / delta-sync state.
 pub struct GossipSync {
     id: usize,
-    tree: BlockTree,
-    orphans: Vec<Block>,
+    /// The local tree, the orphan pool and — when the replica runs in
+    /// [`RecoveryMode::Checkpoint`] — the durable store every applied
+    /// block is persisted to.
+    core: ReplicaCore,
     sync_round: u64,
     /// Current delta-sync floor.  While orphans persist, each fruitless
     /// sync round halves it (a response can only carry blocks *above* the
@@ -218,11 +243,6 @@ pub struct GossipSync {
     pending: Option<PendingRequest>,
     health: Vec<i32>,
     stats: SyncStats,
-    journal: Journal,
-    /// Durable chunked block store, when the replica runs in
-    /// [`RecoveryMode::Checkpoint`].  Every applied block is mirrored here
-    /// (deduplicated by id), and a checkpoint rejoin recovers from it.
-    store: Option<BlockStore>,
     /// Report of the most recent checkpoint recovery, if any.
     last_recovery: Option<RecoveryReport>,
 }
@@ -232,8 +252,7 @@ impl GossipSync {
     pub fn new(id: usize) -> Self {
         GossipSync {
             id,
-            tree: BlockTree::new(),
-            orphans: Vec::new(),
+            core: ReplicaCore::default(),
             sync_round: 0,
             sync_floor: None,
             incarnation: 0,
@@ -241,23 +260,21 @@ impl GossipSync {
             pending: None,
             health: Vec::new(),
             stats: SyncStats::default(),
-            journal: Journal::new(),
-            store: None,
             last_recovery: None,
         }
     }
 
-    /// Attaches a durable chunked block store; from now on every applied
-    /// block is mirrored into it and [`RecoveryMode::Checkpoint`] rejoins
-    /// recover from it.
+    /// Attaches a durable block store to a fresh replica; from now on
+    /// every applied block is persisted to it and
+    /// [`RecoveryMode::Checkpoint`] rejoins recover from it.
     pub fn with_durable_store(mut self, store: BlockStore) -> Self {
-        self.store = Some(store);
+        self.core = ReplicaCore::with_store(store);
         self
     }
 
     /// The attached durable store, if any.
     pub fn durable_store(&self) -> Option<&BlockStore> {
-        self.store.as_ref()
+        self.core.store()
     }
 
     /// The report of the most recent checkpoint recovery, if one ran.
@@ -267,22 +284,17 @@ impl GossipSync {
 
     /// The replica's local block tree.
     pub fn tree(&self) -> &BlockTree {
-        &self.tree
+        self.core.tree()
     }
 
     /// Whether the tree already contains `id`.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.tree.contains(id)
+        self.core.tree().contains(id)
     }
 
     /// Sync behaviour counters.
     pub fn stats(&self) -> &SyncStats {
         &self.stats
-    }
-
-    /// The write-ahead journal.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 
     /// Current incarnation (bumped on every churn rejoin).
@@ -382,11 +394,11 @@ impl GossipSync {
         ctx.set_timer(self.timeout_for(request_id, attempt), RETRY_TIMER);
     }
 
-    /// Inserts a block, draining any orphans it unblocks, recording each
-    /// application in `log` and journaling it.  Returns `true` iff the
-    /// block is in the tree after the call (attached now, or already
-    /// present); `false` iff it was buffered as an orphan.  A batch of
-    /// one through [`apply_batch`](Self::apply_batch).
+    /// Inserts a block, releasing any orphans it unblocks and recording
+    /// each application in `log`.  Returns `true` iff the block is in the
+    /// tree after the call (attached now, or already present); `false` iff
+    /// it waits in the orphan pool.  A batch of one through
+    /// [`apply_batch`](Self::apply_batch).
     pub fn insert_with_orphans(&mut self, at: SimTime, block: Block, log: &mut ReplicaLog) -> bool {
         let report = self.apply_batch(at, vec![block], log);
         matches!(
@@ -395,12 +407,13 @@ impl GossipSync {
         )
     }
 
-    /// Applies a delta batch through the staged ingest pipeline: blocks
-    /// are staged against the local tree (`btadt-pipeline` stage 2), the
-    /// topologically-ordered ready set is inserted — recording each
-    /// application in `log` and journaling it — stage-2 orphans join the
-    /// pool, and the pool is drained against the grown tree.  Returns one
-    /// [`IngestVerdict`] per input block, in input order.
+    /// Applies a delta batch through the core's ingest door
+    /// ([`ReplicaCore::ingest`]): blocks are staged against the local tree,
+    /// the topologically-ordered ready run is linked, orphans join the pool
+    /// (once each, however often they are re-offered), and the pooled
+    /// children of whatever linked follow it in.  Every block that links is
+    /// persisted, then recorded in `log`.  Returns one [`IngestVerdict`]
+    /// per input block, in input order.
     pub fn apply_batch(
         &mut self,
         at: SimTime,
@@ -408,94 +421,16 @@ impl GossipSync {
         log: &mut ReplicaLog,
     ) -> BatchReport {
         self.stats.batches_applied += 1;
-        let StagedBatch {
-            ready,
-            orphans,
-            mut verdicts,
-            ..
-        } = stage_batch(blocks, |id| self.tree.contains(id));
-        for (pos, block) in ready {
-            verdicts[pos] = Some(self.attach(block, Some((at, log))));
-        }
-        self.orphans
-            .extend(orphans.into_iter().map(|(_, block)| block));
-        self.drain_orphans(at, log);
-        if self.orphans.is_empty() {
+        let report = self
+            .core
+            .ingest(blocks, |block| log.record_applied(at, block.clone()));
+        if self.core.pool().is_empty() {
             self.sync_floor = None;
         }
-        let report = BatchReport::from_verdicts(
-            verdicts
-                .into_iter()
-                .map(|v| v.expect("every input position receives a verdict"))
-                .collect(),
-        );
         self.stats.batch_accepted += report.accepted as u64;
         self.stats.batch_orphaned += report.orphaned as u64;
         self.stats.batch_duplicates += report.duplicates as u64;
         report
-    }
-
-    /// Drains the orphan pool against the grown tree until a pass makes
-    /// no progress: each pass attaches every orphan whose parent became
-    /// resident, recording and journaling it.
-    fn drain_orphans(&mut self, at: SimTime, log: &mut ReplicaLog) {
-        loop {
-            let mut progressed = false;
-            // `attach` re-pools whatever still cannot link.
-            for orphan in std::mem::take(&mut self.orphans) {
-                progressed |= self.attach(orphan, Some((at, log))).is_accepted();
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-
-    /// The one attach step behind every door: insert the block, dropping
-    /// it if the tree already has it and pooling it as an orphan if the
-    /// tree refuses it (staging may have resolved the parent and the insert
-    /// still refuse, e.g. on a height inconsistency).  `applied` carries
-    /// the log of a *fresh* application, which is recorded and journaled;
-    /// replay and recovery pass `None` (those applications were recorded
-    /// before the crash, and replay never re-journals).
-    fn attach(
-        &mut self,
-        block: Block,
-        applied: Option<(SimTime, &mut ReplicaLog)>,
-    ) -> IngestVerdict {
-        match self.tree.insert(block.clone()) {
-            Ok(()) => {
-                if let Some((at, log)) = applied {
-                    log.record_applied(at, block.clone());
-                    self.journal_applied(block);
-                }
-                IngestVerdict::Accepted
-            }
-            Err(InsertError::Duplicate(_)) => IngestVerdict::Duplicate,
-            Err(_) => {
-                self.orphans.push(block);
-                IngestVerdict::Orphaned
-            }
-        }
-    }
-
-    fn journal_applied(&mut self, block: Block) {
-        // Persist before journaling: the durable store is the medium a
-        // checkpoint recovery trusts, so a block must never be observable
-        // in the volatile WAL without also having been handed to the
-        // store.  Dedup by id — a block recovered from the store and later
-        // re-applied via orphan drain must not grow a duplicate record.
-        if let Some(store) = self.store.as_mut() {
-            if !store.contains(block.id) {
-                store.append(&block);
-            }
-        }
-        let kind = if block.producer == self.id as u32 {
-            JournalKind::Mined
-        } else {
-            JournalKind::Accepted
-        };
-        self.journal.append(kind, block);
     }
 
     /// Asks `peer` for the delta that can re-attach our orphans.  An orphan
@@ -506,12 +441,13 @@ impl GossipSync {
     /// down — bottoming out at genesis, so sync always terminates.
     pub fn request_delta_sync(&mut self, ctx: &mut Context<Msg>, peer: usize) {
         let base = self
-            .orphans
-            .iter()
+            .core
+            .pool()
+            .blocks()
             .map(|b| b.height)
             .min()
             .map(|h| h.saturating_sub(2))
-            .unwrap_or_else(|| self.tree.height().saturating_sub(SYNC_LOOKBACK));
+            .unwrap_or_else(|| self.tree().height().saturating_sub(SYNC_LOOKBACK));
         let above_height = match self.sync_floor {
             Some(floor) => floor.min(base),
             None => base,
@@ -607,7 +543,7 @@ impl GossipSync {
         batch_len: usize,
         batch_max_height: u64,
     ) {
-        if !self.orphans.is_empty() {
+        if !self.core.pool().is_empty() {
             if batch_len >= MAX_SYNC_BATCH {
                 // The batch was truncated, so it proves nothing about the
                 // blocks above its end — the missing ancestry may sit in
@@ -622,7 +558,7 @@ impl GossipSync {
             // A non-full batch is complete coverage above the floor, so the
             // fork point must lie below it: halve the floor (orphan heights
             // alone cannot push it down) and ask again.
-            let floor = self.sync_floor.unwrap_or_else(|| self.tree.height());
+            let floor = self.sync_floor.unwrap_or_else(|| self.tree().height());
             if floor > 0 {
                 self.sync_floor = Some(floor / 2);
                 self.request_delta_sync(ctx, from);
@@ -637,7 +573,7 @@ impl GossipSync {
     /// Records a churn rejoin: bumps the incarnation (so in-flight
     /// responses to the previous life classify as [`ResponseClass::Stale`]),
     /// clears the pending request, and applies the recovery mode.  Returns
-    /// the number of blocks replayed from the journal.
+    /// the number of blocks restored from the durable store.
     pub fn note_rejoin(&mut self, mode: RecoveryMode) -> usize {
         self.stats.rejoins += 1;
         self.stats.requests_at_last_rejoin = self.stats.requests_sent;
@@ -645,114 +581,44 @@ impl GossipSync {
         self.pending = None;
         match mode {
             RecoveryMode::Retain => 0,
-            RecoveryMode::Restart => self.crash_restart(false),
-            RecoveryMode::Journal => self.crash_restart(true),
+            RecoveryMode::Restart => {
+                // Nothing is durable: an attached store dies with the rest.
+                self.core = ReplicaCore::default();
+                self.wipe_sync_state();
+                0
+            }
             RecoveryMode::Checkpoint => self.crash_recover_checkpoint(),
         }
     }
 
-    /// Wipes all volatile state (tree, orphans, sync floor, pending
-    /// request, peer health) — what any flavour of crash loses.
-    fn wipe_volatile(&mut self) {
-        self.tree = BlockTree::new();
-        self.orphans.clear();
+    /// Wipes the volatile sync state (sync floor, pending request, peer
+    /// health) — what any flavour of crash loses besides the tree and the
+    /// orphan pool.
+    fn wipe_sync_state(&mut self) {
         self.sync_floor = None;
         self.pending = None;
         self.health.clear();
     }
 
-    /// Replays up to `limit` journal entries (all of them when `None`) into
-    /// the current tree, in sequence order.  Replay is **idempotent**:
-    /// blocks already in the tree are skipped, and nothing is re-journaled
-    /// — so replaying the same WAL twice is a no-op, and a replay
-    /// interrupted mid-way can simply be run again.  Replay bypasses the
-    /// replica log (those applications were recorded before the crash).
-    /// Returns the number of blocks newly applied.
-    fn replay_journal(&mut self, limit: Option<usize>) -> usize {
-        let take = limit.unwrap_or(self.journal.len());
-        let blocks: Vec<Block> = self.journal.blocks().take(take).cloned().collect();
-        self.restore(blocks)
-    }
-
-    /// Re-attaches `blocks` (parents-first) after a crash, bypassing the
-    /// replica log and the journal.  Returns the number newly attached.
-    fn restore(&mut self, blocks: impl IntoIterator<Item = Block>) -> usize {
-        let mut restored = 0usize;
-        for block in blocks {
-            if self.attach(block, None).is_accepted() {
-                restored += 1;
-            }
-        }
-        self.stats.replayed_blocks += restored as u64;
-        restored
-    }
-
-    /// Simulates a crash-restart: all volatile state (tree, orphans, sync
-    /// floor, peer health) is wiped.  With `replay`, the write-ahead
-    /// journal — the durable part of the process — is replayed first, in
-    /// sequence order, rebuilding the pre-crash tree; without it the
-    /// journal is lost too and the tree restarts from genesis.  Returns the
-    /// number of blocks replayed.
-    pub fn crash_restart(&mut self, replay: bool) -> usize {
-        self.wipe_volatile();
-        if replay {
-            self.replay_journal(None)
-        } else {
-            self.journal.clear();
-            0
-        }
-    }
-
-    /// Simulates a crash that strikes *again* in the middle of journal
-    /// replay: volatile state is wiped and only the first `after` WAL
-    /// entries are applied before the process dies once more.  The journal
-    /// itself — durable storage — is untouched, so a subsequent
-    /// [`GossipSync::resume_replay`] (or full [`GossipSync::crash_restart`])
-    /// completes the recovery.  Returns the number of blocks applied before
-    /// the second crash.
-    pub fn crash_restart_interrupted(&mut self, after: usize) -> usize {
-        self.wipe_volatile();
-        self.replay_journal(Some(after))
-    }
-
-    /// Re-runs a full journal replay over the *current* tree without wiping
-    /// anything — how a process recovering from a crash-during-replay picks
-    /// up where the interrupted replay left off.  Because replay is
-    /// idempotent, the already-applied prefix contributes nothing and only
-    /// the unreplayed tail counts.  Returns the number of blocks newly
-    /// applied.
-    pub fn resume_replay(&mut self) -> usize {
-        self.replay_journal(None)
-    }
-
-    /// Simulates a crash-recovery from the durable chunked store: volatile
-    /// state *and* the volatile WAL are wiped (in checkpoint mode the store
-    /// is the durable medium, not the journal), the store's verifying
-    /// recovery pipeline runs (truncating torn tails, quarantining corrupt
-    /// chunks), and the surviving blocks are re-inserted parents-first.
-    /// Survivors whose ancestry was lost to corruption are buffered as
-    /// orphans so the ordinary delta-sync machinery heals the gap.  Without
-    /// an attached store this degrades to a bare restart.  Returns the
-    /// number of blocks restored from the store.
+    /// Simulates a crash-recovery from the durable store
+    /// ([`ReplicaCore::recover`]): all volatile state is wiped, the store's
+    /// verifying recovery pipeline runs (truncating torn tails,
+    /// quarantining corrupt chunks), and the surviving blocks relink in
+    /// record order.  Survivors whose ancestry was lost to corruption wait
+    /// in the orphan pool so the ordinary delta-sync machinery heals the
+    /// gap.  Without an attached store this degrades to a bare restart.
+    /// Returns the number of blocks restored from the store.
     pub fn crash_recover_checkpoint(&mut self) -> usize {
-        self.wipe_volatile();
-        self.journal.clear();
-        let Some(store) = self.store.take() else {
+        self.wipe_sync_state();
+        let Some(store) = std::mem::take(&mut self.core).into_store() else {
             return 0;
         };
         let config = store.config();
-        let (recovered, report, survivors) = BlockStore::recover(store.into_medium(), config);
+        let (core, report) = ReplicaCore::recover(store.into_medium(), config);
+        self.core = core;
         self.last_recovery = Some(report);
-        self.store = Some(recovered);
-        // Survivors come back in record (= install) order; staging keeps
-        // that order — the one the interval labels were allocated in — and
-        // splits off what lost its ancestry to corruption, which waits in
-        // the orphan pool for delta sync to fetch the gap from a peer.
-        let StagedBatch { ready, orphans, .. } =
-            stage_batch(survivors, |id| self.tree.contains(id));
-        let restored = self.restore(ready.into_iter().map(|(_, block)| block));
-        self.orphans
-            .extend(orphans.into_iter().map(|(_, block)| block));
+        let restored = self.tree().len() - 1;
+        self.stats.replayed_blocks += restored as u64;
         restored
     }
 }
@@ -803,28 +669,42 @@ mod tests {
     }
 
     #[test]
-    fn crash_restart_replays_journal_in_order() {
-        let mut sync = GossipSync::new(0);
+    fn recovery_mode_labels() {
+        assert_eq!(RecoveryMode::default(), RecoveryMode::Retain);
+        assert_eq!(RecoveryMode::Retain.label(), "retain");
+        assert_eq!(RecoveryMode::Restart.label(), "restart");
+        assert_eq!(RecoveryMode::Checkpoint.label(), "checkpoint");
+    }
+
+    fn durable_sync() -> GossipSync {
+        use btadt_store::{SimMedium, StoreConfig};
+        let store = BlockStore::create(SimMedium::new(), StoreConfig::small());
+        GossipSync::new(0).with_durable_store(store)
+    }
+
+    #[test]
+    fn crash_restart_replays_the_durable_log_in_order() {
+        let mut sync = durable_sync();
         let mut log = ReplicaLog::new();
         let genesis = Block::genesis();
         let a = BlockBuilder::new(&genesis).producer(0).nonce(1).build();
         let b = BlockBuilder::new(&a).producer(7).nonce(2).build();
         assert!(sync.insert_with_orphans(SimTime(1), a.clone(), &mut log));
         assert!(sync.insert_with_orphans(SimTime(2), b.clone(), &mut log));
-        assert_eq!(sync.journal().len(), 2);
-        assert_eq!(sync.journal().mined().count(), 1);
 
-        let replayed = sync.crash_restart(true);
+        let replayed = sync.note_rejoin(RecoveryMode::Checkpoint);
         assert_eq!(replayed, 2);
-        assert!(sync.contains(a.id));
-        assert!(sync.contains(b.id));
-        // Journal survives a replayed restart (it is the durable medium).
-        assert_eq!(sync.journal().len(), 2);
+        let order: Vec<BlockId> = sync.tree().blocks().skip(1).map(|x| x.id).collect();
+        assert_eq!(order, vec![a.id, b.id], "relinked in record order");
+        // The log survives a recovery (it is the durable medium), and
+        // recovery never re-records an application.
+        assert_eq!(sync.durable_store().unwrap().len(), 2);
+        assert_eq!(log.applied.len(), 2);
 
-        let lost = sync.crash_restart(false);
+        let lost = sync.note_rejoin(RecoveryMode::Restart);
         assert_eq!(lost, 0);
         assert!(!sync.contains(a.id));
-        assert!(sync.journal().is_empty());
+        assert!(sync.durable_store().is_none(), "nothing durable survives");
     }
 
     #[test]
@@ -850,7 +730,7 @@ mod tests {
         );
         assert!(sync.contains(a.id) && sync.contains(b.id));
         assert!(!sync.contains(d.id));
-        assert_eq!(sync.orphans.len(), 1);
+        assert_eq!(sync.core.pool().len(), 1);
 
         // Healing batch: c attaches and the drain pulls d in behind it;
         // re-offering a is a duplicate, not an error.
@@ -860,24 +740,43 @@ mod tests {
             vec![IngestVerdict::Accepted, IngestVerdict::Duplicate]
         );
         assert!(sync.contains(d.id));
-        assert!(sync.orphans.is_empty());
+        assert!(sync.core.pool().is_empty());
 
         let stats = sync.stats();
         assert_eq!(stats.batches_applied, 2);
         assert_eq!(stats.batch_accepted, 3);
         assert_eq!(stats.batch_orphaned, 1);
         assert_eq!(stats.batch_duplicates, 1);
-        // Every applied block hit the journal exactly once.
-        assert_eq!(sync.journal().len(), 4);
+        assert_eq!(log.applied.len(), 4, "every block applied exactly once");
+    }
+
+    #[test]
+    fn a_reoffered_orphan_is_pooled_once_and_applied_once() {
+        // A flooding network re-offers every orphan; each offer must keep
+        // reporting `Orphaned` (callers keep requesting delta sync) without
+        // growing the pool.
+        let mut sync = GossipSync::new(0);
+        let mut log = ReplicaLog::new();
+        let a = BlockBuilder::new(&Block::genesis()).nonce(1).build();
+        let b = BlockBuilder::new(&a).nonce(2).build();
+        for offer in 0..7u64 {
+            assert!(!sync.insert_with_orphans(SimTime(offer), b.clone(), &mut log));
+            assert_eq!(sync.core.pool().len(), 1);
+        }
+        assert_eq!(sync.stats().batch_orphaned, 7);
+
+        assert!(sync.insert_with_orphans(SimTime(7), a.clone(), &mut log));
+        assert!(sync.contains(b.id) && sync.core.pool().is_empty());
+        let applied: Vec<BlockId> = log.applied.iter().map(|(_, x)| x.id).collect();
+        assert_eq!(applied, vec![a.id, b.id]);
     }
 
     #[test]
     fn a_crash_during_replay_recovers_by_replaying_again() {
-        // Satellite regression: the WAL replay must be idempotent, so a
-        // process that crashes *during* journal replay recovers by simply
-        // replaying the whole journal once more — the already-applied
-        // prefix is a no-op and only the tail counts.
-        let mut sync = GossipSync::new(0);
+        // Recovery must be idempotent: a process that crashes again while
+        // relinking the survivors recovers by running recovery once more —
+        // the store is never re-appended and nothing is re-recorded.
+        let mut sync = durable_sync();
         let mut log = ReplicaLog::new();
         let genesis = Block::genesis();
         let a = BlockBuilder::new(&genesis).producer(0).nonce(1).build();
@@ -886,28 +785,15 @@ mod tests {
         for (t, block) in [&a, &b, &c].into_iter().enumerate() {
             assert!(sync.insert_with_orphans(SimTime(t as u64), block.clone(), &mut log));
         }
-        assert_eq!(sync.journal().len(), 3);
 
-        // First crash; replay dies after 2 of the 3 entries.
-        let partial = sync.crash_restart_interrupted(2);
-        assert_eq!(partial, 2);
-        assert!(sync.contains(b.id) && !sync.contains(c.id));
-        assert_eq!(sync.journal().len(), 3, "the WAL itself is durable");
-
-        // Second recovery: full replay over the half-restored tree.
-        let resumed = sync.resume_replay();
-        assert_eq!(resumed, 1, "only the unreplayed tail applies");
+        assert_eq!(sync.crash_recover_checkpoint(), 3);
+        assert_eq!(sync.crash_recover_checkpoint(), 3);
         assert!(sync.contains(c.id));
-
-        // Replaying the same WAL twice is a no-op.
-        assert_eq!(sync.resume_replay(), 0);
-        assert_eq!(sync.journal().len(), 3, "replay never re-journals");
-        assert_eq!(sync.stats().replayed_blocks, 3);
-
-        // The full crash_restart path is equally idempotent.
-        assert_eq!(sync.crash_restart(true), 3);
-        assert_eq!(sync.crash_restart(true), 3);
-        assert_eq!(sync.journal().len(), 3);
+        let report = sync.last_recovery_report().expect("recovery ran");
+        assert!(report.is_pristine(), "{report:?}");
+        assert_eq!(sync.durable_store().unwrap().len(), 3, "never re-appended");
+        assert_eq!(log.applied.len(), 3, "never re-recorded");
+        assert_eq!(sync.stats().replayed_blocks, 6);
     }
 
     #[test]
@@ -934,10 +820,6 @@ mod tests {
         }
         let report = sync.last_recovery_report().expect("recovery ran");
         assert_eq!(report.blocks_recovered, 20);
-        assert!(
-            sync.journal().is_empty(),
-            "in checkpoint mode the WAL is volatile and dies with the crash"
-        );
         // The recovered store keeps mirroring: a fresh apply is persisted,
         // and re-applying a recovered block does not duplicate its record.
         let next = BlockBuilder::new(&parent).producer(0).nonce(99).build();
@@ -968,12 +850,69 @@ mod tests {
 
         let restored = sync.note_rejoin(RecoveryMode::Checkpoint);
         assert_eq!(restored, blocks.len(), "every durable block comes back");
-        assert!(sync.orphans.is_empty());
+        assert!(sync.core.pool().is_empty());
         assert_eq!(sync.tree().sorted_ids(), source.sorted_ids());
         let recover_reindexes = sync.tree().reachability_reindexes();
         assert!(
             recover_reindexes <= ingest_reindexes,
             "recovery ran {recover_reindexes} reindex passes, the ingest {ingest_reindexes}"
+        );
+    }
+
+    #[test]
+    fn forkdense_restart_and_catch_up_reindex_no_more_than_the_repeated_pass_drain() {
+        // The repo benchmark's `ingest_forkdense` restart: a two-sibling
+        // ladder (the chain continues on the larger-id sibling), 90 % of
+        // it in the store image, the tail arriving in reversed 64-block
+        // windows of 16-block batches.  Link order is behaviour here —
+        // reindexing is >99 % of the work — so the pooled door must not
+        // link in a worse order than the drain it replaced, which ran
+        // 24 815 passes for the recovery and 29 992 with the catch-up.
+        use btadt_store::{SimMedium, StoreConfig};
+        let mut tip = Block::genesis();
+        let mut ladder = Vec::new();
+        for level in 0..600u64 {
+            let sibling = |slot: u64| {
+                BlockBuilder::new(&tip)
+                    .producer(slot as u32)
+                    .nonce(level * 2 + slot + 1)
+                    .build()
+            };
+            let (mut first, mut second) = (sibling(0), sibling(1));
+            if first.id > second.id {
+                std::mem::swap(&mut first, &mut second);
+            }
+            ladder.push(first);
+            ladder.push(second.clone());
+            tip = second;
+        }
+        let cut = ladder.len() * 90 / 100;
+        let config = StoreConfig {
+            chunk_capacity: 256,
+            auto_checkpoint_every: 1024,
+        };
+        let mut image = BlockStore::create(SimMedium::new(), config);
+        for block in &ladder[..cut] {
+            image.append(block);
+        }
+        let image = BlockStore::create(image.into_medium(), config);
+        let mut sync = GossipSync::new(0).with_durable_store(image);
+        let mut log = ReplicaLog::new();
+
+        assert_eq!(sync.crash_recover_checkpoint(), cut);
+        let recover_reindexes = sync.tree().reachability_reindexes();
+        for window in ladder[cut..].chunks(64) {
+            let reversed: Vec<Block> = window.iter().rev().cloned().collect();
+            for batch in reversed.chunks(16) {
+                sync.apply_batch(SimTime(0), batch.to_vec(), &mut log);
+            }
+        }
+        assert_eq!(sync.tree().len(), ladder.len() + 1);
+        assert!(sync.core.pool().is_empty());
+        let total_reindexes = sync.tree().reachability_reindexes();
+        assert!(
+            recover_reindexes <= 24_815 && total_reindexes <= 29_992,
+            "recovery ran {recover_reindexes} reindex passes, catch-up brought it to {total_reindexes}"
         );
     }
 
@@ -993,7 +932,7 @@ mod tests {
         // Flip a bit inside the first sealed chunk: recovery quarantines
         // the chunk, losing mid-chain ancestry, so the surviving upper
         // blocks cannot attach and must wait for delta sync.
-        let medium = sync.store.as_mut().unwrap().medium_mut();
+        let medium = sync.core.store_mut().unwrap().medium_mut();
         let chunk = medium
             .list()
             .into_iter()
@@ -1006,10 +945,10 @@ mod tests {
         assert!(report.chunks_quarantined >= 1, "{report:?}");
         assert!(restored < 20, "the quarantined chunk cost blocks");
         assert!(
-            !sync.orphans.is_empty(),
+            !sync.core.pool().is_empty(),
             "survivors above the gap wait as orphans for delta sync"
         );
-        assert!(restored + sync.orphans.len() <= 20);
+        assert!(restored + sync.core.pool().len() <= 20);
     }
 
     #[test]

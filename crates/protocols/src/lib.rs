@@ -33,7 +33,6 @@ pub mod classification;
 pub mod committee;
 pub mod extract;
 pub mod gossip;
-pub mod journal;
 pub mod messages;
 pub mod pow;
 
@@ -41,7 +40,6 @@ pub use adversary::{build_miners, scenario_pow_config, AdversarialMiner, Miner, 
 pub use classification::{classify, table1, Classification, ProtocolSpec, SystemModel, TableRow};
 pub use committee::{CommitteeConfig, CommitteeReplica, LeaderRule};
 pub use extract::{build_histories, ReplicaLog};
-pub use gossip::{GossipSync, ResponseClass, SyncStats, MAX_SYNC_BATCH};
-pub use journal::{Journal, JournalEntry, JournalKind, RecoveryMode};
+pub use gossip::{GossipSync, RecoveryMode, ResponseClass, SyncStats, MAX_SYNC_BATCH};
 pub use messages::Msg;
 pub use pow::{PowConfig, PowReplica};

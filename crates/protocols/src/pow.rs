@@ -19,8 +19,9 @@ use btadt_store::{BlockStore, SimMedium, StoreConfig};
 use btadt_types::{Block, BlockTree, Blockchain, SelectionFunction};
 
 use crate::extract::ReplicaLog;
-use crate::gossip::{self, GossipSync, ResponseClass, SyncStats, RETRY_TIMER, SYNC_TAIL_ROUNDS};
-use crate::journal::{Journal, RecoveryMode};
+use crate::gossip::{
+    self, GossipSync, RecoveryMode, ResponseClass, SyncStats, RETRY_TIMER, SYNC_TAIL_ROUNDS,
+};
 use crate::messages::Msg;
 
 const MINE_TIMER: u64 = 1;
@@ -69,9 +70,8 @@ impl PowReplica {
         let tape = Tape::new(config.seed, id as u64, config.success_probability);
         let mut sync = GossipSync::new(id);
         if config.recovery == RecoveryMode::Checkpoint {
-            // Checkpoint mode persists to a durable chunked store instead of
-            // the volatile WAL: seal often enough that a mid-run crash finds
-            // most of the history behind a committed checkpoint.
+            // Seal often enough that a mid-run crash finds most of the
+            // history behind a committed checkpoint.
             let store_config = StoreConfig {
                 chunk_capacity: 64,
                 auto_checkpoint_every: 32,
@@ -97,11 +97,6 @@ impl PowReplica {
     /// Sync machinery counters (requests, retries, timeouts, recoveries).
     pub fn sync_stats(&self) -> &SyncStats {
         self.sync.stats()
-    }
-
-    /// The replica's write-ahead journal.
-    pub fn journal(&self) -> &Journal {
-        self.sync.journal()
     }
 
     /// Current incarnation (bumped on every churn rejoin).
@@ -426,47 +421,10 @@ mod tests {
     }
 
     #[test]
-    fn journal_recovery_preserves_self_mined_blocks_a_restart_loses() {
-        let journaled = isolated_miner_run(RecoveryMode::Journal);
-        let restarted = isolated_miner_run(RecoveryMode::Restart);
-        let mined_in_isolation = |r: &PowReplica| {
-            r.log
-                .created
-                .iter()
-                .filter(|(at, _)| at.0 >= 80 && at.0 < 100)
-                .map(|(_, b)| b.id)
-                .collect::<Vec<_>>()
-        };
-        let iso_j = mined_in_isolation(&journaled[3]);
-        let iso_r = mined_in_isolation(&restarted[3]);
-        assert!(
-            !iso_j.is_empty() && !iso_r.is_empty(),
-            "the isolated window must see mining activity"
-        );
-        // A journaled recovery never loses a self-mined block…
-        assert!(
-            iso_j.iter().all(|&id| journaled[3].tree().contains(id)),
-            "journal replay restored every isolated self-mined block"
-        );
-        assert!(journaled[3].sync_stats().replayed_blocks > 0);
-        // …while a journal-less restart drops the ones nobody else holds.
-        assert!(
-            iso_r.iter().any(|&id| !restarted[3].tree().contains(id)),
-            "restart without a journal must lose the isolated blocks"
-        );
-        // Both recoveries still converge with the network on the selected chain.
-        for replicas in [&journaled, &restarted] {
-            let tips: Vec<_> = replicas.iter().map(|r| r.selected().tip().id).collect();
-            assert!(tips.iter().all(|&t| t == tips[0]), "tips {tips:?}");
-        }
-    }
-
-    #[test]
     fn checkpoint_recovery_preserves_self_mined_blocks_a_restart_loses() {
-        // The durable chunked store carries the same guarantee the WAL
-        // does — a crash never loses a self-mined block that nobody else
-        // holds — but through the full checksum-verifying recovery
-        // pipeline instead of a journal replay.
+        // A crash never loses a self-mined block that nobody else holds:
+        // the durable store brings it back through the checksum-verifying
+        // recovery pipeline.
         let checkpointed = isolated_miner_run(RecoveryMode::Checkpoint);
         let restarted = isolated_miner_run(RecoveryMode::Restart);
         let mined_in_isolation = |r: &PowReplica| {
@@ -506,15 +464,15 @@ mod tests {
     }
 
     #[test]
-    fn journal_recovery_needs_strictly_fewer_sync_requests_than_full_resync() {
-        let journaled = isolated_miner_run(RecoveryMode::Journal);
+    fn checkpoint_recovery_needs_strictly_fewer_sync_requests_than_full_resync() {
+        let checkpointed = isolated_miner_run(RecoveryMode::Checkpoint);
         let restarted = isolated_miner_run(RecoveryMode::Restart);
-        let j = journaled[3].sync_stats().requests_since_rejoin();
+        let c = checkpointed[3].sync_stats().requests_since_rejoin();
         let r = restarted[3].sync_stats().requests_since_rejoin();
-        assert_eq!(journaled[3].sync_stats().rejoins, 1);
+        assert_eq!(checkpointed[3].sync_stats().rejoins, 1);
         assert!(
-            j < r,
-            "journal replay must delta-sync only the gap: journal {j} vs full {r} requests"
+            c < r,
+            "recovery must delta-sync only the gap: checkpoint {c} vs full {r} requests"
         );
     }
 
@@ -526,7 +484,7 @@ mod tests {
         // incarnation stamps discard them, the gossip-level request-id
         // incarnation bits ignore stale sync responses, and applications
         // stay exactly-once.
-        for recovery in [RecoveryMode::Retain, RecoveryMode::Journal] {
+        for recovery in [RecoveryMode::Retain, RecoveryMode::Checkpoint] {
             let mut cfg = config(29, 0.3);
             cfg.mine_until = 120;
             cfg.recovery = recovery;

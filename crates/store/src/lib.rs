@@ -13,9 +13,16 @@
 //! * [`BlockStore`] — chunked append-only store with per-record and
 //!   per-chunk checksums, atomic-manifest checkpoints, a canonicalising
 //!   recovery pipeline and crash-safe pruning compaction;
-//! * [`CheckpointedReplica`] — a memory-bounded replica: hot
-//!   [`BlockTree`](btadt_types::BlockTree) window over cold chunks, with
-//!   peer-healing of corruption gaps.
+//! * [`ReplicaCore`] — the durable replica core: a
+//!   [`BlockTree`](btadt_types::BlockTree), the orphan pool of blocks
+//!   waiting for it and an optional [`BlockStore`], with one ingest door
+//!   (link, persist what linked, pool the rest, release what the links
+//!   unblocked) and one restart (recover the store, survivors back
+//!   through the door).  The gossip replicas of `btadt-protocols` own one
+//!   too;
+//! * [`CheckpointedReplica`] — a memory-bounded replica: a core whose
+//!   tree is a hot window over cold chunks, with peer-healing of
+//!   corruption gaps.
 //!
 //! Everything is deterministic: faults are seeded functions of the write
 //! sequence, never of wall time, so every corruption/recovery drill in the
@@ -24,11 +31,13 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod durable;
 pub mod medium;
 pub mod replica;
 pub mod store;
 
 pub use codec::{checksum64, decode_record, encode_record, DecodeError};
+pub use durable::ReplicaCore;
 pub use medium::{
     FaultInjector, MediumStats, SeededCorruption, SimMedium, WriteFault, WriteKind, WriteOp,
 };

@@ -6,8 +6,10 @@
 //! **hot window** of the tree resident — everything above the pruning
 //! point — while the full selected-chain spine lives in cold chunks:
 //!
-//! * [`ingest`](CheckpointedReplica::ingest) inserts into the hot tree and
-//!   appends to the store (checkpoints fire on the store's cadence);
+//! * the tree, the pool of blocks still waiting for a parent and the store
+//!   are one [`ReplicaCore`]: every batch (a single block is a batch of
+//!   one) goes through its door, which links what it can, persists what
+//!   linked and pools the rest (checkpoints fire on the store's cadence);
 //! * every [`prune_every`](ReplicaConfig::prune_every) appends, the
 //!   pruning point advances to `selected tip − prune_depth` (clamped to
 //!   the last checkpoint height — the store refuses to GC unsealed
@@ -23,13 +25,14 @@
 //!   store's recovery pipeline; blocks that corruption orphaned are
 //!   surfaced via [`missing_parents`](CheckpointedReplica::missing_parents)
 //!   and healed with [`admit_blocks`](CheckpointedReplica::admit_blocks) —
-//!   the delta a healthy peer serves.
+//!   the delta a healthy peer serves, through the same door.
 
 use std::collections::HashSet;
 
-use btadt_pipeline::{stage_batch, BatchReport, Ingest, IngestError, IngestVerdict, StagedBatch};
+use btadt_pipeline::{BatchReport, Ingest, IngestVerdict};
 use btadt_types::{Block, BlockId, BlockTree};
 
+use crate::durable::ReplicaCore;
 use crate::medium::SimMedium;
 use crate::store::{BlockStore, RecoveryReport, StoreConfig};
 
@@ -62,13 +65,11 @@ impl Default for ReplicaConfig {
 #[derive(Debug)]
 pub struct CheckpointedReplica {
     config: ReplicaConfig,
-    hot: BlockTree,
-    store: BlockStore,
+    /// The hot window, the blocks waiting for a parent, and the store.
+    core: ReplicaCore,
     /// Selected-chain block ids at heights `1..=pruning point`, oldest
     /// first — the cold spine (ids only; contents live in the store).
     cold_spine: Vec<BlockId>,
-    /// Blocks recovered or received whose parents are not (yet) present.
-    pending: Vec<Block>,
     appends_since_prune: u64,
     resident_peak: usize,
     pruned_from_hot: u64,
@@ -77,16 +78,21 @@ pub struct CheckpointedReplica {
 impl CheckpointedReplica {
     /// A fresh replica over an empty medium.
     pub fn new(config: ReplicaConfig) -> Self {
-        CheckpointedReplica {
+        let store = BlockStore::create(SimMedium::new(), config.store);
+        Self::over(ReplicaCore::with_store(store), config)
+    }
+
+    fn over(core: ReplicaCore, config: ReplicaConfig) -> Self {
+        let mut replica = CheckpointedReplica {
             config,
-            hot: BlockTree::new(),
-            store: BlockStore::create(SimMedium::new(), config.store),
+            core,
             cold_spine: Vec::new(),
-            pending: Vec::new(),
             appends_since_prune: 0,
             resident_peak: 1,
             pruned_from_hot: 0,
-        }
+        };
+        replica.note_resident();
+        replica
     }
 
     /// The replica's configuration.
@@ -96,22 +102,22 @@ impl CheckpointedReplica {
 
     /// The hot window.
     pub fn hot(&self) -> &BlockTree {
-        &self.hot
+        self.core.tree()
     }
 
     /// The underlying store.
     pub fn store(&self) -> &BlockStore {
-        &self.store
+        self.core.store().expect("built over a store")
     }
 
     /// Mutable access to the store (fault-injector attachment point).
     pub fn store_mut(&mut self) -> &mut BlockStore {
-        &mut self.store
+        self.core.store_mut().expect("built over a store")
     }
 
-    /// Blocks currently resident in RAM (hot window + unhealed pending).
+    /// Blocks currently resident in RAM (hot window + unhealed pool).
     pub fn resident_blocks(&self) -> usize {
-        self.hot.len() + self.pending.len()
+        self.hot().len() + self.core.pool().len()
     }
 
     /// The high-water mark of [`resident_blocks`](Self::resident_blocks).
@@ -126,17 +132,17 @@ impl CheckpointedReplica {
 
     /// The current pruning point height.
     pub fn pruning_height(&self) -> u64 {
-        self.hot.genesis().height
+        self.hot().genesis().height
     }
 
     /// Height of the selected tip.
     pub fn height(&self) -> u64 {
-        self.hot.height()
+        self.hot().height()
     }
 
     /// The selected tip (heaviest chain, largest-id tie-break).
     pub fn tip(&self) -> BlockId {
-        self.hot.best_leaf_by_work(true)
+        self.hot().best_leaf_by_work(true)
     }
 
     /// Total chain length including the cold spine below the window.
@@ -144,27 +150,13 @@ impl CheckpointedReplica {
         self.height() + 1
     }
 
-    /// `true` iff the block is known hot, cold, or pending.
+    /// `true` iff the block is known hot, cold, or pooled.
     pub fn knows(&self, id: BlockId) -> bool {
-        self.hot.contains(id) || self.store.contains(id) || self.pending.iter().any(|b| b.id == id)
+        self.hot().contains(id) || self.store().contains(id) || self.core.pool().contains(id)
     }
 
     fn note_resident(&mut self) {
         self.resident_peak = self.resident_peak.max(self.resident_blocks());
-    }
-
-    /// Ingests one block: hot insert + durable append, then the pruning
-    /// cadence.  Blocks below the pruning point are rejected as
-    /// `UnknownParent` — they extend history the replica has retired.
-    pub fn ingest(&mut self, block: Block) -> Result<(), IngestError> {
-        self.hot.insert(block.clone())?;
-        self.store.append(&block);
-        self.note_resident();
-        self.appends_since_prune += 1;
-        if self.config.prune_every > 0 && self.appends_since_prune >= self.config.prune_every {
-            self.prune_now();
-        }
-        Ok(())
     }
 
     /// Advances the pruning point to `selected tip − prune_depth` (clamped
@@ -174,20 +166,20 @@ impl CheckpointedReplica {
     pub fn prune_now(&mut self) -> Option<usize> {
         self.appends_since_prune = 0;
         let tip = self.tip();
-        let tip_height = self.hot.get(tip).expect("tip is resident").height;
+        let tip_height = self.hot().get(tip).expect("tip is resident").height;
         let target = tip_height
             .saturating_sub(self.config.prune_depth)
-            .min(self.store.checkpoint_height());
+            .min(self.store().checkpoint_height());
         if target <= self.pruning_height() {
             return None;
         }
 
         // Walk the selected chain down to the new pruning block.
-        let mut cursor = self.hot.get(tip).expect("tip is resident").clone();
+        let mut cursor = self.hot().get(tip).expect("tip is resident").clone();
         while cursor.height > target {
             let parent = cursor.parent.expect("above the root, parents resident");
             cursor = self
-                .hot
+                .hot()
                 .get(parent)
                 .expect("above the root, parents resident")
                 .clone();
@@ -197,19 +189,22 @@ impl CheckpointedReplica {
         // Everything in the new root's subtree stays hot; the spine walk
         // from the new root down to the old root goes cold; the rest of
         // the old window is a losing subtree: GC it from the store.
-        let root_idx = self.hot.idx_of(new_root.id).expect("new root is resident");
+        let root_idx = self
+            .hot()
+            .idx_of(new_root.id)
+            .expect("new root is resident");
         let mut keep_hot: HashSet<BlockId> = HashSet::new();
         let mut stack = vec![root_idx];
         while let Some(idx) = stack.pop() {
-            keep_hot.insert(self.hot.block_at(idx).id);
-            stack.extend_from_slice(self.hot.children_idx(idx));
+            keep_hot.insert(self.hot().block_at(idx).id);
+            stack.extend_from_slice(self.hot().children_idx(idx));
         }
         let mut new_cold: Vec<BlockId> = Vec::new();
         let mut walk = new_root.clone();
         while walk.height > self.pruning_height() {
             new_cold.push(walk.id);
             let Some(parent) = walk.parent else { break };
-            match self.hot.get(parent) {
+            match self.hot().get(parent) {
                 Some(block) => walk = block.clone(),
                 None => break,
             }
@@ -219,166 +214,89 @@ impl CheckpointedReplica {
 
         let mut keep_store: HashSet<BlockId> = self.cold_spine.iter().copied().collect();
         keep_store.extend(keep_hot.iter().copied());
-        let outcome = self.store.prune(&keep_store, target);
+        let outcome = self.store_mut().prune(&keep_store, target);
 
         // Rebase the hot window (arena order keeps parents first).
         let mut window = BlockTree::rerooted(new_root.clone());
-        for block in self.hot.blocks() {
+        for block in self.hot().blocks() {
             if block.id != new_root.id && keep_hot.contains(&block.id) {
                 window
                     .insert(block.clone())
                     .expect("subtree re-inserts in arena order");
             }
         }
-        self.pruned_from_hot += (self.hot.len() - window.len()) as u64;
-        self.hot = window;
+        self.pruned_from_hot += (self.hot().len() - window.len()) as u64;
+        self.core.rebase(window);
         self.note_resident();
         Some(outcome.dropped)
     }
 
     /// Forces a checkpoint of the underlying store.
     pub fn checkpoint(&mut self) {
-        self.store.checkpoint();
+        self.store_mut().checkpoint();
     }
 
     /// Simulates a crash: volatile state is lost, the medium survives.
     pub fn crash(self) -> SimMedium {
-        self.store.into_medium()
+        self.core
+            .into_store()
+            .expect("built over a store")
+            .into_medium()
     }
 
-    /// Rebuilds a replica from a crashed medium.  Surviving blocks are
-    /// re-inserted orphan-tolerantly from the genesis block up; whatever
-    /// corruption severed waits in `pending` until
+    /// Rebuilds a replica from a crashed medium ([`ReplicaCore::recover`]).
+    /// Surviving blocks relink from the genesis block up; whatever
+    /// corruption severed waits in the pool until
     /// [`admit_blocks`](Self::admit_blocks) heals the gap.
     pub fn recover(medium: SimMedium, config: ReplicaConfig) -> (Self, RecoveryReport) {
-        let (store, report, survivors) = BlockStore::recover(medium, config.store);
-        let mut replica = CheckpointedReplica {
-            config,
-            hot: BlockTree::new(),
-            store,
-            cold_spine: Vec::new(),
-            pending: survivors,
-            appends_since_prune: 0,
-            resident_peak: 1,
-            pruned_from_hot: 0,
-        };
-        replica.settle_pending();
-        replica.note_resident();
-        (replica, report)
+        let (core, report) = ReplicaCore::recover(medium, config.store);
+        (Self::over(core, config), report)
     }
 
-    /// Re-inserts pending blocks until no progress: each pass admits every
-    /// block whose parent became resident.  Quadratic in the worst case
-    /// but pending sets are corruption-sized, not history-sized.  Returns
-    /// the blocks it linked, in link order.
-    fn settle_pending(&mut self) -> Vec<Block> {
-        let mut linked = Vec::new();
-        loop {
-            let before = linked.len();
-            let mut still = Vec::with_capacity(self.pending.len());
-            for block in std::mem::take(&mut self.pending) {
-                if self.hot.contains(block.id) {
-                    continue; // duplicate
-                }
-                match self.hot.insert(block.clone()) {
-                    Ok(()) => linked.push(block),
-                    Err(_) => still.push(block),
-                }
-            }
-            self.pending = still;
-            if linked.len() == before || self.pending.is_empty() {
-                return linked;
-            }
-        }
-    }
-
-    /// Settles the pending pool and persists what it linked: a batch's
-    /// orphans wait in the pool unpersisted (recovery survivors and
-    /// peer-served blocks are already durable).
-    fn settle_and_persist(&mut self) {
-        for block in self.settle_pending() {
-            if !self.store.contains(block.id) {
-                self.store.append(&block);
-            }
-        }
-        self.note_resident();
-    }
-
-    /// The parent ids the pending blocks are waiting for — the exact
+    /// The parent ids the pooled blocks are waiting for — the exact
     /// damaged/missing gap to request from healthy peers.
     pub fn missing_parents(&self) -> Vec<BlockId> {
-        let mut missing: Vec<BlockId> = self
-            .pending
-            .iter()
-            .filter_map(|b| b.parent)
-            .filter(|p| !self.hot.contains(*p) && !self.pending.iter().any(|b| b.id == *p))
-            .collect();
-        missing.sort_unstable();
-        missing.dedup();
-        missing
+        self.core.pool().missing_parents()
     }
 
     /// `true` iff every surviving block is linked into the hot tree.
     pub fn is_healed(&self) -> bool {
-        self.pending.is_empty()
+        self.core.pool().is_empty()
     }
 
-    /// Admits peer-served blocks (parents-first batches work best, but any
-    /// order settles via the pending pool).  New blocks are re-persisted.
-    /// Returns the number of blocks newly linked into the tree.
+    /// Admits peer-served blocks through the door (any order settles via
+    /// the pool) without running the pruning cadence.  Returns the number
+    /// of blocks newly linked into the tree.
     pub fn admit_blocks(&mut self, blocks: &[Block]) -> usize {
-        let before = self.hot.len();
-        for block in blocks {
-            if self.hot.contains(block.id) || self.pending.iter().any(|b| b.id == block.id) {
-                continue;
-            }
-            let was_stored = self.store.contains(block.id);
-            if self.hot.insert(block.clone()).is_err() {
-                self.pending.push(block.clone());
-            }
-            if !was_stored {
-                self.store.append(block);
-            }
-        }
-        self.settle_and_persist();
-        self.hot.len() - before
+        let before = self.hot().len();
+        self.core.ingest(blocks.to_vec(), |_| {});
+        self.note_resident();
+        self.hot().len() - before
     }
 }
 
-/// The unified ingest door: batches stage against everything the replica
-/// knows (hot, cold, pending); orphans wait in the same pending pool that
-/// recovery survivors and peer-served deltas settle through.
+/// The unified ingest door, then the pruning cadence.  Batches stage
+/// against the hot window; a block extending history the replica has
+/// retired below the pruning point reports `Orphaned` like any other block
+/// whose parent is not resident.
 impl Ingest for CheckpointedReplica {
     fn knows_block(&self, id: BlockId) -> bool {
         self.knows(id)
     }
 
     fn ingest_block(&mut self, block: Block) -> IngestVerdict {
-        IngestVerdict::from_result(self.ingest(block))
+        self.ingest_batch(vec![block]).verdicts.remove(0)
     }
 
     fn ingest_batch(&mut self, blocks: Vec<Block>) -> BatchReport {
-        let StagedBatch {
-            ready,
-            orphans,
-            mut verdicts,
-            ..
-        } = stage_batch(blocks, |id| self.knows(id));
-        for (pos, block) in ready {
-            verdicts[pos] = Some(IngestVerdict::from_result(self.ingest(block)));
+        let mut linked = 0u64;
+        let report = self.core.ingest(blocks, |_| linked += 1);
+        self.note_resident();
+        self.appends_since_prune += linked;
+        if self.config.prune_every > 0 && self.appends_since_prune >= self.config.prune_every {
+            self.prune_now();
         }
-        for (_, block) in orphans {
-            self.pending.push(block);
-        }
-        // A settled orphan still reports `Orphaned` — the verdict describes
-        // what staging saw, and pooling (not rejection) is the contract.
-        self.settle_and_persist();
-        BatchReport::from_verdicts(
-            verdicts
-                .into_iter()
-                .map(|v| v.expect("every input position receives a verdict"))
-                .collect(),
-        )
+        report
     }
 }
 
@@ -405,7 +323,10 @@ mod tests {
                 .nonce(i as u64)
                 .work(1 + state % 3)
                 .build();
-            replica.ingest(block.clone()).expect("parent is hot");
+            assert!(
+                replica.ingest_block(block.clone()).is_accepted(),
+                "parent is hot"
+            );
             if block.height > tips.last().unwrap().height {
                 tips.push(block.clone());
                 if tips.len() > 4 {
@@ -494,7 +415,7 @@ mod tests {
         // A pristine peer that saw the same history.
         let mut peer = CheckpointedReplica::new(config);
         for block in &produced {
-            peer.ingest(block.clone()).unwrap();
+            assert!(peer.ingest_block(block.clone()).is_accepted());
         }
 
         // Corrupt two chunks: a bit flip and a torn tail.
@@ -553,7 +474,7 @@ mod tests {
                 IngestVerdict::Orphaned
             ]
         );
-        assert!(!batched.is_healed(), "the orphan waits in pending");
+        assert!(!batched.is_healed(), "the orphan waits in the pool");
         assert_eq!(batched.missing_parents(), vec![c.id]);
 
         // Serving the gap settles the pooled orphan and persists it.
@@ -566,7 +487,7 @@ mod tests {
         // Observationally equivalent to one-at-a-time ingest.
         let mut seq = CheckpointedReplica::new(config);
         for block in [&a, &b, &c, &d] {
-            seq.ingest(block.clone()).unwrap();
+            assert!(seq.ingest_block(block.clone()).is_accepted());
         }
         assert_eq!(batched.height(), seq.height());
         assert_eq!(batched.tip(), seq.tip());
@@ -602,7 +523,7 @@ mod tests {
         let target = replica.height().saturating_sub(8);
         // Rip the store out mid-compaction (the PruneRace seam).
         let store = std::mem::replace(
-            &mut replica.store,
+            replica.store_mut(),
             BlockStore::create(SimMedium::new(), config.store),
         );
         let medium = store.prune_crashing_before_commit(&keep, target);
