@@ -1,81 +1,46 @@
 //! `cargo run --release -p btadt-bench --bin bench_guard -- <baseline.json>
-//! <fresh.json> [--threshold 0.25] [--verdicts]` — the bench-regression
-//! gate.
+//! <fresh.json> --verdicts` — the verdict gate.
 //!
-//! Default (timing) mode compares the medians of a freshly generated
-//! harness report against a baseline (see [`btadt_bench::guard`]) and
-//! exits non-zero if any benchmark regressed beyond the threshold or
-//! disappeared.  The CI workflow snapshots the committed `BENCH_tree.json`,
-//! re-runs the tree bench, and feeds both files here.
-//!
-//! `--verdicts` switches to verdict mode: instead of medians it compares
-//! the boolean consistency verdicts (scenario `strong`/`eventual` flags,
-//! concurrent `admitted` flags, robustness chaos/recovery/sync verdicts)
-//! and fails if any verdict the baseline records as admitted flips to
-//! not-admitted or goes missing.  Verdict mode ignores `--threshold`:
-//! timing drifts with hardware, verdicts must not.
+//! Compares the boolean consistency verdicts of a freshly generated report
+//! (scenario `strong`/`eventual` flags, concurrent `admitted` flags,
+//! robustness chaos/recovery/sync verdicts, store and model-checker
+//! verdicts — see [`btadt_bench::guard`]) against a baseline and exits
+//! non-zero if any verdict the baseline records as admitted flips to
+//! not-admitted or goes missing.  The CI workflow snapshots each committed
+//! `BENCH_*.json`, regenerates it, and feeds both files here.  Timings are
+//! not compared: they drift with hardware, verdicts must not.
 
-use btadt_bench::guard::{compare, compare_verdicts, rows_from_str, verdicts_from_str};
+use btadt_bench::guard::{compare_verdicts, verdicts_from_str, VerdictRow};
 
-fn read_file(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
+fn read_verdicts(path: &str) -> Vec<VerdictRow> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("bench_guard: cannot read {path}: {e}");
         std::process::exit(2);
-    })
-}
-
-fn read_rows(path: &str) -> Vec<btadt_bench::guard::BenchRow> {
-    rows_from_str(&read_file(path)).unwrap_or_else(|e| {
+    });
+    verdicts_from_str(&text).unwrap_or_else(|e| {
         eprintln!("bench_guard: cannot parse {path}: {e}");
         std::process::exit(2);
     })
 }
 
-fn read_verdicts(path: &str) -> Vec<btadt_bench::guard::VerdictRow> {
-    verdicts_from_str(&read_file(path)).unwrap_or_else(|e| {
-        eprintln!("bench_guard: cannot parse {path}: {e}");
+fn main() {
+    let mut positional = Vec::new();
+    let mut verdicts = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--verdicts" => verdicts = true,
+            other if !other.starts_with('-') => positional.push(other.to_string()),
+            other => {
+                eprintln!("unknown argument: {other}");
+                std::process::exit(2);
+            }
+        }
+    }
+    let ([baseline_path, fresh_path], true) = (positional.as_slice(), verdicts) else {
+        eprintln!("usage: bench_guard <baseline.json> <fresh.json> --verdicts");
         std::process::exit(2);
-    })
-}
+    };
 
-fn run_timing_mode(baseline_path: &str, fresh_path: &str, threshold: f64) {
-    let baseline = read_rows(baseline_path);
-    let fresh = read_rows(fresh_path);
-    let report = compare(&baseline, &fresh, threshold);
-
-    println!(
-        "bench_guard: compared {} benchmarks (threshold +{:.0}%)",
-        report.compared,
-        threshold * 100.0
-    );
-    for key in &report.added {
-        println!("  new benchmark (no baseline yet): {key}");
-    }
-    for key in &report.missing {
-        println!("  MISSING from fresh report: {key}");
-    }
-    for r in &report.regressions {
-        println!(
-            "  REGRESSION {}: {:.1} ns -> {:.1} ns ({:.2}x)",
-            r.key,
-            r.baseline_ns,
-            r.fresh_ns,
-            r.ratio()
-        );
-    }
-    if report.passed() {
-        println!("bench_guard: ok, no median regressed beyond the threshold");
-    } else {
-        eprintln!(
-            "bench_guard: FAILED ({} regressions, {} missing)",
-            report.regressions.len(),
-            report.missing.len()
-        );
-        std::process::exit(1);
-    }
-}
-
-fn run_verdict_mode(baseline_path: &str, fresh_path: &str) {
     let baseline = read_verdicts(baseline_path);
     let fresh = read_verdicts(fresh_path);
     let report = compare_verdicts(&baseline, &fresh);
@@ -102,44 +67,5 @@ fn run_verdict_mode(baseline_path: &str, fresh_path: &str) {
             report.missing.len()
         );
         std::process::exit(1);
-    }
-}
-
-fn main() {
-    let mut positional = Vec::new();
-    let mut threshold = 0.25f64;
-    let mut verdicts = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--verdicts" => verdicts = true,
-            "--threshold" => {
-                threshold = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| (0.0..10.0).contains(&t))
-                    .unwrap_or_else(|| {
-                        eprintln!("--threshold expects a ratio like 0.25");
-                        std::process::exit(2);
-                    });
-            }
-            other if !other.starts_with('-') => positional.push(other.to_string()),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let [baseline_path, fresh_path] = positional.as_slice() else {
-        eprintln!(
-            "usage: bench_guard <baseline.json> <fresh.json> [--threshold 0.25] [--verdicts]"
-        );
-        std::process::exit(2);
-    };
-
-    if verdicts {
-        run_verdict_mode(baseline_path, fresh_path);
-    } else {
-        run_timing_mode(baseline_path, fresh_path, threshold);
     }
 }

@@ -1,154 +1,21 @@
-//! The bench-regression guard behind `cargo run --bin bench_guard`.
+//! The verdict guard behind `cargo run --bin bench_guard -- --verdicts`.
 //!
-//! Compares a freshly generated benchmark report against the committed
-//! baseline (`BENCH_tree.json`) and fails if any benchmark's **median**
-//! regressed by more than a noise-tolerant threshold.  Medians are used
-//! because the harness's batch medians are robust against scheduler
-//! hiccups; on top of the relative threshold an absolute slack (100 ns)
-//! keeps near-zero baselines — e.g. the O(1) tip reads that measure as
-//! `0.0 ns` — from tripping the guard on measurement noise.
+//! Extracts the boolean consistency verdicts from a freshly generated
+//! report — the `strong`/`eventual` flags of `BENCH_scenarios.json` cells,
+//! the `admitted` flags of `BENCH_concurrent.json` verification rows, the
+//! `admitted`/`converged` flags of `BENCH_robustness.json`, the
+//! `under_ceiling`/`healed` flags of `BENCH_store.json` and the
+//! `exhausted`/`as_expected` flags of `BENCH_check.json` — and fails if
+//! any verdict that the committed baseline records as *admitted* flips to
+//! not-admitted or goes missing.  Rows that vanished from the fresh report
+//! are failures too (a removed cell silently retires its baseline);
+//! brand-new rows are reported but allowed.
 //!
-//! The guard compares rows present in both reports.  Rows that vanished
-//! from the fresh report are failures too (a removed benchmark silently
-//! retires its baseline); brand-new rows are reported but allowed.
-//!
-//! Besides the timing mode there is a **verdict mode**
-//! (`bench_guard --verdicts`): instead of medians it extracts the boolean
-//! consistency verdicts from a report — the `strong`/`eventual` flags of
-//! `BENCH_scenarios.json` cells, the `admitted` flags of
-//! `BENCH_concurrent.json` verification rows, and the `admitted`/
-//! `converged` flags of `BENCH_robustness.json` — and fails if any verdict
-//! that the committed baseline records as *admitted* flips to not-admitted
-//! or goes missing.  Timing drifts with hardware; verdicts must not.
+//! Verdicts are hardware-independent by construction; timings are not,
+//! and are not guarded here — `benchmark/` is the perf ledger, and
+//! `BENCH_tree.json` is an unguarded record.
 
 use crate::json::{parse, Json};
-
-/// Absolute slack added on top of the relative threshold, in nanoseconds.
-pub const ABSOLUTE_SLACK_NS: f64 = 100.0;
-
-/// One `(group, name, median_ns)` row of a harness report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchRow {
-    /// Benchmark group.
-    pub group: String,
-    /// Benchmark name within the group.
-    pub name: String,
-    /// Median nanoseconds per iteration.
-    pub median_ns: f64,
-}
-
-impl BenchRow {
-    fn key(&self) -> String {
-        format!("{}/{}", self.group, self.name)
-    }
-}
-
-/// Extracts the benchmark rows from a parsed harness report.
-pub fn rows_from_report(doc: &Json) -> Result<Vec<BenchRow>, String> {
-    let results = doc
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or("report has no \"results\" array")?;
-    results
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let field = |k: &str| {
-                row.get(k)
-                    .ok_or_else(|| format!("results[{i}] is missing \"{k}\""))
-            };
-            Ok(BenchRow {
-                group: field("group")?
-                    .as_str()
-                    .ok_or_else(|| format!("results[{i}].group is not a string"))?
-                    .to_string(),
-                name: field("name")?
-                    .as_str()
-                    .ok_or_else(|| format!("results[{i}].name is not a string"))?
-                    .to_string(),
-                median_ns: field("median_ns")?
-                    .as_f64()
-                    .ok_or_else(|| format!("results[{i}].median_ns is not a number"))?,
-            })
-        })
-        .collect()
-}
-
-/// Parses a report document and extracts its rows.
-pub fn rows_from_str(input: &str) -> Result<Vec<BenchRow>, String> {
-    let doc = parse(input).map_err(|e| e.to_string())?;
-    rows_from_report(&doc)
-}
-
-/// One detected regression.
-#[derive(Clone, Debug)]
-pub struct Regression {
-    /// `group/name` of the offending benchmark.
-    pub key: String,
-    /// Baseline median, nanoseconds.
-    pub baseline_ns: f64,
-    /// Fresh median, nanoseconds.
-    pub fresh_ns: f64,
-}
-
-impl Regression {
-    /// Fresh/baseline ratio (∞-safe: baselines of 0 report as ratio 0).
-    pub fn ratio(&self) -> f64 {
-        if self.baseline_ns > 0.0 {
-            self.fresh_ns / self.baseline_ns
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Outcome of a guard comparison.
-#[derive(Clone, Debug, Default)]
-pub struct GuardReport {
-    /// Benchmarks whose fresh median exceeds the allowance.
-    pub regressions: Vec<Regression>,
-    /// Baseline rows missing from the fresh report.
-    pub missing: Vec<String>,
-    /// Fresh rows with no baseline (allowed; listed for visibility).
-    pub added: Vec<String>,
-    /// Rows compared.
-    pub compared: usize,
-}
-
-impl GuardReport {
-    /// `true` iff the guard passes (no regressions, nothing missing).
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
-    }
-}
-
-/// Compares fresh medians against the baseline with a relative `threshold`
-/// (e.g. `0.25` allows up to +25%) plus [`ABSOLUTE_SLACK_NS`].
-pub fn compare(baseline: &[BenchRow], fresh: &[BenchRow], threshold: f64) -> GuardReport {
-    let mut report = GuardReport::default();
-    for base in baseline {
-        match fresh.iter().find(|f| f.key() == base.key()) {
-            None => report.missing.push(base.key()),
-            Some(f) => {
-                report.compared += 1;
-                let allowance = base.median_ns * (1.0 + threshold) + ABSOLUTE_SLACK_NS;
-                if f.median_ns > allowance {
-                    report.regressions.push(Regression {
-                        key: base.key(),
-                        baseline_ns: base.median_ns,
-                        fresh_ns: f.median_ns,
-                    });
-                }
-            }
-        }
-    }
-    for f in fresh {
-        if !baseline.iter().any(|b| b.key() == f.key()) {
-            report.added.push(f.key());
-        }
-    }
-    report
-}
 
 /// One boolean consistency verdict extracted from a report.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -401,98 +268,6 @@ pub fn compare_verdicts(baseline: &[VerdictRow], fresh: &[VerdictRow]) -> Verdic
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(group: &str, name: &str, median_ns: f64) -> BenchRow {
-        BenchRow {
-            group: group.into(),
-            name: name.into(),
-            median_ns,
-        }
-    }
-
-    #[test]
-    fn within_threshold_passes() {
-        let baseline = [row("read", "arena", 1000.0)];
-        let fresh = [row("read", "arena", 1200.0)];
-        let report = compare(&baseline, &fresh, 0.25);
-        assert!(report.passed());
-        assert_eq!(report.compared, 1);
-    }
-
-    #[test]
-    fn beyond_threshold_fails() {
-        let baseline = [row("read", "arena", 1000.0)];
-        let fresh = [row("read", "arena", 1400.0)];
-        let report = compare(&baseline, &fresh, 0.25);
-        assert!(!report.passed());
-        assert_eq!(report.regressions.len(), 1);
-        let r = &report.regressions[0];
-        assert_eq!(r.key, "read/arena");
-        assert!((r.ratio() - 1.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn near_zero_baselines_get_absolute_slack() {
-        // The O(1) tip reads measure as 0.0 ns; tens of nanoseconds of
-        // fresh noise must not trip the guard.
-        let baseline = [row("height_and_forks", "arena", 0.0)];
-        let fresh = [row("height_and_forks", "arena", 80.0)];
-        assert!(compare(&baseline, &fresh, 0.25).passed());
-        let fresh = [row("height_and_forks", "arena", 500.0)];
-        assert!(!compare(&baseline, &fresh, 0.25).passed());
-    }
-
-    #[test]
-    fn missing_rows_fail_and_added_rows_are_allowed() {
-        let baseline = [row("read", "arena", 10.0)];
-        let fresh = [row("append", "arena", 10.0)];
-        let report = compare(&baseline, &fresh, 0.25);
-        assert!(!report.passed());
-        assert_eq!(report.missing, vec!["read/arena"]);
-        assert_eq!(report.added, vec!["append/arena"]);
-    }
-
-    #[test]
-    fn rows_parse_from_a_report_document() {
-        let rows = rows_from_str(
-            r#"{"bench": "tree", "results": [
-                {"group": "g", "name": "n", "iters": 5, "mean_ns": 2.0, "median_ns": 1.5}
-            ], "metrics": {}}"#,
-        )
-        .unwrap();
-        assert_eq!(rows, vec![row("g", "n", 1.5)]);
-        assert!(rows_from_str("{\"no\": \"results\"}").is_err());
-        assert!(rows_from_str("not json").is_err());
-    }
-
-    #[test]
-    fn criteria_reach_rows_ride_the_generic_timing_guard() {
-        // The reachability-index family added by the interval-labeling PR
-        // needs no special parsing: rows are guarded by (group, name) key.
-        let rows = rows_from_str(
-            r#"{"bench": "tree", "results": [
-                {"group": "criteria_reach", "name": "is_ancestor_index", "iters": 9, "mean_ns": 50.0, "median_ns": 40.0},
-                {"group": "criteria_reach", "name": "strong_prefix_index", "iters": 9, "mean_ns": 9000.0, "median_ns": 8000.0}
-            ], "metrics": {}}"#,
-        )
-        .unwrap();
-        assert_eq!(rows.len(), 2);
-        // First appearance: new rows against an old baseline are allowed.
-        let report = compare(&[], &rows, 0.25);
-        assert!(report.passed());
-        assert_eq!(report.added.len(), 2);
-        // Once committed as the baseline, a blown-up index row trips it.
-        let slow = [
-            row("criteria_reach", "is_ancestor_index", 5000.0),
-            rows[1].clone(),
-        ];
-        let report = compare(&rows, &slow, 0.25);
-        assert!(!report.passed());
-        assert_eq!(
-            report.regressions[0].key,
-            "criteria_reach/is_ancestor_index"
-        );
-    }
 
     fn verdict(key: &str, admitted: bool) -> VerdictRow {
         VerdictRow {

@@ -5,9 +5,10 @@
 //! Without flags, sweeps the full cell grid plus the race probes and
 //! writes `BENCH_check.json` at the workspace root.  `--smoke` restricts
 //! to the 2-client cells and skips the committed report — the fast CI
-//! job.  `--workers N` pins the worker-thread count (cells are pure and
-//! independent; the report is ordered by cell index, so the bytes are
-//! identical at any worker count — the CI determinism gate diffs
+//! job.  `--workers N` pins the worker-thread count (cells are
+//! independent — each drives its own replicas, one client thread running
+//! at a time — and the report is ordered by cell index, so the bytes are
+//! identical at any worker count: the CI determinism gate diffs
 //! `--workers 1` against `--workers 4`).  `--out PATH` writes the report
 //! to PATH instead of (or, without `--smoke`, in addition to) stdout.
 //!
@@ -111,6 +112,9 @@ fn main() {
                 println!("      reason: {reason}");
             }
         }
+        if let Some(why) = &r.outcome.failure {
+            println!("      sweep failed: {why}");
+        }
     }
     for p in &probes {
         let state = if p.as_expected { "ok" } else { "UNEXPECTED" };
@@ -182,18 +186,22 @@ fn render_report(smoke: bool, results: &[CellResult], probes: &[Probe]) -> Strin
     s.push_str("  \"model\": [\n");
     for (i, r) in results.iter().enumerate() {
         let o = &r.outcome;
+        // One program per client: "Append Read | Append Read".
+        let programs = (r.spec.config.programs.iter())
+            .map(|ops| ops.iter().map(|op| format!("{op:?}")).collect::<Vec<_>>())
+            .map(|ops| ops.join(" "))
+            .collect::<Vec<_>>()
+            .join(" | ");
         let _ = write!(
             s,
-            "    {{\"cell\": \"{}\", \"path\": \"{}\", \"clients\": {}, \"appends\": {}, \
-             \"read_between\": {}, \"weaken_cas\": {}, \"max_schedule_len\": {}, \"expect\": \"{}\", \
+            "    {{\"cell\": \"{}\", \"path\": \"{}\", \"programs\": \"{}\", \"weaken_cas\": {}, \
+             \"max_schedule_len\": {}, \"expect\": \"{}\", \
              \"schedules\": {}, \"sleep_pruned\": {}, \"exhausted\": {}, \
              \"structural_violations\": {}, \"rejected\": {}, \"racy_schedules\": {}, \
              \"races\": {}, \"replay_confirmed\": {}, \"as_expected\": {}, \"counterexample\": ",
             r.spec.name,
             r.spec.config.path.label(),
-            r.spec.config.clients,
-            r.spec.config.appends_per_client,
-            r.spec.config.read_between,
+            programs,
             r.spec.config.weaken_cas,
             r.spec.config.max_schedule_len(),
             r.spec.expect.label(),

@@ -1,76 +1,78 @@
 //! Cell definitions and terminal-state judging for the model checker,
-//! plus the real-replica race probes.
+//! plus the free-running race probes.
 //!
-//! A **cell** is one model configuration swept exhaustively: `(path,
-//! clients, appends, mutation)` with a named expectation.  Every terminal
-//! state of every schedule is judged on four structural axes and the
-//! path's claimed consistency criterion:
-//!
-//! 1. `core::invariant::check_block_tree` on the writer tree, plus
-//!    published-view coherence (at quiescence the published length equals
-//!    the tree length and the tip is committed);
-//! 2. `reachability_disagreements` — the interval labels agree with
-//!    parent walks on the full tree;
-//! 3. the **rerooted window**: the tree rebased onto the first block of
-//!    the selected chain must re-intern all its descendants, keep its
-//!    labels walk-consistent, and still contain the published tip (and,
-//!    on mediated paths, select it);
-//! 4. the **ReachForest** over the quiescent reads must agree with the
-//!    positional `prefix_compatible`/`mcp_len` chain operations;
-//! 5. the claimed criterion (Theorems 4.1–4.3): Strong Consistency for
-//!    `strong-cas` *and* `racy-unmediated` (the racy path's claim is what
-//!    the checker refutes), Eventual Consistency for
-//!    `eventual-snapshot`.
-//!
-//! Each schedule's synchronization-event trace additionally runs through
-//! the vector-clock race detector, so the race verdicts are themselves
-//! exhaustive over the bounded schedule space — and the same detector is
-//! pointed at *real* traced replica runs by [`traced_run_races`] /
-//! [`scripted_racy_overlap`].
+//! A **cell** is one configuration of the real replica swept exhaustively
+//! — `(path, client programs, mutation)` — with a named expectation.
+//! [`judge_terminal`] judges every terminal state of every schedule on
+//! four structural axes (tree invariants and published view, reachability
+//! labels, the rerooted window, the ReachForest) and on the criterion the
+//! path claims (Theorems 4.1–4.3: SC for `strong-cas` *and* for
+//! `racy-unmediated` — the claim the checker refutes — EC for
+//! `eventual-snapshot`); `docs/ANALYSIS.md` §1 spells the axes out.  Each
+//! schedule's sync-event trace also runs through the vector-clock race
+//! detector, so the race verdicts are exhaustive over the bounded schedule
+//! space — and the same detector is pointed at free-running traced runs by
+//! [`traced_run_races`] / [`scripted_racy_overlap`].
 
 use btadt_concurrent::trace::SyncTraceHub;
 use btadt_concurrent::{
-    claimed_criterion, reachability_disagreements, run_workload_with_on, AppendPath,
+    build_replica, claimed_criterion, reachability_disagreements, run_workload_with_on, AppendPath,
     ConcurrentBlockTree, DriverConfig, TipRule,
 };
 use btadt_core::invariant::check_block_tree;
+use btadt_core::ops::BtHistoryExt;
 use btadt_core::reachability::ReachForest;
 use btadt_types::{BlockTree, Blockchain, NodeIdx};
 
-use crate::model::{ModelConfig, ModelState};
 use crate::scheduler::{explore, replay, ExploreOptions, ExploreOutcome, TerminalSummary};
+use crate::stepper::{Execution, ModelConfig, Op};
 use crate::vclock::{self, RaceReport};
 
-/// Judges one terminal state on every axis.  This is the `judge` closure
-/// the exploration and replay entry points use.
-pub fn judge_terminal(state: &ModelState) -> TerminalSummary {
+/// Judges one terminal state on every axis: the replica's writer tree,
+/// published view and poison-heal count, the recorded history and the
+/// sync-event trace.  This is the `judge` closure the exploration and
+/// replay entry points use.
+pub fn judge_terminal(run: &Execution) -> TerminalSummary {
+    let path = run.config.path;
+    // Read the published view and the heal count *before* taking the
+    // writer lock for the tree: a still-poisoned mutex would heal there.
+    let view = run.replica.snapshot();
+    let heals = run.replica.poison_heals();
+    let tree = run.replica.writer_tree_snapshot();
     let mut structural = Vec::new();
-    for v in check_block_tree(state.tree()) {
+    for v in check_block_tree(&tree) {
         structural.push(format!("invariant {}: {}", v.invariant, v.detail));
     }
-    let (len, tip) = state.head();
-    if len as usize != state.tree().len() {
+    let (len, tip) = (view.len, view.tip);
+    if len as usize != tree.len() {
         structural.push(format!(
             "published length {len} disagrees with the quiescent tree length {}",
-            state.tree().len()
+            tree.len()
         ));
     }
     if tip >= len {
         structural.push(format!("published tip {tip} is not committed (len {len})"));
     }
-    for d in reachability_disagreements(state.tree()) {
+    let panics = run.config.programs.iter().copied().flatten();
+    let expected_heals = panics.filter(|&&op| op == Op::BatchPanic).count() as u64;
+    if heals != expected_heals {
+        structural.push(format!(
+            "{heals} poison heals at quiescence, expected {expected_heals}"
+        ));
+    }
+    for d in reachability_disagreements(&tree) {
         structural.push(format!("reachability: {d}"));
     }
-    structural.extend(rerooted_disagreements(
-        state.tree(),
-        state.head(),
-        state.config().path != AppendPath::Racy,
-    ));
-    structural.extend(forest_disagreements(&state.quiescent_chains()));
-    let verdict =
-        claimed_criterion(state.config().path, TipRule::default()).check(&state.history());
+    if (tip as usize) < tree.len() {
+        let selected = path != AppendPath::Racy;
+        structural.extend(rerooted_disagreements(&tree, (len, tip), selected));
+    }
+    let history = run.history();
+    let chains: Vec<Blockchain> = (history.reads().iter().map(|(_, c)| (*c).clone())).collect();
+    structural.extend(forest_disagreements(&chains));
+    let verdict = claimed_criterion(path, TipRule::default()).check(&history);
     let criterion = verdict.violations.iter().map(|v| v.to_string()).collect();
-    let races = vclock::analyze(state.events()).races.len();
+    let races = vclock::analyze(&run.trace.events()).races.len();
     TerminalSummary {
         structural,
         criterion,
@@ -118,55 +120,50 @@ fn rerooted_disagreements(tree: &BlockTree, head: (u32, u32), selected_tip: bool
 }
 
 /// Cross-validates the interval-indexed [`ReachForest`] against the
-/// positional chain operations on the quiescent reads.
+/// positional chain operations on the chains the reads returned.
 fn forest_disagreements(chains: &[Blockchain]) -> Vec<String> {
     if chains.is_empty() {
         return Vec::new();
     }
     let Some(forest) = ReachForest::from_chains(chains.iter()) else {
-        return vec!["quiescent reads failed to intern into one ReachForest".to_string()];
+        return vec!["the reads failed to intern into one ReachForest".to_string()];
     };
     let mut out = Vec::new();
-    for i in 0..chains.len() {
-        for j in 0..chains.len() {
-            if i == j {
-                continue;
-            }
-            let indexed = forest.compatible(i, j);
-            let positional = chains[i].prefix_compatible(&chains[j]);
-            if indexed != positional {
-                out.push(format!(
-                    "ReachForest::compatible({i},{j}) = {indexed} but the positional check \
-                     says {positional}"
-                ));
-            }
-            let m_indexed = forest.mcp_len(&chains[i], forest.tip(j));
-            let m_positional = chains[i].mcp_len(&chains[j]);
-            if m_indexed != m_positional {
-                out.push(format!(
-                    "ReachForest::mcp_len({i},{j}) = {m_indexed} but the positional \
-                     mcp_len is {m_positional}"
-                ));
-            }
+    let pairs = (0..chains.len()).flat_map(|i| (0..chains.len()).map(move |j| (i, j)));
+    for (i, j) in pairs.filter(|(i, j)| i != j) {
+        let indexed = forest.compatible(i, j);
+        let positional = chains[i].prefix_compatible(&chains[j]);
+        if indexed != positional {
+            out.push(format!(
+                "ReachForest::compatible({i},{j}) = {indexed} but the positional check says \
+                 {positional}"
+            ));
+        }
+        let m_indexed = forest.mcp_len(&chains[i], forest.tip(j));
+        let m_positional = chains[i].mcp_len(&chains[j]);
+        if m_indexed != m_positional {
+            out.push(format!(
+                "ReachForest::mcp_len({i},{j}) = {m_indexed} but the positional mcp_len is \
+                 {m_positional}"
+            ));
         }
     }
     out
 }
 
-/// What a cell's sweep is expected to establish.
+/// What a cell's sweep is expected to establish — always: exhausted and
+/// structurally clean on every schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Expectation {
-    /// Every schedule admitted, structurally clean and race-free; sweep
-    /// exhausted (the Strong/Eventual soundness cells).
+    /// Every schedule admitted and race-free (the soundness cells).
     AlwaysAdmitted,
-    /// Structurally clean, but at least one schedule rejected by the
-    /// claimed criterion *and* at least one schedule with a detected
-    /// race; the counterexample must replay (the racy positive control).
+    /// At least one schedule rejected by the claimed criterion *and* one
+    /// with a detected race; the counterexample must replay (the racy
+    /// positive control).
     CaughtViolation,
-    /// Structurally clean, at least one rejected schedule, and **zero**
-    /// races: the weakened-CAS fork is a mediation bug, not a head-
-    /// protocol race, so only the model checker may catch it (the
-    /// mutation test of the checker itself).
+    /// At least one rejected schedule and **zero** races: the weakened-CAS
+    /// fork is a mediation bug, not a head-protocol race, so only the
+    /// exhaustive sweep may catch it (the checker's own mutation test).
     CaughtFork,
 }
 
@@ -186,7 +183,7 @@ impl Expectation {
 pub struct CellSpec {
     /// Stable cell name (report key).
     pub name: &'static str,
-    /// The model configuration swept.
+    /// The configuration swept.
     pub config: ModelConfig,
     /// What the sweep must establish.
     pub expect: Expectation,
@@ -207,62 +204,59 @@ pub struct CellResult {
 }
 
 /// The shipped cell grid.  `smoke` restricts to the 2-client cells the
-/// CI smoke job sweeps; the full grid adds the 3-client soundness cells.
+/// CI smoke job sweeps; the full grid appends the 3-client cells.
 pub fn cells(smoke: bool) -> Vec<CellSpec> {
+    use {AppendPath::*, Expectation::*};
+    const APPEND: &[Op] = &[Op::Append];
+    const APPEND_READ: &[Op] = &[Op::Append, Op::Read];
+    const BATCH_READ: &[Op] = &[Op::Batch, Op::Read];
+    const PANIC_APPEND: &[Op] = &[Op::BatchPanic, Op::Append];
+    let cell = |name, path, programs, expect| CellSpec {
+        name,
+        config: ModelConfig {
+            path,
+            weaken_cas: expect == CaughtFork, // the mutation that expectation is for
+            programs,
+        },
+        expect,
+    };
     let mut cells = vec![
-        CellSpec {
-            name: "strong-2c",
-            config: ModelConfig::smoke(AppendPath::Strong),
-            expect: Expectation::AlwaysAdmitted,
-        },
-        CellSpec {
-            name: "eventual-2c",
-            config: ModelConfig::smoke(AppendPath::Eventual),
-            expect: Expectation::AlwaysAdmitted,
-        },
-        CellSpec {
-            name: "racy-2c",
-            config: ModelConfig::smoke(AppendPath::Racy),
-            expect: Expectation::CaughtViolation,
-        },
-        CellSpec {
-            name: "strong-2c-weakened-cas",
-            config: ModelConfig {
-                weaken_cas: true,
-                ..ModelConfig::smoke(AppendPath::Strong)
-            },
-            expect: Expectation::CaughtFork,
-        },
+        cell("strong-2c", Strong, &[APPEND_READ; 2], AlwaysAdmitted),
+        cell("eventual-2c", Eventual, &[APPEND_READ; 2], AlwaysAdmitted),
+        cell("racy-2c", Racy, &[APPEND_READ; 2], CaughtViolation),
+        cell(
+            "strong-2c-weakened-cas",
+            Strong,
+            &[APPEND_READ; 2],
+            CaughtFork,
+        ),
+        // The batch door — the path gossip, recovery and the benchmark
+        // ingest through — with every `WriterMidBatch` position explored.
+        cell(
+            "eventual-2c-batch",
+            Eventual,
+            &[BATCH_READ; 2],
+            AlwaysAdmitted,
+        ),
+        // A writer dying there: client 0 survives its panic and appends
+        // once more while client 1 appends and reads, so every schedule
+        // has a lock round — hence a heal — after the poison.
+        cell(
+            "eventual-2c-batch-panic",
+            Eventual,
+            &[PANIC_APPEND, APPEND_READ],
+            AlwaysAdmitted,
+        ),
     ];
     if !smoke {
-        let wide = |path| ModelConfig {
-            path,
-            clients: 3,
-            appends_per_client: 1,
-            read_between: false,
-            weaken_cas: false,
-        };
-        cells.push(CellSpec {
-            name: "strong-3c",
-            config: wide(AppendPath::Strong),
-            expect: Expectation::AlwaysAdmitted,
-        });
-        cells.push(CellSpec {
-            name: "eventual-3c",
-            config: wide(AppendPath::Eventual),
-            expect: Expectation::AlwaysAdmitted,
-        });
-        cells.push(CellSpec {
-            name: "racy-3c",
+        cells.extend([
+            cell("strong-3c", Strong, &[APPEND; 3], AlwaysAdmitted),
+            cell("eventual-3c", Eventual, &[APPEND; 3], AlwaysAdmitted),
             // The racy cell needs the mid-run read: without it every
             // quiescent read lands after all publishes and last-writer-
             // wins still satisfies SC on every schedule.
-            config: ModelConfig {
-                read_between: true,
-                ..wide(AppendPath::Racy)
-            },
-            expect: Expectation::CaughtViolation,
-        });
+            cell("racy-3c", Racy, &[APPEND_READ; 3], CaughtViolation),
+        ]);
     }
     cells
 }
@@ -280,29 +274,14 @@ pub fn run_cell(spec: CellSpec) -> CellResult {
         }
     };
     let o = &outcome;
-    let as_expected = match spec.expect {
-        Expectation::AlwaysAdmitted => {
-            o.exhausted
-                && o.structural_violations == 0
-                && o.rejected == 0
-                && o.racy_schedules == 0
-                && o.counterexample.is_none()
-        }
-        Expectation::CaughtViolation => {
-            o.exhausted
-                && o.structural_violations == 0
-                && o.rejected > 0
-                && o.racy_schedules > 0
-                && replay_confirmed == Some(true)
-        }
-        Expectation::CaughtFork => {
-            o.exhausted
-                && o.structural_violations == 0
-                && o.rejected > 0
-                && o.racy_schedules == 0
-                && replay_confirmed == Some(true)
-        }
-    };
+    let caught = o.rejected > 0 && replay_confirmed == Some(true);
+    let as_expected = o.exhausted
+        && o.structural_violations == 0
+        && match spec.expect {
+            Expectation::AlwaysAdmitted => o.counterexample.is_none() && o.racy_schedules == 0,
+            Expectation::CaughtViolation => caught && o.racy_schedules > 0,
+            Expectation::CaughtFork => caught && o.racy_schedules == 0,
+        };
     CellResult {
         spec,
         outcome,
@@ -317,12 +296,6 @@ pub fn run_cell(spec: CellSpec) -> CellResult {
 /// every other store and with its own deciding read.
 pub fn traced_run_races(path: AppendPath, threads: usize, ops: usize, seed: u64) -> RaceReport {
     let hub = SyncTraceHub::new();
-    let replica = match path {
-        AppendPath::Strong => ConcurrentBlockTree::strong(threads, seed),
-        AppendPath::Eventual => ConcurrentBlockTree::eventual(threads),
-        AppendPath::Racy => ConcurrentBlockTree::racy(threads),
-    }
-    .with_sync_trace(hub.clone());
     let config = DriverConfig {
         threads,
         ops_per_thread: ops,
@@ -331,6 +304,7 @@ pub fn traced_run_races(path: AppendPath, threads: usize, ops: usize, seed: u64)
         seed,
         record: false,
     };
+    let replica = build_replica(&config).with_sync_trace(hub.clone());
     run_workload_with_on(&config, None, &replica);
     vclock::analyze(&hub.take())
 }
@@ -352,7 +326,8 @@ pub fn scripted_racy_overlap() -> RaceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::ExploreOptions;
+    use crate::stepper::{OP_COMMIT, OP_START};
+    use btadt_concurrent::Seam;
 
     #[test]
     fn strong_smoke_cell_is_always_admitted() {
@@ -373,6 +348,60 @@ mod tests {
         assert!(ce.schedule.len() <= spec.config.max_schedule_len());
         assert_eq!(ce.seams.len(), ce.schedule.len());
         assert_eq!(result.replay_confirmed, Some(true));
+        // The trace speaks the replica's own vocabulary: fault-seam labels
+        // plus the stepper's two operation-boundary park points.
+        for (_, label) in &ce.seams {
+            assert!(
+                Seam::from_label(label).is_some() || [OP_START, OP_COMMIT].contains(label),
+                "{label} is not a park point"
+            );
+        }
+    }
+
+    /// The paths the step-machine model never had: the batch door with
+    /// every `WriterMidBatch` position explored, and a writer dying there.
+    #[test]
+    fn batch_and_poison_heal_cells_are_always_admitted() {
+        for name in ["eventual-2c-batch", "eventual-2c-batch-panic"] {
+            let spec = *cells(true).iter().find(|c| c.name == name).expect(name);
+            assert_eq!(spec.expect, Expectation::AlwaysAdmitted);
+            let mut mid_batch_parks = 0;
+            let outcome = explore(spec.config, &ExploreOptions::default(), |run| {
+                let at_mid_batch = |(_, s): &&(usize, &str)| *s == Seam::WriterMidBatch.label();
+                mid_batch_parks += run.baton.seams().iter().filter(at_mid_batch).count();
+                judge_terminal(run)
+            });
+            assert!(outcome.exhausted, "{name}: {:?}", outcome.failure);
+            assert!(outcome.schedules > 0 && mid_batch_parks > 0, "{name}");
+            assert_eq!(outcome.structural_violations, 0, "{name}: {outcome:?}");
+            assert_eq!(outcome.rejected + outcome.racy_schedules, 0, "{name}");
+        }
+    }
+
+    /// The judge's poison-heal rule bites: a schedule of the panic cell
+    /// judged as if no writer had died is a structural violation.
+    #[test]
+    fn an_unexpected_poison_heal_is_a_structural_violation() {
+        let spec = *cells(true).last().expect("the panic cell");
+        assert_eq!(spec.name, "eventual-2c-batch-panic");
+        let first_only = ExploreOptions {
+            max_schedules: 1,
+            ..ExploreOptions::default()
+        };
+        let mut schedule = Vec::new();
+        explore(spec.config, &first_only, |run| {
+            schedule = run.baton.seams().iter().map(|(c, _)| *c).collect();
+            judge_terminal(run)
+        });
+        let (mut run, summary) = replay(spec.config, &schedule, judge_terminal);
+        assert!(summary.clean(), "{:?}", summary.structural);
+        assert_eq!(run.replica.poison_heals(), 1);
+        run.config = ModelConfig::smoke(AppendPath::Eventual);
+        let relabelled = judge_terminal(&run).structural;
+        assert!(
+            relabelled.iter().any(|v| v.contains("1 poison heals")),
+            "{relabelled:?}"
+        );
     }
 
     #[test]
@@ -405,7 +434,7 @@ mod tests {
                 },
                 judge_terminal,
             );
-            assert!(pruned.exhausted && unpruned.exhausted);
+            assert!(pruned.exhausted && unpruned.exhausted, "{}", spec.name);
             assert_eq!(
                 pruned.structural_violations == 0,
                 unpruned.structural_violations == 0,

@@ -1,13 +1,13 @@
 //! Offline analysis battery for the BT-ADT oracle reductions: a
-//! bounded-schedule model checker, a vector-clock race detector, and a
-//! dependency-free lint pass.
+//! bounded-schedule model checker that drives the real replica, a
+//! vector-clock race detector, and a dependency-free lint pass.
 //!
 //! | Module | What it does |
 //! |---|---|
-//! | [`model`] | Step-wise re-implementation of the Strong/Eventual/Racy append paths with the fault seams as explicit yield points |
-//! | [`scheduler`] | Exhaustive DFS over client interleavings with sleep-set pruning, counterexample capture and deterministic replay |
+//! | [`stepper`] | Runs the real `ConcurrentBlockTree` under a baton: each client is an OS thread on the driver's program, parked at every fault seam and operation boundary until the scheduler lets it take one step |
+//! | [`scheduler`] | Stateless exhaustive DFS over client interleavings (re-executing choice prefixes on fresh replicas) with sleep-set pruning, enabledness and footprints read off the park points, counterexample capture and replay |
 //! | [`vclock`] | Happens-before race detection over the replica's synchronization-event traces (`btadt_concurrent::trace`) |
-//! | [`checker`] | Cell grid, per-terminal judging (invariants, reachability, rerooted window, ReachForest, claimed criteria), real-replica race probes |
+//! | [`checker`] | Cell grid (mediated, batch-door and poison-heal cells), per-terminal judging of the replica's tree, published view, history and trace, free-running race probes |
 //! | [`lint`] | Token-level source lint: `SAFETY`/`ORDERING` justification comments and bare-`unwrap` hygiene |
 //!
 //! Binaries: `check` sweeps the cell grid and writes `BENCH_check.json`;
@@ -15,11 +15,11 @@
 
 pub mod checker;
 pub mod lint;
-pub mod model;
 pub mod scheduler;
+pub mod stepper;
 pub mod vclock;
 
 pub use checker::{cells, judge_terminal, run_cell, CellResult, CellSpec, Expectation};
-pub use model::{ModelConfig, ModelState};
 pub use scheduler::{explore, replay, Counterexample, ExploreOptions, ExploreOutcome};
+pub use stepper::{Execution, ModelConfig, Op};
 pub use vclock::{analyze, RaceFinding, RaceReport};

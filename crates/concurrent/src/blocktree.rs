@@ -715,13 +715,14 @@ impl ConcurrentBlockTree {
     /// blocks — and `report(position, result)`.  If anything landed, one
     /// [`Seam::WriterPrePublish`] and one publish of `tip` end the run.
     ///
-    /// Chaining is validated *before* any mutation and the arena mirror is
-    /// pushed before the tree link, so an error never leaves the writer
-    /// tree ahead of the store; an injected panic at a seam unwinds
-    /// through the tree's batch session, which reconciles the leaf set and
-    /// best tips for exactly the linked prefix.  Together these make
-    /// [`heal_after_poison`](ConcurrentBlockTree::heal_after_poison) a pure
-    /// republish.  Whether durable bytes *survive* is the medium's
+    /// Chaining (parent, height, cumulative-work headroom) is validated
+    /// *before* any mutation and the arena mirror is pushed before the tree
+    /// link, so an error never leaves the writer tree ahead of the store
+    /// and a hostile block never panics under the lock; an injected panic
+    /// at a seam unwinds through the tree's batch session, which reconciles
+    /// the leaf set and best tips for exactly the linked prefix.  Together
+    /// these make [`heal_after_poison`](ConcurrentBlockTree::heal_after_poison)
+    /// a pure republish.  Whether durable bytes *survive* is the medium's
     /// business — a faulted medium is the point of the chaos drills.
     fn install_run(
         &self,
@@ -759,6 +760,13 @@ impl ConcurrentBlockTree {
                         recorded: block.height,
                         expected,
                     });
+                }
+                if batch
+                    .cumulative_work_at(parent_idx)
+                    .checked_add(block.work)
+                    .is_none()
+                {
+                    return Err(IngestError::WorkOverflow { block: block.id });
                 }
                 session.apply(Seam::WriterPreInsert);
                 let store_idx = self.store.try_push(block.clone(), Some(parent_idx.0))?;

@@ -15,6 +15,13 @@
 //! fault *set* regardless of thread count or scheduling.  (The resulting
 //! interleaving still varies — that is the point; the consistency verdicts
 //! must not.)
+//!
+//! The decision itself sits behind one trait, [`SeamHook`]: a
+//! [`FaultSession`] asks its hook what happens at each crossing.
+//! [`FaultPlan`] is the seeded hook of the chaos grid; `btadt-check`'s
+//! stepper is another — it *parks* the calling thread at the seam until a
+//! scheduler hands it the baton, which is how the model checker explores
+//! every interleaving of this very code instead of a model of it.
 
 use std::thread;
 
@@ -181,6 +188,14 @@ pub enum FaultAction {
     Corrupt,
 }
 
+/// What a [`FaultSession`] consults at every seam crossing.  `at` runs on
+/// the crossing thread, *at* the seam: it may block (a controlled scheduler
+/// parking the client there) before it answers.
+pub trait SeamHook: std::fmt::Debug + Sync {
+    /// What fires at `seam` for `client`'s `occurrence`-th crossing.
+    fn at(&self, client: usize, seam: Seam, occurrence: u32) -> FaultAction;
+}
+
 /// One seam's arming: the action and how often it fires (percent, 0–100).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SeamArm {
@@ -335,8 +350,8 @@ impl FaultPlan {
 
     /// The deterministic trigger decision: what fires at `seam` for
     /// `client`'s `occurrence`-th crossing.  This is the pure function
-    /// behind [`FaultSession::decide`]; the storage bridge calls it with
-    /// its own occurrence counters.
+    /// behind the plan's [`SeamHook`]; the storage bridge calls it with its
+    /// own occurrence counters.
     pub fn decide(&self, client: usize, seam: Seam, occurrence: u32) -> FaultAction {
         let arm = self.arm_of(seam);
         if arm.rate_percent == 0 {
@@ -356,6 +371,12 @@ impl FaultPlan {
     }
 }
 
+impl SeamHook for FaultPlan {
+    fn at(&self, client: usize, seam: Seam, occurrence: u32) -> FaultAction {
+        self.decide(client, seam, occurrence)
+    }
+}
+
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -368,7 +389,7 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 /// sessions are cheap and `Send`.
 #[derive(Clone, Debug)]
 pub struct FaultSession<'a> {
-    plan: Option<&'a FaultPlan>,
+    hook: Option<&'a dyn SeamHook>,
     client: usize,
     hits: [u32; SEAM_COUNT],
     injected: u64,
@@ -378,7 +399,7 @@ impl<'a> FaultSession<'a> {
     /// A session that injects nothing (the plain, un-instrumented paths).
     pub fn passthrough() -> Self {
         FaultSession {
-            plan: None,
+            hook: None,
             client: 0,
             hits: [0; SEAM_COUNT],
             injected: 0,
@@ -387,24 +408,29 @@ impl<'a> FaultSession<'a> {
 
     /// A session driving `plan` for one client thread.
     pub fn new(plan: &'a FaultPlan, client: usize) -> Self {
+        Self::hooked(plan, client)
+    }
+
+    /// A session consulting an arbitrary [`SeamHook`] for one client thread.
+    pub fn hooked(hook: &'a dyn SeamHook, client: usize) -> Self {
         FaultSession {
-            plan: Some(plan),
+            hook: Some(hook),
             client,
             hits: [0; SEAM_COUNT],
             injected: 0,
         }
     }
 
-    /// Decides what happens at `seam` this time.  Deterministic in
-    /// `(plan seed, client, seam, occurrence)`; each call advances the
-    /// seam's occurrence counter.
+    /// Asks the hook what happens at `seam` this time (for a plan:
+    /// deterministic in `(plan seed, client, seam, occurrence)`); each call
+    /// advances the seam's occurrence counter.
     pub fn decide(&mut self, seam: Seam) -> FaultAction {
-        let Some(plan) = self.plan else {
+        let Some(hook) = self.hook else {
             return FaultAction::Proceed;
         };
         let occurrence = self.hits[seam.index()];
         self.hits[seam.index()] = occurrence.wrapping_add(1);
-        let action = plan.decide(self.client, seam, occurrence);
+        let action = hook.at(self.client, seam, occurrence);
         if action != FaultAction::Proceed {
             self.injected += 1;
         }
@@ -412,7 +438,7 @@ impl<'a> FaultSession<'a> {
     }
 
     /// Decides and *executes* the scheduling-only actions: pauses yield in
-    /// place, panics fire here.  Returns the action so call sites that
+    /// place, panics unwind from here.  Returns the action so call sites that
     /// special-case [`FaultAction::DuplicateConsume`] /
     /// [`FaultAction::DropConsumeResult`] can branch on it.
     pub fn apply(&mut self, seam: Seam) -> FaultAction {
@@ -424,7 +450,11 @@ impl<'a> FaultSession<'a> {
                 }
             }
             FaultAction::Panic => {
-                panic!("injected fault: panic at seam {}", seam.label());
+                // A scheduled event, not a bug to report: unwind without
+                // invoking the process panic hook (no stderr noise, no
+                // backtrace capture per injected fault).
+                let message = format!("injected fault: panic at seam {}", seam.label());
+                std::panic::resume_unwind(Box::new(message));
             }
             _ => {}
         }

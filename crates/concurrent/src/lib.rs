@@ -89,7 +89,7 @@ pub use driver::{
     build_replica, check_claimed, claimed_criterion, run_workload, run_workload_on,
     run_workload_with, run_workload_with_on, DriverConfig, DriverRun,
 };
-pub use fault::{FaultAction, FaultPlan, FaultSession, Seam, SEAM_COUNT};
+pub use fault::{FaultAction, FaultPlan, FaultSession, Seam, SeamHook, SEAM_COUNT};
 pub use prodigal_from_snapshot::SnapshotConsumeToken;
 pub use recorder::{RecorderHub, ThreadRecorder};
 pub use register::AtomicRegister;

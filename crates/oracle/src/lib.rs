@@ -21,7 +21,8 @@
 //! * [`oracle`] — the Θ-ADT itself: [`oracle::TokenOracle`],
 //!   [`oracle::FrugalOracle`] and [`oracle::ProdigalOracle`], with
 //!   `get_token` / `consume_token` and the `K[]` array semantics
-//!   (Definitions 3.5/3.6, Figure 6);
+//!   (Definitions 3.5/3.6, Figure 6) — plus the deliberately broken
+//!   [`oracle::WeakenedFrugalOracle`] the model checker must catch;
 //! * [`pow`] — a simulated hash-puzzle proof-of-work backend showing that
 //!   the tape abstraction faithfully stands in for PoW;
 //! * [`fork_coherence`] — the k-Fork-Coherence property (Definition 3.9,
@@ -43,7 +44,7 @@ pub use fork_coherence::{ForkCoherenceChecker, OracleLog, OracleLogEntry};
 pub use merit::{Merit, MeritTable};
 pub use oracle::{
     ConsumeOutcome, FrugalOracle, OracleConfig, OracleStats, ProdigalOracle, SlotArena, SlotIdx,
-    TokenGrant, TokenOracle,
+    TokenGrant, TokenOracle, WeakenedFrugalOracle,
 };
 pub use pow::SimulatedPow;
 pub use shared::SharedOracle;

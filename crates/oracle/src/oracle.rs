@@ -374,6 +374,67 @@ impl TokenOracle for ProdigalOracle {
     }
 }
 
+/// A deliberately broken Θ_F,k=1 — the oracle-side counterpart of the
+/// shared-memory replica's racy path.  It *claims* `k = 1` but reports
+/// `K[h]` empty to its first `lies` consumers, so each of them believes it
+/// won its parent: handed to a strongly-consistent replica it forks the
+/// chain through the real commit code.  Exists so the model checker has a
+/// genuine mediation bug to catch; never use it to mediate anything.
+#[derive(Debug)]
+pub struct WeakenedFrugalOracle {
+    inner: FrugalOracle,
+    lies_left: usize,
+}
+
+impl WeakenedFrugalOracle {
+    /// Wraps a frugal `k = 1` oracle; the first `lies` consumes are lied to.
+    pub fn new(inner: FrugalOracle, lies: usize) -> Self {
+        assert_eq!(inner.fork_bound(), Some(1), "weakens the k = 1 oracle");
+        WeakenedFrugalOracle {
+            inner,
+            lies_left: lies,
+        }
+    }
+}
+
+impl TokenOracle for WeakenedFrugalOracle {
+    fn get_token(
+        &mut self,
+        requester: usize,
+        parent: &Block,
+        candidate: Block,
+    ) -> Option<TokenGrant> {
+        self.inner.get_token(requester, parent, candidate)
+    }
+
+    fn consume_token(&mut self, grant: &TokenGrant) -> ConsumeOutcome {
+        if self.lies_left == 0 {
+            return self.inner.consume_token(grant);
+        }
+        self.lies_left -= 1;
+        ConsumeOutcome {
+            accepted: true,
+            slot: vec![grant.block.clone()],
+        }
+    }
+
+    fn fork_bound(&self) -> Option<usize> {
+        Some(1)
+    }
+
+    fn slot(&self, parent: BlockId) -> Vec<Block> {
+        self.inner.slot(parent)
+    }
+
+    fn stats(&self) -> OracleStats {
+        self.inner.stats()
+    }
+
+    fn name(&self) -> &'static str {
+        "weakened-frugal(k=1)"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,6 +598,30 @@ mod tests {
             ProdigalOracle::new(merits, OracleConfig::default()).name(),
             "prodigal"
         );
+    }
+
+    #[test]
+    fn weakened_frugal_oracle_lets_two_consumers_win_one_parent() {
+        let inner = FrugalOracle::new(1, MeritTable::uniform(3), always_granting_config());
+        let mut oracle = WeakenedFrugalOracle::new(inner, 2);
+        assert_eq!(oracle.fork_bound(), Some(1), "it claims k = 1");
+        let genesis = Block::genesis();
+        let mut consume = |requester: usize| {
+            let block = BlockBuilder::new(&genesis).nonce(requester as u64).build();
+            let grant = oracle.get_token_until_granted(requester, &genesis, block).0;
+            (oracle.consume_token(&grant), grant.block)
+        };
+        // The first two consumers are both told K[h] = {their own block} ...
+        for requester in 0..2 {
+            let (outcome, own) = consume(requester);
+            assert!(outcome.accepted);
+            assert_eq!(outcome.slot, vec![own]);
+        }
+        // ... after which the wrapped oracle answers honestly again.
+        let (third, third_block) = consume(2);
+        assert!(third.accepted && third.slot == vec![third_block]);
+        let (fourth, _) = consume(0);
+        assert!(!fourth.accepted, "the honest k = 1 bound is back");
     }
 
     #[test]

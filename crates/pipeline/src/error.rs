@@ -11,7 +11,7 @@ use btadt_types::{BlockId, InsertError};
 
 /// Why a block was not ingested.
 ///
-/// The first four variants mirror [`InsertError`] (tree-structural
+/// The first five variants mirror [`InsertError`] (tree-structural
 /// rejections); the remaining ones come from the storage layers.  The
 /// enum is `#[non_exhaustive]`: downstream matches must keep a wildcard
 /// arm so new layers can add causes without a breaking release.
@@ -32,6 +32,11 @@ pub enum IngestError {
         recorded: u64,
         /// Height expected from the parent.
         expected: u64,
+    },
+    /// The block's work would overflow its chain's cumulative work.
+    WorkOverflow {
+        /// Offending block.
+        block: BlockId,
     },
     /// The wait-free snapshot store is full; the append must be retried
     /// against a larger store.
@@ -68,6 +73,7 @@ impl From<InsertError> for IngestError {
                 recorded,
                 expected,
             },
+            InsertError::WorkOverflow { block } => IngestError::WorkOverflow { block },
         }
     }
 }
@@ -87,6 +93,10 @@ impl std::fmt::Display for IngestError {
             } => write!(
                 f,
                 "block rejected: block {block} records height {recorded}, expected {expected}"
+            ),
+            IngestError::WorkOverflow { block } => write!(
+                f,
+                "block rejected: block {block} overflows its chain's cumulative work"
             ),
             IngestError::StoreExhausted { capacity } => {
                 write!(f, "snapshot store exhausted (capacity {capacity})")
@@ -129,6 +139,10 @@ mod tests {
                 expected: 2
             }
         );
+        assert_eq!(
+            IngestError::from(InsertError::WorkOverflow { block: id }),
+            IngestError::WorkOverflow { block: id }
+        );
     }
 
     #[test]
@@ -142,6 +156,7 @@ mod tests {
                 recorded: 9,
                 expected: 2,
             },
+            IngestError::WorkOverflow { block: BlockId(5) },
         ] {
             assert!(err.to_string().contains("rejected"), "{err}");
         }

@@ -92,9 +92,10 @@ impl NaiveBlockTree {
                 expected,
             });
         }
-        let parent_work = self.cumulative_work[&parent];
-        self.cumulative_work
-            .insert(block.id, parent_work + block.work);
+        let work = self.cumulative_work[&parent]
+            .checked_add(block.work)
+            .ok_or(InsertError::WorkOverflow { block: block.id })?;
+        self.cumulative_work.insert(block.id, work);
         self.children.entry(parent).or_default().push(block.id);
         self.blocks.insert(block.id, block);
         Ok(())

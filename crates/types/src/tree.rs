@@ -126,6 +126,12 @@ pub enum InsertError {
         /// Height expected from the parent.
         expected: u64,
     },
+    /// The block's work would push its chain's cumulative work past
+    /// `u64::MAX` — no honest chain gets there, so the block is hostile.
+    WorkOverflow {
+        /// Offending block.
+        block: BlockId,
+    },
 }
 
 impl std::fmt::Display for InsertError {
@@ -142,6 +148,9 @@ impl std::fmt::Display for InsertError {
                 f,
                 "block {block} records height {recorded}, expected {expected}"
             ),
+            InsertError::WorkOverflow { block } => {
+                write!(f, "block {block} overflows its chain's cumulative work")
+            }
         }
     }
 }
@@ -384,8 +393,9 @@ impl BlockTree {
     }
 
     /// The one link step: resolve and verify the parent (hint → `last`
-    /// memo → interning map), label, link, push.  Leaves the leaf set and
-    /// best tips to [`reconcile`](Self::reconcile).
+    /// memo → interning map), label, link, push.  Every rejection happens
+    /// before the first mutation.  Leaves the leaf set and best tips to
+    /// [`reconcile`](Self::reconcile).
     fn link(
         &mut self,
         block: Block,
@@ -418,7 +428,10 @@ impl BlockTree {
                 expected,
             });
         }
-        let cumulative_work = parent.cumulative_work + block.work;
+        let cumulative_work = parent
+            .cumulative_work
+            .checked_add(block.work)
+            .ok_or(InsertError::WorkOverflow { block: block.id })?;
         let idx = NodeIdx(u32::try_from(self.nodes.len()).expect("arena capacity exceeded"));
 
         // Label the new node before linking it, so a reindex pass walks the
