@@ -280,7 +280,7 @@ fn locked_pure_reads(threads: usize, params: SuiteParams) -> f64 {
             .lock()
             .expect("bench threads do not panic under the lock");
         for i in 0..params.prepopulate {
-            let parent = selection.select(&t).tip().clone();
+            let parent = t.block_at(selection.select_tip(&t)).clone();
             let block = BlockBuilder::new(&parent).nonce(i as u64).build();
             t.insert(block).expect("sequential prepopulation");
         }

@@ -29,7 +29,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use btadt_concurrent::{chaos_grid, default_plans, AppendPath, ChaosCell, ChaosOutcome};
+use btadt_concurrent::{chaos_grid, default_plans, AppendPath, ChaosCell, ChaosOutcome, ReadStats};
 use btadt_netsim::{ChannelModel, FailurePlan, SimConfig, SimTime, Simulator};
 use btadt_protocols::{PowConfig, PowReplica, RecoveryMode, SyncStats};
 use btadt_types::LongestChain;
@@ -182,7 +182,7 @@ pub fn run_recovery(seed: u64, mode: RecoveryMode) -> RecoveryOutcome {
         .collect();
     let self_mined_kept =
         !isolated_mined.is_empty() && isolated_mined.iter().all(|&id| churned.tree().contains(id));
-    let tips: Vec<_> = replicas.iter().map(|r| r.selected().tip().id).collect();
+    let tips: Vec<_> = replicas.iter().map(|r| r.tip().id).collect();
     RecoveryOutcome {
         seed,
         mode: mode.label(),
@@ -225,7 +225,7 @@ fn run_sync_drill(
         stats.rejoins += s.rejoins;
         stats.replayed_blocks += s.replayed_blocks;
     }
-    let tips: Vec<_> = replicas.iter().map(|r| r.selected().tip().id).collect();
+    let tips: Vec<_> = replicas.iter().map(|r| r.tip().id).collect();
     SyncFaultOutcome {
         fault,
         seed,
@@ -298,6 +298,17 @@ pub fn print_summary(report: &RobustnessReport) {
             .iter()
             .map(|o| o.violations.len())
             .sum::<usize>()
+    );
+    let reads = |count: fn(&ReadStats) -> u64| -> u64 {
+        let per_client = report.chaos.iter().flat_map(|o| &o.read_stats);
+        per_client.map(count).sum()
+    };
+    println!(
+        "  reads: {} hits, {} extended in place, {} rebuilt, {} blocks cloned",
+        reads(|s| s.hits),
+        reads(|s| s.extended),
+        reads(|s| s.rebuilt),
+        reads(|s| s.blocks_cloned)
     );
     for o in dirty {
         println!("  DIRTY {}: {}", o.label, o.verdict);

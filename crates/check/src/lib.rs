@@ -8,7 +8,7 @@
 //! | [`scheduler`] | Stateless exhaustive DFS over client interleavings (re-executing choice prefixes on fresh replicas) with sleep-set pruning, enabledness and footprints read off the park points, counterexample capture and replay |
 //! | [`vclock`] | Happens-before race detection over the replica's synchronization-event traces (`btadt_concurrent::trace`) |
 //! | [`checker`] | Cell grid (mediated, batch-door and poison-heal cells), per-terminal judging of the replica's tree, published view, history and trace, free-running race probes |
-//! | [`lint`] | Token-level source lint: `SAFETY`/`ORDERING` justification comments and bare-`unwrap` hygiene |
+//! | [`lint`] | Token-level source lint: `SAFETY`/`ORDERING` justification comments, bare-`unwrap` hygiene and no chain built to read its tip |
 //!
 //! Binaries: `check` sweeps the cell grid and writes `BENCH_check.json`;
 //! `lint` scans the workspace sources.

@@ -1,12 +1,14 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Three rules, all about keeping the concurrency story auditable:
+//! Four rules: three about keeping the concurrency story auditable, one
+//! about keeping tip lookups O(1):
 //!
 //! | Rule id | Requirement |
 //! |---|---|
 //! | `unsafe-needs-safety` | every `unsafe` token carries a `// SAFETY:` comment on the same line or within the 3 lines above |
 //! | `atomic-ordering-needs-justification` | every *atomic* `Ordering::` variant (`Relaxed`, `Acquire`, `Release`, `AcqRel`, `SeqCst`) carries a `// ORDERING:` comment within the same window that **names the variant** |
 //! | `no-bare-unwrap` | no `.unwrap()` and no `.expect(` with a non-literal argument in non-test library code unless the line (or a line in the window above) carries `// LINT-ALLOW: <reason>` — `.expect("message")` with a string-literal invariant message *is* the annotated form |
+//! | `no-chain-for-tip` | no `.selected().tip()` / `.select(…).tip()` on one line in non-test library code unless `// LINT-ALLOW: <reason>` — that builds an O(height) chain to look at one block; ask `SelectionFunction::select_tip` (or the replica's `tip()`) instead |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -15,11 +17,13 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from `no-bare-unwrap`
-//! only: files under a `tests/` directory, `src/bin/` entry points,
-//! `main.rs`/`build.rs`, and `#[cfg(test)]` brace regions (tracked by
-//! depth).  The justification rules apply *everywhere*, tests included —
-//! a memory ordering deserves a reason even in a test.
+//! cannot produce findings.  Test code is exempt from the two library
+//! rules (`no-bare-unwrap`, `no-chain-for-tip`) only: files under a
+//! `tests/` directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
+//! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
+//! harness is additionally exempt from `no-chain-for-tip`.  The
+//! justification rules apply *everywhere*, tests included — a memory
+//! ordering deserves a reason even in a test.
 
 use std::fs;
 use std::io;
@@ -31,6 +35,8 @@ pub const RULE_SAFETY: &str = "unsafe-needs-safety";
 pub const RULE_ORDERING: &str = "atomic-ordering-needs-justification";
 /// Rule id: bare `.unwrap()` / `.expect(` in non-test library code.
 pub const RULE_UNWRAP: &str = "no-bare-unwrap";
+/// Rule id: a whole chain materialised to read its last block.
+pub const RULE_CHAIN_FOR_TIP: &str = "no-chain-for-tip";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -263,10 +269,32 @@ fn justified(lines: &[LineView], idx: usize, marker: &str, must_name: Option<&st
     false
 }
 
-/// Lints one source file.  `unwrap_exempt` marks whole-file exemption
-/// from [`RULE_UNWRAP`] (test files, binaries); `#[cfg(test)]` regions
-/// are detected internally on top of it.
-pub fn lint_source(file: &str, source: &str, unwrap_exempt: bool) -> Vec<LintFinding> {
+/// `true` iff the masked code line selects a whole chain only to take its
+/// last block: `.selected().tip()` or `.select(<args>).tip()`.
+fn chain_for_tip(code: &str) -> bool {
+    if code.contains(".selected().tip()") {
+        return true;
+    }
+    code.match_indices(".select(").any(|(p, pat)| {
+        let args = &code[p + pat.len()..];
+        let mut depth = 1usize;
+        for (i, c) in args.char_indices() {
+            match c {
+                '(' => depth += 1,
+                ')' if depth == 1 => return args[i + 1..].starts_with(".tip()"),
+                ')' => depth -= 1,
+                _ => {}
+            }
+        }
+        false
+    })
+}
+
+/// Lints one source file.  `exempt` lists the library-only rules
+/// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`]) the whole file is exempt from
+/// (test files, binaries); `#[cfg(test)]` regions are detected internally
+/// on top of it.
+pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
     let lines = mask(source);
     let mut findings = Vec::new();
     // cfg(test) region tracking: after a line mentions #[cfg(test)], the
@@ -317,8 +345,21 @@ pub fn lint_source(file: &str, source: &str, unwrap_exempt: bool) -> Vec<LintFin
                 });
             }
         }
-        if !unwrap_exempt && !in_test {
-            let allowed = justified(&lines, idx.min(lines.len() - 1), "LINT-ALLOW:", None);
+        if in_test {
+            continue;
+        }
+        let allowed = || justified(&lines, idx, "LINT-ALLOW:", None);
+        if !exempt.contains(&RULE_CHAIN_FOR_TIP) && chain_for_tip(&line.code) && !allowed() {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_CHAIN_FOR_TIP,
+                detail: "a whole chain selected to read its tip (use `select_tip` / the \
+                         replica's `tip()`, or annotate `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
+        if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
             // form; only non-literal arguments are flagged.  The argument
@@ -335,7 +376,7 @@ pub fn lint_source(file: &str, source: &str, unwrap_exempt: bool) -> Vec<LintFin
                 };
                 !head.starts_with('"')
             });
-            if bare_unwrap && !allowed {
+            if bare_unwrap && !allowed() {
                 findings.push(LintFinding {
                     file: file.to_string(),
                     line: lineno,
@@ -345,7 +386,7 @@ pub fn lint_source(file: &str, source: &str, unwrap_exempt: bool) -> Vec<LintFin
                         .to_string(),
                 });
             }
-            if bare_expect && !allowed {
+            if bare_expect && !allowed() {
                 findings.push(LintFinding {
                     file: file.to_string(),
                     line: lineno,
@@ -360,16 +401,26 @@ pub fn lint_source(file: &str, source: &str, unwrap_exempt: bool) -> Vec<LintFin
     findings
 }
 
-/// Whether a path is exempt from [`RULE_UNWRAP`] as a whole file.
-fn unwrap_exempt_path(path: &Path) -> bool {
+/// The library-only rules a path is exempt from as a whole file: both for
+/// tests and tools, [`RULE_CHAIN_FOR_TIP`] also for the `benchmark/`
+/// harness — frozen to library PRs, it reads each miner's tip once after a
+/// run, not per event.
+fn exempt_rules(path: &Path) -> &'static [&'static str] {
     let in_dir = |name: &str| path.components().any(|c| c.as_os_str() == name);
     let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
-    in_dir("tests")
+    if in_dir("tests")
         || in_dir("bin")
         || in_dir("benches")
         || in_dir("examples")
         || file == "main.rs"
         || file == "build.rs"
+    {
+        &[RULE_UNWRAP, RULE_CHAIN_FOR_TIP]
+    } else if in_dir("benchmark") {
+        &[RULE_CHAIN_FOR_TIP]
+    } else {
+        &[]
+    }
 }
 
 /// Recursively collects the workspace `.rs` files under `root`, skipping
@@ -411,7 +462,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<(usize, Vec<LintFinding>)> {
             .unwrap_or(path)
             .to_string_lossy()
             .into_owned();
-        findings.extend(lint_source(&label, &source, unwrap_exempt_path(path)));
+        findings.extend(lint_source(&label, &source, exempt_rules(path)));
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok((files.len(), findings))
@@ -510,6 +561,16 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
+            "chain-for-tip",
+            "fn parents(r: &Replica, f: &dyn SelectionFunction, t: &BlockTree) -> (Block, Block) {\n    let a = r.selected().tip().clone();\n    let b = f.select(t.as_ref()).tip().clone();\n    (a, b)\n}\n",
+            vec![(RULE_CHAIN_FOR_TIP, 2), (RULE_CHAIN_FOR_TIP, 3)],
+        ),
+        (
+            "tip-lookup-is-clean",
+            "fn parent(r: &Replica, f: &dyn SelectionFunction, t: &BlockTree) -> Block {\n    let chain = f.select(t);\n    let _ = (chain.tip(), r.tip(), r.selected().len());\n    // LINT-ALLOW: the whole chain is recorded on the next line anyway\n    let _ = r.selected().tip();\n    t.block_at(f.select_tip(t)).clone()\n}\n#[cfg(test)]\nmod tests {\n    fn t(r: &Replica) { r.selected().tip(); }\n}\n",
+            vec![],
+        ),
+        (
             "block-comment-masked",
             "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
             vec![],
@@ -522,7 +583,7 @@ fn corpus() -> Vec<CorpusCase> {
 pub fn self_test() -> Result<usize, String> {
     let cases = corpus();
     for (name, source, expected) in &cases {
-        let got: Vec<(&'static str, usize)> = lint_source(name, source, false)
+        let got: Vec<(&'static str, usize)> = lint_source(name, source, &[])
             .into_iter()
             .map(|f| (f.rule, f.line))
             .collect();
@@ -548,20 +609,20 @@ mod tests {
     #[test]
     fn lifetimes_do_not_confuse_the_char_scanner() {
         let src = "fn f<'a, 'b>(x: &'a str, y: &'b str) -> usize { x.len() + y.len() }\n";
-        assert!(lint_source("t", src, false).is_empty());
+        assert!(lint_source("t", src, &[]).is_empty());
     }
 
     #[test]
     fn same_line_justification_counts() {
         let src =
             "fn f(a: &AtomicU64) { a.load(Ordering::Relaxed) } // ORDERING: Relaxed, a counter\n";
-        assert!(lint_source("t", src, false).is_empty());
+        assert!(lint_source("t", src, &[]).is_empty());
     }
 
     #[test]
     fn lookback_window_is_bounded() {
         let src = "// ORDERING: SeqCst explained too far away\n\n\n\n\nfn f(a: &AtomicU64) { a.load(Ordering::SeqCst); }\n";
-        let findings = lint_source("t", src, false);
+        let findings = lint_source("t", src, &[]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, RULE_ORDERING);
     }
@@ -570,7 +631,7 @@ mod tests {
     fn exempt_paths_skip_only_the_unwrap_rule() {
         let src =
             "fn main() { std::fs::read(\"x\").unwrap(); let _ = A.load(Ordering::SeqCst); }\n";
-        let findings = lint_source("src/bin/tool.rs", src, true);
+        let findings = lint_source("src/bin/tool.rs", src, &[RULE_UNWRAP, RULE_CHAIN_FOR_TIP]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, RULE_ORDERING);
     }

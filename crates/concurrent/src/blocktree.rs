@@ -49,8 +49,8 @@ use btadt_oracle::{FrugalOracle, MeritTable, OracleConfig, OracleStats, SharedOr
 use btadt_pipeline::{stage_batch, BatchReport, Ingest, IngestError, IngestVerdict, StagedBatch};
 use btadt_store::BlockStore;
 use btadt_types::{
-    Block, BlockBuilder, BlockId, BlockTree, Blockchain, LengthScore, NodeIdx, Score, Transaction,
-    WorkScore,
+    Block, BlockBuilder, BlockId, BlockTree, Blockchain, HeaviestChain, LengthScore, LongestChain,
+    NodeIdx, Score, SelectionFunction, TieBreak, Transaction, WorkScore,
 };
 
 use crate::cas_from_oracle::OracleCas;
@@ -372,7 +372,8 @@ impl ConcurrentBlockTree {
         BtReader {
             replica: self,
             client,
-            cached: None,
+            memo: None,
+            stats: ReadStats::default(),
         }
     }
 
@@ -806,11 +807,22 @@ impl ConcurrentBlockTree {
     /// The tip the current rule selects from the writer tree, as an arena
     /// index.
     fn selected_tip(&self, tree: &BlockTree) -> u32 {
-        let best = match self.tip_rule {
-            TipRule::Height { prefer_largest_id } => tree.best_leaf_by_height(prefer_largest_id),
-            TipRule::Work { prefer_largest_id } => tree.best_leaf_by_work(prefer_largest_id),
+        let tie_break = |prefer_largest_id| {
+            if prefer_largest_id {
+                TieBreak::LargestId
+            } else {
+                TieBreak::SmallestId
+            }
         };
-        tree.idx_of(best).expect("best leaf is in the tree").0
+        let tip = match self.tip_rule {
+            TipRule::Height { prefer_largest_id } => {
+                LongestChain::with_tie_break(tie_break(prefer_largest_id)).select_tip(tree)
+            }
+            TipRule::Work { prefer_largest_id } => {
+                HeaviestChain::with_tie_break(tie_break(prefer_largest_id)).select_tip(tree)
+            }
+        };
+        tip.0
     }
 
     /// Batch ingest: stages `blocks` against the writer tree and applies
@@ -883,18 +895,42 @@ impl Ingest for ConcurrentBlockTree {
     }
 }
 
+/// What a [`BtReader`] has done so far, as counts: every `read()` is exactly
+/// one of a hit, an extension or a rebuild.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReadStats {
+    /// Reads that found the published tip unchanged and returned the memo.
+    pub hits: u64,
+    /// Tip moves served by splicing the memoized chain in place (the caller
+    /// had dropped every earlier result).
+    pub extended: u64,
+    /// Tip moves where an earlier result was still held, so the kept prefix
+    /// was copied into a fresh chain before the new suffix went on.
+    pub rebuilt: u64,
+    /// Blocks cloned by all tip moves together: Δ + reorg depth per
+    /// extension, plus the copied prefix per rebuild.
+    pub blocks_cloned: u64,
+}
+
 /// A per-thread read handle with tip-versioned memoization.
 ///
 /// The published `(length, tip)` pair doubles as a version stamp: the chain
 /// returned by `read()` is a pure function of the tip index, so a reader
-/// that still sees the tip it last materialized can return an `Arc`-backed
-/// clone of the cached chain in O(1) instead of re-walking the store.  The
-/// handle stays wait-free — a read is one atomic load plus, only when the
-/// tip moved, one walk over frozen nodes.
+/// that still sees the tip it last materialized returns an `Arc`-backed
+/// clone of the memoized chain in O(1).  When the tip moved, the memo is
+/// *spliced*: [`SnapshotStore::chain_from`] walks from the new tip only down
+/// to the first block the memo already holds and reuses everything below —
+/// in place if the caller dropped the chains it was handed, through a copy
+/// of the kept prefix if it still holds one, so a returned chain is an
+/// immutable value either way.  The handle stays wait-free — a read is one
+/// atomic load plus, only when the tip moved, a walk over frozen nodes
+/// bounded by Δ + reorg depth ≤ height.
 pub struct BtReader<'a> {
     replica: &'a ConcurrentBlockTree,
     client: usize,
-    cached: Option<(u32, Blockchain)>,
+    /// The last tip read and the chain to it.
+    memo: Option<(u32, Blockchain)>,
+    stats: ReadStats,
 }
 
 impl BtReader<'_> {
@@ -907,14 +943,32 @@ impl BtReader<'_> {
                 version: pack_version(view.len, view.tip),
             },
         );
-        if let Some((tip, chain)) = &self.cached {
+        if let Some((tip, chain)) = &self.memo {
             if *tip == view.tip {
+                self.stats.hits += 1;
                 return chain.clone();
             }
         }
-        let chain = self.replica.store.chain_to(view.tip);
-        self.cached = Some((view.tip, chain.clone()));
+        // The one miss path: splice the memo, or the genesis-only chain on
+        // the first read.
+        let prev = match self.memo.take() {
+            Some((_, chain)) => chain,
+            None => Blockchain::genesis_only(),
+        };
+        let (chain, cost) = self.replica.store.chain_from(prev, view.tip);
+        if cost.copied == 0 {
+            self.stats.extended += 1;
+        } else {
+            self.stats.rebuilt += 1;
+        }
+        self.stats.blocks_cloned += (cost.walked + cost.copied) as u64;
+        self.memo = Some((view.tip, chain.clone()));
         chain
+    }
+
+    /// Counts of what this handle's reads have cost so far.
+    pub fn stats(&self) -> ReadStats {
+        self.stats
     }
 
     /// [`read`](BtReader::read) crossing the [`Seam::ReaderPreWalk`] seam:

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::blocktree::AppendPath;
+use crate::blocktree::{AppendPath, ReadStats};
 use crate::driver::{build_replica, check_claimed, run_workload_with_on, DriverConfig};
 use crate::fault::FaultPlan;
 use crate::storage::{crash_recover_heal, faulted_store, StorageReport};
@@ -97,6 +97,11 @@ pub struct ChaosOutcome {
     pub height: u64,
     /// Maximum fork degree of the final tree.
     pub max_fork_degree: usize,
+    /// Per-client reader counters ([`DriverRun::read_stats`]); diagnostics
+    /// that depend on the observed interleaving, like the storage counts.
+    ///
+    /// [`DriverRun::read_stats`]: crate::DriverRun::read_stats
+    pub read_stats: Vec<ReadStats>,
     /// Invariant violations seen by the monitor or the final sweep.
     pub violations: Vec<String>,
     /// How many times the background monitor completed a full recheck.
@@ -261,6 +266,7 @@ pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosOutcome {
         blocks: run.blocks,
         height: run.height,
         max_fork_degree: run.max_fork_degree,
+        read_stats: run.read_stats,
         violations,
         // ORDERING: Relaxed — the monitor thread was joined above, so
         // this reads a quiescent counter.

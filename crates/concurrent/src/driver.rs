@@ -25,7 +25,7 @@ use btadt_core::{eventual_consistency, strong_consistency, BtHistory, BtOperatio
 use btadt_history::{ConsistencyCriterion, ProcessId, Verdict};
 use btadt_types::{AlwaysValid, BlockBuilder};
 
-use crate::blocktree::{AppendPath, ConcurrentBlockTree, TipRule};
+use crate::blocktree::{AppendPath, ConcurrentBlockTree, ReadStats, TipRule};
 use crate::fault::{FaultPlan, FaultSession, Seam};
 use crate::recorder::RecorderHub;
 
@@ -77,6 +77,11 @@ pub struct DriverRun {
     pub appends_failed: u64,
     /// Reads issued (including the quiescent round).
     pub reads: u64,
+    /// What each client's reader handle did, indexed by client: hits,
+    /// in-place extensions, rebuilds and blocks cloned sum to that client's
+    /// reads.  A recorded run retains every chain in its history, so its
+    /// tip moves are rebuilds; an unrecorded one drops them and extends.
+    pub read_stats: Vec<ReadStats>,
     /// Blocks published at the end (genesis included).
     pub blocks: usize,
     /// Height of the finally selected chain.
@@ -158,6 +163,7 @@ pub fn run_workload_with_on(
         appends_ok: u64,
         appends_failed: u64,
         reads: u64,
+        read_stats: ReadStats,
         records: Vec<btadt_history::OperationRecord<BtOperation, BtResponse>>,
     }
 
@@ -273,6 +279,7 @@ pub fn run_workload_with_on(
                         appends_ok: stats.0,
                         appends_failed: stats.1,
                         reads: stats.2,
+                        read_stats: reader.stats(),
                         records: recorder.map(|r| r.into_records()).unwrap_or_default(),
                     }
                 })
@@ -301,6 +308,7 @@ pub fn run_workload_with_on(
         appends_ok: per_thread.iter().map(|t| t.appends_ok).sum(),
         appends_failed: per_thread.iter().map(|t| t.appends_failed).sum(),
         reads: per_thread.iter().map(|t| t.reads).sum(),
+        read_stats: per_thread.iter().map(|t| t.read_stats).collect(),
         blocks: replica.len(),
         height: replica.height(),
         max_fork_degree: replica.max_fork_degree(),
@@ -357,6 +365,12 @@ mod tests {
         );
         // The quiescent round adds one read per thread.
         assert!(run.reads >= config.threads as u64);
+        let by_kind: u64 = run
+            .read_stats
+            .iter()
+            .map(|s| s.hits + s.extended + s.rebuilt)
+            .sum();
+        assert_eq!(by_kind, run.reads, "every read is a hit or a tip move");
         assert_eq!(
             run.blocks as u64,
             run.appends_ok + 1,
@@ -371,6 +385,10 @@ mod tests {
         let run = run_workload(&config);
         assert!(run.history.is_none());
         assert!(run.total_ops() > 0);
+        assert!(
+            run.read_stats.iter().all(|s| s.rebuilt == 0),
+            "dropped chains are spliced in place"
+        );
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod store;
 pub mod trace;
 
 pub use blocktree::{
-    AppendOutcome, AppendPath, BtReader, ConcurrentBlockTree, PreparedAppend, TipRule,
+    AppendOutcome, AppendPath, BtReader, ConcurrentBlockTree, PreparedAppend, ReadStats, TipRule,
 };
 pub use btadt_pipeline::{BatchReport, Ingest, IngestError, IngestVerdict};
 pub use cas::CasRegister;
@@ -95,5 +95,5 @@ pub use recorder::{RecorderHub, ThreadRecorder};
 pub use register::AtomicRegister;
 pub use snapshot::AtomicSnapshot;
 pub use storage::{crash_recover_heal, faulted_store, PlanInjector, StorageReport, STORAGE_CLIENT};
-pub use store::{SnapshotStore, SnapshotView, StoreExhausted};
+pub use store::{SnapshotStore, SnapshotView, SpliceCost, StoreExhausted};
 pub use trace::{pack_version, SyncEvent, SyncEventKind, SyncTraceHub};

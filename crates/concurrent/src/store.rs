@@ -72,6 +72,16 @@ pub struct SnapshotView {
     pub tip: u32,
 }
 
+/// What one [`SnapshotStore::chain_from`] splice cost, in blocks cloned.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpliceCost {
+    /// Blocks cloned out of the store: the walked suffix (Δ + reorg depth).
+    pub walked: usize,
+    /// Blocks of the kept prefix copied because the previous chain was
+    /// still held elsewhere (`0` when it was reused in place).
+    pub copied: usize,
+}
+
 /// The chunked append-only block arena with a packed `(len, tip)` head.
 pub struct SnapshotStore {
     chunks: Box<[OnceLock<Chunk>]>,
@@ -195,22 +205,47 @@ impl SnapshotStore {
         self.node(idx).parent
     }
 
-    /// Materializes the chain from the genesis block to `tip` by walking
-    /// frozen parent links.  Wait-free: touches only committed, immutable
-    /// slots.
+    /// The chain from the genesis block to `tip`, spliced onto `prev` — a
+    /// chain this store produced earlier (or the genesis-only chain).
+    ///
+    /// Walks frozen parent links from `tip` only down to the first block
+    /// `prev` already holds at the same height, then keeps `prev` up to
+    /// that block and appends the walked suffix
+    /// ([`Blockchain::spliced`]).  Ids are unique in the store, so an equal
+    /// id at an equal height means an equal prefix below it; an extension
+    /// (the match is `prev`'s tip) and a reorg (the match is the fork
+    /// point) are the same code, and the genesis block always matches.
+    ///
+    /// Wait-free: touches only committed, immutable slots, in at most
+    /// `height(tip)` steps — Δ + reorg depth when `prev` is recent.  Also
+    /// returns what the splice cost, in blocks cloned.
+    pub fn chain_from(&self, prev: Blockchain, tip: u32) -> (Blockchain, SpliceCost) {
+        // The walk records references, not blocks: each block is then
+        // cloned once, straight into its place in the chain.  The capacity
+        // is exact for an extension, a lower bound across a reorg.
+        let growth = (self.node(tip).block.height as usize + 1).saturating_sub(prev.len());
+        let mut path: Vec<&Block> = Vec::with_capacity(growth);
+        let mut cursor = tip;
+        let keep = loop {
+            let node = self.node(cursor);
+            let height = node.block.height as usize;
+            if prev.blocks().get(height).map(|b| b.id) == Some(node.block.id) {
+                break height + 1;
+            }
+            path.push(&node.block);
+            // Writers only push blocks whose parent is already committed,
+            // so the walk is a chain by construction and ends at genesis.
+            cursor = node.parent.expect("the genesis block is on every chain");
+        };
+        let walked = path.len();
+        let (chain, copied) = Blockchain::spliced(prev, keep, path.into_iter().rev().cloned());
+        (chain, SpliceCost { walked, copied })
+    }
+
+    /// Materializes the chain from the genesis block to `tip` from scratch:
+    /// [`chain_from`](Self::chain_from) with nothing to reuse.
     pub fn chain_to(&self, tip: u32) -> Blockchain {
-        let height = self.node(tip).block.height as usize;
-        let mut blocks = Vec::with_capacity(height + 1);
-        let mut cursor = Some(tip);
-        while let Some(idx) = cursor {
-            let node = self.node(idx);
-            blocks.push(node.block.clone());
-            cursor = node.parent;
-        }
-        blocks.reverse();
-        // Writers only push blocks whose parent is already committed, so
-        // the walk is a chain by construction.
-        Blockchain::from_blocks_trusted(blocks)
+        self.chain_from(Blockchain::genesis_only(), tip).0
     }
 
     /// The wait-free `read()`: `{b0}⌢f(bt)` for the latest published
@@ -284,6 +319,14 @@ mod tests {
         assert_eq!(store.chain_to(idxs[2]).height(), 3);
         assert_eq!(store.chain_to(idxs[4]).height(), 5);
         assert_eq!(store.read().height(), 5);
+        // Splicing an earlier chain walks only the two blocks it lacks.
+        let (spliced, cost) = store.chain_from(store.chain_to(idxs[2]), idxs[4]);
+        assert_eq!(spliced, store.chain_to(idxs[4]));
+        let expected = SpliceCost {
+            walked: 2,
+            copied: 0,
+        };
+        assert_eq!(cost, expected);
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub fn run_contended(kind: OracleKind, config: ContendedRunConfig) -> ContendedR
         let p = round % config.processes;
         // Optionally refresh the local view to the globally selected chain.
         if rng.gen_bool(config.sync_probability.clamp(0.0, 1.0)) {
-            local_tips[p] = selection.select(&tree).tip().clone();
+            local_tips[p] = tree.block_at(selection.select_tip(&tree)).clone();
         }
         let parent = local_tips[p].clone();
         nonce += 1;

@@ -70,8 +70,10 @@ impl RefinedBlockTree {
     /// executed without interleaving, as the paper requires.
     pub fn append(&mut self, requester: usize, payload: Vec<Transaction>) -> RefinementOutcome {
         // b_h ← last_block(f(bt))
-        let selected = self.selection.select(&self.tree);
-        let parent = selected.tip().clone();
+        let parent = self
+            .tree
+            .block_at(self.selection.select_tip(&self.tree))
+            .clone();
         let candidate = BlockBuilder::new(&parent)
             .producer(requester as u32)
             .nonce(self.recorder.now().0 + 1)

@@ -56,9 +56,11 @@ impl BtReplica {
     }
 
     /// The tip of the currently selected chain (the block new blocks will be
-    /// chained to).
+    /// chained to), without materialising the chain.
     pub fn tip(&self) -> Block {
-        self.selected().tip().clone()
+        self.tree
+            .block_at(self.selection.select_tip(&self.tree))
+            .clone()
     }
 
     /// Applies an update to the local tree.  Returns `true` iff the block

@@ -105,6 +105,12 @@ impl AdversarialMiner {
         self.config.selection.select(self.sync.tree())
     }
 
+    /// The last block of that chain, without materialising it.
+    pub fn tip(&self) -> &Block {
+        let tree = self.sync.tree();
+        tree.block_at(self.config.selection.select_tip(tree))
+    }
+
     /// Blocks mined but not yet released.
     pub fn withheld(&self) -> &[Block] {
         &self.withheld
@@ -139,7 +145,7 @@ impl AdversarialMiner {
         if self.tape.pop() != Cell::Token {
             return;
         }
-        let parent = self.selected().tip().clone();
+        let parent = self.tip().clone();
         let block = crate::gossip::mint_block(self.id, ctx.n(), &mut self.next_tx, &parent);
         let at = ctx.now();
         self.log.record_created(at, block.clone());
@@ -305,6 +311,14 @@ impl Miner {
         match self {
             Miner::Honest(r) => r.selected(),
             Miner::Adversarial(r) => r.selected(),
+        }
+    }
+
+    /// The last block of the replica's selected chain.
+    pub fn tip(&self) -> &Block {
+        match self {
+            Miner::Honest(r) => r.tip(),
+            Miner::Adversarial(r) => r.tip(),
         }
     }
 

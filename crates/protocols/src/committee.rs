@@ -161,6 +161,13 @@ impl CommitteeReplica {
         self.config.selection.select(&self.tree)
     }
 
+    /// The last block of the selected chain — the block a leader proposes
+    /// on — without materialising the chain.
+    pub fn tip(&self) -> &Block {
+        self.tree
+            .block_at(self.config.selection.select_tip(&self.tree))
+    }
+
     /// The replica's current round.
     pub fn round(&self) -> u64 {
         self.round
@@ -191,7 +198,7 @@ impl CommitteeReplica {
         if self.leader_of(self.round) != self.id || !self.is_member(self.id) {
             return;
         }
-        let parent = self.selected().tip().clone();
+        let parent = self.tip().clone();
         let tx = Transaction::transfer(
             (self.id as u64) << 40 | self.next_tx,
             self.id as u32,

@@ -115,12 +115,22 @@ impl PowReplica {
         self.config.selection.select(self.sync.tree())
     }
 
+    /// The last block of the selected chain — the block mining builds on —
+    /// without materialising the chain.
+    pub fn tip(&self) -> &Block {
+        let tree = self.sync.tree();
+        tree.block_at(self.config.selection.select_tip(tree))
+    }
+
     fn maybe_read(&mut self, at: SimTime) {
-        let chain = self.selected();
-        let score = (chain.len() - 1) as u64;
+        // The selected chain's length beyond genesis is its tip's height:
+        // only a chain that grew is worth materialising.
+        let tree = self.sync.tree();
+        let tip = self.config.selection.select_tip(tree);
+        let score = tree.block_at(tip).height;
         if score > self.last_read_score {
             self.last_read_score = score;
-            self.log.record_read(at, chain);
+            self.log.record_read(at, tree.chain_to_idx(tip));
         }
     }
 
@@ -136,7 +146,7 @@ impl PowReplica {
         if self.tape.pop() != Cell::Token {
             return;
         }
-        let parent = self.selected().tip().clone();
+        let parent = self.tip().clone();
         let block = crate::gossip::mint_block(self.id, ctx.n(), &mut self.next_tx, &parent);
         let at = ctx.now();
         self.log.record_created(at, block.clone());

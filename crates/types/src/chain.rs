@@ -122,9 +122,12 @@ impl Blockchain {
         self.blocks.iter().any(|b| b.id == id)
     }
 
-    /// Total work embodied by the chain (sum of per-block work).
+    /// Total work embodied by the chain (sum of per-block work, saturating
+    /// at `u64::MAX` — a hand-built hostile chain must not panic or wrap).
     pub fn total_work(&self) -> u64 {
-        self.blocks.iter().map(|b| b.work).sum()
+        self.blocks
+            .iter()
+            .fold(0u64, |sum, b| sum.saturating_add(b.work))
     }
 
     /// Total number of transactions carried by the chain.
@@ -139,12 +142,52 @@ impl Blockchain {
         if block.parent != Some(self.tip().id) || block.height != self.tip().height + 1 {
             return None;
         }
-        let mut blocks = Vec::with_capacity(self.blocks.len() + 1);
-        blocks.extend_from_slice(&self.blocks);
-        blocks.push(block);
-        Some(Blockchain {
-            blocks: Arc::new(blocks),
-        })
+        Some(Blockchain::spliced(self.clone(), self.len(), [block]).0)
+    }
+
+    /// The prefix-reusing constructor: the chain made of `prev`'s first
+    /// `keep` blocks followed by `suffix` — how a `read()` after a tip move
+    /// turns the chain it returned last time into the new one, paying for
+    /// the blocks that changed instead of the whole height.
+    ///
+    /// When `prev` is the last handle to its block sequence the sequence is
+    /// truncated and extended in place; otherwise exactly the kept prefix
+    /// is copied into a fresh sequence, so a chain value somebody still
+    /// holds is never mutated.  Returns the chain together with the number
+    /// of prefix blocks that had to be copied (`0` on the in-place path).
+    ///
+    /// `keep` must be in `1..=prev.len()` (a chain never loses its root) and
+    /// `suffix` must link onto block `keep - 1`; like
+    /// [`from_blocks_trusted`](Blockchain::from_blocks_trusted) the links
+    /// are checked in debug builds only.
+    pub fn spliced(
+        mut prev: Blockchain,
+        keep: usize,
+        suffix: impl IntoIterator<Item = Block>,
+    ) -> (Blockchain, usize) {
+        assert!(
+            (1..=prev.len()).contains(&keep),
+            "a splice keeps between the root and the whole chain"
+        );
+        let copied = match Arc::get_mut(&mut prev.blocks) {
+            Some(blocks) => {
+                blocks.truncate(keep);
+                blocks.extend(suffix);
+                0
+            }
+            None => {
+                let suffix = suffix.into_iter();
+                let mut blocks = Vec::with_capacity(keep + suffix.size_hint().0);
+                blocks.extend_from_slice(&prev.blocks[..keep]);
+                blocks.extend(suffix);
+                prev.blocks = Arc::new(blocks);
+                keep
+            }
+        };
+        debug_assert!(prev.blocks[keep - 1..]
+            .windows(2)
+            .all(|w| w[1].parent == Some(w[0].id) && w[1].height == w[0].height + 1));
+        (prev, copied)
     }
 
     /// The prefix relation `bc ⊑ bc'`: `self` is a prefix of `other`.
@@ -173,6 +216,19 @@ impl Blockchain {
     /// Both chains start at the genesis block, so the common prefix always
     /// contains at least the genesis block.
     pub fn common_prefix(&self, other: &Blockchain) -> Blockchain {
+        let shared = self.shared_blocks(other);
+        self.truncated(shared - 1)
+    }
+
+    /// Length (number of blocks beyond genesis) of the maximal common
+    /// prefix — counted, not materialised.
+    pub fn mcp_len(&self, other: &Blockchain) -> u64 {
+        (self.shared_blocks(other) - 1) as u64
+    }
+
+    /// Number of leading blocks the two chains share (≥ 1: both start at
+    /// the genesis block).
+    fn shared_blocks(&self, other: &Blockchain) -> usize {
         let shared = self
             .blocks
             .iter()
@@ -180,17 +236,7 @@ impl Blockchain {
             .take_while(|(a, b)| a.id == b.id)
             .count();
         debug_assert!(shared > 0, "chains share at least the genesis block");
-        if shared == self.blocks.len() {
-            return self.clone();
-        }
-        Blockchain {
-            blocks: Arc::new(self.blocks[..shared].to_vec()),
-        }
-    }
-
-    /// Length (number of blocks beyond genesis) of the maximal common prefix.
-    pub fn mcp_len(&self, other: &Blockchain) -> u64 {
-        (self.common_prefix(other).len() - 1) as u64
+        shared
     }
 
     /// The prefix of this chain truncated to the given number of non-genesis
@@ -200,9 +246,7 @@ impl Blockchain {
         if end == self.blocks.len() {
             return self.clone();
         }
-        Blockchain {
-            blocks: Arc::new(self.blocks[..end].to_vec()),
-        }
+        Blockchain::spliced(self.clone(), end, []).0
     }
 
     /// Consumes the chain and returns its blocks (without copying when this
@@ -343,6 +387,62 @@ mod tests {
         assert_eq!(c.truncated(0), Blockchain::genesis_only());
     }
 
+    /// `base`'s first `keep` blocks followed by `n` fresh ones.
+    fn suffix_on(base: &Blockchain, keep: usize, n: usize) -> Vec<Block> {
+        let mut parent = base[keep - 1].clone();
+        (0..n)
+            .map(|i| {
+                parent = BlockBuilder::new(&parent).nonce(1000 + i as u64).build();
+                parent.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spliced_reuses_a_unique_handle_in_place() {
+        let base = chain_of(6);
+        let expected_ids: Vec<_> = base.ids().collect();
+        for keep in [1, 3, base.len()] {
+            for n in [0, 2] {
+                let suffix = suffix_on(&base, keep, n);
+                let mut expected = expected_ids[..keep].to_vec();
+                expected.extend(suffix.iter().map(|b| b.id));
+                // A deep copy: the only handle to its blocks.
+                let unique = Blockchain::from_blocks(base.blocks().to_vec()).unwrap();
+                let (chain, copied) = Blockchain::spliced(unique, keep, suffix);
+                assert_eq!(copied, 0, "keep {keep}, suffix {n}: in place");
+                assert_eq!(chain.ids().collect::<Vec<_>>(), expected);
+                assert!(Blockchain::from_blocks(chain.blocks().to_vec()).is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn spliced_copies_the_kept_prefix_of_a_shared_handle() {
+        let base = chain_of(6);
+        let before = base.blocks().to_vec();
+        for keep in [1, 3, base.len()] {
+            for n in [0, 2] {
+                let suffix = suffix_on(&base, keep, n);
+                let (chain, copied) = Blockchain::spliced(base.clone(), keep, suffix.clone());
+                assert_eq!(copied, keep, "keep {keep}, suffix {n}: exactly the prefix");
+                assert_eq!(chain.len(), keep + n);
+                assert_eq!(chain.blocks()[..keep], before[..keep]);
+                assert_eq!(chain.blocks()[keep..], suffix[..]);
+                assert_eq!(base.blocks(), &before[..], "the held chain is a value");
+            }
+        }
+        // Keeping everything and appending nothing is the identity.
+        let (same, _) = Blockchain::spliced(base.clone(), base.len(), []);
+        assert_eq!(same, base);
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps between the root and the whole chain")]
+    fn spliced_never_drops_the_root() {
+        let _ = Blockchain::spliced(chain_of(2), 0, []);
+    }
+
     #[test]
     fn total_work_sums_block_work() {
         let mut chain = Blockchain::genesis_only();
@@ -352,6 +452,11 @@ mod tests {
         }
         // genesis work 1 + 3 * 5
         assert_eq!(chain.total_work(), 16);
+        // A hand-built hostile chain saturates instead of wrapping.
+        let mut heavy = chain.blocks().to_vec();
+        heavy[1].work = u64::MAX;
+        let heavy = Blockchain::from_blocks(heavy).unwrap();
+        assert_eq!(heavy.total_work(), u64::MAX);
     }
 
     #[test]

@@ -142,7 +142,8 @@ impl NaiveBlockTree {
         self.cumulative_work.get(&id).copied()
     }
 
-    /// Total work of the subtree rooted at `id`, by hash-chasing traversal.
+    /// Total work of the subtree rooted at `id`, by hash-chasing traversal
+    /// (saturating, like the arena tree's).
     pub fn subtree_work(&self, id: BlockId) -> u64 {
         let mut total = match self.blocks.get(&id) {
             Some(b) => b.work,
@@ -151,7 +152,7 @@ impl NaiveBlockTree {
         let mut stack: Vec<BlockId> = self.children(id);
         while let Some(next) = stack.pop() {
             if let Some(b) = self.blocks.get(&next) {
-                total += b.work;
+                total = total.saturating_add(b.work);
             }
             stack.extend(self.children(next));
         }

@@ -1,9 +1,15 @@
 //! Selection functions `f ∈ F : BT → BC`.
 //!
 //! A selection function maps a BlockTree to one of its blockchains; the
-//! `read()` operation of the BT-ADT returns `{b0}⌢f(bt)`.  The paper leaves
-//! `f` generic to cover the different blockchain implementations; we provide
-//! the three used by the systems classified in Section 5:
+//! `read()` operation of the BT-ADT returns `{b0}⌢f(bt)`.  A blockchain of
+//! a tree is fully determined by its last block, so here **`f` chooses a
+//! tip and the chain is the path to it**: implementations provide
+//! [`select_tip`](SelectionFunction::select_tip), and
+//! [`select`](SelectionFunction::select) materialises the path.  Code that
+//! only needs the block to build on, or a height to compare, asks for the
+//! tip and never pays for the chain.  The paper leaves `f` generic to cover
+//! the different blockchain implementations; we provide the three used by
+//! the systems classified in Section 5:
 //!
 //! * [`LongestChain`] — the chain of maximal length (Bitcoin's original rule
 //!   and the one used in the paper's worked examples);
@@ -18,7 +24,7 @@
 
 use crate::block::BlockId;
 use crate::chain::Blockchain;
-use crate::tree::BlockTree;
+use crate::tree::{BlockTree, NodeIdx};
 
 /// Deterministic tie-breaking rule applied when several chains have the same
 /// score under a selection function.
@@ -47,15 +53,24 @@ impl TieBreak {
     }
 }
 
-/// A selection function `f : BT → BC`.
+/// A selection function `f : BT → BC`: `f` = choose a tip; the chain is the
+/// path from the root to it.
 ///
-/// Implementations must be deterministic: for equal trees they must return
-/// equal chains.  `select` always returns a chain rooted at the genesis
-/// block; for the tree containing only `b0`, it returns the genesis-only
-/// chain (the paper's `f(b0) = b0` convention).
+/// Implementations must be deterministic: for equal trees they must choose
+/// the same tip.  For the tree containing only `b0` the tip is the genesis
+/// block, so `select` returns the genesis-only chain (the paper's
+/// `f(b0) = b0` convention).
 pub trait SelectionFunction: Send + Sync {
-    /// Selects a blockchain from the tree.
-    fn select(&self, tree: &BlockTree) -> Blockchain;
+    /// The last block of `f(bt)`, as an arena slot of `tree` — all a caller
+    /// needs to chain a new block or to compare heights, at the cost of the
+    /// choice alone (O(1) for the incrementally maintained rules).
+    fn select_tip(&self, tree: &BlockTree) -> NodeIdx;
+
+    /// `f(bt)` as a chain value: the path from the root to
+    /// [`select_tip`](SelectionFunction::select_tip), O(height).
+    fn select(&self, tree: &BlockTree) -> Blockchain {
+        tree.chain_to_idx(self.select_tip(tree))
+    }
 
     /// A short human-readable name used by reports and benchmarks.
     fn name(&self) -> &'static str;
@@ -82,12 +97,10 @@ impl LongestChain {
 }
 
 impl SelectionFunction for LongestChain {
-    fn select(&self, tree: &BlockTree) -> Blockchain {
-        // The tree maintains the longest-chain tip incumbents on insert:
-        // the tip is an O(1) read and the chain extraction a dense-index
-        // walk.
+    fn select_tip(&self, tree: &BlockTree) -> NodeIdx {
+        // The tree maintains the longest-chain tip incumbents on insert.
         let tip = tree.best_leaf_by_height(self.tie_break.prefers_largest());
-        tree.chain_to(tip).unwrap_or_else(Blockchain::genesis_only)
+        tree.idx_of(tip).expect("the best leaf is in the tree")
     }
 
     fn name(&self) -> &'static str {
@@ -116,11 +129,11 @@ impl HeaviestChain {
 }
 
 impl SelectionFunction for HeaviestChain {
-    fn select(&self, tree: &BlockTree) -> Blockchain {
+    fn select_tip(&self, tree: &BlockTree) -> NodeIdx {
         // Cumulative work is cached per node and the heaviest-tip
-        // incumbents are maintained on insert, so the tip is an O(1) read.
+        // incumbents are maintained on insert.
         let tip = tree.best_leaf_by_work(self.tie_break.prefers_largest());
-        tree.chain_to(tip).unwrap_or_else(Blockchain::genesis_only)
+        tree.idx_of(tip).expect("the best leaf is in the tree")
     }
 
     fn name(&self) -> &'static str {
@@ -154,19 +167,19 @@ impl GhostSelection {
 }
 
 impl SelectionFunction for GhostSelection {
-    fn select(&self, tree: &BlockTree) -> Blockchain {
+    fn select_tip(&self, tree: &BlockTree) -> NodeIdx {
         // One O(n) reverse pass computes every subtree weight (the arena
         // guarantees parents precede children), making the whole greedy
         // descent linear — the per-child re-traversals of the naive
         // implementation made it quadratic on deep trees.
         let weights = tree.subtree_work_table();
-        let mut cursor = crate::tree::NodeIdx::GENESIS;
+        let mut cursor = NodeIdx::GENESIS;
         loop {
             let children = tree.children_idx(cursor);
             if children.is_empty() {
                 break;
             }
-            let mut best: Option<(u64, BlockId, crate::tree::NodeIdx)> = None;
+            let mut best: Option<(u64, BlockId, NodeIdx)> = None;
             for &child in children {
                 let weight = weights[child.0 as usize];
                 let child_id = tree.block_at(child).id;
@@ -183,7 +196,7 @@ impl SelectionFunction for GhostSelection {
             }
             cursor = best.expect("children is non-empty").2;
         }
-        tree.chain_to_idx(cursor)
+        cursor
     }
 
     fn name(&self) -> &'static str {

@@ -598,15 +598,20 @@ impl BlockTree {
     }
 
     /// Total work of the subtree rooted at `id` (GHOST weight).
+    ///
+    /// Saturates at `u64::MAX`: each *chain's* cumulative work is checked
+    /// on insert, but sibling chains can still sum past it, and hostile
+    /// weights must not panic or wrap.  Saturated subtrees tie, and ties
+    /// fall to the selection's id tie-break.
     pub fn subtree_work(&self, id: BlockId) -> u64 {
         let Some(root) = self.idx_of(id) else {
             return 0;
         };
-        let mut total = 0;
+        let mut total = 0u64;
         let mut stack = vec![root];
         while let Some(idx) = stack.pop() {
             let node = &self.nodes[idx.at()];
-            total += node.block.work;
+            total = total.saturating_add(node.block.work);
             stack.extend_from_slice(&node.children);
         }
         total
@@ -629,13 +634,14 @@ impl BlockTree {
     /// Subtree work of **every** node, indexed by [`NodeIdx`], in one O(n)
     /// reverse pass over the slab (children always follow their parents).
     /// This is what makes a full GHOST descent linear instead of quadratic.
+    /// Sums saturate like [`subtree_work`](Self::subtree_work).
     pub fn subtree_work_table(&self) -> Vec<u64> {
         let mut weights: Vec<u64> = self.nodes.iter().map(|n| n.block.work).collect();
         for i in (1..self.nodes.len()).rev() {
             let parent = self.nodes[i]
                 .parent
                 .expect("non-genesis nodes have parents");
-            weights[parent.at()] += weights[i];
+            weights[parent.at()] = weights[parent.at()].saturating_add(weights[i]);
         }
         weights
     }
