@@ -310,6 +310,20 @@ pub fn print_summary(report: &RobustnessReport) {
         reads(|s| s.rebuilt),
         reads(|s| s.blocks_cloned)
     );
+    let stores: Vec<_> = report
+        .chaos
+        .iter()
+        .filter_map(|o| o.storage_report.as_ref())
+        .collect();
+    let appended: u64 = stores.iter().map(|s| s.appended).sum();
+    let medium_writes: u64 = stores.iter().map(|s| s.medium_writes).sum();
+    println!(
+        "  stores: {} cells persisted {} blocks with {} medium writes ({:.2} medium writes / block)",
+        stores.len(),
+        appended,
+        medium_writes,
+        medium_writes as f64 / appended.max(1) as f64
+    );
     for o in dirty {
         println!("  DIRTY {}: {}", o.label, o.verdict);
     }

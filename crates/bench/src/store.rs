@@ -76,6 +76,11 @@ pub struct SteadyOutcome {
     pub checkpoints: u64,
     /// Blocks garbage-collected from the store by pruning.
     pub gc_dropped: u64,
+    /// Blocks the store was handed over the run.
+    pub appended: u64,
+    /// Medium writes over the run (record stretches, manifests, renames,
+    /// compactions) — printed, not part of the JSON baseline.
+    pub medium_writes: u64,
 }
 
 /// One seeded corruption recovery cell.
@@ -367,6 +372,8 @@ pub fn run_all(smoke: bool) -> StoreReport {
         chunks_sealed: stats.chunks_sealed,
         checkpoints: stats.checkpoints,
         gc_dropped: stats.pruned,
+        appended: stats.appended,
+        medium_writes: replica.store().medium().stats().writes,
     };
 
     let pre_tip = replica.tip();
@@ -396,7 +403,8 @@ pub fn print_summary(report: &StoreReport) {
     for s in &report.steady {
         println!(
             "  {} seed {}: {} blocks, height {}, resident peak {}/{} ({}), \
-             pruning point {}, {} GC'd, {} chunks, {} checkpoints",
+             pruning point {}, {} GC'd, {} chunks, {} checkpoints, \
+             {:.2} medium writes / block",
             s.scale,
             s.seed,
             s.blocks,
@@ -408,6 +416,7 @@ pub fn print_summary(report: &StoreReport) {
             s.gc_dropped,
             s.chunks_sealed,
             s.checkpoints,
+            s.medium_writes as f64 / s.appended.max(1) as f64,
         );
     }
     println!("== corruption recovery ==");

@@ -1,7 +1,8 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Four rules: three about keeping the concurrency story auditable, one
-//! about keeping tip lookups O(1):
+//! Five rules: three about keeping the concurrency story auditable, one
+//! about keeping tip lookups O(1), one about keeping the durable write path
+//! allocation-free:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -9,6 +10,7 @@
 //! | `atomic-ordering-needs-justification` | every *atomic* `Ordering::` variant (`Relaxed`, `Acquire`, `Release`, `AcqRel`, `SeqCst`) carries a `// ORDERING:` comment within the same window that **names the variant** |
 //! | `no-bare-unwrap` | no `.unwrap()` and no `.expect(` with a non-literal argument in non-test library code unless the line (or a line in the window above) carries `// LINT-ALLOW: <reason>` — `.expect("message")` with a string-literal invariant message *is* the annotated form |
 //! | `no-chain-for-tip` | no `.selected().tip()` / `.select(…).tip()` on one line in non-test library code unless `// LINT-ALLOW: <reason>` — that builds an O(height) chain to look at one block; ask `SelectionFunction::select_tip` (or the replica's `tip()`) instead |
+//! | `no-allocating-encode` | no `encode_record(` call in non-test library code outside `codec.rs` unless `// LINT-ALLOW: <reason>` — it allocates a buffer per record and hashes for no chunk; the store's writer encodes with `encode_record_into` into its reused run buffer |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -17,11 +19,14 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the two library
-//! rules (`no-bare-unwrap`, `no-chain-for-tip`) only: files under a
-//! `tests/` directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
-//! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
-//! harness is additionally exempt from `no-chain-for-tip`.  The
+//! cannot produce findings.  Test code is exempt from the three library
+//! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`)
+//! only: files under a `tests/` directory, `src/bin/` entry points,
+//! `main.rs`/`build.rs`, and `#[cfg(test)]` brace regions (tracked by
+//! depth); the frozen `benchmark/` harness is additionally exempt from
+//! `no-chain-for-tip` and `no-allocating-encode` (its probe times
+//! `encode_record` itself), and `codec.rs`, which defines the wrapper, from
+//! the latter.  The
 //! justification rules apply *everywhere*, tests included — a memory
 //! ordering deserves a reason even in a test.
 
@@ -37,6 +42,8 @@ pub const RULE_ORDERING: &str = "atomic-ordering-needs-justification";
 pub const RULE_UNWRAP: &str = "no-bare-unwrap";
 /// Rule id: a whole chain materialised to read its last block.
 pub const RULE_CHAIN_FOR_TIP: &str = "no-chain-for-tip";
+/// Rule id: the allocating record encoder called on a library path.
+pub const RULE_ALLOC_ENCODE: &str = "no-allocating-encode";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -290,10 +297,20 @@ fn chain_for_tip(code: &str) -> bool {
     })
 }
 
+/// `true` iff the masked code line calls the allocating record encoder:
+/// `encode_record(` as a whole name (`encode_record_into(` is the in-place
+/// one).
+fn allocating_encode(code: &str) -> bool {
+    code.match_indices("encode_record(").any(|(p, _)| {
+        let pre = code[..p].chars().next_back();
+        !pre.is_some_and(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
-/// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`]) the whole file is exempt from
-/// (test files, binaries); `#[cfg(test)]` regions are detected internally
-/// on top of it.
+/// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`]) the
+/// whole file is exempt from (test files, binaries); `#[cfg(test)]` regions
+/// are detected internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
     let lines = mask(source);
     let mut findings = Vec::new();
@@ -359,6 +376,17 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_ALLOC_ENCODE) && allocating_encode(&line.code) && !allowed() {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_ALLOC_ENCODE,
+                detail: "`encode_record(..)` allocates per record (encode with \
+                         `encode_record_into` into a reused buffer, or annotate \
+                         `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -401,10 +429,12 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: both for
-/// tests and tools, [`RULE_CHAIN_FOR_TIP`] also for the `benchmark/`
-/// harness — frozen to library PRs, it reads each miner's tip once after a
-/// run, not per event.
+/// The library-only rules a path is exempt from as a whole file: all of
+/// them for tests and tools; [`RULE_CHAIN_FOR_TIP`] and
+/// [`RULE_ALLOC_ENCODE`] for the `benchmark/` harness — frozen to library
+/// PRs, it reads each miner's tip once after a run, not per event, and its
+/// encode probe times the allocating wrapper on purpose; and
+/// [`RULE_ALLOC_ENCODE`] for `codec.rs`, where the wrapper is defined.
 fn exempt_rules(path: &Path) -> &'static [&'static str] {
     let in_dir = |name: &str| path.components().any(|c| c.as_os_str() == name);
     let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
@@ -415,9 +445,11 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
         || file == "main.rs"
         || file == "build.rs"
     {
-        &[RULE_UNWRAP, RULE_CHAIN_FOR_TIP]
+        &[RULE_UNWRAP, RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE]
     } else if in_dir("benchmark") {
-        &[RULE_CHAIN_FOR_TIP]
+        &[RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE]
+    } else if file == "codec.rs" {
+        &[RULE_ALLOC_ENCODE]
     } else {
         &[]
     }
@@ -571,6 +603,16 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
+            "allocating-encode",
+            "fn persist(medium: &mut SimMedium, file: &str, block: &Block) {\n    let record = encode_record(block);\n    medium.append(file, &codec::encode_record(block));\n    drop(record);\n}\n",
+            vec![(RULE_ALLOC_ENCODE, 2), (RULE_ALLOC_ENCODE, 3)],
+        ),
+        (
+            "in-place-encode-is-clean",
+            "pub use codec::{encode_record, encode_record_into};\nfn persist(buf: &mut Vec<u8>, block: &Block, sum: &mut Fnv64) -> usize {\n    encode_record_into(buf, block, sum);\n    // LINT-ALLOW: a one-off probe wants the record's length, not a run\n    encode_record(block).len()\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) { encode_record(b); }\n}\n",
+            vec![],
+        ),
+        (
             "block-comment-masked",
             "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
             vec![],
@@ -631,7 +673,11 @@ mod tests {
     fn exempt_paths_skip_only_the_unwrap_rule() {
         let src =
             "fn main() { std::fs::read(\"x\").unwrap(); let _ = A.load(Ordering::SeqCst); }\n";
-        let findings = lint_source("src/bin/tool.rs", src, &[RULE_UNWRAP, RULE_CHAIN_FOR_TIP]);
+        let findings = lint_source(
+            "src/bin/tool.rs",
+            src,
+            exempt_rules(Path::new("src/bin/tool.rs")),
+        );
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, RULE_ORDERING);
     }

@@ -19,10 +19,11 @@
 //! refinement `getToken* ; consumeToken` (Definition 3.7) against the
 //! chosen mediator and then *install* the winning block.  There is one
 //! install loop, run under the one writer mutex: per block it validates
-//! chaining, mirrors the block into the wait-free [`SnapshotStore`], links
-//! it into the rich arena [`BlockTree`] and appends it to the durable
-//! sink; it ends with one release store publishing the new `(length,
-//! selected tip)` pair.  A mediated append is that loop over a run of one,
+//! chaining, mirrors the block into the wait-free [`SnapshotStore`] and
+//! links it into the rich arena [`BlockTree`]; the blocks the run linked
+//! are then persisted to the durable sink as one run, and one release
+//! store publishes the new `(length, selected tip)` pair.  A mediated
+//! append is that loop over a run of one,
 //! [`ingest_batch`](ConcurrentBlockTree::ingest_batch) is that loop over a
 //! staged batch, and the fault seams sit inside it — so the chaos drills
 //! and the fault-free paths execute the same code.  Reads never take the
@@ -47,7 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use btadt_core::invariant::{check_block_tree, InvariantViolation};
 use btadt_oracle::{FrugalOracle, MeritTable, OracleConfig, OracleStats, SharedOracle};
 use btadt_pipeline::{stage_batch, BatchReport, Ingest, IngestError, IngestVerdict, StagedBatch};
-use btadt_store::BlockStore;
+use btadt_store::{fits_record, BlockStore, MAX_RECORD_BYTES};
 use btadt_types::{
     Block, BlockBuilder, BlockId, BlockTree, Blockchain, HeaviestChain, LengthScore, LongestChain,
     NodeIdx, Score, SelectionFunction, TieBreak, Transaction, WorkScore,
@@ -179,6 +180,30 @@ struct Writer {
     durable: Option<BlockStore>,
 }
 
+/// The durable half of one install run: when dropped, persists the blocks
+/// the run mirrored into the [`SnapshotStore`] — slots `from .. pushed()`,
+/// contiguous and in link order because the writer lock is held — to the
+/// sink as **one** [`BlockStore::append_run`].
+///
+/// The install loop drops it before the run publishes.  It is declared
+/// before the tree's batch session, so when a panic unwinds out of the loop
+/// instead, the session reconciles the tree first and the guard then
+/// persists exactly the linked prefix: however the run is left, the writer
+/// tree is never ahead of the sink.
+struct DurableRun<'a> {
+    sink: &'a mut BlockStore,
+    mirror: &'a SnapshotStore,
+    from: u32,
+}
+
+impl Drop for DurableRun<'_> {
+    fn drop(&mut self) {
+        let mirror = self.mirror;
+        let linked = self.from..mirror.pushed();
+        self.sink.append_run(linked.map(|slot| mirror.block(slot)));
+    }
+}
+
 /// Which tip an install publishes.
 #[derive(Clone, Copy)]
 enum PublishTip {
@@ -302,8 +327,9 @@ impl ConcurrentBlockTree {
     }
 
     /// Attaches a durable block store (builder style; call before use).
-    /// Every subsequently installed block is appended to it under the
-    /// writer lock.
+    /// The blocks every subsequent install run links are appended to it as
+    /// one run under the writer lock, before the run is published; a block
+    /// too large for a durable record is then refused before it links.
     pub fn with_durable_store(self, store: BlockStore) -> Self {
         self.lock_writer().durable = Some(store);
         self
@@ -711,19 +737,23 @@ impl ConcurrentBlockTree {
     /// under this same lock hold); a staged parent `Some(j)` names the
     /// `j`-th entry of the run, `None` a block already in the tree.  Per
     /// block: validate chaining, cross [`Seam::WriterPreInsert`], push into
-    /// the wait-free arena, link into the writer tree, append to the
-    /// durable sink — with [`Seam::WriterMidBatch`] crossed between
-    /// blocks — and `report(position, result)`.  If anything landed, one
+    /// the wait-free arena, link into the writer tree — with
+    /// [`Seam::WriterMidBatch`] crossed between blocks — and
+    /// `report(position, result)`.  If anything landed, the linked blocks
+    /// are persisted to the durable sink as one run, then one
     /// [`Seam::WriterPrePublish`] and one publish of `tip` end the run.
     ///
-    /// Chaining (parent, height, cumulative-work headroom) is validated
+    /// Chaining (parent, height, cumulative-work headroom, and — with a
+    /// sink attached — that the block fits a durable record) is validated
     /// *before* any mutation and the arena mirror is pushed before the tree
     /// link, so an error never leaves the writer tree ahead of the store
     /// and a hostile block never panics under the lock; an injected panic
     /// at a seam unwinds through the tree's batch session, which reconciles
-    /// the leaf set and best tips for exactly the linked prefix.  Together
-    /// these make [`heal_after_poison`](ConcurrentBlockTree::heal_after_poison)
-    /// a pure republish.  Whether durable bytes *survive* is the medium's
+    /// the leaf set and best tips for exactly the linked prefix, and then
+    /// through the [`DurableRun`] guard, which persists that prefix.
+    /// Together these make
+    /// [`heal_after_poison`](ConcurrentBlockTree::heal_after_poison) a pure
+    /// republish.  Whether durable bytes *survive* is the medium's
     /// business — a faulted medium is the point of the chaos drills.
     fn install_run(
         &self,
@@ -735,6 +765,13 @@ impl ConcurrentBlockTree {
         mut report: impl FnMut(usize, Result<(), IngestError>),
     ) {
         let Writer { tree, durable } = writer;
+        // Declared before the batch session: on unwind it drops after it.
+        let durable = durable.as_mut().map(|sink| DurableRun {
+            sink,
+            mirror: &self.store,
+            from: self.store.pushed(),
+        });
+        let persists = durable.is_some();
         let mut batch = tree.begin_batch(run.size_hint().0);
         // Arena slot and height each entry landed at (`None` if it was
         // refused): in-batch parents cost a vector read, not a hash.
@@ -769,6 +806,14 @@ impl ConcurrentBlockTree {
                 {
                     return Err(IngestError::WorkOverflow { block: block.id });
                 }
+                if persists && !fits_record(&block) {
+                    // The sink would refuse it, and a linked block that is
+                    // not durable would not survive a restart.
+                    return Err(IngestError::Storage(format!(
+                        "block {} exceeds the {MAX_RECORD_BYTES}-byte durable record limit",
+                        block.id
+                    )));
+                }
                 session.apply(Seam::WriterPreInsert);
                 let store_idx = self.store.try_push(block.clone(), Some(parent_idx.0))?;
                 self.emit(client, SyncEventKind::ArenaPush { idx: store_idx });
@@ -777,9 +822,6 @@ impl ConcurrentBlockTree {
                     .push(block, Some(parent_idx))
                     .expect("chaining was validated above");
                 debug_assert_eq!(store_idx, idx.0, "store indices mirror arena indices");
-                if let Some(durable) = durable {
-                    durable.append(batch.block_at(idx));
-                }
                 Ok((idx, height))
             })();
             landed.push(installed.as_ref().ok().copied());
@@ -789,6 +831,8 @@ impl ConcurrentBlockTree {
         let Some(&(newest, _)) = landed.iter().flatten().last() else {
             return;
         };
+        // Persist the run before anything of it is published.
+        drop(durable);
         session.apply(Seam::WriterPrePublish);
         let tip_idx = match tip {
             PublishTip::Selected => self.selected_tip(tree),
@@ -1351,12 +1395,19 @@ mod tests {
                 prefix.len(),
                 "{what}: the heal published the prefix"
             );
-            let durable = t.lock_writer().durable.as_ref().map(BlockStore::blocks);
-            assert_eq!(
-                ids(&durable.expect("attached")),
-                ids(&prefix[1..]),
-                "{what}"
-            );
+            // The sink holds exactly the installed prefix, in install
+            // order — not one block fewer (the unwind path persisted what
+            // the dead writer linked), not one more — and the prefix went
+            // out as one run behind the run of one that was `first`.
+            let (durable, stats) = {
+                let writer = t.lock_writer();
+                let sink = writer.durable.as_ref().expect("attached");
+                (sink.blocks(), sink.stats())
+            };
+            assert_eq!(ids(&durable), ids(&prefix[1..]), "{what}");
+            assert_eq!(stats.appended, 1 + installed as u64, "{what}");
+            assert_eq!(stats.runs, 1 + u64::from(installed > 0), "{what}");
+            assert_eq!(stats.largest_run, installed.max(1) as u64, "{what}");
             assert!(t.check_invariants().is_empty(), "{what}");
 
             // Batch ingest keeps working post-heal and picks up the tail;
@@ -1367,11 +1418,56 @@ mod tests {
             assert!(t.check_invariants().is_empty(), "{what}");
             let durable = t.take_durable_store().expect("attached");
             assert_eq!(
-                durable.len(),
-                t.len() - 1,
-                "{what}: every install persisted once"
+                ids(&durable.blocks()),
+                ids(t.writer_tree_snapshot().blocks().skip(1)),
+                "{what}: every install persisted once, in install order"
             );
         }
+    }
+
+    #[test]
+    fn a_block_too_large_for_a_durable_record_is_refused_before_it_links() {
+        use btadt_store::{SimMedium, StoreConfig};
+        let genesis = Block::genesis();
+        let small = BlockBuilder::new(&genesis).nonce(1).build();
+        // 53 + 24 · 43 689 bytes of record body: one past the limit.
+        let payload = (0..43_689).map(|i| Transaction::transfer(i, 1, 2, 3));
+        let big = BlockBuilder::new(&small)
+            .nonce(2)
+            .payload(payload.collect())
+            .build();
+        let sibling = BlockBuilder::new(&small).nonce(3).build();
+        let child = BlockBuilder::new(&big).nonce(4).build();
+        let batch = vec![small.clone(), big.clone(), sibling.clone(), child];
+
+        let t = ConcurrentBlockTree::eventual(1)
+            .with_durable_store(BlockStore::create(SimMedium::new(), StoreConfig::small()));
+        let report = t.ingest_batch(0, batch.clone());
+        assert_eq!(report.verdicts[0], IngestVerdict::Accepted);
+        assert!(
+            matches!(&report.verdicts[1], IngestVerdict::Rejected(IngestError::Storage(why))
+                if why.contains("record limit")),
+            "{:?}",
+            report.verdicts[1]
+        );
+        assert_eq!(report.verdicts[2], IngestVerdict::Accepted);
+        assert!(!report.verdicts[3].is_accepted(), "its parent never linked");
+        assert_eq!(t.len(), 3);
+        assert!(t.check_invariants().is_empty());
+
+        // Nothing undecodable reached the medium: a restart finds both
+        // small blocks and nothing to repair.
+        let mut store = t.take_durable_store().expect("attached");
+        assert_eq!(store.stats().oversize_skipped, 0, "refused at the door");
+        store.checkpoint();
+        let (_, recovery, survivors) =
+            BlockStore::recover(store.into_medium(), StoreConfig::small());
+        assert!(recovery.is_pristine(), "{recovery:?}");
+        assert_eq!(survivors, vec![small, sibling]);
+
+        // Without a sink there is no record to fit: the block is a block.
+        let volatile = ConcurrentBlockTree::eventual(1);
+        assert_eq!(volatile.ingest_batch(0, batch).accepted, 4);
     }
 
     #[test]

@@ -45,14 +45,15 @@ pub enum Seam {
     SnapshotPreInstall,
     /// Installer: writer mutex held, before the arena insert.
     WriterPreInsert,
-    /// Installer: block inserted and mirrored, before the tip publish.
+    /// Installer: run inserted, mirrored and persisted, before the tip
+    /// publish.
     WriterPrePublish,
     /// Reader: before walking the published chain.
     ReaderPreWalk,
-    /// Durable medium: a block-record append to the active chunk (a
+    /// Durable medium: a write of a run's records to the active chunk (a
     /// [`FaultAction::Corrupt`] here tears the write to a prefix).
     StoreTornWrite,
-    /// Durable medium: a block-record append to the active chunk (a
+    /// Durable medium: a write of a run's records to the active chunk (a
     /// [`FaultAction::Corrupt`] here flips one persisted bit).
     StoreBitFlip,
     /// Durable medium: the shadow-manifest overwrite of a checkpoint (a

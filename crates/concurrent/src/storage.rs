@@ -79,7 +79,8 @@ impl FaultInjector for PlanInjector {
     fn on_write(&mut self, op: &WriteOp<'_>) -> WriteFault {
         match op.kind {
             WriteKind::Append => {
-                // Both append seams advance on every record so each seam's
+                // Both append seams advance on every medium write — one per
+                // stretch of a run, not one per record — so each seam's
                 // fault set stays a pure function of the write sequence.
                 let torn = self.fires(Seam::StoreTornWrite);
                 let flip = self.fires(Seam::StoreBitFlip);
@@ -108,6 +109,11 @@ impl FaultInjector for PlanInjector {
 pub struct StorageReport {
     /// The recovery pipeline's damage report.
     pub recovery: RecoveryReport,
+    /// Blocks the replica handed the store before the crash.
+    pub appended: u64,
+    /// Medium writes the store had issued by then (record stretches,
+    /// manifest overwrites and renames).
+    pub medium_writes: u64,
     /// Blocks the medium could prove after recovery.
     pub recovered_blocks: usize,
     /// Blocks re-appended from the in-memory peer to close the damage gap.
@@ -134,6 +140,8 @@ impl StorageReport {
 /// agreement.
 pub fn crash_recover_heal(tree: &BlockTree, store: BlockStore, plan: &FaultPlan) -> StorageReport {
     let config = store.config();
+    let appended = store.stats().appended;
+    let medium_writes = store.medium().stats().writes;
 
     // The PruneRace drill: compact away losing subtrees below the tip,
     // then crash before the manifest swap commits the new layout.
@@ -162,14 +170,14 @@ pub fn crash_recover_heal(tree: &BlockTree, store: BlockStore, plan: &FaultPlan)
         .collect();
     missing.sort_by_key(|b| (b.height, b.id));
     let healed = missing.len();
-    for block in &missing {
-        recovered.append(block);
-    }
+    recovered.append_run(missing);
     recovered.checkpoint();
 
     let violations = check_store_tree_agreement(tree, &recovered.blocks());
     StorageReport {
         recovery,
+        appended,
+        medium_writes,
         recovered_blocks,
         healed,
         prune_raced,
@@ -256,6 +264,83 @@ mod tests {
             40,
             "recovery plus healing accounts for every block"
         );
+    }
+
+    /// Faults the first append, faithfully passes everything else.
+    struct FirstAppend(Option<WriteFault>);
+
+    impl FaultInjector for FirstAppend {
+        fn on_write(&mut self, op: &WriteOp<'_>) -> WriteFault {
+            match op.kind {
+                WriteKind::Append => self.0.take().unwrap_or(WriteFault::None),
+                _ => WriteFault::None,
+            }
+        }
+    }
+
+    #[test]
+    fn a_torn_or_flipped_group_write_costs_only_the_records_it_touched() {
+        const RUN: usize = 64;
+        let tree = grown_tree(RUN as u64);
+        let blocks: Vec<&Block> = tree.blocks().filter(|b| !b.is_genesis()).collect();
+        // Offset of each record boundary in the one 64-record group write.
+        let mut boundary = vec![0usize];
+        for block in &blocks {
+            boundary.push(boundary[boundary.len() - 1] + btadt_store::encode_record(block).len());
+        }
+        let config = btadt_store::StoreConfig::default();
+        let run_with = |fault: WriteFault| -> (StorageReport, Vec<BlockId>) {
+            let mut medium = SimMedium::new();
+            medium.set_injector(Box::new(FirstAppend(Some(fault))));
+            let mut store = BlockStore::create(medium, config);
+            store.append_run(blocks.iter().copied());
+            assert_eq!(store.medium().stats().writes, 1, "the run is one write");
+            store.checkpoint();
+            // What a restart would find, then the chaos epilogue over the
+            // same crashed store.
+            let image = store.medium().snapshot();
+            let survivors = BlockStore::recover(image, config).2;
+            let report = crash_recover_heal(&tree, store, &FaultPlan::quiet(0));
+            (report, survivors.iter().map(|b| b.id).collect())
+        };
+        let ids = |range: &[&Block]| -> Vec<BlockId> { range.iter().map(|b| b.id).collect() };
+
+        // Torn at every record boundary, one byte either side, and
+        // mid-record: exactly the whole records before the tear survive.
+        for i in 0..RUN {
+            let mid = (boundary[i] + boundary[i + 1]) / 2;
+            for keep in [
+                boundary[i].saturating_sub(1),
+                boundary[i],
+                boundary[i] + 1,
+                mid,
+            ] {
+                let whole = boundary.iter().skip(1).filter(|&&end| end <= keep).count();
+                let (report, survivors) = run_with(WriteFault::Torn(keep));
+                let what = format!("torn after {keep} bytes");
+                assert_eq!(survivors, ids(&blocks[..whole]), "{what}");
+                assert_eq!(report.recovered_blocks, whole, "{what}");
+                assert_eq!(report.healed, RUN - whole, "{what}");
+                let torn = (keep - boundary[whole]) as u64;
+                assert_eq!(report.recovery.torn_tail_bytes, torn, "{what}");
+                assert!(report.is_clean(), "{what}: {:?}", report.violations);
+            }
+        }
+        // A bit flipped inside record k (past its length prefix): all but
+        // record k survive.
+        for k in [0, 1, 31, RUN - 1] {
+            for byte in [4, 20, boundary[k + 1] - boundary[k] - 1] {
+                let (report, survivors) =
+                    run_with(WriteFault::FlipBit((boundary[k] + byte) * 8 + 3));
+                let what = format!("flip in record {k}, byte {byte}");
+                let mut expected = ids(&blocks);
+                expected.remove(k);
+                assert_eq!(survivors, expected, "{what}");
+                assert_eq!(report.recovery.corrupt_records, 1, "{what}");
+                assert_eq!(report.healed, 1, "{what}");
+                assert!(report.is_clean(), "{what}: {:?}", report.violations);
+            }
+        }
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //!   just received, so progress is guaranteed and re-sync of a long chain
 //!   costs `ceil(missing / MAX_SYNC_BATCH)` rounds.
 //! * **One durable log** — the tree, the orphan pool and the optional
-//!   `btadt-store` [`BlockStore`] are one [`ReplicaCore`]: every block that
-//!   links is persisted before it is recorded as applied, and a
+//!   `btadt-store` [`BlockStore`] are one [`ReplicaCore`]: the blocks an
+//!   ingest links are recorded as applied and persisted as one run before
+//!   the ingest returns, and a
 //!   [`RecoveryMode::Checkpoint`] rejoin runs the store's verifying
 //!   recovery (torn tails truncated, corrupt chunks quarantined) and sends
 //!   the survivors back through the same ingest door, so the process only
@@ -412,8 +413,9 @@ impl GossipSync {
     /// the topologically-ordered ready run is linked, orphans join the pool
     /// (once each, however often they are re-offered), and the pooled
     /// children of whatever linked follow it in.  Every block that links is
-    /// persisted, then recorded in `log`.  Returns one [`IngestVerdict`]
-    /// per input block, in input order.
+    /// recorded in `log`, and the linked blocks are persisted as one run
+    /// before the call returns.  Returns one [`IngestVerdict`] per input
+    /// block, in input order.
     pub fn apply_batch(
         &mut self,
         at: SimTime,
@@ -705,6 +707,44 @@ mod tests {
         assert_eq!(lost, 0);
         assert!(!sync.contains(a.id));
         assert!(sync.durable_store().is_none(), "nothing durable survives");
+    }
+
+    #[test]
+    fn a_block_too_large_for_a_durable_record_is_applied_but_never_half_written() {
+        use btadt_store::StoreConfig;
+        use btadt_types::Transaction;
+        let mut sync = durable_sync();
+        let mut log = ReplicaLog::new();
+        let a = BlockBuilder::new(&Block::genesis()).nonce(1).build();
+        // 53 + 24 · 43 689 bytes of record body: one past the limit.
+        let payload = (0..43_689).map(|i| Transaction::transfer(i, 1, 2, 3));
+        let big = BlockBuilder::new(&a)
+            .nonce(2)
+            .payload(payload.collect())
+            .build();
+        let c = BlockBuilder::new(&big).nonce(3).build();
+        // This door has no pre-link hook: the block links, the store skips it.
+        let report = sync.apply_batch(
+            SimTime(1),
+            vec![a.clone(), big.clone(), c.clone()],
+            &mut log,
+        );
+        assert_eq!(report.accepted, 3);
+        let store = sync.durable_store().expect("attached");
+        assert_eq!(store.stats().oversize_skipped, 1);
+        assert!(store.contains(a.id) && store.contains(c.id) && !store.contains(big.id));
+
+        // A restart finds both small records and nothing to repair; `c`
+        // waits for a peer to serve the parent the store could not hold.
+        let mut store = std::mem::take(&mut sync.core)
+            .into_store()
+            .expect("attached");
+        store.checkpoint();
+        let (core, recovery) = ReplicaCore::recover(store.into_medium(), StoreConfig::small());
+        assert_eq!(recovery.blocks_recovered, 2);
+        assert!(recovery.is_pristine(), "{recovery:?}");
+        assert!(core.tree().contains(a.id));
+        assert_eq!(core.pool().missing_parents(), vec![big.id]);
     }
 
     #[test]

@@ -22,8 +22,9 @@
 
 use btadt_types::{Block, BlockId, Transaction};
 
-/// Upper bound on a record body; a decoded length above this is treated as
-/// corruption rather than an allocation request.
+/// Upper bound on a record body, obeyed by both sides: the encoder refuses a
+/// block whose body would exceed it ([`fits_record`]), and a decoded length
+/// above it is treated as corruption rather than an allocation request.
 pub const MAX_RECORD_BYTES: usize = 1 << 20;
 
 /// Streaming FNV-1a: the chunk checksum is maintained incrementally as
@@ -52,6 +53,20 @@ impl Fnv64 {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// Feeds the same bytes into `self` and `other` in one pass.  Each
+    /// FNV-1a chain is serial (xor, then a multiply the next byte waits
+    /// for), but the two chains are independent of each other, so their
+    /// multiplies overlap and the second hash costs little over the first.
+    pub fn update_both(&mut self, other: &mut Fnv64, bytes: &[u8]) {
+        let (mut a, mut b) = (self.0, other.0);
+        for &byte in bytes {
+            a = (a ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+        }
+        self.0 = a;
+        other.0 = b;
     }
 
     /// The hash of everything fed so far (non-consuming).
@@ -127,42 +142,89 @@ fn get_u8(buf: &[u8], off: &mut usize) -> Result<u8, DecodeError> {
     Ok(b)
 }
 
-/// Serialises a block body (no length prefix, no checksum).
-fn encode_body(block: &Block) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + block.payload.len() * 24);
-    put_u64(&mut out, block.id.0);
+/// Bytes of a block's fixed fields in a record body: id, parent flag,
+/// height, producer, merit, nonce, work, transaction count.
+const BODY_FIXED_BYTES: usize = 8 + 1 + 8 + 4 + 4 + 8 + 8 + 4;
+/// Bytes of one transaction in a record body.
+const TX_BYTES: usize = 8 + 4 + 4 + 8;
+
+/// The length of `block`'s record body (saturating, so an absurd payload
+/// length reads as "too large" instead of wrapping).
+fn body_len(block: &Block) -> usize {
+    let parent = if block.parent.is_some() { 8 } else { 0 };
+    block
+        .payload
+        .len()
+        .saturating_mul(TX_BYTES)
+        .saturating_add(BODY_FIXED_BYTES + parent)
+}
+
+/// `true` iff `block` encodes to a record [`decode_record`] will read back:
+/// its body stays within [`MAX_RECORD_BYTES`].  A longer record would be
+/// written "successfully" and then taken for a mangled length field on
+/// restart, costing the rest of its chunk as a torn tail — so the encoder
+/// refuses it and ingest doors reject such a block before it links.
+pub fn fits_record(block: &Block) -> bool {
+    body_len(block) <= MAX_RECORD_BYTES
+}
+
+/// Encodes one block as a checksummed, length-prefixed record appended to
+/// `out`, and feeds the record's bytes to `running` — the checksum of the
+/// chunk the record is going into.
+///
+/// This is the store's one encoder.  Nothing is allocated beyond `out`'s
+/// own growth, and the body is hashed once for both checksums
+/// ([`Fnv64::update_both`]): the record checksum over the body, and the
+/// running chunk checksum over prefix, body and record checksum.
+///
+/// Returns `false`, writing nothing and leaving `running` untouched, when
+/// the block does not [fit a record](fits_record).
+pub fn encode_record_into(out: &mut Vec<u8>, block: &Block, running: &mut Fnv64) -> bool {
+    let body_len = body_len(block);
+    if body_len > MAX_RECORD_BYTES {
+        return false;
+    }
+    out.reserve(body_len + 12);
+    let prefix = out.len();
+    put_u32(out, body_len as u32); // ≤ MAX_RECORD_BYTES, checked above
+    put_u64(out, block.id.0);
     match block.parent {
         Some(parent) => {
             out.push(1);
-            put_u64(&mut out, parent.0);
+            put_u64(out, parent.0);
         }
         None => out.push(0),
     }
-    put_u64(&mut out, block.height);
-    put_u32(&mut out, block.producer);
-    put_u32(&mut out, block.merit_ppm);
-    put_u64(&mut out, block.nonce);
-    put_u64(&mut out, block.work);
-    put_u32(
-        &mut out,
-        u32::try_from(block.payload.len()).expect("payload fits u32"),
-    );
+    put_u64(out, block.height);
+    put_u32(out, block.producer);
+    put_u32(out, block.merit_ppm);
+    put_u64(out, block.nonce);
+    put_u64(out, block.work);
+    put_u32(out, block.payload.len() as u32); // < body_len, checked above
     for tx in &block.payload {
-        put_u64(&mut out, tx.id.0);
-        put_u32(&mut out, tx.from);
-        put_u32(&mut out, tx.to);
-        put_u64(&mut out, tx.amount);
+        put_u64(out, tx.id.0);
+        put_u32(out, tx.from);
+        put_u32(out, tx.to);
+        put_u64(out, tx.amount);
     }
-    out
+    let body = prefix + 4;
+    debug_assert_eq!(out.len() - body, body_len, "body_len mirrors the layout");
+    running.update(&out[prefix..body]);
+    let mut record = Fnv64::new();
+    record.update_both(running, &out[body..]);
+    let sum = record.finish().to_le_bytes();
+    out.extend_from_slice(&sum);
+    running.update(&sum);
+    true
 }
 
-/// Encodes one block as a checksummed, length-prefixed record.
+/// Encodes one block as a checksummed, length-prefixed record in a fresh
+/// buffer: the allocating wrapper over [`encode_record_into`] for callers
+/// that want one record's bytes (tests, probes).  Empty when the block does
+/// not [fit a record](fits_record).
 pub fn encode_record(block: &Block) -> Vec<u8> {
-    let body = encode_body(block);
-    let mut out = Vec::with_capacity(body.len() + 12);
-    put_u32(&mut out, u32::try_from(body.len()).expect("body fits u32"));
-    out.extend_from_slice(&body);
-    put_u64(&mut out, checksum64(&body));
+    let mut out = Vec::new();
+    encode_record_into(&mut out, block, &mut Fnv64::new());
     out
 }
 
@@ -337,6 +399,55 @@ mod tests {
         rec[0..4].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert_eq!(decode_record(&rec).unwrap_err(), DecodeError::Truncated);
         assert_eq!(record_span(&rec), None);
+    }
+
+    #[test]
+    fn update_both_feeds_two_hashers_what_update_feeds_each() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        let (mut a, mut b) = (Fnv64::new(), Fnv64::new());
+        b.update(b"already running");
+        let (mut a2, mut b2) = (a, b);
+        a.update_both(&mut b, &bytes);
+        a2.update(&bytes);
+        b2.update(&bytes);
+        assert_eq!((a, b), (a2, b2));
+    }
+
+    #[test]
+    fn in_place_encoding_appends_the_same_record_and_feeds_the_chunk_checksum() {
+        let blocks = [sample(), Block::genesis(), sample()];
+        let mut out = b"earlier bytes".to_vec();
+        let mut running = Fnv64::new();
+        running.update(&out);
+        let mut expected = out.clone();
+        for block in &blocks {
+            assert!(encode_record_into(&mut out, block, &mut running));
+            expected.extend_from_slice(&encode_record(block));
+        }
+        assert_eq!(out, expected);
+        assert_eq!(running.finish(), checksum64(&expected));
+    }
+
+    #[test]
+    fn the_encoder_refuses_exactly_what_the_decoder_would() {
+        // 53 bytes of fixed fields + 24 per transaction: 43 688 still fit.
+        let with_txs = |n: u64| {
+            BlockBuilder::new(&Block::genesis())
+                .payload((0..n).map(|i| Transaction::transfer(i, 1, 2, 3)).collect())
+                .build()
+        };
+        let largest = with_txs(43_688);
+        assert!(fits_record(&largest));
+        let rec = encode_record(&largest);
+        assert_eq!(rec.len(), 4 + 53 + 24 * 43_688 + 8);
+        assert_eq!(decode_record(&rec).unwrap().0, largest);
+
+        let oversize = with_txs(43_689);
+        assert!(!fits_record(&oversize));
+        assert!(encode_record(&oversize).is_empty());
+        let (mut out, mut running) = (vec![7u8], Fnv64::new());
+        assert!(!encode_record_into(&mut out, &oversize, &mut running));
+        assert_eq!((out, running), (vec![7u8], Fnv64::new()));
     }
 
     #[test]

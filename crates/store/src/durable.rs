@@ -3,9 +3,9 @@
 //!
 //! The paper's replica `R(BT-ADT, Θ)` is a tree plus an update rule that
 //! attaches a block once its parent is present.  [`ReplicaCore`] is that
-//! construction with durability: every block that links is persisted to
-//! the [`BlockStore`] (when one is attached) before anyone is told about
-//! it, blocks that cannot link yet wait in the
+//! construction with durability: the blocks one ingest links are persisted
+//! to the [`BlockStore`] (when one is attached) as one run before the
+//! ingest returns, blocks that cannot link yet wait in the
 //! [`OrphanPool`] *unpersisted*, and a restart is the store's verifying
 //! recovery followed by the survivors going back through the same door.
 //! `GossipSync` (sync rounds, peer health, the replica log) and
@@ -65,18 +65,19 @@ impl ReplicaCore {
 
     /// The one ingest door ([`ingest_pooled`]): stage, link the ready run,
     /// pool the orphans, release the pooled children of whatever linked.
-    /// Each block that links is persisted unless the store already holds
-    /// it (a recovered survivor), then handed to `on_link`.
-    pub fn ingest(&mut self, blocks: Vec<Block>, mut on_link: impl FnMut(&Block)) -> BatchReport {
-        let store = &mut self.store;
-        ingest_pooled(&mut self.tree, &mut self.pool, blocks, |block| {
-            if let Some(store) = store {
-                if !store.contains(block.id) {
-                    store.append(block);
-                }
-            }
-            on_link(block);
-        })
+    /// `on_link` sees each block as it links; the blocks that linked — the
+    /// arena slots this call added, in link order — are then persisted as
+    /// one run ([`BlockStore::append_run`]), except those the store already
+    /// holds (recovered survivors).
+    pub fn ingest(&mut self, blocks: Vec<Block>, on_link: impl FnMut(&Block)) -> BatchReport {
+        let before = self.tree.len();
+        let report = ingest_pooled(&mut self.tree, &mut self.pool, blocks, on_link);
+        if let Some(store) = &mut self.store {
+            let linked = self.tree.blocks_since(before);
+            let fresh: Vec<&Block> = linked.filter(|b| !store.contains(b.id)).collect();
+            store.append_run(fresh);
+        }
+        report
     }
 
     /// Replaces the tree with a window of it rebased on a later root

@@ -12,7 +12,9 @@
 //! * [`codec`] — checksummed, length-prefixed block records;
 //! * [`BlockStore`] — chunked append-only store with per-record and
 //!   per-chunk checksums, atomic-manifest checkpoints, a canonicalising
-//!   recovery pipeline and crash-safe pruning compaction;
+//!   recovery pipeline and crash-safe pruning compaction.  Its unit of
+//!   durability is the *run* ([`BlockStore::append_run`]): the blocks one
+//!   ingest linked reach the medium with one write per chunk they touch;
 //! * [`ReplicaCore`] — the durable replica core: a
 //!   [`BlockTree`](btadt_types::BlockTree), the orphan pool of blocks
 //!   waiting for it and an optional [`BlockStore`], with one ingest door
@@ -36,7 +38,10 @@ pub mod medium;
 pub mod replica;
 pub mod store;
 
-pub use codec::{checksum64, decode_record, encode_record, DecodeError};
+pub use codec::{
+    checksum64, decode_record, encode_record, encode_record_into, fits_record, DecodeError,
+    MAX_RECORD_BYTES,
+};
 pub use durable::ReplicaCore;
 pub use medium::{
     FaultInjector, MediumStats, SeededCorruption, SimMedium, WriteFault, WriteKind, WriteOp,

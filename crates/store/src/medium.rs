@@ -155,7 +155,12 @@ impl SimMedium {
     pub fn append(&mut self, file: &str, bytes: &[u8]) -> usize {
         let fault = self.decide(WriteKind::Append, file, bytes.len());
         self.stats.writes += 1;
-        let target = self.files.entry(file.to_string()).or_default();
+        // Appends mostly land in a file that exists: look it up by `&str`
+        // and build the owned name only to create one.
+        if !self.files.contains_key(file) {
+            self.files.insert(file.to_string(), Vec::new());
+        }
+        let target = self.files.get_mut(file).expect("created just above");
         let durable = match fault {
             WriteFault::None => {
                 target.extend_from_slice(bytes);

@@ -15,6 +15,14 @@
 //! crash-consistency argument is the classic shadow-manifest one
 //! (rusty-kaspa's store/pruning split applies the same discipline).
 //!
+//! Records reach the medium a **run** at a time
+//! ([`BlockStore::append_run`]; `append` is a run of one): the blocks one
+//! ingest linked are encoded into one reused buffer and written with one
+//! medium write per stretch of the run that falls into one chunk between
+//! two checkpoints — group commit with no group to configure, and no
+//! bytes left unwritten when the call returns.  Where the runs were cut
+//! leaves no trace in the files.
+//!
 //! ## Corruption taxonomy and recovery
 //!
 //! [`BlockStore::recover`] rebuilds a store from a medium of unknown
@@ -57,11 +65,12 @@
 //! both, which recovery's id-dedup canonicalisation collapses.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
-use btadt_types::{Block, BlockId};
+use btadt_types::{Block, BlockId, BlockIdHasher};
 
 use crate::codec::{
-    checksum64, decode_record, encode_record, get_u32, get_u64, put_u32, put_u64, record_span,
+    checksum64, decode_record, encode_record_into, get_u32, get_u64, put_u32, put_u64, record_span,
     DecodeError, Fnv64,
 };
 use crate::medium::SimMedium;
@@ -139,6 +148,15 @@ pub struct StoreStats {
     pub pruned: u64,
     /// Compaction passes completed.
     pub prunes: u64,
+    /// [`append_run`](BlockStore::append_run) calls that wrote at least one
+    /// record.
+    pub runs: u64,
+    /// Records written by the largest single run.
+    pub largest_run: u64,
+    /// Blocks refused because their record would exceed
+    /// [`MAX_RECORD_BYTES`](crate::codec::MAX_RECORD_BYTES) — skipped, not
+    /// written: recovery would take such a record for a torn tail.
+    pub oversize_skipped: u64,
 }
 
 /// What one recovery pass found and repaired.
@@ -267,18 +285,121 @@ fn decode_manifest(buf: &[u8]) -> Result<Manifest, DecodeError> {
     })
 }
 
+/// The write position of a chunk layout: its sealed chunks and the active
+/// chunk that records are appended to.  The live store has one; a pruning
+/// compaction builds a second one at fresh indices and swaps it in when it
+/// commits.
+#[derive(Debug)]
+struct Layout {
+    sealed: Vec<ChunkMeta>,
+    next_index: u64,
+    active_index: u64,
+    /// `chunk_file(active_index)`, rebuilt only when a chunk is sealed.
+    active_file: String,
+    active_records: u32,
+    active_bytes: u64,
+    active_hash: Fnv64,
+}
+
+impl Layout {
+    /// An empty layout whose first chunk has index `first`.
+    fn starting_at(first: u64) -> Self {
+        Layout {
+            sealed: Vec::new(),
+            next_index: first + 1,
+            active_index: first,
+            active_file: chunk_file(first),
+            active_records: 0,
+            active_bytes: 0,
+            active_hash: Fnv64::new(),
+        }
+    }
+
+    /// Chunk indices of the layout, sealed chunks first.
+    fn indices(&self) -> impl Iterator<Item = u64> + '_ {
+        self.sealed
+            .iter()
+            .map(|c| c.index)
+            .chain([self.active_index])
+    }
+
+    /// Writes the encoded records waiting in `buf` to the active chunk
+    /// with one medium write.
+    fn flush(&mut self, medium: &mut SimMedium, buf: &mut Vec<u8>) {
+        if !buf.is_empty() {
+            medium.append(&self.active_file, buf);
+            self.active_bytes += buf.len() as u64;
+            buf.clear();
+        }
+    }
+
+    fn seal(&mut self) {
+        self.sealed.push(ChunkMeta {
+            index: self.active_index,
+            records: self.active_records,
+            bytes: self.active_bytes,
+            checksum: self.active_hash.finish(),
+        });
+        self.active_index = self.next_index;
+        self.next_index += 1;
+        self.active_file = chunk_file(self.active_index);
+        self.active_records = 0;
+        self.active_bytes = 0;
+        self.active_hash = Fnv64::new();
+    }
+
+    /// The store's one record writer: encodes blocks from `blocks` into
+    /// `buf` (empty on entry and on return), folds them into the active
+    /// chunk's checksum, and seals the chunk every `capacity` records.
+    ///
+    /// The records of one stretch — the part of the run that falls into
+    /// one chunk — reach the medium as **one** write.  After each record
+    /// `checkpoint_due` is asked whether a checkpoint must follow it; on
+    /// `true` the stretch is written out and the call returns `true` with
+    /// the rest of `blocks` untaken, so the caller checkpoints over exactly
+    /// the bytes a record-at-a-time writer would have written, and calls
+    /// again.  Returns `false` once `blocks` is exhausted.  A block the
+    /// encoder refuses (it does not fit a record) is skipped.
+    fn write_until<'a>(
+        &mut self,
+        medium: &mut SimMedium,
+        buf: &mut Vec<u8>,
+        capacity: u32,
+        blocks: &mut impl Iterator<Item = &'a Block>,
+        mut checkpoint_due: impl FnMut(&Block) -> bool,
+    ) -> bool {
+        for block in blocks {
+            if !encode_record_into(buf, block, &mut self.active_hash) {
+                continue;
+            }
+            self.active_records += 1;
+            let due = checkpoint_due(block);
+            let full = self.active_records >= capacity;
+            if full || due {
+                self.flush(medium, buf);
+            }
+            if full {
+                self.seal();
+            }
+            if due {
+                return true;
+            }
+        }
+        self.flush(medium, buf);
+        false
+    }
+}
+
 /// The chunked append-only block store over a [`SimMedium`].
 #[derive(Debug)]
 pub struct BlockStore {
     config: StoreConfig,
     medium: SimMedium,
-    sealed: Vec<ChunkMeta>,
-    active_index: u64,
-    active_records: u32,
-    active_bytes: u64,
-    active_hash: Fnv64,
-    next_index: u64,
-    index: HashSet<BlockId>,
+    layout: Layout,
+    /// Encoded records of the stretch being written; reused across runs and
+    /// empty between calls — the store never holds unwritten bytes.
+    buf: Vec<u8>,
+    index: HashSet<BlockId, BuildHasherDefault<BlockIdHasher>>,
     generation: u64,
     pruning_height: u64,
     checkpoint_height: u64,
@@ -295,13 +416,9 @@ impl BlockStore {
         BlockStore {
             config,
             medium,
-            sealed: Vec::new(),
-            active_index: 0,
-            active_records: 0,
-            active_bytes: 0,
-            active_hash: Fnv64::new(),
-            next_index: 1,
-            index: HashSet::new(),
+            layout: Layout::starting_at(0),
+            buf: Vec::new(),
+            index: HashSet::default(),
             generation: 0,
             pruning_height: 0,
             checkpoint_height: 0,
@@ -344,7 +461,7 @@ impl BlockStore {
 
     /// Sealed chunks of the live layout.
     pub fn sealed_chunks(&self) -> &[ChunkMeta] {
-        &self.sealed
+        &self.layout.sealed
     }
 
     /// Volatile activity counters.
@@ -372,42 +489,62 @@ impl BlockStore {
         self.medium
     }
 
-    /// Appends one block to the active chunk, sealing and checkpointing as
-    /// configured.  The append is *believed* durable — whether it actually
-    /// became durable is the medium's (and recovery's) business.
+    /// Appends one block: [`append_run`](Self::append_run) over a run of
+    /// one.
     pub fn append(&mut self, block: &Block) {
-        let record = encode_record(block);
-        self.medium.append(&chunk_file(self.active_index), &record);
-        self.active_hash.update(&record);
-        self.active_bytes += record.len() as u64;
-        self.active_records += 1;
-        self.index.insert(block.id);
-        self.max_height = self.max_height.max(block.height);
-        self.stats.appended += 1;
-        if self.active_records >= self.config.chunk_capacity {
-            self.seal_active();
-        }
-        self.appends_since_checkpoint += 1;
-        if self.config.auto_checkpoint_every > 0
-            && self.appends_since_checkpoint >= self.config.auto_checkpoint_every
-        {
-            self.checkpoint();
-        }
+        self.append_run(std::iter::once(block));
     }
 
-    fn seal_active(&mut self) {
-        self.sealed.push(ChunkMeta {
-            index: self.active_index,
-            records: self.active_records,
-            bytes: self.active_bytes,
-            checksum: self.active_hash.finish(),
-        });
-        self.active_index = self.next_index;
-        self.next_index += 1;
-        self.active_records = 0;
-        self.active_bytes = 0;
-        self.active_hash = Fnv64::new();
-        self.stats.chunks_sealed += 1;
+    /// Appends a run of blocks — the unit of durability — sealing and
+    /// checkpointing as configured.  The run is *believed* durable when the
+    /// call returns — whether it actually became durable is the medium's
+    /// (and recovery's) business.
+    ///
+    /// The run is encoded into one reused buffer and reaches the medium
+    /// with one write per stretch that falls into one chunk between two
+    /// checkpoints: it is cut exactly where appending block by block seals
+    /// a chunk or fires [`StoreConfig::auto_checkpoint_every`].  The
+    /// medium therefore ends up with the same files holding the same bytes
+    /// (manifest included) as after one `append` per block; only the
+    /// number of medium writes differs, so a torn, flipped or dropped
+    /// write now costs up to a stretch of records where it used to cost
+    /// one — recovery salvages the whole records before a tear either way.
+    /// Nothing stays buffered across calls: a run is whatever the caller
+    /// linked, and it is written before the call returns.
+    ///
+    /// A block whose record would not decode again
+    /// ([`fits_record`](crate::codec::fits_record)) is skipped and counted
+    /// in [`StoreStats::oversize_skipped`], never written.
+    pub fn append_run<'a>(&mut self, blocks: impl IntoIterator<Item = &'a Block>) {
+        let every = self.config.auto_checkpoint_every;
+        let sealed_before = self.layout.sealed.len();
+        let appended_before = self.stats.appended;
+        let mut offered = 0u64;
+        {
+            let mut blocks = blocks.into_iter().inspect(|_| offered += 1);
+            while self.layout.write_until(
+                &mut self.medium,
+                &mut self.buf,
+                self.config.chunk_capacity,
+                &mut blocks,
+                |block| {
+                    self.index.insert(block.id);
+                    self.max_height = self.max_height.max(block.height);
+                    self.stats.appended += 1;
+                    self.appends_since_checkpoint += 1;
+                    every > 0 && self.appends_since_checkpoint >= every
+                },
+            ) {
+                self.checkpoint();
+            }
+        }
+        let written = self.stats.appended - appended_before;
+        self.stats.chunks_sealed += (self.layout.sealed.len() - sealed_before) as u64;
+        self.stats.oversize_skipped += offered - written;
+        if written > 0 {
+            self.stats.runs += 1;
+            self.stats.largest_run = self.stats.largest_run.max(written);
+        }
     }
 
     /// Writes a checkpoint: shadow manifest, then the atomic swap.  The
@@ -421,9 +558,9 @@ impl BlockStore {
             generation: self.generation,
             pruning_height: self.pruning_height,
             checkpoint_height: self.max_height,
-            next_index: self.next_index,
-            active_index: self.active_index,
-            sealed: self.sealed.clone(),
+            next_index: self.layout.next_index,
+            active_index: self.layout.active_index,
+            sealed: self.layout.sealed.clone(),
         };
         let bytes = encode_manifest(&manifest);
         self.medium.overwrite(MANIFEST_TMP, &bytes);
@@ -440,9 +577,7 @@ impl BlockStore {
     /// medium can prove, the recovery pipeline is the authority on damage.
     pub fn blocks(&self) -> Vec<Block> {
         let mut out = Vec::with_capacity(self.index.len());
-        let mut indices: Vec<u64> = self.sealed.iter().map(|c| c.index).collect();
-        indices.push(self.active_index);
-        for index in indices {
+        for index in self.layout.indices() {
             let Some(bytes) = self.medium.read(&chunk_file(index)) else {
                 continue;
             };
@@ -505,57 +640,28 @@ impl BlockStore {
         let dropped = total - retained.len();
 
         // Write the compacted layout at fresh indices (never reused, so
-        // the old and new layouts coexist until the swap commits).
-        let old_indices: Vec<u64> = self
-            .sealed
-            .iter()
-            .map(|c| c.index)
-            .chain([self.active_index])
-            .collect();
-        let first_new = self.next_index;
-        let mut sealed = Vec::new();
-        let mut active_index = first_new;
-        let mut next_index = first_new + 1;
-        let mut records = 0u32;
-        let mut bytes_len = 0u64;
-        let mut hash = Fnv64::new();
-        for block in &retained {
-            let record = encode_record(block);
-            self.medium.append(&chunk_file(active_index), &record);
-            hash.update(&record);
-            bytes_len += record.len() as u64;
-            records += 1;
-            if records >= self.config.chunk_capacity {
-                sealed.push(ChunkMeta {
-                    index: active_index,
-                    records,
-                    bytes: bytes_len,
-                    checksum: hash.finish(),
-                });
-                active_index = next_index;
-                next_index += 1;
-                records = 0;
-                bytes_len = 0;
-                hash = Fnv64::new();
-            }
-        }
+        // the old and new layouts coexist until the swap commits).  No
+        // checkpoint may fire mid-compaction: it would commit half a layout.
+        let mut compacted = Layout::starting_at(self.layout.next_index);
+        compacted.write_until(
+            &mut self.medium,
+            &mut self.buf,
+            self.config.chunk_capacity,
+            &mut retained.iter(),
+            |_| false,
+        );
 
         if crash_before_commit {
             return None;
         }
 
         // Commit: swap in a manifest describing only the new layout…
-        self.sealed = sealed;
-        self.active_index = active_index;
-        self.next_index = next_index;
-        self.active_records = records;
-        self.active_bytes = bytes_len;
-        self.active_hash = hash;
+        let old = std::mem::replace(&mut self.layout, compacted);
         self.index = retained.iter().map(|b| b.id).collect();
         self.pruning_height = effective;
         self.checkpoint();
         // …then delete the superseded chunk files (pure garbage now).
-        for index in old_indices {
+        for index in old.indices() {
             self.medium.remove(&chunk_file(index));
         }
         self.stats.pruned += dropped as u64;
@@ -678,9 +784,7 @@ impl BlockStore {
 
         let mut store = BlockStore::create(medium, config);
         store.pruning_height = report.pruning_height;
-        for block in &blocks {
-            store.append(block);
-        }
+        store.append_run(&blocks);
         store.checkpoint();
         store.stats = StoreStats::default();
         report.blocks_recovered = blocks.len();
@@ -691,6 +795,7 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_record;
     use btadt_types::BlockBuilder;
 
     /// A deterministic chain of `n` blocks hanging off the genesis block.
@@ -879,6 +984,29 @@ mod tests {
         assert!(report1.corrupt_records > 0);
         assert!(report2.is_pristine(), "{report2:?}");
         assert_eq!(survivors1.len(), survivors2.len());
+    }
+
+    #[test]
+    fn an_oversize_block_is_skipped_and_costs_its_neighbours_nothing() {
+        use btadt_types::Transaction;
+        let small = chain(2);
+        // 53 + 24 · 43 689 bytes of body: one past what a record may hold.
+        let payload = (0..43_689).map(|i| Transaction::transfer(i, 1, 2, 3));
+        let big = BlockBuilder::new(&small[0])
+            .payload(payload.collect())
+            .build();
+        let mut store = BlockStore::create(SimMedium::new(), StoreConfig::default());
+        for block in [&small[0], &big, &small[1]] {
+            store.append(block);
+        }
+        let stats = store.stats();
+        assert_eq!((stats.appended, stats.oversize_skipped), (2, 1));
+        assert!(!store.contains(big.id), "the store does not claim it");
+        store.checkpoint();
+        let (_, report, survivors) =
+            BlockStore::recover(store.into_medium(), StoreConfig::default());
+        assert!(report.is_pristine(), "{report:?}");
+        assert_eq!(survivors, small);
     }
 
     #[test]
