@@ -111,7 +111,7 @@ impl BlockTreeAdt {
         if block.height != context.height() + 1 {
             return false;
         }
-        self.validity.is_valid(block, &context)
+        self.validity.is_valid(block, context.blocks())
     }
 
     /// `read()` in the given state: `{b0}⌢f(bt)`.

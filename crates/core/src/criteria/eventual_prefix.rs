@@ -21,18 +21,25 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use btadt_history::{ConsistencyCriterion, Verdict};
-use btadt_types::{NodeIdx, Score};
+use btadt_history::{ConsistencyCriterion, ProcessId, Verdict};
+use btadt_types::{Blockchain, Score};
 
+use crate::criteria::index::ReadIndex;
 use crate::criteria::CappedViolations;
-use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtResponse};
-use crate::reachability::ReachForest;
+use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtRecord, BtResponse};
 
 /// Checks the Eventual Prefix property under a given score function.
 pub struct EventualPrefix {
     score: Arc<dyn Score>,
     ignore_last: usize,
     use_index: bool,
+}
+
+/// Every pair of one tuple of final reads with its `mcps`, in the checker's
+/// pair order, and the minimum `mcps`.
+struct FinalPairs {
+    pairs: Vec<(usize, usize, u64)>,
+    min: u64,
 }
 
 impl EventualPrefix {
@@ -56,9 +63,9 @@ impl EventualPrefix {
         }
     }
 
-    /// Creates the property in reference mode: every `mcps` is recomputed
-    /// by zipping the chains, the executable spec the indexed path is
-    /// tested against.
+    /// Creates the property in reference mode: every reference read
+    /// rescans the history for each process's final read and re-zips every
+    /// pair — the executable spec the indexed path is tested against.
     pub fn reference(score: Arc<dyn Score>) -> Self {
         EventualPrefix {
             score,
@@ -67,23 +74,73 @@ impl EventualPrefix {
         }
     }
 
-    /// The shared checker body.  `forest` carries the interned read chains
-    /// when the indexed path is active: identical tip pairs then share one
-    /// memoized `mcps` computation instead of re-zipping the chains for
-    /// every reference read (`mcps` is deterministic in its two chains, and
-    /// equal tips mean positionally identical chains, so memoization cannot
-    /// change any verdict).
-    fn check_with(&self, history: &BtHistory, forest: Option<&ReachForest>) -> Verdict {
+    /// The fast body, O(R·P·log R) plus one `mcps` per pair of each
+    /// distinct tuple of final reads.
+    ///
+    /// Each process's final read after `r` comes from
+    /// [`ReadIndex::last_after`] (two suffix-max searches, one per half of
+    /// program order).  The tuple of finals changes rarely — in a recorded
+    /// run it is almost always "every process's last read" — so the
+    /// pairwise `mcps` are memoised per tuple with their minimum, and the
+    /// pairwise loop (and its `format!`) runs only for a reference score
+    /// above that minimum: exactly the reads the reference reports, in the
+    /// same pair order.
+    fn check_indexed(&self, history: &BtHistory) -> Verdict {
+        let index = ReadIndex::new(history, self.score.as_ref());
+        let reads = &index.reads;
+        let mut violations = CappedViolations::new("eventual-prefix");
+        let reference_count = reads.len().saturating_sub(self.ignore_last);
+        let mut memo: HashMap<Vec<usize>, FinalPairs> = HashMap::new();
+        let mut finals: Vec<usize> = Vec::with_capacity(index.processes.len());
+
+        for i in 0..reference_count {
+            finals.clear();
+            finals.extend(
+                index
+                    .processes
+                    .iter()
+                    .filter_map(|p| index.last_after(p, i)),
+            );
+            if finals.len() < 2 {
+                continue;
+            }
+            if !memo.contains_key(&finals) {
+                let mut pairs = Vec::with_capacity(finals.len() * (finals.len() - 1) / 2);
+                for (a, &ja) in finals.iter().enumerate() {
+                    for &jb in &finals[a + 1..] {
+                        pairs.push((ja, jb, self.score.mcps(reads[ja].1, reads[jb].1)));
+                    }
+                }
+                let min = pairs.iter().map(|&(_, _, m)| m).min().unwrap_or(u64::MAX);
+                memo.insert(finals.clone(), FinalPairs { pairs, min });
+            }
+            let finals = &memo[&finals];
+            let s = index.scores[i];
+            if s <= finals.min {
+                continue;
+            }
+            let r = reads[i].0;
+            for &(ja, jb, m) in finals.pairs.iter().filter(|&&(_, _, m)| m < s) {
+                let (ra, rb) = (reads[ja].0, reads[jb].0);
+                violations.push_with(vec![r.id, ra.id, rb.id], || {
+                    violation_detail(s, ra.process, rb.process, m)
+                });
+            }
+        }
+        Verdict::from_violations(violations.finish())
+    }
+
+    /// The spec: for every reference read, filter the whole history for
+    /// each process's last later read, then zip every pair.
+    fn check_reference(&self, history: &BtHistory) -> Verdict {
         let reads = history.reads();
         let mut violations = CappedViolations::new("eventual-prefix");
         let reference_count = reads.len().saturating_sub(self.ignore_last);
-        let mut mcps_cache: HashMap<(NodeIdx, NodeIdx), u64> = HashMap::new();
 
         for (i, (r, chain)) in reads.iter().enumerate().take(reference_count) {
             let s = self.score.score(chain);
             // For each process, its last read that responds after r.
-            let mut finals: Vec<(usize, &crate::ops::BtRecord, &btadt_types::Blockchain)> =
-                Vec::new();
+            let mut finals: Vec<(&BtRecord, &Blockchain)> = Vec::new();
             for p in history.processes() {
                 let last_after = reads
                     .iter()
@@ -91,7 +148,7 @@ impl EventualPrefix {
                     .filter(|(j, (other, _))| {
                         *j != i && other.process == p && history.program_order(r, other)
                     })
-                    .map(|(j, (rec, c))| (j, *rec, *c))
+                    .map(|(_, (rec, c))| (*rec, *c))
                     .next_back();
                 if let Some(found) = last_after {
                     finals.push(found);
@@ -100,26 +157,12 @@ impl EventualPrefix {
             // Every pair of final reads must share a prefix of score ≥ s.
             for a in 0..finals.len() {
                 for b in (a + 1)..finals.len() {
-                    let (ja, ra, ca) = finals[a];
-                    let (jb, rb, cb) = finals[b];
-                    let m = match forest {
-                        Some(forest) => {
-                            let ta = forest.tip(ja);
-                            let tb = forest.tip(jb);
-                            let key = (ta.min(tb), ta.max(tb));
-                            *mcps_cache
-                                .entry(key)
-                                .or_insert_with(|| self.score.mcps(ca, cb))
-                        }
-                        None => self.score.mcps(ca, cb),
-                    };
+                    let (ra, ca) = finals[a];
+                    let (rb, cb) = finals[b];
+                    let m = self.score.mcps(ca, cb);
                     if m < s {
                         violations.push_with(vec![r.id, ra.id, rb.id], || {
-                            format!(
-                                "reference read has score {s} but the final reads of {} and {} \
-                                 only share a prefix of score {m}",
-                                ra.process, rb.process
-                            )
+                            violation_detail(s, ra.process, rb.process, m)
                         });
                     }
                 }
@@ -129,15 +172,19 @@ impl EventualPrefix {
     }
 }
 
+fn violation_detail(s: u64, a: ProcessId, b: ProcessId, m: u64) -> String {
+    format!(
+        "reference read has score {s} but the final reads of {a} and {b} \
+         only share a prefix of score {m}"
+    )
+}
+
 impl ConsistencyCriterion<BtOperation, BtResponse> for EventualPrefix {
     fn check(&self, history: &BtHistory) -> Verdict {
-        if !self.use_index {
-            return self.check_with(history, None);
-        }
-        let reads = history.reads();
-        match ReachForest::from_chains(reads.iter().map(|(_, c)| *c)) {
-            Some(forest) => self.check_with(history, Some(&forest)),
-            None => self.check_with(history, None),
+        if self.use_index {
+            self.check_indexed(history)
+        } else {
+            self.check_reference(history)
         }
     }
 

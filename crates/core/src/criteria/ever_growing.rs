@@ -21,15 +21,18 @@
 
 use std::sync::Arc;
 
-use btadt_history::{ConsistencyCriterion, Verdict, Violation};
+use btadt_history::{ConsistencyCriterion, Timestamp, Verdict};
 use btadt_types::Score;
 
+use crate::criteria::index::{appends_unordered, Above, ReadIndex};
+use crate::criteria::CappedViolations;
 use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtResponse};
 
 /// Checks the Ever-Growing Tree property under a given score function.
 pub struct EverGrowingTree {
     score: Arc<dyn Score>,
     min_later_appends: Option<usize>,
+    use_index: bool,
 }
 
 impl EverGrowingTree {
@@ -39,6 +42,7 @@ impl EverGrowingTree {
         EverGrowingTree {
             score,
             min_later_appends: None,
+            use_index: true,
         }
     }
 
@@ -48,6 +52,19 @@ impl EverGrowingTree {
         EverGrowingTree {
             score,
             min_later_appends: Some(window),
+            use_index: true,
+        }
+    }
+
+    /// Creates the property (default window) in reference mode: every read
+    /// filters every append and every read of the history with
+    /// `program_order` — the executable spec the indexed path is tested
+    /// against.
+    pub fn reference(score: Arc<dyn Score>) -> Self {
+        EverGrowingTree {
+            score,
+            min_later_appends: None,
+            use_index: false,
         }
     }
 
@@ -55,14 +72,89 @@ impl EverGrowingTree {
         self.min_later_appends
             .unwrap_or_else(|| 2 * history.processes().len().max(1))
     }
-}
 
-impl ConsistencyCriterion<BtOperation, BtResponse> for EverGrowingTree {
-    fn check(&self, history: &BtHistory) -> Verdict {
+    /// The fast body, O((R + A)·log(R + A)).
+    ///
+    /// "At least `window` appends follow `r`" is decided from the two
+    /// halves of program order: `A_op` appends invoked after `r` responded
+    /// (one search over sorted invocation times) and `A_proc` appends of
+    /// `r`'s process with a later seq (one search over its seqs).  The
+    /// exact count `|A_op ∪ A_proc|` lies in `[max, sum]` of the two; only
+    /// when `window` falls inside that band is the same-process suffix
+    /// scanned, and then `A_proc < window`, so the scan is O(window).
+    /// "Some later read scores above `s`" is the larger of two suffix
+    /// maxima of scores: over reads sorted by invocation, and over `r`'s
+    /// process's reads sorted by seq.  (Read `r` itself may fall in the
+    /// first set on an inverted record, but its score is `s`, not `> s`.)
+    fn check_indexed(&self, history: &BtHistory) -> Verdict {
+        let window = self.window_for(history);
+        let index = ReadIndex::new(history, self.score.as_ref());
+        let mut appends_by_time: Vec<Timestamp> = Vec::new();
+        // Per process with a read (aligned with `index.processes`): its
+        // appends as (seq, invocation), sorted by seq.
+        let mut appends_by_seq: Vec<Vec<(u64, Timestamp)>> =
+            vec![Vec::new(); index.processes.len()];
+        for (a, _) in appends_unordered(history) {
+            appends_by_time.push(a.invoked_at);
+            if let Some(k) = index.slot_of(a.process) {
+                appends_by_seq[k].push((a.seq, a.invoked_at));
+            }
+        }
+        appends_by_time.sort_unstable();
+        for list in &mut appends_by_seq {
+            list.sort_unstable();
+        }
+        let reads_by_time = Above::new(
+            index
+                .reads
+                .iter()
+                .zip(&index.scores)
+                .map(|((r, _), &s)| (r.invoked_at, s))
+                .collect(),
+        );
+        let reads_by_seq: Vec<Above<u64>> = index
+            .processes
+            .iter()
+            .map(|p| {
+                let pairs = p.positions.iter();
+                let pairs = pairs.map(|&j| (index.reads[j].0.seq, index.scores[j]));
+                Above::new(pairs.collect())
+            })
+            .collect();
+
+        let mut violations = CappedViolations::new("ever-growing-tree");
+        for (i, ((r, _), &s)) in index.reads.iter().zip(&index.scores).enumerate() {
+            let responded = r.responded_at.expect("reads are complete");
+            let by_time =
+                appends_by_time.len() - appends_by_time.partition_point(|&t| t <= responded);
+            let own = &appends_by_seq[index.slot[i]];
+            let own = &own[own.partition_point(|&(seq, _)| seq <= r.seq)..];
+            // |A_op ∪ A_proc| = A_op + the same-process later appends
+            // invoked no later than r's response.
+            let later_appends = || by_time + own.iter().filter(|&&(_, t)| t <= responded).count();
+            if by_time.max(own.len()) < window
+                && (by_time + own.len() < window || later_appends() < window)
+            {
+                continue; // quiescent tail: finitely many appends remain
+            }
+            let best_later = reads_by_time
+                .max_value_above(responded)
+                .max(reads_by_seq[index.slot[i]].max_value_above(r.seq));
+            if best_later.is_some_and(|best| best > s) {
+                continue;
+            }
+            violations.push_with(vec![r.id], || violation_detail(s, later_appends()));
+        }
+        Verdict::from_violations(violations.finish())
+    }
+
+    /// The spec: for every read, filter every append and every read of the
+    /// history with `program_order`.
+    fn check_reference(&self, history: &BtHistory) -> Verdict {
         let reads = history.reads();
         let appends = history.appends();
         let window = self.window_for(history);
-        let mut violations = Vec::new();
+        let mut violations = CappedViolations::new("ever-growing-tree");
 
         for (i, (r, chain)) in reads.iter().enumerate() {
             let s = self.score.score(chain);
@@ -85,17 +177,27 @@ impl ConsistencyCriterion<BtOperation, BtResponse> for EverGrowingTree {
                 .iter()
                 .any(|(_, later_chain)| self.score.score(later_chain) > s);
             if !grew {
-                violations.push(Violation {
-                    property: "ever-growing-tree",
-                    witnesses: vec![r.id],
-                    detail: format!(
-                        "read returned score {s}; {later_appends} appends followed but no later \
-                         read exceeds that score"
-                    ),
-                });
+                violations.push_with(vec![r.id], || violation_detail(s, later_appends));
             }
         }
-        Verdict::from_violations(violations)
+        Verdict::from_violations(violations.finish())
+    }
+}
+
+fn violation_detail(s: u64, later_appends: usize) -> String {
+    format!(
+        "read returned score {s}; {later_appends} appends followed but no later \
+         read exceeds that score"
+    )
+}
+
+impl ConsistencyCriterion<BtOperation, BtResponse> for EverGrowingTree {
+    fn check(&self, history: &BtHistory) -> Verdict {
+        if self.use_index {
+            self.check_indexed(history)
+        } else {
+            self.check_reference(history)
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -6,9 +6,10 @@
 
 use std::sync::Arc;
 
-use btadt_history::{ConsistencyCriterion, Verdict, Violation};
+use btadt_history::{ConsistencyCriterion, Verdict};
 use btadt_types::Score;
 
+use crate::criteria::CappedViolations;
 use crate::ops::{BtHistory, BtOperation, BtResponse};
 
 /// Checks the Local Monotonic Read property under a given score function.
@@ -25,7 +26,7 @@ impl LocalMonotonicRead {
 
 impl ConsistencyCriterion<BtOperation, BtResponse> for LocalMonotonicRead {
     fn check(&self, history: &BtHistory) -> Verdict {
-        let mut violations = Vec::new();
+        let mut violations = CappedViolations::new("local-monotonic-read");
         for (process, ops) in history.by_process() {
             let reads: Vec<_> = ops
                 .iter()
@@ -40,17 +41,15 @@ impl ConsistencyCriterion<BtOperation, BtResponse> for LocalMonotonicRead {
                 let s1 = self.score.score(first_chain);
                 let s2 = self.score.score(second_chain);
                 if s2 < s1 {
-                    violations.push(Violation {
-                        property: "local-monotonic-read",
-                        witnesses: vec![first.id, second.id],
-                        detail: format!(
+                    violations.push_with(vec![first.id, second.id], || {
+                        format!(
                             "process {process} read score {s1} then score {s2} (score must not decrease locally)"
-                        ),
+                        )
                     });
                 }
             }
         }
-        Verdict::from_violations(violations)
+        Verdict::from_violations(violations.finish())
     }
 
     fn name(&self) -> &'static str {

@@ -21,10 +21,22 @@
 //! the end of the recording to have had a chance to observe it.  The
 //! protocol simulations always end with a quiescent round so that the grace
 //! window can be zero.
+//!
+//! ## Two implementations, one verdict
+//!
+//! Every property but Local Monotonic Read has two bodies: the default one,
+//! which answers each read's quantifier from indexes built once per history
+//! (`index.rs`, Block Validity's path aggregates, the `ReachForest` for
+//! Strong Prefix), and `::reference()`, which rescans the history per read
+//! and is kept as the executable spec.  The default body is exact on any
+//! history — ties, inverted or pending records, seq order disagreeing with
+//! time order — with no well-formedness gate; `tests/equivalence.rs` holds
+//! the two to byte-identical verdicts.
 
 mod block_validity;
 mod eventual_prefix;
 mod ever_growing;
+mod index;
 mod local_monotonic;
 mod strong_prefix;
 
@@ -131,9 +143,9 @@ pub fn eventual_consistency(
 }
 
 /// [`strong_consistency`] with every property in **reference mode**: the
-/// chain-walking implementations kept as the executable spec.  The
-/// equivalence tests assert this conjunction and the default (index-based)
-/// one produce byte-identical verdicts on every history.
+/// rescanning, chain-walking implementations kept as the executable spec.
+/// The equivalence tests assert this conjunction and the default (indexed)
+/// one produce byte-identical verdicts on recorded and hostile histories.
 pub fn strong_consistency_reference(
     score: Arc<dyn Score>,
     validity: Arc<dyn ValidityPredicate>,
@@ -142,7 +154,7 @@ pub fn strong_consistency_reference(
         .and(BlockValidity::reference(validity))
         .and(LocalMonotonicRead::new(score.clone()))
         .and(StrongPrefix::reference())
-        .and(EverGrowingTree::new(score))
+        .and(EverGrowingTree::reference(score))
 }
 
 /// [`eventual_consistency`] with every property in **reference mode** (see
@@ -154,7 +166,7 @@ pub fn eventual_consistency_reference(
     Conjunction::named("BT Eventual Consistency")
         .and(BlockValidity::reference(validity))
         .and(LocalMonotonicRead::new(score.clone()))
-        .and(EverGrowingTree::new(score.clone()))
+        .and(EverGrowingTree::reference(score.clone()))
         .and(EventualPrefix::reference(score))
 }
 

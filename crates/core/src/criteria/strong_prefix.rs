@@ -13,10 +13,14 @@
 //! reference path ([`StrongPrefix::reference`]) zips the chains positionally
 //! via [`Blockchain::prefix_compatible`] and is kept as the executable spec.
 //! Both apply the same violation-detail cap, so the equivalence tests can
-//! require byte-identical verdicts.  Histories whose chains do not form one
-//! consistent tree (never produced by the BT-ADT, but checkers accept
-//! arbitrary histories) make the forest construction bail and the default
-//! path falls back to the reference walk.
+//! require byte-identical verdicts.  The default path first tries an
+//! admitted fast path: with the reads sorted by tip height, R − 1
+//! neighbour checks decide "every pair compatible" (⊑ is transitive), and
+//! only a history with a violation pays the pairwise loop.  Histories
+//! whose chains do not form one consistent tree (never produced by the
+//! BT-ADT, but checkers accept arbitrary histories) make the forest
+//! construction bail and the default path falls back to the reference
+//! walk.
 //!
 //! [`Blockchain::prefix_compatible`]: btadt_types::Blockchain::prefix_compatible
 
@@ -82,6 +86,15 @@ impl ConsistencyCriterion<BtOperation, BtResponse> for StrongPrefix {
         let Some(forest) = ReachForest::from_chains(reads.iter().map(|(_, c)| *c)) else {
             return self.check_walk(history);
         };
+        // Admitted fast path.  Sorted by tip height, two forest-compatible
+        // neighbours are ancestor-or-equal in that order (an ancestor sits
+        // strictly lower), and ancestry is transitive: if every neighbour
+        // pair is compatible, every pair is.
+        let mut by_height: Vec<usize> = (0..reads.len()).collect();
+        by_height.sort_unstable_by_key(|&i| forest.tree().block_at(forest.tip(i)).height);
+        if by_height.windows(2).all(|w| forest.compatible(w[0], w[1])) {
+            return Verdict::admitted();
+        }
         let mut violations = CappedViolations::new("strong-prefix");
         for i in 0..reads.len() {
             for j in (i + 1)..reads.len() {

@@ -25,7 +25,7 @@
 //!   message-passing histories.
 //! * [`reachability`] — the [`ReachForest`]: all read chains of a history
 //!   interned into one interval-indexed [`btadt_types::BlockTree`], turning
-//!   the checkers' pairwise prefix tests into O(1) containment checks and
+//!   Strong Prefix's pairwise prefix tests into O(1) containment checks and
 //!   `mcp` into an interval-guided binary ascent.
 //! * [`invariant`] — recompute-and-compare structural checking of
 //!   [`btadt_types::BlockTree`] instances (link consistency, leaf-set

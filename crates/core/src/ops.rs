@@ -88,25 +88,44 @@ pub trait BtHistoryExt {
     fn purged_of_failed_appends(&self) -> BtHistory;
 }
 
+/// The complete records `keep` maps to `Some`, in the order of
+/// [`ConcurrentHistory::by_response_time`](btadt_history::ConcurrentHistory::by_response_time).
+/// Filtering before the stable sort yields the same sequence as filtering
+/// after it, and sorts only the kept records.
+fn in_response_order<'h, T>(
+    history: &'h BtHistory,
+    keep: impl Fn(&'h BtRecord) -> Option<T>,
+) -> Vec<(&'h BtRecord, T)> {
+    let mut kept: Vec<(&BtRecord, T)> = history
+        .complete()
+        .filter_map(|r| keep(r).map(|t| (r, t)))
+        .collect();
+    kept.sort_by_key(|(r, _)| {
+        let responded = r.responded_at;
+        (
+            responded.expect("complete() yields only responded records"),
+            r.id,
+        )
+    });
+    kept
+}
+
 impl BtHistoryExt for BtHistory {
     fn reads(&self) -> Vec<(&BtRecord, &Blockchain)> {
-        self.by_response_time()
-            .into_iter()
-            .filter_map(|r| match (&r.op, r.response.as_ref()) {
-                (BtOperation::Read, Some(BtResponse::Chain(c))) => Some((r, c)),
-                _ => None,
-            })
-            .collect()
+        in_response_order(self, |r| match (&r.op, r.response.as_ref()) {
+            (BtOperation::Read, Some(BtResponse::Chain(c))) => Some(c),
+            _ => None,
+        })
     }
 
     fn appends(&self) -> Vec<(&BtRecord, &Block, bool)> {
-        self.by_response_time()
-            .into_iter()
-            .filter_map(|r| match (&r.op, r.response.as_ref()) {
-                (BtOperation::Append(b), Some(BtResponse::Appended(ok))) => Some((r, b, *ok)),
-                _ => None,
-            })
-            .collect()
+        in_response_order(self, |r| match (&r.op, r.response.as_ref()) {
+            (BtOperation::Append(b), Some(BtResponse::Appended(ok))) => Some((b, *ok)),
+            _ => None,
+        })
+        .into_iter()
+        .map(|(r, (b, ok))| (r, b, ok))
+        .collect()
     }
 
     fn purged_of_failed_appends(&self) -> BtHistory {

@@ -1,10 +1,10 @@
 //! Reachability over the chains of a history: a shared interval-labeled
 //! union tree.
 //!
-//! The consistency checkers quantify over pairs of read chains — pairwise
-//! `prefix_compatible` for Strong Prefix, pairwise `mcps` for Eventual
-//! Prefix, pairwise divergence depth for the scenario metrics.  Walking and
-//! zipping the chains makes every pair O(chain length); instead,
+//! Some offline judges quantify over pairs of read chains — pairwise
+//! `prefix_compatible` for Strong Prefix, pairwise divergence depth for the
+//! scenario metrics.  Walking and zipping the chains makes every pair
+//! O(chain length); instead,
 //! [`ReachForest`] interns all chains of a history into one
 //! [`BlockTree`], whose interval-labeled reachability index (see
 //! `btadt_types::reachability`) answers ancestor queries in O(1):

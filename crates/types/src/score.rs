@@ -43,6 +43,11 @@ impl Score for LengthScore {
         (chain.len() - 1) as u64
     }
 
+    /// Counted by zipping the two chains, never materialised.
+    fn mcps(&self, a: &Blockchain, b: &Blockchain) -> u64 {
+        a.mcp_len(b)
+    }
+
     fn name(&self) -> &'static str {
         "length"
     }
@@ -59,6 +64,16 @@ pub struct WorkScore;
 impl Score for WorkScore {
     fn score(&self, chain: &Blockchain) -> u64 {
         chain.total_work()
+    }
+
+    /// The saturating work sum of `a`'s blocks over the shared prefix —
+    /// what `total_work` of the common prefix is, without copying it.
+    fn mcps(&self, a: &Blockchain, b: &Blockchain) -> u64 {
+        a.blocks()
+            .iter()
+            .zip(b.blocks())
+            .take_while(|(x, y)| x.id == y.id)
+            .fold(0u64, |sum, (x, _)| sum.saturating_add(x.work))
     }
 
     fn name(&self) -> &'static str {
@@ -91,6 +106,7 @@ impl ChainScore {
 mod tests {
     use super::*;
     use crate::block::BlockBuilder;
+    use crate::workload::Workload;
 
     fn chain_of(n: usize, work: u64) -> Blockchain {
         let mut chain = Blockchain::genesis_only();
@@ -151,6 +167,22 @@ mod tests {
         let s = LengthScore;
         assert_eq!(s.mcps(&a, &b), 2);
         assert_eq!(s.mcps(&a, &a), 3);
+    }
+
+    #[test]
+    fn mcps_overrides_equal_the_score_of_the_common_prefix() {
+        // Random trees (work drawn from 1..=4) give every relation a pair
+        // of chains can have: equal, nested, forked at any depth.
+        for (seed, bias) in [(3u64, 0.0), (17, 0.5), (40, 0.9)] {
+            let chains = Workload::new(seed).random_tree(60, bias, 1).all_chains();
+            for a in &chains {
+                for b in &chains {
+                    let common = a.common_prefix(b);
+                    assert_eq!(LengthScore.mcps(a, b), LengthScore.score(&common));
+                    assert_eq!(WorkScore.mcps(a, b), WorkScore.score(&common));
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,16 +10,22 @@
 use std::collections::HashSet;
 
 use crate::block::Block;
-use crate::chain::Blockchain;
-
 /// A validity predicate over blocks.
 ///
 /// `is_valid(block, context)` decides whether `block` may extend the chain
-/// `context` (the chain selected by `f` at append time).  The genesis block
-/// is valid by assumption and is never passed to the predicate.
+/// whose blocks are `context` (the chain selected by `f` at append time).
+/// The genesis block is valid by assumption and is never passed to the
+/// predicate.
 pub trait ValidityPredicate: Send + Sync {
     /// Returns `true` iff the block is valid in the given chain context.
-    fn is_valid(&self, block: &Block, context: &Blockchain) -> bool;
+    ///
+    /// `context` is the prefix the block extends, root first: for a chain
+    /// `bc` and its block at position `k`, the slice `&bc.blocks()[..k]`
+    /// (the genesis block first, or the boundary root of a pruned window).
+    /// A slice rather than a [`Blockchain`](crate::Blockchain), so a checker
+    /// validates every block of a read chain in place instead of
+    /// materialising one prefix chain per block.
+    fn is_valid(&self, block: &Block, context: &[Block]) -> bool;
 
     /// A short human-readable name used by reports and diagnostics.
     fn name(&self) -> &'static str;
@@ -31,7 +37,7 @@ pub trait ValidityPredicate: Send + Sync {
 pub struct AlwaysValid;
 
 impl ValidityPredicate for AlwaysValid {
-    fn is_valid(&self, _block: &Block, _context: &Blockchain) -> bool {
+    fn is_valid(&self, _block: &Block, _context: &[Block]) -> bool {
         true
     }
 
@@ -46,7 +52,7 @@ impl ValidityPredicate for AlwaysValid {
 pub struct NeverValid;
 
 impl ValidityPredicate for NeverValid {
-    fn is_valid(&self, _block: &Block, _context: &Blockchain) -> bool {
+    fn is_valid(&self, _block: &Block, _context: &[Block]) -> bool {
         false
     }
 
@@ -61,7 +67,7 @@ impl ValidityPredicate for NeverValid {
 pub struct StructuralValidity;
 
 impl ValidityPredicate for StructuralValidity {
-    fn is_valid(&self, block: &Block, _context: &Blockchain) -> bool {
+    fn is_valid(&self, block: &Block, _context: &[Block]) -> bool {
         block.parent.is_some() && block.height > 0 && block.work >= 1
     }
 
@@ -85,7 +91,7 @@ impl MaxPayload {
 }
 
 impl ValidityPredicate for MaxPayload {
-    fn is_valid(&self, block: &Block, _context: &Blockchain) -> bool {
+    fn is_valid(&self, block: &Block, _context: &[Block]) -> bool {
         block.payload.len() <= self.max_txs
     }
 
@@ -101,9 +107,8 @@ impl ValidityPredicate for MaxPayload {
 pub struct NoDoubleSpend;
 
 impl ValidityPredicate for NoDoubleSpend {
-    fn is_valid(&self, block: &Block, context: &Blockchain) -> bool {
+    fn is_valid(&self, block: &Block, context: &[Block]) -> bool {
         let mut seen: HashSet<_> = context
-            .blocks()
             .iter()
             .flat_map(|b| b.payload.iter().map(|tx| tx.id))
             .collect();
@@ -159,7 +164,7 @@ impl Default for CompositeValidity {
 }
 
 impl ValidityPredicate for CompositeValidity {
-    fn is_valid(&self, block: &Block, context: &Blockchain) -> bool {
+    fn is_valid(&self, block: &Block, context: &[Block]) -> bool {
         self.parts.iter().all(|p| p.is_valid(block, context))
     }
 
@@ -172,10 +177,11 @@ impl ValidityPredicate for CompositeValidity {
 mod tests {
     use super::*;
     use crate::block::BlockBuilder;
+    use crate::chain::Blockchain;
     use crate::transaction::Transaction;
 
-    fn ctx() -> Blockchain {
-        Blockchain::genesis_only()
+    fn ctx() -> Vec<Block> {
+        vec![Block::genesis()]
     }
 
     #[test]
@@ -228,12 +234,12 @@ mod tests {
             .unwrap();
 
         let replay = BlockBuilder::new(&first).push_tx(tx).build();
-        assert!(!NoDoubleSpend.is_valid(&replay, &context));
+        assert!(!NoDoubleSpend.is_valid(&replay, context.blocks()));
 
         let fresh = BlockBuilder::new(&first)
             .push_tx(Transaction::transfer(8, 1, 2, 5))
             .build();
-        assert!(NoDoubleSpend.is_valid(&fresh, &context));
+        assert!(NoDoubleSpend.is_valid(&fresh, context.blocks()));
     }
 
     #[test]
