@@ -1,8 +1,9 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Five rules: three about keeping the concurrency story auditable, one
+//! Six rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
-//! allocation-free:
+//! allocation-free, one about keeping a delta-sync reply as cheap as what
+//! it sends:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -11,6 +12,7 @@
 //! | `no-bare-unwrap` | no `.unwrap()` and no `.expect(` with a non-literal argument in non-test library code unless the line (or a line in the window above) carries `// LINT-ALLOW: <reason>` — `.expect("message")` with a string-literal invariant message *is* the annotated form |
 //! | `no-chain-for-tip` | no `.selected().tip()` / `.select(…).tip()` on one line in non-test library code unless `// LINT-ALLOW: <reason>` — that builds an O(height) chain to look at one block; ask `SelectionFunction::select_tip` (or the replica's `tip()`) instead |
 //! | `no-allocating-encode` | no `encode_record(` call in non-test library code outside `codec.rs` unless `// LINT-ALLOW: <reason>` — it allocates a buffer per record and hashes for no chunk; the store's writer encodes with `encode_record_into` into its reused run buffer |
+//! | `delta-needs-cap` | every `delta_above(` call in non-test library code reaches a `.take(` on the same line or within the next 3 lines, unless `// LINT-ALLOW: <reason>` — the walk is lazy, so an uncapped one costs the whole tree above the floor |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -19,11 +21,11 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the three library
-//! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`)
-//! only: files under a `tests/` directory, `src/bin/` entry points,
-//! `main.rs`/`build.rs`, and `#[cfg(test)]` brace regions (tracked by
-//! depth); the frozen `benchmark/` harness is additionally exempt from
+//! cannot produce findings.  Test code is exempt from the four library
+//! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
+//! `delta-needs-cap`) only: files under a `tests/` directory, `src/bin/`
+//! entry points, `main.rs`/`build.rs`, and `#[cfg(test)]` brace regions
+//! (tracked by depth); the frozen `benchmark/` harness is additionally exempt from
 //! `no-chain-for-tip` and `no-allocating-encode` (its probe times
 //! `encode_record` itself), and `codec.rs`, which defines the wrapper, from
 //! the latter.  The
@@ -44,10 +46,14 @@ pub const RULE_UNWRAP: &str = "no-bare-unwrap";
 pub const RULE_CHAIN_FOR_TIP: &str = "no-chain-for-tip";
 /// Rule id: the allocating record encoder called on a library path.
 pub const RULE_ALLOC_ENCODE: &str = "no-allocating-encode";
+/// Rule id: a delta-sync walk that is not capped.
+pub const RULE_DELTA_CAP: &str = "delta-needs-cap";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
 const LOOKBACK: usize = 3;
+/// How many lines below a `delta_above(` call its `.take(` cap may sit.
+const LOOKAHEAD: usize = 3;
 
 /// One lint violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -307,10 +313,23 @@ fn allocating_encode(code: &str) -> bool {
     })
 }
 
+/// `true` iff the masked code line calls `delta_above(` — as a method or
+/// path call, not where it is defined.
+fn delta_call(code: &str) -> bool {
+    code.match_indices("delta_above(").any(|(p, _)| {
+        let pre = &code[..p];
+        let definition = pre
+            .trim_end()
+            .strip_suffix("fn")
+            .is_some_and(|rest| !ident_tail(rest));
+        !ident_tail(pre) && !definition
+    })
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
-/// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`]) the
-/// whole file is exempt from (test files, binaries); `#[cfg(test)]` regions
-/// are detected internally on top of it.
+/// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
+/// [`RULE_DELTA_CAP`]) the whole file is exempt from (test files,
+/// binaries); `#[cfg(test)]` regions are detected internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
     let lines = mask(source);
     let mut findings = Vec::new();
@@ -387,6 +406,23 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_DELTA_CAP)
+            && delta_call(&line.code)
+            && !lines[idx..lines.len().min(idx + 1 + LOOKAHEAD)]
+                .iter()
+                .any(|l| l.code.contains(".take("))
+            && !allowed()
+        {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_DELTA_CAP,
+                detail: "`delta_above(..)` without a `.take(..)` cap within the next 3 lines \
+                         (a reply costs what it walks; cap it, or annotate \
+                         `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -429,8 +465,8 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all of
-/// them for tests and tools; [`RULE_CHAIN_FOR_TIP`] and
+/// The library-only rules a path is exempt from as a whole file: all four
+/// for tests and tools; [`RULE_CHAIN_FOR_TIP`] and
 /// [`RULE_ALLOC_ENCODE`] for the `benchmark/` harness — frozen to library
 /// PRs, it reads each miner's tip once after a run, not per event, and its
 /// encode probe times the allocating wrapper on purpose; and
@@ -445,7 +481,12 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
         || file == "main.rs"
         || file == "build.rs"
     {
-        &[RULE_UNWRAP, RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE]
+        &[
+            RULE_UNWRAP,
+            RULE_CHAIN_FOR_TIP,
+            RULE_ALLOC_ENCODE,
+            RULE_DELTA_CAP,
+        ]
     } else if in_dir("benchmark") {
         &[RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE]
     } else if file == "codec.rs" {
@@ -610,6 +651,16 @@ fn corpus() -> Vec<CorpusCase> {
         (
             "in-place-encode-is-clean",
             "pub use codec::{encode_record, encode_record_into};\nfn persist(buf: &mut Vec<u8>, block: &Block, sum: &mut Fnv64) -> usize {\n    encode_record_into(buf, block, sum);\n    // LINT-ALLOW: a one-off probe wants the record's length, not a run\n    encode_record(block).len()\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) { encode_record(b); }\n}\n",
+            vec![],
+        ),
+        (
+            "uncapped-delta",
+            "fn reply(t: &BlockTree, h: u64) -> Vec<Block> {\n    let all: Vec<Block> = t.delta_above(h).cloned().collect();\n    let _ = BlockTree::delta_above(t, h).count();\n    all\n}\n",
+            vec![(RULE_DELTA_CAP, 2), (RULE_DELTA_CAP, 3)],
+        ),
+        (
+            "capped-delta-is-clean",
+            "pub fn delta_above(&self, height: u64) -> Delta<'_> {\n    self.walk(height)\n}\nfn reply(t: &BlockTree, h: u64) -> (Vec<Block>, usize) {\n    let batch = t\n        .delta_above(h)\n        .filter(|b| b.height > 0)\n        .take(MAX_SYNC_BATCH)\n        .cloned()\n        .collect();\n    // LINT-ALLOW: an audit walks the whole index on purpose\n    let n = t.delta_above(h).count();\n    (batch, n)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree) { t.delta_above(0).count(); }\n}\n",
             vec![],
         ),
         (

@@ -23,6 +23,9 @@
 //!    pairwise disjoint, and allocation cursors stay in bounds, so interval
 //!    containment remains a sound ancestor test (see
 //!    `btadt_types::reachability`).
+//! 6. **Height levels** — `delta_above(root height)`, the walk over the
+//!    per-height lists delta-sync replies are served from, yields every
+//!    non-root block exactly once, in strictly ascending `(height, id)`.
 //!
 //! Violations are reported, not panicked, so background monitor threads can
 //! collect them and fail a run at the end with context.
@@ -204,8 +207,51 @@ pub fn check_block_tree(tree: &BlockTree) -> Vec<InvariantViolation> {
     }
 
     check_reachability_labels(tree, &mut out);
+    check_height_levels(tree, &mut out);
 
     out
+}
+
+/// The per-height lists: walked from the root's height they must list
+/// every non-root block once, in the strictly ascending `(height, id)`
+/// order that makes a capped delta-sync reply parents-first.
+fn check_height_levels(tree: &BlockTree, out: &mut Vec<InvariantViolation>) {
+    let root = tree.genesis();
+    let mut listed = 0usize;
+    let mut prev: Option<(u64, BlockId)> = None;
+    // LINT-ALLOW: the audit walks the whole index on purpose
+    for block in tree.delta_above(root.height) {
+        let key = (block.height, block.id);
+        if block.id == root.id {
+            out.push(violation(
+                "levels",
+                Some(block.id),
+                "the root is listed at a height".to_string(),
+            ));
+        }
+        if let Some((h, id)) = prev.filter(|&p| p >= key) {
+            out.push(violation(
+                "levels",
+                Some(block.id),
+                format!(
+                    "listed at height {} after block {id} at height {h}",
+                    block.height
+                ),
+            ));
+        }
+        prev = Some(key);
+        listed += 1;
+    }
+    if listed != tree.len() - 1 {
+        out.push(violation(
+            "levels",
+            None,
+            format!(
+                "height lists hold {listed} blocks, the tree {} non-root ones",
+                tree.len() - 1
+            ),
+        ));
+    }
 }
 
 /// The reachability-labeling invariants: interval nesting (child strictly
@@ -391,6 +437,21 @@ mod tests {
         let tree = Workload::new(13).forked_tree(0, 200, 1);
         assert!(tree.reachability_reindexes() > 0, "star must reindex");
         let violations = check_block_tree(&tree);
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn a_forked_window_keeps_its_height_levels() {
+        // Four branches above a two-block prefix, re-rooted at the fork
+        // point: the lists start at the root's absolute height.
+        let full = Workload::new(13).forked_tree(2, 4, 5);
+        let fork_point = full.blocks().find(|b| b.height == 2).unwrap().clone();
+        let mut window = BlockTree::rerooted(fork_point);
+        for block in full.blocks().filter(|b| b.height > 2) {
+            window.insert(block.clone()).unwrap();
+        }
+        assert_eq!(window.len(), 21);
+        let violations = check_block_tree(&window);
         assert!(violations.is_empty(), "{violations:?}");
     }
 

@@ -34,7 +34,7 @@ use btadt_types::{Block, BlockId, BlockTree, Blockchain};
 
 use crate::extract::ReplicaLog;
 use crate::gossip::RecoveryMode;
-use crate::gossip::{self, GossipSync, ResponseClass, RETRY_TIMER, SYNC_TAIL_ROUNDS};
+use crate::gossip::{GossipSync, ResponseClass, MAX_SYNC_BATCH, RETRY_TIMER, SYNC_TAIL_ROUNDS};
 use crate::messages::Msg;
 use crate::pow::{PowConfig, PowReplica};
 
@@ -217,21 +217,15 @@ impl Process<Msg> for AdversarialMiner {
                 // publication.  The reply is still always sent (possibly
                 // empty) so the requester can clear its pending request —
                 // staying silent would out the adversary as unresponsive.
-                let mut delta: Vec<Block> = self
+                let blocks = self
                     .sync
                     .tree()
                     .delta_above(above_height)
-                    .into_iter()
                     .filter(|b| !self.withheld_ids.contains(&b.id))
+                    .take(MAX_SYNC_BATCH)
+                    .cloned()
                     .collect();
-                gossip::truncate_batch(&mut delta);
-                ctx.send(
-                    from,
-                    Msg::Blocks {
-                        request_id,
-                        blocks: delta,
-                    },
-                );
+                ctx.send(from, Msg::Blocks { request_id, blocks });
             }
             Msg::Propose { .. } | Msg::Vote { .. } => {}
         }
@@ -477,6 +471,52 @@ mod tests {
             }
             other => panic!("expected a Blocks reply, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_capped_reply_filters_withheld_blocks_before_the_cap() {
+        // Private blocks at heights 1..=3 interleave with public ones in
+        // `(height, id)` order; filtering after the cap would send fewer
+        // than a full batch although enough public blocks exist.
+        let mut miner =
+            AdversarialMiner::new(0, certain_config(5), Strategy::Withhold { delay: 1_000 });
+        let mut ctx = Context::new(0, 4, SimTime(1));
+        for _ in 0..3 {
+            miner.mine(&mut ctx);
+        }
+        drop(ctx);
+        let mut parent = Block::genesis();
+        let mut public = Vec::new();
+        for nonce in 0..MAX_SYNC_BATCH as u64 + 4 {
+            let block = BlockBuilder::new(&parent).producer(1).nonce(nonce).build();
+            let mut ctx = Context::new(0, 4, SimTime(2));
+            miner.on_message(&mut ctx, 1, Msg::NewBlock(block.clone()));
+            parent = block.clone();
+            public.push(block);
+        }
+        let mut ctx = Context::new(0, 4, SimTime(3));
+        miner.mine(&mut ctx);
+        drop(ctx);
+        let withheld: HashSet<BlockId> = miner.withheld().iter().map(|b| b.id).collect();
+        assert_eq!(withheld.len(), 4);
+
+        let mut ctx = Context::new(0, 4, SimTime(4));
+        let request = Msg::SyncRequest {
+            request_id: 8,
+            above_height: 0,
+        };
+        miner.on_message(&mut ctx, 1, request);
+        let actions = ctx.into_actions();
+        let Msg::Blocks { blocks, .. } = &actions.outgoing[0].1 else {
+            panic!("expected a Blocks reply, got {:?}", actions.outgoing[0].1);
+        };
+        assert!(blocks.iter().all(|b| !withheld.contains(&b.id)));
+        assert_eq!(
+            blocks.len(),
+            MAX_SYNC_BATCH,
+            "a full batch of public blocks"
+        );
+        assert_eq!(blocks.as_slice(), &public[..MAX_SYNC_BATCH]);
     }
 
     #[test]

@@ -355,15 +355,13 @@ impl Process<Msg> for CommitteeReplica {
                 // Always reply (even with an empty, possibly truncated
                 // batch) so the requester's pending-request machinery can
                 // settle; the echoed id correlates the response.
-                let mut delta = self.tree.delta_above(above_height);
-                crate::gossip::truncate_batch(&mut delta);
-                ctx.send(
-                    from,
-                    Msg::Blocks {
-                        request_id,
-                        blocks: delta,
-                    },
-                );
+                let blocks = self
+                    .tree
+                    .delta_above(above_height)
+                    .take(crate::gossip::MAX_SYNC_BATCH)
+                    .cloned()
+                    .collect();
+                ctx.send(from, Msg::Blocks { request_id, blocks });
             }
         }
     }

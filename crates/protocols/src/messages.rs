@@ -4,9 +4,12 @@
 //! exchanges proposals and votes for its quorum commit.  Replicas that
 //! detect a gap (an orphan block) repair it with the delta-sync pair
 //! [`Msg::SyncRequest`] / [`Msg::Blocks`]: instead of gossiping whole
-//! trees, a peer answers with exactly the blocks above the requester's
-//! height, parents-first, extracted from its arena
-//! ([`BlockTree::delta_above`](btadt_types::BlockTree::delta_above)).
+//! trees, a peer answers with the first
+//! [`MAX_SYNC_BATCH`](crate::gossip::MAX_SYNC_BATCH) blocks above the
+//! requested floor in `(height, id)` order — parents-first — taken from
+//! the lazy per-height walk
+//! [`BlockTree::delta_above`](btadt_types::BlockTree::delta_above), so a
+//! reply costs the heights it spans, not the tree.
 
 use btadt_types::{Block, BlockId};
 

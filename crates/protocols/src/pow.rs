@@ -20,7 +20,8 @@ use btadt_types::{Block, BlockTree, Blockchain, SelectionFunction};
 
 use crate::extract::ReplicaLog;
 use crate::gossip::{
-    self, GossipSync, RecoveryMode, ResponseClass, SyncStats, RETRY_TIMER, SYNC_TAIL_ROUNDS,
+    GossipSync, RecoveryMode, ResponseClass, SyncStats, MAX_SYNC_BATCH, RETRY_TIMER,
+    SYNC_TAIL_ROUNDS,
 };
 use crate::messages::Msg;
 
@@ -206,15 +207,14 @@ impl Process<Msg> for PowReplica {
                 // Always reply, even with an empty batch, so the requester
                 // can clear its pending request; duplicate requests get
                 // duplicate (idempotent) replies.
-                let mut delta = self.sync.tree().delta_above(above_height);
-                gossip::truncate_batch(&mut delta);
-                ctx.send(
-                    from,
-                    Msg::Blocks {
-                        request_id,
-                        blocks: delta,
-                    },
-                );
+                let blocks = self
+                    .sync
+                    .tree()
+                    .delta_above(above_height)
+                    .take(MAX_SYNC_BATCH)
+                    .cloned()
+                    .collect();
+                ctx.send(from, Msg::Blocks { request_id, blocks });
             }
             Msg::Propose { .. } | Msg::Vote { .. } => {
                 // Committee traffic is not part of the PoW family.

@@ -203,6 +203,21 @@ impl NaiveBlockTree {
         ids
     }
 
+    /// Every block strictly above `height`, sorted by `(height, id)`:
+    /// collect, filter, sort.  The executable specification of
+    /// [`BlockTree::delta_above`](crate::tree::BlockTree::delta_above).
+    /// The genesis block (height 0) is never strictly above a floor.
+    pub fn delta_above(&self, height: u64) -> Vec<Block> {
+        let mut delta: Vec<Block> = self
+            .blocks
+            .values()
+            .filter(|b| b.height > height)
+            .cloned()
+            .collect();
+        delta.sort_unstable_by_key(|b| (b.height, b.id));
+        delta
+    }
+
     /// Merges another naive tree into this one in height order.
     pub fn merge(&mut self, other: &NaiveBlockTree) -> usize {
         let mut incoming: Vec<&Block> = other

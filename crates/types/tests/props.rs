@@ -7,7 +7,9 @@
 //!    executable specification) under random insert/merge sequences,
 //!    including out-of-order and duplicate inserts: same insert outcomes,
 //!    same leaves, heights, fork degrees, cumulative/subtree works, same
-//!    `read()` chain under every selection rule.
+//!    `read()` chain under every selection rule, and the same capped
+//!    delta-sync prefixes (`delta_above(h).take(k)`), re-rooted windows
+//!    included.
 //! 2. **Algebraic laws** the rest of the workspace relies on: score
 //!    monotonicity, prefix-relation laws, selection determinism and
 //!    tree/chain consistency.
@@ -159,6 +161,17 @@ fn assert_equivalent(case: u64, arena: &BlockTree, naive: &NaiveBlockTree) {
     }
 }
 
+/// The naive tree holding the same blocks as a genesis-rooted arena tree.
+fn naive_mirror(tree: &BlockTree) -> NaiveBlockTree {
+    let mut naive = NaiveBlockTree::new();
+    for block in tree.blocks().skip(1) {
+        naive
+            .insert(block.clone())
+            .expect("arena order is insertable");
+    }
+    naive
+}
+
 #[test]
 fn arena_tree_is_observationally_equivalent_to_the_naive_reference() {
     for case in 0..CASES {
@@ -184,17 +197,8 @@ fn arena_and_naive_agree_under_random_merges() {
         // Build two independent arena trees and their naive mirrors.
         let arena_a = build_tree(seed_a, size_a, bias_a);
         let arena_b = build_tree(seed_b, size_b, bias_b);
-        let mirror = |tree: &BlockTree| {
-            let mut naive = NaiveBlockTree::new();
-            for block in tree.blocks().skip(1) {
-                naive
-                    .insert(block.clone())
-                    .expect("arena order is insertable");
-            }
-            naive
-        };
-        let naive_a = mirror(&arena_a);
-        let naive_b = mirror(&arena_b);
+        let naive_a = naive_mirror(&arena_a);
+        let naive_b = naive_mirror(&arena_b);
 
         let mut arena_merged = arena_a.clone();
         let inserted_arena = arena_merged.merge(&arena_b);
@@ -215,6 +219,85 @@ fn arena_and_naive_agree_under_random_merges() {
             "case {case}: merge commutes"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Delta-sync walk ≡ naive collect-filter-sort
+// ---------------------------------------------------------------------------
+
+/// Asserts `delta_above(h).take(k)` is the first `k` blocks of `spec(h)`
+/// for every floor from 0 to one above the top and every cap in
+/// {0, 1, 16, all}.
+fn assert_delta_matches(what: &str, tree: &BlockTree, spec: impl Fn(u64) -> Vec<Block>) {
+    for h in 0..=tree.height() + 1 {
+        let expected = spec(h);
+        for k in [0, 1, 16, usize::MAX] {
+            let got: Vec<Block> = tree.delta_above(h).take(k).cloned().collect();
+            assert_eq!(
+                got.as_slice(),
+                &expected[..k.min(expected.len())],
+                "{what}: floor {h}, cap {k}"
+            );
+        }
+    }
+}
+
+/// A two-sibling ladder: every height holds two blocks and the chain
+/// continues on the larger-id one — the shape two racing miners produce.
+fn sibling_ladder(levels: u64) -> BlockTree {
+    let mut tree = BlockTree::new();
+    let mut tip = Block::genesis();
+    for level in 0..levels {
+        let sibling = |slot: u64| {
+            BlockBuilder::new(&tip)
+                .producer(slot as u32)
+                .nonce(level * 2 + slot + 1)
+                .build()
+        };
+        let (a, b) = (sibling(0), sibling(1));
+        tree.insert(a.clone()).unwrap();
+        tree.insert(b.clone()).unwrap();
+        tip = if a.id > b.id { a } else { b };
+    }
+    tree
+}
+
+#[test]
+fn delta_above_takes_the_spec_prefix_on_forked_trees_windows_and_the_ladder() {
+    for case in 0..CASES {
+        let (seed, size, bias) = tree_params(case);
+        let tree = build_tree(seed, size, bias);
+        let naive = naive_mirror(&tree);
+        assert_delta_matches(&format!("case {case}"), &tree, |h| naive.delta_above(h));
+
+        // A window re-rooted at a block a third of the way into the arena:
+        // the spec is the naive walk over the window's non-root blocks.
+        let root = tree.blocks().nth(tree.len() / 3).unwrap().clone();
+        let mut window = BlockTree::rerooted(root.clone());
+        for block in tree.blocks() {
+            if block.parent.is_some_and(|p| window.contains(p)) {
+                window.insert(block.clone()).unwrap();
+            }
+        }
+        assert_delta_matches(&format!("case {case} window"), &window, |h| {
+            let mut spec = naive.delta_above(h);
+            spec.retain(|b| b.id != root.id && window.contains(b.id));
+            spec
+        });
+    }
+
+    // Heights wider than a batch, so a capped reply ends mid-height.
+    for seed in 0..8 {
+        let tree = Workload::new(seed).forked_tree(3, 24, 4);
+        let naive = naive_mirror(&tree);
+        assert_delta_matches(&format!("wide fork {seed}"), &tree, |h| {
+            naive.delta_above(h)
+        });
+    }
+
+    let ladder = sibling_ladder(120);
+    let naive = naive_mirror(&ladder);
+    assert_delta_matches("ladder", &ladder, |h| naive.delta_above(h));
 }
 
 // ---------------------------------------------------------------------------
