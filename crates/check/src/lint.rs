@@ -1,9 +1,9 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Six rules: three about keeping the concurrency story auditable, one
+//! Seven rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
 //! allocation-free, one about keeping a delta-sync reply as cheap as what
-//! it sends:
+//! it sends, one about keeping one copy of a block's transactions:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -13,6 +13,7 @@
 //! | `no-chain-for-tip` | no `.selected().tip()` / `.select(…).tip()` on one line in non-test library code unless `// LINT-ALLOW: <reason>` — that builds an O(height) chain to look at one block; ask `SelectionFunction::select_tip` (or the replica's `tip()`) instead |
 //! | `no-allocating-encode` | no `encode_record(` call in non-test library code outside `codec.rs` unless `// LINT-ALLOW: <reason>` — it allocates a buffer per record and hashes for no chunk; the store's writer encodes with `encode_record_into` into its reused run buffer |
 //! | `delta-needs-cap` | every `delta_above(` call in non-test library code reaches a `.take(` on the same line or within the next 3 lines, unless `// LINT-ALLOW: <reason>` — the walk is lazy, so an uncapped one costs the whole tree above the floor |
+//! | `no-payload-copy` | no `.payload.to_vec()` and no `.payload.iter().cloned()` / `.copied()` reaching a `.collect` within the next 3 lines in non-test library code unless `// LINT-ALLOW: <reason>` — a block's `Payload` is shared and immutable, so a holder clones the handle (`.payload.clone()`) instead of copying the transactions |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -21,14 +22,15 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the four library
+//! cannot produce findings.  Test code is exempt from the five library
 //! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
-//! `delta-needs-cap`) only: files under a `tests/` directory, `src/bin/`
-//! entry points, `main.rs`/`build.rs`, and `#[cfg(test)]` brace regions
-//! (tracked by depth); the frozen `benchmark/` harness is additionally exempt from
-//! `no-chain-for-tip` and `no-allocating-encode` (its probe times
-//! `encode_record` itself), and `codec.rs`, which defines the wrapper, from
-//! the latter.  The
+//! `delta-needs-cap`, `no-payload-copy`) only: files under a `tests/`
+//! directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
+//! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
+//! harness is additionally exempt from `no-chain-for-tip`,
+//! `no-allocating-encode` (its probe times `encode_record` itself) and
+//! `no-payload-copy`, and `codec.rs`, which defines the wrapper, from
+//! `no-allocating-encode`.  The
 //! justification rules apply *everywhere*, tests included — a memory
 //! ordering deserves a reason even in a test.
 
@@ -48,11 +50,14 @@ pub const RULE_CHAIN_FOR_TIP: &str = "no-chain-for-tip";
 pub const RULE_ALLOC_ENCODE: &str = "no-allocating-encode";
 /// Rule id: a delta-sync walk that is not capped.
 pub const RULE_DELTA_CAP: &str = "delta-needs-cap";
+/// Rule id: a block's shared payload copied transaction by transaction.
+pub const RULE_PAYLOAD_COPY: &str = "no-payload-copy";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
 const LOOKBACK: usize = 3;
-/// How many lines below a `delta_above(` call its `.take(` cap may sit.
+/// How many lines below a `delta_above(` call its `.take(` cap (or below a
+/// payload iteration its `.collect`) may sit.
 const LOOKAHEAD: usize = 3;
 
 /// One lint violation.
@@ -326,10 +331,29 @@ fn delta_call(code: &str) -> bool {
     })
 }
 
+/// `true` iff the masked code at `lines[idx]` copies a block's payload
+/// out: `.payload.to_vec()`, or `.payload.iter().cloned()` /
+/// `.payload.iter().copied()` that reaches a `.collect` on the same line or
+/// within the next [`LOOKAHEAD`] lines.
+fn payload_copy(lines: &[LineView], idx: usize) -> bool {
+    let code = &lines[idx].code;
+    if code.contains(".payload.to_vec()") {
+        return true;
+    }
+    let iterated = [".payload.iter().cloned()", ".payload.iter().copied()"]
+        .iter()
+        .any(|pat| code.contains(pat));
+    iterated
+        && lines[idx..lines.len().min(idx + 1 + LOOKAHEAD)]
+            .iter()
+            .any(|l| l.code.contains(".collect"))
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
 /// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
-/// [`RULE_DELTA_CAP`]) the whole file is exempt from (test files,
-/// binaries); `#[cfg(test)]` regions are detected internally on top of it.
+/// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`]) the whole file is exempt
+/// from (test files, binaries); `#[cfg(test)]` regions are detected
+/// internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
     let lines = mask(source);
     let mut findings = Vec::new();
@@ -423,6 +447,17 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_PAYLOAD_COPY) && payload_copy(&lines, idx) && !allowed() {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_PAYLOAD_COPY,
+                detail: "a block's payload copied transaction by transaction (a `Payload` \
+                         is shared: clone the handle with `.payload.clone()`, or annotate \
+                         `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -465,12 +500,13 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all four
-/// for tests and tools; [`RULE_CHAIN_FOR_TIP`] and
-/// [`RULE_ALLOC_ENCODE`] for the `benchmark/` harness — frozen to library
-/// PRs, it reads each miner's tip once after a run, not per event, and its
-/// encode probe times the allocating wrapper on purpose; and
-/// [`RULE_ALLOC_ENCODE`] for `codec.rs`, where the wrapper is defined.
+/// The library-only rules a path is exempt from as a whole file: all five
+/// for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`] and
+/// [`RULE_PAYLOAD_COPY`] for the `benchmark/` harness — frozen to library
+/// PRs, it reads each miner's tip once after a run, not per event, its
+/// encode probe times the allocating wrapper on purpose, and it builds its
+/// inputs untimed; and [`RULE_ALLOC_ENCODE`] for `codec.rs`, where the
+/// wrapper is defined.
 fn exempt_rules(path: &Path) -> &'static [&'static str] {
     let in_dir = |name: &str| path.components().any(|c| c.as_os_str() == name);
     let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
@@ -486,9 +522,10 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
             RULE_CHAIN_FOR_TIP,
             RULE_ALLOC_ENCODE,
             RULE_DELTA_CAP,
+            RULE_PAYLOAD_COPY,
         ]
     } else if in_dir("benchmark") {
-        &[RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE]
+        &[RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE, RULE_PAYLOAD_COPY]
     } else if file == "codec.rs" {
         &[RULE_ALLOC_ENCODE]
     } else {
@@ -661,6 +698,16 @@ fn corpus() -> Vec<CorpusCase> {
         (
             "capped-delta-is-clean",
             "pub fn delta_above(&self, height: u64) -> Delta<'_> {\n    self.walk(height)\n}\nfn reply(t: &BlockTree, h: u64) -> (Vec<Block>, usize) {\n    let batch = t\n        .delta_above(h)\n        .filter(|b| b.height > 0)\n        .take(MAX_SYNC_BATCH)\n        .cloned()\n        .collect();\n    // LINT-ALLOW: an audit walks the whole index on purpose\n    let n = t.delta_above(h).count();\n    (batch, n)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree) { t.delta_above(0).count(); }\n}\n",
+            vec![],
+        ),
+        (
+            "payload-copy",
+            "fn rebuild(b: &Block, parent: &Block) -> (Block, Vec<Transaction>) {\n    let copy = BlockBuilder::new(parent).payload(b.payload.to_vec()).build();\n    let txs: Vec<Transaction> = b.payload.iter().copied().collect();\n    let again: Vec<Transaction> = b.payload.iter().cloned()\n        .filter(|tx| tx.amount > 0)\n        .collect();\n    (copy, txs.into_iter().chain(again).collect())\n}\n",
+            vec![(RULE_PAYLOAD_COPY, 2), (RULE_PAYLOAD_COPY, 3), (RULE_PAYLOAD_COPY, 4)],
+        ),
+        (
+            "shared-payload-is-clean",
+            "fn rebuild(b: &Block, parent: &Block) -> (Block, u64) {\n    let shared = BlockBuilder::new(parent).payload(b.payload.clone()).build();\n    let total = b.payload.iter().copied().map(|tx| tx.amount).sum();\n    // LINT-ALLOW: the caller mutates its own copy\n    let _mine = b.payload.to_vec();\n    (shared, total)\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) -> Vec<Transaction> { b.payload.to_vec() }\n}\n",
             vec![],
         ),
         (

@@ -1434,7 +1434,7 @@ mod tests {
         let payload = (0..43_689).map(|i| Transaction::transfer(i, 1, 2, 3));
         let big = BlockBuilder::new(&small)
             .nonce(2)
-            .payload(payload.collect())
+            .payload(payload.collect::<Vec<_>>())
             .build();
         let sibling = BlockBuilder::new(&small).nonce(3).build();
         let child = BlockBuilder::new(&big).nonce(4).build();

@@ -79,7 +79,7 @@ impl<'a> Reorganiser<'a> {
     }
 }
 
-/// A chain a caller kept, with a deep copy of its blocks taken when it was
+/// A chain a caller kept, with a copy of its blocks taken when it was
 /// returned.
 struct Retained {
     chain: Blockchain,

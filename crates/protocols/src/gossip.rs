@@ -710,7 +710,7 @@ mod tests {
         let payload = (0..43_689).map(|i| Transaction::transfer(i, 1, 2, 3));
         let big = BlockBuilder::new(&a)
             .nonce(2)
-            .payload(payload.collect())
+            .payload(payload.collect::<Vec<_>>())
             .build();
         let c = BlockBuilder::new(&big).nonce(3).build();
         // This door has no pre-link hook: the block links, the store skips it.

@@ -20,7 +20,7 @@
 //! or structural identifier disagrees — salvage can skip it and continue at
 //! the next record boundary).
 
-use btadt_types::{Block, BlockId, Transaction};
+use btadt_types::{Block, BlockId, Payload, Transaction};
 
 /// Upper bound on a record body, obeyed by both sides: the encoder refuses a
 /// block whose body would exceed it ([`fits_record`]), and a decoded length
@@ -267,20 +267,17 @@ pub fn decode_record(buf: &[u8]) -> Result<(Block, usize), DecodeError> {
     let nonce = get_u64(body, &mut at).map_err(|_| corrupt("short body"))?;
     let work = get_u64(body, &mut at).map_err(|_| corrupt("short body"))?;
     let tx_count = get_u32(body, &mut at).map_err(|_| corrupt("short body"))? as usize;
-    if tx_count > body_len / 24 + 1 {
+    // The fixed fields are read, so the rest of the body must be exactly
+    // `tx_count` transactions — checked before anything is allocated.
+    let claimed = tx_count.saturating_mul(TX_BYTES);
+    let rest = body.len() - at;
+    if claimed > rest {
         return Err(corrupt("transaction count exceeds body"));
     }
-    let mut payload = Vec::with_capacity(tx_count);
-    for _ in 0..tx_count {
-        let txid = get_u64(body, &mut at).map_err(|_| corrupt("short body"))?;
-        let from = get_u32(body, &mut at).map_err(|_| corrupt("short body"))?;
-        let to = get_u32(body, &mut at).map_err(|_| corrupt("short body"))?;
-        let amount = get_u64(body, &mut at).map_err(|_| corrupt("short body"))?;
-        payload.push(Transaction::transfer(txid, from, to, amount));
-    }
-    if at != body.len() {
+    if claimed < rest {
         return Err(corrupt("trailing bytes in body"));
     }
+    let payload: Payload = body[at..].chunks_exact(TX_BYTES).map(decode_tx).collect();
 
     // Defence in depth: for non-genesis blocks the identifier must be the
     // structural hash of the contents (a checksum collision would have to
@@ -305,6 +302,14 @@ pub fn decode_record(buf: &[u8]) -> Result<(Block, usize), DecodeError> {
         },
         consumed,
     ))
+}
+
+/// Decodes one transaction (id, from, to, amount) from exactly
+/// [`TX_BYTES`] bytes.
+fn decode_tx(bytes: &[u8]) -> Transaction {
+    let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+    let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
+    Transaction::transfer(u64_at(0), u32_at(8), u32_at(12), u64_at(16))
 }
 
 /// The byte span of the record at the start of `buf`, if its length field
@@ -433,7 +438,11 @@ mod tests {
         // 53 bytes of fixed fields + 24 per transaction: 43 688 still fit.
         let with_txs = |n: u64| {
             BlockBuilder::new(&Block::genesis())
-                .payload((0..n).map(|i| Transaction::transfer(i, 1, 2, 3)).collect())
+                .payload(
+                    (0..n)
+                        .map(|i| Transaction::transfer(i, 1, 2, 3))
+                        .collect::<Vec<_>>(),
+                )
                 .build()
         };
         let largest = with_txs(43_688);
@@ -448,6 +457,30 @@ mod tests {
         let (mut out, mut running) = (vec![7u8], Fnv64::new());
         assert!(!encode_record_into(&mut out, &oversize, &mut running));
         assert_eq!((out, running), (vec![7u8], Fnv64::new()));
+    }
+
+    #[test]
+    fn the_transaction_count_must_match_the_body_exactly() {
+        // A well-checksummed record whose count field claims one
+        // transaction more, or one fewer, than its body holds.
+        let rec = encode_record(&sample());
+        let body_len = rec.len() - 12;
+        let count_at = 4 + BODY_FIXED_BYTES + 8 - 4;
+        let with_count = |count: u32| {
+            let mut forged = rec.clone();
+            forged[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            let sum = checksum64(&forged[4..4 + body_len]);
+            forged[4 + body_len..].copy_from_slice(&sum.to_le_bytes());
+            decode_record(&forged)
+        };
+        let corrupt = |why: &str| Err(DecodeError::Corrupt(why.to_string()));
+        assert_eq!(with_count(2), Ok((sample(), rec.len())));
+        assert_eq!(with_count(3), corrupt("transaction count exceeds body"));
+        assert_eq!(
+            with_count(u32::MAX),
+            corrupt("transaction count exceeds body")
+        );
+        assert_eq!(with_count(1), corrupt("trailing bytes in body"));
     }
 
     #[test]

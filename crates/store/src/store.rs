@@ -993,7 +993,7 @@ mod tests {
         // 53 + 24 · 43 689 bytes of body: one past what a record may hold.
         let payload = (0..43_689).map(|i| Transaction::transfer(i, 1, 2, 3));
         let big = BlockBuilder::new(&small[0])
-            .payload(payload.collect())
+            .payload(payload.collect::<Vec<_>>())
             .build();
         let mut store = BlockStore::create(SimMedium::new(), StoreConfig::default());
         for block in [&small[0], &big, &small[1]] {

@@ -7,10 +7,89 @@
 //! producing process and a nonce.  The identifier is a structural (FNV-1a)
 //! hash of the block contents — *not* a cryptographic commitment, which the
 //! paper never relies on (see DESIGN.md, non-goals).
+//!
+//! A block is immutable once built, so every holder — the tree arena, the
+//! snapshot slot, a message, a replica log, a history — shares one copy of
+//! its transactions through [`Payload`]: cloning a [`Block`] is a 64-byte
+//! copy plus, for a non-empty payload, one reference-count increment.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::transaction::Transaction;
+
+/// The transactions of a block: an 8-byte handle on one immutable,
+/// reference-counted list that every clone of the block shares.
+///
+/// It reads as a `[Transaction]` (`Deref`), compares and hashes by content
+/// exactly as that slice does, and prints as it.  An empty payload holds no
+/// allocation and touches no counter, so the many empty-payload blocks of
+/// the shared-memory workloads clone as plain copies.  Wrapping a
+/// `Vec<Transaction>` keeps the vector's buffer: nothing is copied.
+#[derive(Clone, Default)]
+pub struct Payload(Option<Arc<Vec<Transaction>>>);
+
+impl Payload {
+    /// Appends one transaction, copying the list first if another holder
+    /// shares it (builders only: a built block's payload never changes).
+    fn push(&mut self, tx: Transaction) {
+        match &mut self.0 {
+            Some(txs) => Arc::make_mut(txs).push(tx),
+            None => self.0 = Some(Arc::new(vec![tx])),
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [Transaction];
+
+    fn deref(&self) -> &[Transaction] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl From<Vec<Transaction>> for Payload {
+    fn from(txs: Vec<Transaction>) -> Self {
+        Payload((!txs.is_empty()).then(|| Arc::new(txs)))
+    }
+}
+
+impl FromIterator<Transaction> for Payload {
+    fn from_iter<I: IntoIterator<Item = Transaction>>(iter: I) -> Self {
+        Payload::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl<'a> IntoIterator for &'a Payload {
+    type Item = &'a Transaction;
+    type IntoIter = std::slice::Iter<'a, Transaction>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl Hash for Payload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// Identifier of a block: a structural 64-bit hash of its contents.
 ///
@@ -64,8 +143,8 @@ pub struct Block {
     pub parent: Option<BlockId>,
     /// Distance to the genesis block.
     pub height: u64,
-    /// Payload carried by the block.
-    pub payload: Vec<Transaction>,
+    /// Payload carried by the block, shared by every clone of it.
+    pub payload: Payload,
     /// Identifier of the producing process.
     pub producer: u32,
     /// Merit `α_i` of the producing process, scaled by 10⁶.
@@ -83,7 +162,7 @@ impl Block {
             id: GENESIS_ID,
             parent: None,
             height: 0,
-            payload: Vec::new(),
+            payload: Payload::default(),
             producer: 0,
             merit_ppm: 0,
             nonce: 0,
@@ -170,7 +249,7 @@ impl fmt::Debug for Block {
 pub struct BlockBuilder {
     parent: BlockId,
     parent_height: u64,
-    payload: Vec<Transaction>,
+    payload: Payload,
     producer: u32,
     merit_ppm: u32,
     nonce: u64,
@@ -183,7 +262,7 @@ impl BlockBuilder {
         BlockBuilder {
             parent: parent.id,
             parent_height: parent.height,
-            payload: Vec::new(),
+            payload: Payload::default(),
             producer: 0,
             merit_ppm: 0,
             nonce: 0,
@@ -196,7 +275,7 @@ impl BlockBuilder {
         BlockBuilder {
             parent,
             parent_height,
-            payload: Vec::new(),
+            payload: Payload::default(),
             producer: 0,
             merit_ppm: 0,
             nonce: 0,
@@ -204,9 +283,10 @@ impl BlockBuilder {
         }
     }
 
-    /// Sets the payload.
-    pub fn payload(mut self, txs: Vec<Transaction>) -> Self {
-        self.payload = txs;
+    /// Sets the payload: a `Vec<Transaction>` is wrapped without copying,
+    /// and a [`Payload`] taken from another block is shared with it.
+    pub fn payload(mut self, txs: impl Into<Payload>) -> Self {
+        self.payload = txs.into();
         self
     }
 
@@ -350,5 +430,68 @@ mod tests {
         let b = BlockBuilder::child_of(BlockId(77), 10).build();
         assert_eq!(b.height, 11);
         assert_eq!(b.parent, Some(BlockId(77)));
+    }
+
+    #[test]
+    fn a_block_fills_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Payload>(), 8);
+        assert_eq!(std::mem::size_of::<Block>(), 64);
+    }
+
+    fn txs(n: u64) -> Vec<Transaction> {
+        (0..n).map(|i| Transaction::transfer(i, 1, 2, 3)).collect()
+    }
+
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn payloads_compare_and_hash_by_content() {
+        let (a, b) = (Payload::from(txs(3)), Payload::from(txs(3)));
+        assert_ne!(a.as_ptr(), b.as_ptr(), "two allocations");
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_eq!(hash_of(&a), hash_of(&txs(3)));
+        assert_ne!(a, Payload::from(txs(2)));
+        assert_eq!(hash_of(&Payload::default()), hash_of(&txs(0)));
+        assert_eq!(format!("{a:?}"), format!("{:?}", txs(3)));
+    }
+
+    #[test]
+    fn the_default_payload_is_empty() {
+        let empty = Payload::default();
+        assert!(empty.is_empty());
+        assert_eq!(empty, Payload::from(Vec::new()));
+        assert_eq!(Block::genesis().payload, empty);
+    }
+
+    #[test]
+    fn wrapping_a_vec_keeps_its_buffer_and_clones_share_it() {
+        let v = txs(4);
+        let buffer = v.as_ptr();
+        let payload = Payload::from(v);
+        assert_eq!(payload.as_ptr(), buffer, "nothing was copied");
+        let block = BlockBuilder::new(&Block::genesis())
+            .payload(payload)
+            .build();
+        assert_eq!(block.clone().payload.as_ptr(), buffer);
+        let rebuilt = BlockBuilder::new(&block)
+            .payload(block.payload.clone())
+            .build();
+        assert_eq!(rebuilt.payload.as_ptr(), buffer);
+    }
+
+    #[test]
+    fn pushing_onto_a_shared_payload_leaves_the_other_holder_alone() {
+        let shared = Payload::from(txs(2));
+        let b = BlockBuilder::new(&Block::genesis())
+            .payload(shared.clone())
+            .push_tx(Transaction::transfer(9, 1, 2, 3))
+            .build();
+        assert_eq!(b.payload.len(), 3);
+        assert_eq!(*shared, txs(2)[..]);
     }
 }

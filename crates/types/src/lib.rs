@@ -7,7 +7,8 @@
 //! * [`Block`] and [`BlockId`] — vertices of the BlockTree.  A block carries
 //!   a parent pointer, a payload of [`Transaction`]s, the merit of the
 //!   process that produced it and a nonce, and is identified by a structural
-//!   hash of its contents.
+//!   hash of its contents.  Its transactions are a shared, immutable
+//!   [`Payload`], so cloning a block never copies them.
 //! * [`Blockchain`] — a path from the genesis block to some block of the
 //!   tree, together with the prefix relation `⊑` and the maximal common
 //!   prefix score `mcps` used by the consistency criteria: `read()` on the
@@ -47,7 +48,7 @@ pub mod tree;
 pub mod validity;
 pub mod workload;
 
-pub use block::{Block, BlockBuilder, BlockId, GENESIS_ID};
+pub use block::{Block, BlockBuilder, BlockId, Payload, GENESIS_ID};
 pub use chain::Blockchain;
 pub use reachability::Interval;
 pub use reference::NaiveBlockTree;
