@@ -11,7 +11,7 @@
 //! | `atomic-ordering-needs-justification` | every *atomic* `Ordering::` variant (`Relaxed`, `Acquire`, `Release`, `AcqRel`, `SeqCst`) carries a `// ORDERING:` comment within the same window that **names the variant** |
 //! | `no-bare-unwrap` | no `.unwrap()` and no `.expect(` with a non-literal argument in non-test library code unless the line (or a line in the window above) carries `// LINT-ALLOW: <reason>` — `.expect("message")` with a string-literal invariant message *is* the annotated form |
 //! | `no-chain-for-tip` | no `.selected().tip()` / `.select(…).tip()` on one line in non-test library code unless `// LINT-ALLOW: <reason>` — that builds an O(height) chain to look at one block; ask `SelectionFunction::select_tip` (or the replica's `tip()`) instead |
-//! | `no-allocating-encode` | no `encode_record(` call in non-test library code outside `codec.rs` unless `// LINT-ALLOW: <reason>` — it allocates a buffer per record and hashes for no chunk; the store's writer encodes with `encode_record_into` into its reused run buffer |
+//! | `no-allocating-encode` | no `encode_record(` call in non-test library code outside `codec.rs` unless `// LINT-ALLOW: <reason>` — it allocates a buffer per record and its sum feeds no chunk; the store's writer encodes with `encode_record_into` into its reused run buffer |
 //! | `delta-needs-cap` | every `delta_above(` call in non-test library code reaches a `.take(` on the same line or within the next 3 lines, unless `// LINT-ALLOW: <reason>` — the walk is lazy, so an uncapped one costs the whole tree above the floor |
 //! | `no-payload-copy` | no `.payload.to_vec()` and no `.payload.iter().cloned()` / `.copied()` reaching a `.collect` within the next 3 lines in non-test library code unless `// LINT-ALLOW: <reason>` — a block's `Payload` is shared and immutable, so a holder clones the handle (`.payload.clone()`) instead of copying the transactions |
 //!
@@ -687,7 +687,7 @@ fn corpus() -> Vec<CorpusCase> {
         ),
         (
             "in-place-encode-is-clean",
-            "pub use codec::{encode_record, encode_record_into};\nfn persist(buf: &mut Vec<u8>, block: &Block, sum: &mut Fnv64) -> usize {\n    encode_record_into(buf, block, sum);\n    // LINT-ALLOW: a one-off probe wants the record's length, not a run\n    encode_record(block).len()\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) { encode_record(b); }\n}\n",
+            "pub use codec::{encode_record, encode_record_into};\nfn persist(buf: &mut Vec<u8>, block: &Block, chunk: &mut ChunkSum) -> usize {\n    let sum = encode_record_into(buf, block);\n    chunk.push(sum.expect(\"fits\"));\n    // LINT-ALLOW: a one-off probe wants the record's length, not a run\n    encode_record(block).len()\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) { encode_record(b); }\n}\n",
             vec![],
         ),
         (

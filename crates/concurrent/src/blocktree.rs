@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use btadt_core::invariant::{check_block_tree, InvariantViolation};
 use btadt_oracle::{FrugalOracle, MeritTable, OracleConfig, OracleStats, SharedOracle};
 use btadt_pipeline::{stage_batch, BatchReport, Ingest, IngestError, IngestVerdict, StagedBatch};
-use btadt_store::{fits_record, BlockStore, MAX_RECORD_BYTES};
+use btadt_store::{check_fits_record, BlockStore};
 use btadt_types::{
     Block, BlockBuilder, BlockId, BlockTree, Blockchain, HeaviestChain, LengthScore, LongestChain,
     NodeIdx, Score, SelectionFunction, TieBreak, Transaction, WorkScore,
@@ -806,13 +806,8 @@ impl ConcurrentBlockTree {
                 {
                     return Err(IngestError::WorkOverflow { block: block.id });
                 }
-                if persists && !fits_record(&block) {
-                    // The sink would refuse it, and a linked block that is
-                    // not durable would not survive a restart.
-                    return Err(IngestError::Storage(format!(
-                        "block {} exceeds the {MAX_RECORD_BYTES}-byte durable record limit",
-                        block.id
-                    )));
+                if persists {
+                    check_fits_record(&block)?;
                 }
                 session.apply(Seam::WriterPreInsert);
                 let store_idx = self.store.try_push(block.clone(), Some(parent_idx.0))?;

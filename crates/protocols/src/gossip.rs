@@ -700,7 +700,8 @@ mod tests {
     }
 
     #[test]
-    fn a_block_too_large_for_a_durable_record_is_applied_but_never_half_written() {
+    fn a_block_too_large_for_a_durable_record_is_refused_before_it_links() {
+        use btadt_pipeline::IngestError;
         use btadt_store::StoreConfig;
         use btadt_types::Transaction;
         let mut sync = durable_sync();
@@ -713,28 +714,40 @@ mod tests {
             .payload(payload.collect::<Vec<_>>())
             .build();
         let c = BlockBuilder::new(&big).nonce(3).build();
-        // This door has no pre-link hook: the block links, the store skips it.
         let report = sync.apply_batch(
             SimTime(1),
             vec![a.clone(), big.clone(), c.clone()],
             &mut log,
         );
-        assert_eq!(report.accepted, 3);
+        assert_eq!(report.verdicts[0], IngestVerdict::Accepted);
+        assert!(
+            matches!(&report.verdicts[1], IngestVerdict::Rejected(IngestError::Storage(why))
+                if why.contains("record limit")),
+            "{:?}",
+            report.verdicts[1]
+        );
+        assert_eq!(report.verdicts[2], IngestVerdict::Orphaned);
+        assert_eq!(
+            (report.accepted, report.rejected, report.orphaned),
+            (1, 1, 1)
+        );
+        // Nothing links that the store cannot hold: the child waits for a
+        // peer to serve a parent this replica refuses.
+        assert!(!sync.contains(big.id) && !sync.contains(c.id));
+        assert_eq!(sync.core.pool().missing_parents(), vec![big.id]);
         let store = sync.durable_store().expect("attached");
-        assert_eq!(store.stats().oversize_skipped, 1);
-        assert!(store.contains(a.id) && store.contains(c.id) && !store.contains(big.id));
+        assert_eq!(store.stats().oversize_skipped, 0, "refused at the door");
+        assert!(store.contains(a.id) && !store.contains(big.id) && !store.contains(c.id));
 
-        // A restart finds both small records and nothing to repair; `c`
-        // waits for a peer to serve the parent the store could not hold.
+        // A restart finds the one small record and nothing to repair.
         let mut store = std::mem::take(&mut sync.core)
             .into_store()
             .expect("attached");
         store.checkpoint();
         let (core, recovery) = ReplicaCore::recover(store.into_medium(), StoreConfig::small());
-        assert_eq!(recovery.blocks_recovered, 2);
+        assert_eq!(recovery.blocks_recovered, 1);
         assert!(recovery.is_pristine(), "{recovery:?}");
         assert!(core.tree().contains(a.id));
-        assert_eq!(core.pool().missing_parents(), vec![big.id]);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! and recovery is idempotent: running it again over its own output, or
 //! after a crash in the middle of it, yields the same survivors.
 
-use btadt_pipeline::{ingest_pooled, BatchReport, OrphanPool};
+use btadt_pipeline::{ingest_pooled, BatchReport, IngestVerdict, OrphanPool};
 use btadt_types::{Block, BlockTree};
 
+use crate::codec::check_fits_record;
 use crate::medium::SimMedium;
 use crate::store::{BlockStore, RecoveryReport, StoreConfig};
 
@@ -69,13 +70,38 @@ impl ReplicaCore {
     /// arena slots this call added, in link order — are then persisted as
     /// one run ([`BlockStore::append_run`]), except those the store already
     /// holds (recovered survivors).
-    pub fn ingest(&mut self, blocks: Vec<Block>, on_link: impl FnMut(&Block)) -> BatchReport {
+    ///
+    /// With a store attached, a block that does not fit a durable record
+    /// is refused before staging ([`check_fits_record`]: a `Rejected`
+    /// verdict at its input position), so everything that links persists;
+    /// its children then find no parent and pool as orphans.
+    pub fn ingest(&mut self, mut blocks: Vec<Block>, on_link: impl FnMut(&Block)) -> BatchReport {
+        let mut refused = Vec::new();
+        if self.store.is_some() {
+            let mut pos = 0;
+            blocks.retain(|block| {
+                pos += 1;
+                let Err(e) = check_fits_record(block) else {
+                    return true;
+                };
+                refused.push((pos - 1, IngestVerdict::Rejected(e)));
+                false
+            });
+        }
         let before = self.tree.len();
-        let report = ingest_pooled(&mut self.tree, &mut self.pool, blocks, on_link);
+        let mut report = ingest_pooled(&mut self.tree, &mut self.pool, blocks, on_link);
         if let Some(store) = &mut self.store {
             let linked = self.tree.blocks_since(before);
             let fresh: Vec<&Block> = linked.filter(|b| !store.contains(b.id)).collect();
             store.append_run(fresh);
+        }
+        if !refused.is_empty() {
+            // Ascending input positions: each lands where it was offered.
+            let mut verdicts = std::mem::take(&mut report.verdicts);
+            for (pos, verdict) in refused {
+                verdicts.insert(pos, verdict);
+            }
+            report = BatchReport::from_verdicts(verdicts);
         }
         report
     }

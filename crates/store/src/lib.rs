@@ -9,7 +9,8 @@
 //!
 //! * [`SimMedium`] — a simulated durable medium with an injectable fault
 //!   vocabulary (torn / flipped / dropped writes, dropped renames);
-//! * [`codec`] — checksummed, length-prefixed block records;
+//! * [`codec`] — length-prefixed block records, each checksummed a word at
+//!   a time (record format v2);
 //! * [`BlockStore`] — chunked append-only store with per-record and
 //!   per-chunk checksums, atomic-manifest checkpoints, a canonicalising
 //!   recovery pipeline and crash-safe pruning compaction.  Its unit of
@@ -39,7 +40,7 @@ pub mod replica;
 pub mod store;
 
 pub use codec::{
-    checksum64, decode_record, encode_record, encode_record_into, fits_record, DecodeError,
+    check_fits_record, decode_record, encode_record, encode_record_into, DecodeError,
     MAX_RECORD_BYTES,
 };
 pub use durable::ReplicaCore;

@@ -5,13 +5,14 @@
 //! Blocks are appended as checksummed records (see [`crate::codec`]) to an
 //! *active chunk* file; when the chunk reaches
 //! [`StoreConfig::chunk_capacity`] records it is **sealed** — its byte
-//! length and whole-chunk checksum (maintained incrementally, never
-//! re-read) become part of the next checkpoint.  A **checkpoint** writes a
-//! manifest listing every sealed chunk, the active chunk index, the
-//! pruning height and a generation counter, protected by its own trailing
-//! checksum — first to `manifest.tmp`, then committed with one atomic
-//! rename.  The chunk files themselves are never rewritten on the happy
-//! path, so the only commit point in the whole store is that rename: the
+//! length and chunk checksum (an order-sensitive fold of its record sums,
+//! [`ChunkSum`], so no byte is read twice) become part of the next
+//! checkpoint.  A **checkpoint** writes a manifest listing every sealed
+//! chunk, the active chunk index, the pruning height, a generation counter
+//! and the record format version, protected by its own trailing checksum —
+//! first to `manifest.tmp`, then committed with one atomic rename.  The
+//! chunk files themselves are never rewritten on the happy path, so the
+//! only commit point in the whole store is that rename: the
 //! crash-consistency argument is the classic shadow-manifest one
 //! (rusty-kaspa's store/pruning split applies the same discipline).
 //!
@@ -35,7 +36,7 @@
 //!    with intact boundaries but failing checksums are **skipped and
 //!    counted** (bit flips), a record that runs past the end of the file
 //!    **truncates the torn tail** (torn writes, mangled length fields);
-//! 3. a sealed chunk whose byte length or whole-chunk checksum disagrees
+//! 3. a sealed chunk whose byte length or chunk checksum disagrees
 //!    with its manifest entry is **damaged** even when every surviving
 //!    record parses — that is how *dropped* appends inside sealed history
 //!    are detected.  Damaged chunks are copied to `quarantine-*` for
@@ -45,6 +46,9 @@
 //!    benign duplicates) are rewritten into a **fresh canonical layout**
 //!    and immediately checkpointed, so a second crash during recovery
 //!    replays the same pipeline over an already-clean store (idempotent).
+//!
+//! Each record's bytes are read once: decoding verifies the record sum,
+//! and a sealed chunk is checked against the fold of those sums.
 //!
 //! Blocks that existed only in lost/damaged regions are simply *gone* from
 //! the store's perspective — the recovery report and the returned block
@@ -64,14 +68,14 @@
 //! the old layout (manifest not yet swapped) or a benign superposition of
 //! both, which recovery's id-dedup canonicalisation collapses.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 
 use btadt_types::{Block, BlockId, BlockIdHasher};
 
 use crate::codec::{
-    checksum64, decode_record, encode_record_into, get_u32, get_u64, put_u32, put_u64, record_span,
-    DecodeError, Fnv64,
+    decode_record, decode_summed, encode_record_into, get_u32, get_u64, put_u32, put_u64,
+    record_span, sum64, ChunkSum, DecodeError,
 };
 use crate::medium::SimMedium;
 
@@ -81,7 +85,8 @@ pub const MANIFEST: &str = "manifest";
 pub const MANIFEST_TMP: &str = "manifest.tmp";
 
 const MANIFEST_MAGIC: u64 = 0x4254_5354_4f52_4531; // "BTSTORE1"
-const MANIFEST_VERSION: u32 = 1;
+/// The record format the store writes and reads (see [`crate::codec`]).
+const MANIFEST_VERSION: u32 = 2;
 
 /// Static configuration of a [`BlockStore`].
 #[derive(Clone, Copy, Debug)]
@@ -121,7 +126,7 @@ pub struct ChunkMeta {
     pub records: u32,
     /// Byte length of the chunk file at sealing time.
     pub bytes: u64,
-    /// Whole-chunk checksum at sealing time.
+    /// Chunk checksum at sealing time: the [`ChunkSum`] of its records.
     pub checksum: u64,
 }
 
@@ -155,7 +160,10 @@ pub struct StoreStats {
     pub largest_run: u64,
     /// Blocks refused because their record would exceed
     /// [`MAX_RECORD_BYTES`](crate::codec::MAX_RECORD_BYTES) — skipped, not
-    /// written: recovery would take such a record for a torn tail.
+    /// written: recovery would take such a record for a torn tail.  The
+    /// ingest doors refuse such blocks before they link
+    /// ([`check_fits_record`](crate::codec::check_fits_record)), so only a
+    /// direct caller of [`append_run`](BlockStore::append_run) meets this.
     pub oversize_skipped: u64,
 }
 
@@ -236,7 +244,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
         put_u64(&mut out, chunk.bytes);
         put_u64(&mut out, chunk.checksum);
     }
-    let sum = checksum64(&out);
+    let sum = sum64(&out);
     put_u64(&mut out, sum);
     out
 }
@@ -247,7 +255,7 @@ fn decode_manifest(buf: &[u8]) -> Result<Manifest, DecodeError> {
     }
     let (body, tail) = buf.split_at(buf.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if checksum64(body) != stored {
+    if sum64(body) != stored {
         return Err(DecodeError::Corrupt("manifest checksum mismatch".into()));
     }
     let mut off = 0usize;
@@ -298,7 +306,7 @@ struct Layout {
     active_file: String,
     active_records: u32,
     active_bytes: u64,
-    active_hash: Fnv64,
+    active_sum: ChunkSum,
 }
 
 impl Layout {
@@ -311,7 +319,7 @@ impl Layout {
             active_file: chunk_file(first),
             active_records: 0,
             active_bytes: 0,
-            active_hash: Fnv64::new(),
+            active_sum: ChunkSum::default(),
         }
     }
 
@@ -338,19 +346,20 @@ impl Layout {
             index: self.active_index,
             records: self.active_records,
             bytes: self.active_bytes,
-            checksum: self.active_hash.finish(),
+            checksum: self.active_sum.finish(),
         });
         self.active_index = self.next_index;
         self.next_index += 1;
         self.active_file = chunk_file(self.active_index);
         self.active_records = 0;
         self.active_bytes = 0;
-        self.active_hash = Fnv64::new();
+        self.active_sum = ChunkSum::default();
     }
 
     /// The store's one record writer: encodes blocks from `blocks` into
-    /// `buf` (empty on entry and on return), folds them into the active
-    /// chunk's checksum, and seals the chunk every `capacity` records.
+    /// `buf` (empty on entry and on return), folds their record sums into
+    /// the active chunk's checksum, and seals the chunk every `capacity`
+    /// records.
     ///
     /// The records of one stretch — the part of the run that falls into
     /// one chunk — reach the medium as **one** write.  After each record
@@ -369,9 +378,10 @@ impl Layout {
         mut checkpoint_due: impl FnMut(&Block) -> bool,
     ) -> bool {
         for block in blocks {
-            if !encode_record_into(buf, block, &mut self.active_hash) {
+            let Some(sum) = encode_record_into(buf, block) else {
                 continue;
-            }
+            };
+            self.active_sum.push(sum);
             self.active_records += 1;
             let due = checkpoint_due(block);
             let full = self.active_records >= capacity;
@@ -513,8 +523,8 @@ impl BlockStore {
     /// linked, and it is written before the call returns.
     ///
     /// A block whose record would not decode again
-    /// ([`fits_record`](crate::codec::fits_record)) is skipped and counted
-    /// in [`StoreStats::oversize_skipped`], never written.
+    /// ([`check_fits_record`](crate::codec::check_fits_record)) is skipped
+    /// and counted in [`StoreStats::oversize_skipped`], never written.
     pub fn append_run<'a>(&mut self, blocks: impl IntoIterator<Item = &'a Block>) {
         let every = self.config.auto_checkpoint_every;
         let sealed_before = self.layout.sealed.len();
@@ -703,39 +713,33 @@ impl BlockStore {
             .filter_map(|name| parse_chunk_index(&name).map(|i| (i, name)))
             .collect();
         on_disk.sort_unstable();
-        let present: HashSet<u64> = on_disk.iter().map(|&(i, _)| i).collect();
-        if let Some(m) = &manifest {
-            report.chunks_missing = m
-                .sealed
-                .iter()
-                .filter(|c| !present.contains(&c.index))
-                .count();
-        }
+        // The manifest's sealed chunks by index, looked up once per chunk
+        // on the medium.
+        let mut sealed: HashMap<u64, ChunkMeta> = manifest
+            .iter()
+            .flat_map(|m| &m.sealed)
+            .map(|c| (c.index, *c))
+            .collect();
 
         let mut seen: HashSet<BlockId> = HashSet::new();
         let mut blocks: Vec<Block> = Vec::new();
         let mut quarantine: Vec<(String, Vec<u8>)> = Vec::new();
         for (index, name) in &on_disk {
-            let bytes = medium.read(name).expect("listed file exists").to_vec();
-            let meta = manifest
-                .as_ref()
-                .and_then(|m| m.sealed.iter().find(|c| c.index == *index).copied());
-            let mut damaged = match meta {
-                Some(meta) => {
-                    meta.bytes != bytes.len() as u64 || meta.checksum != checksum64(&bytes)
-                }
-                None => false,
-            };
+            let bytes = medium.read(name).expect("listed file exists");
+            let meta = sealed.remove(index);
+            let mut damaged = meta.is_some_and(|meta| meta.bytes != bytes.len() as u64);
+            let mut chunk_sum = ChunkSum::default();
             let mut parsed = 0u32;
             let mut off = 0usize;
             while off < bytes.len() {
-                match decode_record(&bytes[off..]) {
-                    Ok((block, consumed)) => {
+                match decode_summed(&bytes[off..]) {
+                    Ok((block, consumed, sum)) => {
                         if seen.insert(block.id) {
                             blocks.push(block);
                         } else {
                             report.duplicates_dropped += 1;
                         }
+                        chunk_sum.push(sum);
                         parsed += 1;
                         off += consumed;
                     }
@@ -759,17 +763,20 @@ impl BlockStore {
             }
             if let Some(meta) = meta {
                 // Fewer surviving records than sealed: dropped appends.
-                if parsed < meta.records {
+                // The chunk checksum is the fold of its record sums.
+                if parsed < meta.records || meta.checksum != chunk_sum.finish() {
                     damaged = true;
                 }
             }
             if damaged {
                 report.chunks_quarantined += 1;
-                quarantine.push((format!("quarantine-{name}"), bytes));
+                quarantine.push((format!("quarantine-{name}"), bytes.to_vec()));
             } else {
                 report.chunks_verified += 1;
             }
         }
+        // Whatever the manifest lists and the medium lacks is lost.
+        report.chunks_missing = sealed.len();
 
         // Canonicalise: quarantine forensic copies, drop the old layout,
         // rewrite the survivors, checkpoint.
@@ -917,6 +924,33 @@ mod tests {
         assert_eq!(report.chunks_quarantined, 1, "short chunk is damaged");
         assert_eq!(survivors.len(), 7);
         assert!(survivors.iter().all(|b| b.id != blocks[0].id));
+    }
+
+    #[test]
+    fn records_trading_places_inside_a_sealed_chunk_are_detected() {
+        // Every record still verifies and the chunk keeps its length and
+        // record count: only the fold of record sums is order-sensitive.
+        let blocks = chain(8);
+        let config = StoreConfig {
+            chunk_capacity: 8,
+            auto_checkpoint_every: 0,
+        };
+        let mut store = store_with(&blocks, config);
+        store.checkpoint();
+        let mut medium = store.into_medium();
+        let file = chunk_file(0);
+        let full = medium.read(&file).unwrap().to_vec();
+        let first = record_span(&full).unwrap();
+        let second = first + record_span(&full[first..]).unwrap();
+        let mut swapped = full[first..second].to_vec();
+        swapped.extend_from_slice(&full[..first]);
+        swapped.extend_from_slice(&full[second..]);
+        assert_eq!(swapped.len(), full.len());
+        medium.overwrite(&file, &swapped);
+        let (_, report, survivors) = BlockStore::recover(medium, config);
+        assert_eq!(report.corrupt_records, 0, "each record is intact");
+        assert_eq!(report.chunks_quarantined, 1, "the order is not");
+        assert_eq!(survivors.len(), 8);
     }
 
     #[test]
