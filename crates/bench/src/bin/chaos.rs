@@ -4,13 +4,12 @@
 //!
 //! Without flags, runs the full robustness suite (chaos grid + recovery
 //! comparison + sync drills) and writes `BENCH_robustness.json` at the
-//! workspace root.  `--smoke` runs the single-seed suite and skips the
-//! full report — the fast CI job.  `--workers N` pins the chaos-grid
-//! worker count (each cell spawns its own client threads; verdicts are
-//! scheduler-independent by construction).  `--out PATH` additionally
-//! writes the *deterministic outcome summary* (cell labels + verdicts
-//! only) to PATH — the CI determinism gate runs the smoke grid at
-//! `--workers 1` and `--workers 4` and diffs the two summaries.
+//! workspace root.  `--smoke` runs the single-seed suite and writes
+//! nothing — the fast CI job.  `--workers N` pins the chaos-grid worker
+//! count (each cell spawns its own client threads; verdicts are
+//! scheduler-independent by construction).  `--out PATH` writes the
+//! report to PATH instead — the CI determinism gate runs the smoke suite
+//! at `--workers 1` and `--workers 4` and diffs the two files.
 //!
 //! `--seam NAME` restricts the run to the grid cells whose fault plan
 //! arms that seam (e.g. `--seam store-torn-write`) and skips the
@@ -18,14 +17,13 @@
 //! iterating on a single fault injection point.  Composes with `--smoke`
 //! (one seed instead of three) and `--workers`.
 //!
-//! Exits nonzero when any cell is dirty (criterion not admitted, or an
-//! invariant violation observed), any recovery run fails to converge or
-//! drops blocks its durable store held, or any sync drill fails to converge.
+//! Exits nonzero, after writing the report, when any cell is dirty
+//! (criterion not admitted, or an invariant violation observed), any
+//! recovery run fails to converge or drops blocks its durable store held,
+//! or any sync drill fails to converge.
 
-use btadt_bench::harness::workspace_root;
-use btadt_bench::robustness::{
-    grid_cells, print_summary, run_all, write_json, write_outcomes_json, SEEDS,
-};
+use btadt_bench::harness::{workspace_root, write_report};
+use btadt_bench::robustness::{grid_cells, print_summary, render_json, run_all, SEEDS};
 use btadt_concurrent::{chaos_grid, Seam};
 
 fn main() {
@@ -81,17 +79,13 @@ fn main() {
 
     let report = run_all(smoke, workers);
     print_summary(&report);
-    if let Some(path) = &out {
-        write_outcomes_json(&report, path);
+    match out.or_else(|| (!smoke).then(|| workspace_root().join("BENCH_robustness.json"))) {
+        Some(path) => write_report(&path, &render_json(&report)),
+        None => println!("chaos: smoke run complete"),
     }
     if !report.all_clean() {
         eprintln!("chaos: suite is NOT clean");
         std::process::exit(1);
-    }
-    if smoke {
-        println!("chaos: smoke run complete");
-    } else {
-        write_json(&report, &workspace_root().join("BENCH_robustness.json"));
     }
 }
 

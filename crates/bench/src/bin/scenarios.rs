@@ -1,20 +1,17 @@
 //! `cargo run --release -p btadt-bench --bin scenarios [-- --smoke]
-//! [--threads N] [--out PATH]` — the adversarial scenario sweep as a plain
-//! binary.
+//! [--threads N] [--out PATH]` — the adversarial scenario sweep.
 //!
 //! Without flags, runs the shipped matrix on the machine's parallelism
 //! (≥ 4 threads) and writes `BENCH_scenarios.json` at the workspace root.
-//! `--smoke` runs the reduced matrix and skips the full report — the fast
-//! CI job.  `--threads N` pins the worker count (e.g. `--threads 1` for a
-//! serial baseline; outcomes are identical by construction).  `--out PATH`
-//! additionally writes the *deterministic outcome summary* (all timing
-//! stripped) to PATH — the CI determinism gate runs the smoke sweep at
-//! `--threads 1` and `--threads 4` and diffs the two summaries.
+//! `--smoke` runs the reduced matrix and writes nothing — the fast CI job.
+//! `--threads N` pins the worker count (outcomes are identical by
+//! construction).  `--out PATH` writes the report to PATH instead — the CI
+//! determinism gate runs the smoke sweep at `--threads 1` and
+//! `--threads 4` and diffs the two files.
 
-use btadt_bench::harness::workspace_root;
+use btadt_bench::harness::{workspace_root, write_report};
 use btadt_bench::scenarios::{
-    default_threads, print_summary, shipped_matrix, smoke_matrix, sweep, write_json,
-    write_outcomes_json,
+    default_threads, print_summary, render_json, shipped_matrix, smoke_matrix, sweep,
 };
 
 fn main() {
@@ -56,14 +53,10 @@ fn main() {
         shipped_matrix()
     };
     let threads = threads.unwrap_or_else(|| default_threads(matrix.len()));
-    let report = sweep(&matrix, threads);
-    print_summary(&report);
-    if let Some(path) = &out {
-        write_outcomes_json(&report, path);
-    }
-    if smoke {
-        println!("scenarios: smoke run complete");
-    } else {
-        write_json(&report, &workspace_root().join("BENCH_scenarios.json"));
+    let cells = sweep(&matrix, threads);
+    print_summary(&cells);
+    match out.or_else(|| (!smoke).then(|| workspace_root().join("BENCH_scenarios.json"))) {
+        Some(path) => write_report(&path, &render_json(&cells)),
+        None => println!("scenarios: smoke run complete"),
     }
 }

@@ -1,305 +1,12 @@
-//! A minimal Criterion-style benchmark harness.
+//! What every report generator shares: the JSON string escaper, the
+//! workspace root the committed `BENCH_*.json` files live in, and the one
+//! report writer.
 //!
-//! The build environment has no crates.io access, so the bench binaries use
-//! this self-contained harness instead of the `criterion` crate.  It keeps
-//! the parts the workspace needs:
-//!
-//! * named groups and benchmark functions;
-//! * automatic warm-up and iteration-count calibration towards a target
-//!   measurement time, reporting the mean and median ns/iteration;
-//! * a `--test` mode (`cargo bench -- --test`) that runs every benchmark
-//!   body exactly once — the CI smoke run;
-//! * machine-readable output: [`Harness::finish`] writes a JSON report.
-//!
-//! JSON is emitted with a tiny hand-rolled serializer (numbers, strings,
-//! flat objects) — enough for trend tracking without a serde dependency.
+//! JSON is emitted by hand (the workspace has no serde); [`json_string`] is
+//! the only escaping the reports need.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
-/// Target wall-clock spent measuring each benchmark (after warm-up).
-const TARGET_MEASURE: Duration = Duration::from_millis(300);
-/// Wall-clock spent warming each benchmark up.
-const WARMUP: Duration = Duration::from_millis(80);
-/// Ceiling on measured iterations, to keep trivial bodies bounded.
-const MAX_ITERS: u64 = 100_000;
-
-/// One measured benchmark.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Group the benchmark belongs to.
-    pub group: String,
-    /// Benchmark name within the group.
-    pub name: String,
-    /// Iterations measured.
-    pub iters: u64,
-    /// Mean nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Median nanoseconds per iteration (over measurement batches).
-    pub median_ns: f64,
-}
-
-/// The harness: collects measurements and writes the report.
-pub struct Harness {
-    label: String,
-    test_mode: bool,
-    filter: Option<String>,
-    measurements: Vec<Measurement>,
-    /// Extra key/number pairs stored at the top level of the JSON report
-    /// (speedups, derived metrics).
-    extra: Vec<(String, f64)>,
-}
-
-impl Harness {
-    /// Creates a harness, parsing `--test` (run once, no timing) and an
-    /// optional substring filter from the command line, as
-    /// `cargo bench -- [--test] [filter]` passes them.
-    pub fn from_args(label: &str) -> Self {
-        let mut test_mode = false;
-        let mut filter = None;
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--test" => test_mode = true,
-                // Flags criterion historically accepted; ignore them.
-                "--bench" | "--nocapture" => {}
-                other if !other.starts_with('-') => filter = Some(other.to_string()),
-                _ => {}
-            }
-        }
-        // Allocator hygiene: glibc malloc serves allocations above its
-        // *adaptive* mmap threshold with fresh mmap/munmap pairs — every
-        // benchmark iteration then pays page faults for its big transient
-        // buffers, and whether a given size is above the threshold depends
-        // on what earlier benchmarks happened to free.  Allocating and
-        // dropping one chunk at the 32 MiB adaptation cap pins the
-        // threshold to its maximum up front, so large buffers come from
-        // the reusable heap in every run and row order stops mattering.
-        drop(std::hint::black_box(vec![0u8; 32 << 20]));
-        Harness {
-            label: label.to_string(),
-            test_mode,
-            filter,
-            measurements: Vec::new(),
-            extra: Vec::new(),
-        }
-    }
-
-    /// Whether the harness is in `--test` (smoke) mode.
-    pub fn test_mode(&self) -> bool {
-        self.test_mode
-    }
-
-    fn skip(&self, group: &str, name: &str) -> bool {
-        match &self.filter {
-            Some(f) => !group.contains(f.as_str()) && !name.contains(f.as_str()),
-            None => false,
-        }
-    }
-
-    /// Measures one benchmark body.  In `--test` mode the body runs exactly
-    /// once and no timing is recorded.
-    pub fn bench(&mut self, group: &str, name: &str, mut body: impl FnMut()) {
-        if self.skip(group, name) {
-            return;
-        }
-        if self.test_mode {
-            body();
-            println!("{group}/{name}: ok (--test)");
-            return;
-        }
-
-        // Warm-up: run until the warm-up budget is spent, estimating the
-        // per-iteration cost as we go.
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed() < WARMUP {
-            body();
-            warm_iters += 1;
-        }
-        let per_iter = warm_start.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64;
-
-        // Calibrate: split the measurement budget into batches so a median
-        // is available, with at least one iteration per batch.
-        let total_iters =
-            ((TARGET_MEASURE.as_nanos() as f64 / per_iter.max(1.0)) as u64).clamp(10, MAX_ITERS);
-        let batches = 10u64;
-        let per_batch = (total_iters / batches).max(1);
-        let mut batch_means = Vec::with_capacity(batches as usize);
-        let mut measured_iters = 0;
-        let measure_start = Instant::now();
-        for _ in 0..batches {
-            let start = Instant::now();
-            for _ in 0..per_batch {
-                body();
-            }
-            measured_iters += per_batch;
-            batch_means.push(start.elapsed().as_nanos() as f64 / per_batch as f64);
-        }
-        let mean_ns = measure_start.elapsed().as_nanos() as f64 / measured_iters as f64;
-        batch_means.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let median_ns = batch_means[batch_means.len() / 2];
-
-        println!(
-            "{group}/{name}: {:>12} ns/iter (median {:>12} ns, {} iters)",
-            fmt_ns(mean_ns),
-            fmt_ns(median_ns),
-            measured_iters
-        );
-        self.measurements.push(Measurement {
-            group: group.to_string(),
-            name: name.to_string(),
-            iters: measured_iters,
-            mean_ns,
-            median_ns,
-        });
-    }
-
-    /// Measures a group of benchmark bodies in interleaved rounds: every
-    /// measurement round times each body back-to-back instead of finishing
-    /// one body's rounds before starting the next.  On a shared or
-    /// frequency-scaled host, performance drifts on the scale of seconds —
-    /// sequential [`bench`](Self::bench) calls put that drift entirely
-    /// between rows, which corrupts any ratio derived from them.
-    /// Interleaving lands the drift on every row of the group equally, so
-    /// ratios between the recorded medians stay meaningful even when the
-    /// absolute numbers wander.  Use this for rows whose *relative* speed
-    /// is the tracked metric (e.g. speedup gates).
-    pub fn bench_interleaved(&mut self, group: &str, bodies: &mut [(&str, &mut dyn FnMut())]) {
-        if bodies.is_empty() || bodies.iter().all(|(name, _)| self.skip(group, name)) {
-            return;
-        }
-        if self.test_mode {
-            for (name, body) in bodies.iter_mut() {
-                body();
-                println!("{group}/{name}: ok (--test)");
-            }
-            return;
-        }
-
-        // Warm up and calibrate each body separately: bodies of one group
-        // can differ in cost by orders of magnitude, so each gets its own
-        // per-round iteration count towards an equal share of the budget.
-        let rounds = 10u64;
-        let warmup_each = WARMUP / bodies.len() as u32;
-        let mut per_round: Vec<u64> = Vec::with_capacity(bodies.len());
-        for (_, body) in bodies.iter_mut() {
-            let warm_start = Instant::now();
-            let mut warm_iters: u64 = 0;
-            while warm_start.elapsed() < warmup_each {
-                body();
-                warm_iters += 1;
-            }
-            let per_iter = warm_start.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64;
-            let total_iters = ((TARGET_MEASURE.as_nanos() as f64 / per_iter.max(1.0)) as u64)
-                .clamp(10, MAX_ITERS);
-            per_round.push((total_iters / rounds).max(1));
-        }
-
-        let mut round_means: Vec<Vec<f64>> =
-            vec![Vec::with_capacity(rounds as usize); bodies.len()];
-        let mut elapsed_ns: Vec<f64> = vec![0.0; bodies.len()];
-        for _ in 0..rounds {
-            for (i, (_, body)) in bodies.iter_mut().enumerate() {
-                let start = Instant::now();
-                for _ in 0..per_round[i] {
-                    body();
-                }
-                let ns = start.elapsed().as_nanos() as f64;
-                elapsed_ns[i] += ns;
-                round_means[i].push(ns / per_round[i] as f64);
-            }
-        }
-
-        for (i, (name, _)) in bodies.iter().enumerate() {
-            let iters = per_round[i] * rounds;
-            let mean_ns = elapsed_ns[i] / iters as f64;
-            let mut means = std::mem::take(&mut round_means[i]);
-            means.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-            let median_ns = means[means.len() / 2];
-            println!(
-                "{group}/{name}: {:>12} ns/iter (median {:>12} ns, {} iters, interleaved)",
-                fmt_ns(mean_ns),
-                fmt_ns(median_ns),
-                iters
-            );
-            self.measurements.push(Measurement {
-                group: group.to_string(),
-                name: name.to_string(),
-                iters,
-                mean_ns,
-                median_ns,
-            });
-        }
-    }
-
-    /// Records a derived top-level metric (e.g. a speedup ratio).
-    pub fn record_metric(&mut self, key: &str, value: f64) {
-        println!("metric {key} = {value:.2}");
-        self.extra.push((key.to_string(), value));
-    }
-
-    /// The median ns/iter of a previously measured benchmark.
-    pub fn median_of(&self, group: &str, name: &str) -> Option<f64> {
-        self.measurements
-            .iter()
-            .find(|m| m.group == group && m.name == name)
-            .map(|m| m.median_ns)
-    }
-
-    /// Writes the JSON report to `path` and prints a closing summary.  The
-    /// report is skipped in `--test` mode (nothing was measured) and for
-    /// filtered runs (a partial report would clobber the full trajectory
-    /// file).
-    pub fn finish(self, path: Option<&std::path::Path>) {
-        if self.test_mode {
-            println!("{}: smoke run complete", self.label);
-            return;
-        }
-        if let Some(filter) = &self.filter {
-            println!(
-                "{}: filtered run ({filter}); report not written",
-                self.label
-            );
-            return;
-        }
-        let Some(path) = path else { return };
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"bench\": {},", json_string(&self.label));
-        let _ = writeln!(out, "  \"results\": [");
-        for (i, m) in self.measurements.iter().enumerate() {
-            let comma = if i + 1 == self.measurements.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"group\": {}, \"name\": {}, \"iters\": {}, \"mean_ns\": {:.1}, \"median_ns\": {:.1}}}{comma}",
-                json_string(&m.group),
-                json_string(&m.name),
-                m.iters,
-                m.mean_ns,
-                m.median_ns,
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"metrics\": {{");
-        for (i, (key, value)) in self.extra.iter().enumerate() {
-            let comma = if i + 1 == self.extra.len() { "" } else { "," };
-            let _ = writeln!(out, "    {}: {:.3}{comma}", json_string(key), value);
-        }
-        let _ = writeln!(out, "  }}");
-        out.push_str("}\n");
-        match std::fs::write(path, out) {
-            Ok(()) => println!("{}: report written to {}", self.label, path.display()),
-            Err(e) => eprintln!("{}: could not write {}: {e}", self.label, path.display()),
-        }
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    format!("{ns:.1}")
-}
+use std::path::Path;
 
 /// JSON-escapes a string (shared by the report writers; the workspace has
 /// no serde).
@@ -321,13 +28,28 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// The workspace root (where `BENCH_tree.json` lives), derived from this
-/// crate's manifest directory at compile time.
+/// The workspace root (where the `BENCH_*.json` reports live), derived
+/// from this crate's manifest directory at compile time.
 pub fn workspace_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .unwrap_or_else(|_| std::path::PathBuf::from("."))
+}
+
+/// Writes a rendered report to `path`, or exits the process with status 1.
+///
+/// A report that silently fails to land leaves the committed file in
+/// place, and a regenerate-then-`git diff` gate would then compare the
+/// stale file with itself and pass.
+pub fn write_report(path: &Path, text: &str) {
+    match std::fs::write(path, text) {
+        Ok(()) => println!("report written to {}", path.display()),
+        Err(e) => {
+            eprintln!("could not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 #[cfg(test)]

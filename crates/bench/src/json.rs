@@ -1,13 +1,12 @@
 //! A minimal JSON reader for the workspace's own report files.
 //!
-//! The workspace has no serde; its reports (`BENCH_tree.json`,
-//! `BENCH_scenarios.json`, `BENCH_concurrent.json`) are written by the
-//! hand-rolled serializers in [`crate::harness`] and friends.  The
-//! regression guard needs to read them back, so this module implements the
-//! small recursive-descent parser those documents require: objects,
-//! arrays, strings (with the escapes [`crate::harness::json_string`]
-//! emits), numbers, booleans and null.  It is a full JSON-value parser —
-//! just not a streaming or zero-copy one.
+//! The workspace has no serde; its reports (`BENCH_*.json`, `benchmark/`'s
+//! result files) are written by hand-rolled serializers.  `benchmark/`
+//! reads its result files back, so this module implements the small
+//! recursive-descent parser those documents require: objects, arrays,
+//! strings (with the escapes [`crate::harness::json_string`] emits),
+//! numbers, booleans and null.  It is a full JSON-value parser — just not
+//! a streaming or zero-copy one.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -320,23 +319,28 @@ mod tests {
     fn parses_a_real_report_shape() {
         let doc = parse(
             r#"{
-  "bench": "tree",
-  "results": [
-    {"group": "append_1000", "name": "arena", "iters": 10, "mean_ns": 1.5, "median_ns": 1.2},
-    {"group": "append_1000", "name": "naive", "iters": 10, "mean_ns": 2.5, "median_ns": 2.2}
+  "bench": "concurrent",
+  "verification": [
+    {"path": "strong-cas", "threads": 1, "criterion": "BT Strong Consistency", "admitted": true, "violations": 0, "ops": 81},
+    {"path": "strong-cas", "threads": 2, "criterion": "BT Strong Consistency", "admitted": true, "violations": 0, "ops": 162}
   ],
   "metrics": {
-    "speedup": 1.833
+    "all_histories_admitted": 1.000
   }
 }"#,
         )
         .unwrap();
-        let results = doc.get("results").unwrap().as_array().unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].get("median_ns").unwrap().as_f64(), Some(1.2));
+        let rows = doc.get("verification").unwrap().as_array().unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[1].get("ops").unwrap().as_f64(), Some(162.0));
+        assert_eq!(rows[0].get("admitted").unwrap().as_bool(), Some(true));
         assert_eq!(
-            doc.get("metrics").unwrap().get("speedup").unwrap().as_f64(),
-            Some(1.833)
+            doc.get("metrics")
+                .unwrap()
+                .get("all_histories_admitted")
+                .unwrap()
+                .as_f64(),
+            Some(1.0)
         );
     }
 

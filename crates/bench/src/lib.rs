@@ -1,23 +1,28 @@
-//! # `btadt-bench` — benchmark and figure/table regeneration harness
+//! # `btadt-bench` — Table 1, the figures, and the committed verdict reports
 //!
-//! Each table and figure of the paper maps to a Criterion benchmark group
-//! (see `benches/paper.rs` and DESIGN.md's per-experiment index) and to a
-//! section of the text reports printed by the two binaries:
+//! Binaries (`cargo run --release -p btadt-bench --bin <name>`):
 //!
-//! * `cargo run --release -p btadt-bench --bin table1` — regenerates
-//!   Table 1 (the classification of Bitcoin, Ethereum, Algorand, ByzCoin,
-//!   PeerCensus, Red Belly and Hyperledger Fabric);
-//! * `cargo run --release -p btadt-bench --bin figures` — regenerates the
-//!   figure experiments (example histories, oracle transitions, hierarchy
-//!   inclusions, consensus reductions, update-agreement necessity).
+//! * `table1` — regenerates Table 1 (the classification of Bitcoin,
+//!   Ethereum, Algorand, ByzCoin, PeerCensus, Red Belly and Hyperledger
+//!   Fabric);
+//! * `figures` — regenerates the figure experiments (example histories,
+//!   oracle transitions, hierarchy inclusions, consensus reductions,
+//!   update-agreement necessity);
+//! * `scenarios`, `concurrent`, `chaos` and `store` — the generators of
+//!   `BENCH_scenarios.json`, `BENCH_concurrent.json`,
+//!   `BENCH_robustness.json` and `BENCH_store.json` (`--smoke` for the
+//!   CI-sized run).
 //!
-//! The library part hosts the shared experiment drivers so that the benches
-//! and the binaries measure exactly the same code paths.
+//! Every committed `BENCH_*.json` is a pure function of its seeds — no
+//! wall time, no host parallelism — so each one regenerates byte for byte
+//! on any host and is guarded by `git diff --exit-code`.  Timings live in
+//! `benchmark/`, the one perf ledger.  The library hosts the experiment
+//! drivers the binaries share, the report writer ([`harness`]) and the
+//! JSON reader ([`json`]) `benchmark/` uses.
 
 #![warn(missing_docs)]
 
 pub mod concurrent;
-pub mod guard;
 pub mod harness;
 pub mod json;
 pub mod robustness;
@@ -91,7 +96,7 @@ pub fn hierarchy_report(seeds: &[u64]) -> HierarchyReport {
 }
 
 /// Classifies one contended run under both criteria; returns
-/// `(strong, eventual, max_forks)`.  Shared by the Figure 2–4 benches.
+/// `(strong, eventual, max_forks)`.  Used by the `figures` binary.
 pub fn classify_contended(kind: OracleKind, seed: u64) -> (bool, bool, usize) {
     let run = run_contended(kind, default_contention(seed));
     let sc = strong_consistency(Arc::new(LengthScore), Arc::new(AlwaysValid));
@@ -129,5 +134,17 @@ mod tests {
         let (strong, eventual, forks) = classify_contended(OracleKind::Prodigal, 3);
         assert!(!strong && eventual);
         assert!(forks > 1);
+        // Figures 2–4 on one seed: only Θ_F,k=1 keeps Strong Consistency; a
+        // wider fork bound loses it like the prodigal oracle, and every
+        // contended run stays eventually consistent.
+        for (kind, expect_strong) in [
+            (OracleKind::Frugal(1), true),
+            (OracleKind::Prodigal, false),
+            (OracleKind::Frugal(4), false),
+        ] {
+            let (strong, eventual, _) = classify_contended(kind, 11);
+            assert_eq!(strong, expect_strong, "{}", kind.label());
+            assert!(eventual, "{}", kind.label());
+        }
     }
 }

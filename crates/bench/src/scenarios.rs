@@ -13,13 +13,11 @@
 //! [`ScenarioMatrix::run`]; because every cell is deterministic in
 //! (scenario, seed), the same matrix produces identical outcomes at any
 //! thread count (`thread_count_is_invisible_in_outcomes` below locks this
-//! in).  [`write_json`] emits the per-cell rows, per-scenario aggregates
-//! and the serial-sum vs parallel-wall speedup into
-//! `BENCH_scenarios.json`; `docs/SCENARIOS.md` documents the format.
+//! in).  [`render_json`] renders the per-cell rows and per-scenario
+//! aggregates as `BENCH_scenarios.json` — no timing field, so the document
+//! is byte-identical on any host; `docs/SCENARIOS.md` documents the format.
 
-use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use btadt_core::{eventual_consistency, strong_consistency, ReachForest};
 use btadt_history::ConsistencyCriterion;
@@ -205,43 +203,10 @@ pub fn smoke_matrix() -> ScenarioMatrix {
     ScenarioMatrix::new(scenarios, vec![1, 2])
 }
 
-/// A completed sweep: the per-cell results plus the parallel wall-clock.
-#[derive(Clone, Debug)]
-pub struct SweepReport {
-    /// Per-cell results, in matrix order.
-    pub cells: Vec<MatrixCell<CellOutcome>>,
-    /// Threads the sweep ran on.
-    pub threads: usize,
-    /// Wall-clock of the whole parallel sweep.
-    pub wall: Duration,
-}
-
-impl SweepReport {
-    /// Sum of the per-cell wall times: what a serial sweep would cost.
-    pub fn serial_sum(&self) -> Duration {
-        self.cells.iter().map(|c| c.wall).sum()
-    }
-
-    /// Serial-sum / parallel-wall ratio (> 1 once threads help).
-    pub fn speedup(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall > 0.0 {
-            self.serial_sum().as_secs_f64() / wall
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Runs every cell of `matrix` on `threads` threads.
-pub fn sweep(matrix: &ScenarioMatrix, threads: usize) -> SweepReport {
-    let start = std::time::Instant::now();
-    let cells = matrix.run(threads, run_cell);
-    SweepReport {
-        cells,
-        threads,
-        wall: start.elapsed(),
-    }
+/// Runs every cell of `matrix` on `threads` threads; the cells come back
+/// in matrix order.
+pub fn sweep(matrix: &ScenarioMatrix, threads: usize) -> Vec<MatrixCell<CellOutcome>> {
+    matrix.run(threads, run_cell)
 }
 
 /// Per-scenario aggregate over the seeds the sweep ran.
@@ -263,14 +228,12 @@ pub struct ScenarioSummary {
     pub max_divergence_depth: u64,
     /// Worst honest fork degree across cells.
     pub max_fork_degree: usize,
-    /// Mean wall-clock per cell (nanoseconds).
-    pub mean_wall_ns: f64,
 }
 
 /// Aggregates a sweep per scenario, preserving matrix order.
-pub fn summarize(report: &SweepReport) -> Vec<ScenarioSummary> {
+pub fn summarize(sweep: &[MatrixCell<CellOutcome>]) -> Vec<ScenarioSummary> {
     let mut order: Vec<&str> = Vec::new();
-    for cell in &report.cells {
+    for cell in sweep {
         if !order.contains(&cell.scenario.as_str()) {
             order.push(&cell.scenario);
         }
@@ -279,7 +242,7 @@ pub fn summarize(report: &SweepReport) -> Vec<ScenarioSummary> {
         .into_iter()
         .map(|name| {
             let cells: Vec<&MatrixCell<CellOutcome>> =
-                report.cells.iter().filter(|c| c.scenario == name).collect();
+                sweep.iter().filter(|c| c.scenario == name).collect();
             let n = cells.len() as f64;
             let rate = |pred: &dyn Fn(&CellOutcome) -> bool| {
                 cells.iter().filter(|c| pred(&c.result)).count() as f64 / n
@@ -305,96 +268,23 @@ pub fn summarize(report: &SweepReport) -> Vec<ScenarioSummary> {
                     .map(|c| c.result.max_fork_degree)
                     .max()
                     .unwrap_or(1),
-                mean_wall_ns: cells.iter().map(|c| c.wall.as_nanos() as f64).sum::<f64>() / n,
             }
         })
         .collect()
 }
 
 /// Renders the sweep as the `BENCH_scenarios.json` document (see
-/// `docs/SCENARIOS.md` for the schema).
-pub fn render_json(report: &SweepReport) -> String {
+/// `docs/SCENARIOS.md` for the schema).  Outcomes are a pure function of
+/// (scenario, seed), so two sweeps of the same matrix render
+/// byte-identical documents whatever the thread count or machine load.
+pub fn render_json(sweep: &[MatrixCell<CellOutcome>]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"scenarios\",");
-    let _ = writeln!(out, "  \"threads\": {},", report.threads);
     let _ = writeln!(out, "  \"cells\": [");
-    for (i, cell) in report.cells.iter().enumerate() {
+    for (i, cell) in sweep.iter().enumerate() {
         let o = &cell.result;
-        let comma = if i + 1 == report.cells.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"scenario\": {}, \"seed\": {}, \"wall_ns\": {}, \"events\": {}, \
-             \"quiescent\": {}, \"converged\": {}, \"convergence_time\": {}, \
-             \"divergence_depth\": {}, \"max_fork_degree\": {}, \"blocks_created\": {}, \
-             \"strong\": {}, \"eventual\": {}, \"delivered\": {}, \"dropped\": {}}}{comma}",
-            json_string(&cell.scenario),
-            cell.seed,
-            cell.wall.as_nanos(),
-            o.report.events_processed,
-            o.report.quiescent,
-            o.converged,
-            o.convergence_time,
-            o.divergence_depth,
-            o.max_fork_degree,
-            o.blocks_created,
-            o.strong,
-            o.eventual,
-            o.delivered,
-            o.dropped,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"scenarios\": [");
-    let summaries = summarize(report);
-    for (i, s) in summaries.iter().enumerate() {
-        let comma = if i + 1 == summaries.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": {}, \"cells\": {}, \"sc_pass_rate\": {:.3}, \
-             \"ec_pass_rate\": {:.3}, \"converged_rate\": {:.3}, \
-             \"mean_convergence_time\": {:.1}, \"max_divergence_depth\": {}, \
-             \"max_fork_degree\": {}, \"mean_wall_ns\": {:.1}}}{comma}",
-            json_string(&s.name),
-            s.cells,
-            s.sc_pass_rate,
-            s.ec_pass_rate,
-            s.converged_rate,
-            s.mean_convergence_time,
-            s.max_divergence_depth,
-            s.max_fork_degree,
-            s.mean_wall_ns,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"metrics\": {{");
-    let _ = writeln!(
-        out,
-        "    \"serial_sum_ns\": {},",
-        report.serial_sum().as_nanos()
-    );
-    let _ = writeln!(out, "    \"parallel_wall_ns\": {},", report.wall.as_nanos());
-    let _ = writeln!(out, "    \"parallel_speedup\": {:.3}", report.speedup());
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
-    out
-}
-
-/// Renders only the **deterministic** portion of a sweep: per-cell outcomes
-/// and per-scenario aggregates with every timing field stripped.
-///
-/// Outcomes are a pure function of (scenario, seed), so two sweeps of the
-/// same matrix must render byte-identical documents regardless of thread
-/// count or machine load — this is what the CI determinism gate diffs
-/// between a `--threads 1` and a `--threads 4` run.
-pub fn render_outcomes_json(report: &SweepReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"scenarios-outcomes\",");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, cell) in report.cells.iter().enumerate() {
-        let o = &cell.result;
-        let comma = if i + 1 == report.cells.len() { "" } else { "," };
+        let comma = if i + 1 == sweep.len() { "" } else { "," };
         let _ = writeln!(
             out,
             "    {{\"scenario\": {}, \"seed\": {}, \"events\": {}, \
@@ -418,7 +308,7 @@ pub fn render_outcomes_json(report: &SweepReport) -> String {
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"scenarios\": [");
-    let summaries = summarize(report);
+    let summaries = summarize(sweep);
     for (i, s) in summaries.iter().enumerate() {
         let comma = if i + 1 == summaries.len() { "" } else { "," };
         let _ = writeln!(
@@ -442,33 +332,13 @@ pub fn render_outcomes_json(report: &SweepReport) -> String {
     out
 }
 
-/// Writes the deterministic outcome summary (see [`render_outcomes_json`])
-/// to `path`.
-pub fn write_outcomes_json(report: &SweepReport, path: &Path) {
-    match std::fs::write(path, render_outcomes_json(report)) {
-        Ok(()) => println!("scenarios: outcome summary written to {}", path.display()),
-        Err(e) => {
-            eprintln!("scenarios: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Writes `BENCH_scenarios.json` to `path`.
-pub fn write_json(report: &SweepReport, path: &Path) {
-    match std::fs::write(path, render_json(report)) {
-        Ok(()) => println!("scenarios: report written to {}", path.display()),
-        Err(e) => eprintln!("scenarios: could not write {}: {e}", path.display()),
-    }
-}
-
 /// Prints the per-scenario aggregate table to stdout.
-pub fn print_summary(report: &SweepReport) {
+pub fn print_summary(sweep: &[MatrixCell<CellOutcome>]) {
     println!(
         "{:<16} {:>5} {:>8} {:>8} {:>9} {:>10} {:>7} {:>7}",
         "scenario", "cells", "SC", "EC", "converged", "settle", "div", "forks"
     );
-    for s in summarize(report) {
+    for s in summarize(sweep) {
         println!(
             "{:<16} {:>5} {:>7.0}% {:>7.0}% {:>8.0}% {:>10.1} {:>7} {:>7}",
             s.name,
@@ -481,19 +351,10 @@ pub fn print_summary(report: &SweepReport) {
             s.max_fork_degree,
         );
     }
-    println!(
-        "{} cells on {} threads: wall {:.1} ms, serial sum {:.1} ms, speedup {:.2}x",
-        report.cells.len(),
-        report.threads,
-        report.wall.as_secs_f64() * 1e3,
-        report.serial_sum().as_secs_f64() * 1e3,
-        report.speedup(),
-    );
 }
 
 /// The thread count a full sweep should use: the machine's parallelism,
-/// at least 4 (the acceptance bar for the parallel speedup), at most the
-/// cell count.
+/// at least 4, at most the cell count.  Outcomes do not depend on it.
 pub fn default_threads(cells: usize) -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
@@ -506,7 +367,7 @@ pub fn default_threads(cells: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn strip_wall(cells: &[MatrixCell<CellOutcome>]) -> Vec<(&str, u64, &CellOutcome)> {
+    fn outcomes(cells: &[MatrixCell<CellOutcome>]) -> Vec<(&str, u64, &CellOutcome)> {
         cells
             .iter()
             .map(|c| (c.scenario.as_str(), c.seed, &c.result))
@@ -570,20 +431,7 @@ mod tests {
         let matrix = smoke_matrix();
         let serial = sweep(&matrix, 1);
         let parallel = sweep(&matrix, 4);
-        assert_eq!(strip_wall(&serial.cells), strip_wall(&parallel.cells));
-    }
-
-    #[test]
-    fn outcome_summaries_are_byte_identical_across_thread_counts() {
-        // The CI determinism gate in workflow form: the rendered outcome
-        // document (all timing stripped) must not depend on the worker
-        // count.
-        let matrix = smoke_matrix();
-        let serial = render_outcomes_json(&sweep(&matrix, 1));
-        let parallel = render_outcomes_json(&sweep(&matrix, 4));
-        assert_eq!(serial, parallel);
-        assert!(!serial.contains("wall_ns"), "outcomes carry no timing");
-        assert!(serial.contains("\"bench\": \"scenarios-outcomes\""));
+        assert_eq!(outcomes(&serial), outcomes(&parallel));
     }
 
     #[test]
@@ -644,8 +492,7 @@ mod tests {
 
     #[test]
     fn summaries_aggregate_per_scenario_in_matrix_order() {
-        let report = sweep(&smoke_matrix(), 2);
-        let summaries = summarize(&report);
+        let summaries = summarize(&sweep(&smoke_matrix(), 2));
         assert_eq!(summaries.len(), 3);
         assert_eq!(summaries[0].name, "baseline-sync");
         assert_eq!(summaries[0].cells, 2);
@@ -656,11 +503,10 @@ mod tests {
 
     #[test]
     fn json_report_is_structurally_sound() {
-        let report = sweep(&smoke_matrix(), 2);
-        let json = render_json(&report);
+        let cells = sweep(&smoke_matrix(), 2);
+        let json = render_json(&cells);
         assert!(json.contains("\"bench\": \"scenarios\""));
-        assert!(json.contains("\"parallel_speedup\""));
-        assert_eq!(json.matches("\"scenario\": ").count(), report.cells.len());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches("\"scenario\": ").count(), cells.len());
+        assert!(crate::json::parse(&json).is_ok(), "emitted JSON parses");
     }
 }

@@ -20,7 +20,6 @@
 //!   repair cost.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 use btadt_concurrent::Ingest;
 use btadt_core::{check_block_tree, check_store_tree_agreement};
@@ -438,8 +437,9 @@ pub fn print_summary(report: &StoreReport) {
     }
 }
 
-/// Writes `BENCH_store.json`: deterministic fields only.
-pub fn write_json(report: &StoreReport, path: &Path) {
+/// Renders the report as the `BENCH_store.json` document: deterministic
+/// fields only.
+pub fn render_json(report: &StoreReport) -> String {
     let mut out = String::from("{\n  \"bench\": \"store\",\n  \"steady\": [\n");
     for (i, s) in report.steady.iter().enumerate() {
         out.push_str(&format!(
@@ -502,8 +502,7 @@ pub fn write_json(report: &StoreReport, path: &Path) {
         report.mean_resync_rounds(),
     ));
     out.push_str("  }\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("store: wrote {}", path.display());
+    out
 }
 
 #[cfg(test)]
@@ -540,11 +539,7 @@ mod tests {
                 .all(|c| c.manifest_fallback),
             "a torn manifest must be detected, not trusted"
         );
-        let dir = std::env::temp_dir().join("btadt_store_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        write_json(&report, &path);
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = render_json(&report);
         assert!(crate::json::parse(&text).is_ok(), "emitted JSON parses");
         assert!(text.contains("\"under_ceiling\": true"));
         assert!(!text.contains("wall"), "no timing fields in the report");

@@ -512,7 +512,6 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
     let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
     if in_dir("tests")
         || in_dir("bin")
-        || in_dir("benches")
         || in_dir("examples")
         || file == "main.rs"
         || file == "build.rs"

@@ -17,7 +17,7 @@
 //!   number ∞).
 //! * [`CasConsensus`] — the textbook reduction of consensus to Compare&Swap,
 //!   used as the reference implementation the oracle-based one is compared
-//!   against in the benches.
+//!   against in the tests.
 
 use btadt_oracle::SharedOracle;
 use btadt_types::{Block, BlockBuilder};

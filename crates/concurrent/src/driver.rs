@@ -19,7 +19,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Barrier;
 use std::thread;
-use std::time::{Duration, Instant};
 
 use btadt_core::{eventual_consistency, strong_consistency, BtHistory, BtOperation, BtResponse};
 use btadt_history::{ConsistencyCriterion, ProcessId, Verdict};
@@ -42,7 +41,7 @@ pub struct DriverConfig {
     pub path: AppendPath,
     /// Seed for the per-thread operation mix and the oracle tape.
     pub seed: u64,
-    /// Whether to record a history (throughput benches turn this off).
+    /// Whether to record a history (throughput runs turn this off).
     pub record: bool,
 }
 
@@ -69,8 +68,6 @@ pub struct DriverRun {
     pub tip_rule: TipRule,
     /// The recorded history (`None` when recording was off).
     pub history: Option<BtHistory>,
-    /// Wall-clock time of the client phase.
-    pub wall: Duration,
     /// Appends that returned `true`.
     pub appends_ok: u64,
     /// Appends that returned `false` (CAS losses on the strong path).
@@ -94,11 +91,6 @@ impl DriverRun {
     /// Total operations performed.
     pub fn total_ops(&self) -> u64 {
         self.appends_ok + self.appends_failed + self.reads
-    }
-
-    /// Operations per second over the client phase.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.total_ops() as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 }
 
@@ -143,7 +135,7 @@ pub fn run_workload_with(config: &DriverConfig, plan: Option<&FaultPlan>) -> Dri
     run_workload_with_on(config, plan, &replica)
 }
 
-/// Runs the workload against a caller-provided replica (benches reuse a
+/// Runs the workload against a caller-provided replica (tests reuse a
 /// pre-populated one).
 pub fn run_workload_on(config: &DriverConfig, replica: &ConcurrentBlockTree) -> DriverRun {
     run_workload_with_on(config, None, replica)
@@ -167,7 +159,6 @@ pub fn run_workload_with_on(
         records: Vec<btadt_history::OperationRecord<BtOperation, BtResponse>>,
     }
 
-    let start = Instant::now();
     let mut per_thread: Vec<ThreadStats> = Vec::with_capacity(config.threads);
     thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
@@ -289,7 +280,6 @@ pub fn run_workload_with_on(
             per_thread.push(h.join().expect("client threads do not panic"));
         }
     });
-    let wall = start.elapsed();
 
     let history = config.record.then(|| {
         hub.collect(
@@ -304,7 +294,6 @@ pub fn run_workload_with_on(
         config: *config,
         tip_rule: replica.tip_rule(),
         history,
-        wall,
         appends_ok: per_thread.iter().map(|t| t.appends_ok).sum(),
         appends_failed: per_thread.iter().map(|t| t.appends_failed).sum(),
         reads: per_thread.iter().map(|t| t.reads).sum(),

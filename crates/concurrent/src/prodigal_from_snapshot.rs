@@ -90,20 +90,21 @@ mod tests {
 
     #[test]
     fn concurrent_consumes_all_land_and_every_scan_contains_the_caller() {
-        let n = 8;
-        let ct = Arc::new(SnapshotConsumeToken::new(n));
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let ct = Arc::clone(&ct);
-                thread::spawn(move || {
-                    let mine = block(i);
-                    let set = ct.consume_token(i, mine.clone());
-                    set.contains(&mine)
+        for n in [4, 8] {
+            let ct = Arc::new(SnapshotConsumeToken::new(n));
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let ct = Arc::clone(&ct);
+                    thread::spawn(move || {
+                        let mine = block(i);
+                        let set = ct.consume_token(i, mine.clone());
+                        set.contains(&mine)
+                    })
                 })
-            })
-            .collect();
-        assert!(handles.into_iter().all(|h| h.join().unwrap()));
-        assert_eq!(ct.scan().len(), n);
+                .collect();
+            assert!(handles.into_iter().all(|h| h.join().unwrap()));
+            assert_eq!(ct.scan().len(), n);
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! — is likewise necessary (Theorem 4.7).
 //!
 //! This module provides the event log ([`MessageHistory`]) and executable
-//! checkers for both property sets; the benches `fig13_update_agreement` and
-//! `thm47_lrc_necessity` drive them over runs with and without message loss.
+//! checkers for both property sets; the workspace's `tests/theorems.rs` and
+//! `tests/figures.rs` drive them over runs with and without message loss.
 
 use btadt_history::{ProcessId, Timestamp};
 use btadt_types::{Block, BlockId};

@@ -25,7 +25,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use crate::channel::ChannelModel;
 use crate::simulator::{ChurnWindow, FailurePlan, PartitionWindow, SimConfig};
@@ -334,9 +333,6 @@ pub struct MatrixCell<R> {
     pub scenario: String,
     /// Seed of the cell.
     pub seed: u64,
-    /// Wall-clock time the cell took (measured inside the worker thread;
-    /// the sum over cells is the serial cost the parallel sweep avoids).
-    pub wall: Duration,
     /// Whatever the runner returned for the cell.
     pub result: R,
 }
@@ -406,13 +402,10 @@ impl ScenarioMatrix {
                     let Some(&(idx, scenario, seed)) = cells.get(i) else {
                         break;
                     };
-                    let start = Instant::now();
-                    let result = runner(scenario, seed);
                     let cell = MatrixCell {
                         scenario: scenario.name.clone(),
                         seed,
-                        wall: start.elapsed(),
-                        result,
+                        result: runner(scenario, seed),
                     };
                     slots.lock().expect("no panics while holding the lock")[idx] = Some(cell);
                 });

@@ -29,7 +29,7 @@
 //!
 //! Everything is deterministic: faults are seeded functions of the write
 //! sequence, never of wall time, so every corruption/recovery drill in the
-//! chaos grid and the benches replays byte-identically.
+//! chaos grid and the store report replays byte-identically.
 
 #![warn(missing_docs)]
 

@@ -9,8 +9,9 @@
 //! 1. **Specification** — the property tests assert that the arena
 //!    [`BlockTree`](crate::tree::BlockTree) is observationally equivalent
 //!    to this implementation under arbitrary insert/merge sequences;
-//! 2. **Baseline** — the `tree` benchmark measures the arena's speedup on
-//!    `read()`/`leaves()` against this implementation (`BENCH_tree.json`).
+//! 2. **Baseline** — `benchmark/` times inserts into this implementation
+//!    (`types.naive_insert_ns_per_block`) and reports the arena's speedup
+//!    over it (`types.insert_vs_naive`).
 //!
 //! Keep it boring: clarity over speed, no caching beyond cumulative work
 //! (which the original also cached).
