@@ -1,8 +1,11 @@
-//! Adversarial proof-of-work miners.
+//! Adversarial release policies for proof-of-work miners.
 //!
 //! The PoW family of Section 5 assumes miners flood every block they
 //! produce; the scenario engine stresses the consistency criteria by
-//! deploying miners that do not:
+//! deploying miners that do not.  Such a miner is the ordinary
+//! [`PowReplica`] built with [`PowReplica::adversarial`]: same tree,
+//! orphan repair and delta sync, under a [`Strategy`] that decides when a
+//! mined block is flooded:
 //!
 //! * **selfish miners** ([`Strategy::Selfish`]) mine on a *private* branch
 //!   and only publish it when the honest chain threatens to catch up
@@ -13,36 +16,27 @@
 //!   block only after a fixed delay, widening the window in which honest
 //!   miners extend a stale tip — a tunable fork-pressure knob.
 //!
-//! Both are [`AdversarialMiner`]s sharing the honest replica's tree,
-//! orphan-repair and delta-sync machinery; their *sync responses never leak
-//! withheld blocks* (an adversary that answered `SyncRequest` with its
-//! private branch would be publishing it).  The [`Miner`] enum packs honest
-//! and adversarial replicas into the single process type the simulator
-//! needs.
+//! Their *sync responses never leak withheld blocks* (an adversary that
+//! answered `SyncRequest` with its private branch would be publishing it),
+//! and a churn rejoin is always a pause ([`RecoveryMode::Retain`]), never a
+//! crash.
 //!
 //! Adversarial replicas log the blocks they create and apply (the
 //! consistency criteria must see their appends), but record **no reads**:
 //! criterion verdicts measure the history as observed by honest clients
 //! under attack, not the adversary's private view.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use btadt_netsim::{AdversaryMix, AdversaryRole, Context, Process, SimTime};
-use btadt_oracle::{Cell, Tape};
-use btadt_types::{Block, BlockId, BlockTree, Blockchain};
+use btadt_types::{Block, BlockTree, Blockchain};
 
 use crate::extract::ReplicaLog;
 use crate::gossip::RecoveryMode;
-use crate::gossip::{GossipSync, ResponseClass, MAX_SYNC_BATCH, RETRY_TIMER, SYNC_TAIL_ROUNDS};
 use crate::messages::Msg;
 use crate::pow::{PowConfig, PowReplica};
 
-const MINE_TIMER: u64 = 1;
-const SYNC_TIMER: u64 = 2;
-const RELEASE_TIMER: u64 = 3;
-
-/// The withholding schedule of an [`AdversarialMiner`].
+/// The withholding schedule of an adversarial [`PowReplica`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Strategy {
     /// Keep the private branch secret until the public chain is within one
@@ -55,273 +49,46 @@ pub enum Strategy {
     },
 }
 
-/// A proof-of-work miner that withholds blocks according to a
-/// [`Strategy`].
-pub struct AdversarialMiner {
-    id: usize,
-    config: PowConfig,
-    strategy: Strategy,
-    tape: Tape,
-    /// Local tree plus the shared orphan-repair / delta-sync machinery.
-    sync: GossipSync,
-    /// Own blocks not yet flooded, oldest first (the private branch for
-    /// selfish miners, the release queue for withholding miners).
-    withheld: Vec<Block>,
-    withheld_ids: HashSet<BlockId>,
-    /// Highest height among blocks known to be public (foreign blocks and
-    /// own released ones).
-    public_height: u64,
-    next_tx: u64,
-    /// Everything this replica did (reads excluded by design; see the
-    /// module docs).
-    pub log: ReplicaLog,
-}
-
-impl AdversarialMiner {
-    /// Creates an adversarial miner.
-    pub fn new(id: usize, config: PowConfig, strategy: Strategy) -> Self {
-        let tape = Tape::new(config.seed, id as u64, config.success_probability);
-        AdversarialMiner {
-            id,
-            config,
-            strategy,
-            tape,
-            sync: GossipSync::new(id),
-            withheld: Vec::new(),
-            withheld_ids: HashSet::new(),
-            public_height: 0,
-            next_tx: 1,
-            log: ReplicaLog::new(),
-        }
-    }
-
-    /// The miner's local tree (private branch included).
-    pub fn tree(&self) -> &BlockTree {
-        self.sync.tree()
-    }
-
-    /// The chain the miner mines on (private branch included).
-    pub fn selected(&self) -> Blockchain {
-        self.config.selection.select(self.sync.tree())
-    }
-
-    /// The last block of that chain, without materialising it.
-    pub fn tip(&self) -> &Block {
-        let tree = self.sync.tree();
-        tree.block_at(self.config.selection.select_tip(tree))
-    }
-
-    /// Blocks mined but not yet released.
-    pub fn withheld(&self) -> &[Block] {
-        &self.withheld
-    }
-
-    fn note_public(&mut self, height: u64) {
-        self.public_height = self.public_height.max(height);
-    }
-
-    /// Floods the entire withheld branch, oldest first.
-    fn release_all(&mut self, ctx: &mut Context<Msg>) {
-        for block in std::mem::take(&mut self.withheld) {
-            self.withheld_ids.remove(&block.id);
-            self.note_public(block.height);
-            ctx.broadcast(Msg::NewBlock(block));
-        }
-    }
-
-    /// Selfish release rule: publish the private branch as soon as the
-    /// public chain is within one block of its tip (lead ≤ 1), so honest
-    /// blocks at the contested heights are orphaned by the longer private
-    /// branch.
-    fn maybe_release_selfish(&mut self, ctx: &mut Context<Msg>) {
-        if let Some(tip) = self.withheld.last() {
-            if self.public_height + 1 >= tip.height {
-                self.release_all(ctx);
-            }
-        }
-    }
-
-    fn mine(&mut self, ctx: &mut Context<Msg>) {
-        if self.tape.pop() != Cell::Token {
-            return;
-        }
-        let parent = self.tip().clone();
-        let block = crate::gossip::mint_block(self.id, ctx.n(), &mut self.next_tx, &parent);
-        let at = ctx.now();
-        self.log.record_created(at, block.clone());
-        self.sync
-            .insert_with_orphans(at, block.clone(), &mut self.log);
-        self.withheld_ids.insert(block.id);
-        self.withheld.push(block);
-        match self.strategy {
-            Strategy::Selfish => {
-                // Mining extends the lead; nothing is released until the
-                // public chain threatens it.
-            }
-            Strategy::Withhold { delay } => {
-                ctx.set_timer(delay, RELEASE_TIMER);
-            }
-        }
-    }
-}
-
-impl Process<Msg> for AdversarialMiner {
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        ctx.set_timer(self.config.mine_interval, MINE_TIMER);
-        if self.config.sync_interval > 0 {
-            ctx.set_timer(self.config.sync_interval, SYNC_TIMER);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<Msg>, from: usize, msg: Msg) {
-        let at = ctx.now();
-        self.sync.note_alive(from, ctx.n());
-        match msg {
-            Msg::NewBlock(block) => {
-                if !self.sync.contains(block.id) {
-                    self.log.record_received(at, block.clone());
-                    self.note_public(block.height);
-                    if !self.sync.insert_with_orphans(at, block, &mut self.log) {
-                        self.sync.request_delta_sync(ctx, from);
-                    }
-                    if self.strategy == Strategy::Selfish {
-                        self.maybe_release_selfish(ctx);
-                    }
-                }
-            }
-            Msg::Blocks { request_id, blocks } => {
-                if self.sync.classify_response(request_id, blocks.len()) == ResponseClass::Stale {
-                    return;
-                }
-                let batch_len = blocks.len();
-                let batch_max = blocks.iter().map(|b| b.height).max().unwrap_or(0);
-                let fresh: Vec<Block> = blocks
-                    .into_iter()
-                    .filter(|b| !self.sync.contains(b.id))
-                    .collect();
-                for block in &fresh {
-                    self.log.record_received(at, block.clone());
-                    self.note_public(block.height);
-                }
-                self.sync.apply_batch(at, fresh, &mut self.log);
-                if self.strategy == Strategy::Selfish {
-                    self.maybe_release_selfish(ctx);
-                }
-                self.sync.after_blocks(ctx, from, batch_len, batch_max);
-            }
-            Msg::SyncRequest {
-                request_id,
-                above_height,
-            } => {
-                // Never leak the private branch: a sync response is a
-                // publication.  The reply is still always sent (possibly
-                // empty) so the requester can clear its pending request —
-                // staying silent would out the adversary as unresponsive.
-                let blocks = self
-                    .sync
-                    .tree()
-                    .delta_above(above_height)
-                    .filter(|b| !self.withheld_ids.contains(&b.id))
-                    .take(MAX_SYNC_BATCH)
-                    .cloned()
-                    .collect();
-                ctx.send(from, Msg::Blocks { request_id, blocks });
-            }
-            Msg::Propose { .. } | Msg::Vote { .. } => {}
-        }
-    }
-
-    fn on_corrupted(&mut self, ctx: &mut Context<Msg>, from: usize) {
-        self.sync.note_corrupted(from, ctx.n());
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, timer_id: u64) {
-        match timer_id {
-            MINE_TIMER if ctx.now().0 <= self.config.mine_until => {
-                self.mine(ctx);
-                ctx.set_timer(self.config.mine_interval, MINE_TIMER);
-            }
-            // Mining is over; a selfish miner holding a lead it will never
-            // extend publishes it rather than discard the work.
-            MINE_TIMER if self.strategy == Strategy::Selfish => self.release_all(ctx),
-            SYNC_TIMER => {
-                self.sync.anti_entropy(ctx);
-                let sync_until =
-                    self.config.mine_until + SYNC_TAIL_ROUNDS * self.config.sync_interval;
-                if ctx.now().0 <= sync_until {
-                    ctx.set_timer(self.config.sync_interval, SYNC_TIMER);
-                }
-            }
-            RETRY_TIMER => self.sync.on_retry_timer(ctx),
-            RELEASE_TIMER if !self.withheld.is_empty() => {
-                let block = self.withheld.remove(0);
-                self.withheld_ids.remove(&block.id);
-                self.note_public(block.height);
-                ctx.broadcast(Msg::NewBlock(block));
-            }
-            _ => {}
-        }
-    }
-
-    fn on_rejoin(&mut self, ctx: &mut Context<Msg>) {
-        // An adversary models a paused process, never a crash-recovery: it
-        // keeps its private branch across churn windows, but still bumps
-        // its incarnation so stale sync responses are recognised.
-        self.sync.note_rejoin(RecoveryMode::Retain);
-        self.on_start(ctx);
-        // RELEASE_TIMERs armed before a churn window died with the old
-        // incarnation; without re-arming, a withholding miner's pending
-        // blocks would be stranded forever.  One timer per pending block,
-        // spaced by the configured delay (fires on an already-drained queue
-        // are no-ops thanks to the `!withheld.is_empty()` guard).
-        if let Strategy::Withhold { delay } = self.strategy {
-            for k in 0..self.withheld.len() as u64 {
-                ctx.set_timer(delay * (k + 1), RELEASE_TIMER);
-            }
-        }
-    }
-}
-
-/// An honest or adversarial PoW miner — the single process type a
-/// heterogeneous mining simulation runs on.
+/// A PoW miner tagged with its role in a heterogeneous mining simulation.
+/// Both variants hold a [`PowReplica`]; the variant only labels the role.
 pub enum Miner {
     /// An honest flooding replica.
     Honest(PowReplica),
     /// A withholding/selfish replica.
-    Adversarial(AdversarialMiner),
+    Adversarial(PowReplica),
 }
 
 impl Miner {
+    fn replica(&self) -> &PowReplica {
+        match self {
+            Miner::Honest(r) | Miner::Adversarial(r) => r,
+        }
+    }
+
+    fn replica_mut(&mut self) -> &mut PowReplica {
+        match self {
+            Miner::Honest(r) | Miner::Adversarial(r) => r,
+        }
+    }
+
     /// The replica's local tree.
     pub fn tree(&self) -> &BlockTree {
-        match self {
-            Miner::Honest(r) => r.tree(),
-            Miner::Adversarial(r) => r.tree(),
-        }
+        self.replica().tree()
     }
 
     /// The replica's selected chain.
     pub fn selected(&self) -> Blockchain {
-        match self {
-            Miner::Honest(r) => r.selected(),
-            Miner::Adversarial(r) => r.selected(),
-        }
+        self.replica().selected()
     }
 
     /// The last block of the replica's selected chain.
     pub fn tip(&self) -> &Block {
-        match self {
-            Miner::Honest(r) => r.tip(),
-            Miner::Adversarial(r) => r.tip(),
-        }
+        self.replica().tip()
     }
 
     /// The replica's log.
     pub fn log(&self) -> &ReplicaLog {
-        match self {
-            Miner::Honest(r) => &r.log,
-            Miner::Adversarial(r) => &r.log,
-        }
+        &self.replica().log
     }
 
     /// Whether the replica plays the honest protocol.
@@ -329,42 +96,31 @@ impl Miner {
         matches!(self, Miner::Honest(_))
     }
 
-    /// Forces a read on honest replicas (adversaries record no reads; see
-    /// the module docs).
+    /// Forces a read (a no-op on adversaries; see the module docs).
     pub fn force_read(&mut self, at: SimTime) {
-        if let Miner::Honest(r) = self {
-            r.force_read(at);
-        }
+        self.replica_mut().force_read(at);
     }
 }
 
 impl Process<Msg> for Miner {
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        match self {
-            Miner::Honest(r) => r.on_start(ctx),
-            Miner::Adversarial(r) => r.on_start(ctx),
-        }
+        self.replica_mut().on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<Msg>, from: usize, msg: Msg) {
-        match self {
-            Miner::Honest(r) => r.on_message(ctx, from, msg),
-            Miner::Adversarial(r) => r.on_message(ctx, from, msg),
-        }
+        self.replica_mut().on_message(ctx, from, msg);
+    }
+
+    fn on_corrupted(&mut self, ctx: &mut Context<Msg>, from: usize) {
+        self.replica_mut().on_corrupted(ctx, from);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<Msg>, timer_id: u64) {
-        match self {
-            Miner::Honest(r) => r.on_timer(ctx, timer_id),
-            Miner::Adversarial(r) => r.on_timer(ctx, timer_id),
-        }
+        self.replica_mut().on_timer(ctx, timer_id);
     }
 
     fn on_rejoin(&mut self, ctx: &mut Context<Msg>) {
-        match self {
-            Miner::Honest(r) => r.on_rejoin(ctx),
-            Miner::Adversarial(r) => r.on_rejoin(ctx),
-        }
+        self.replica_mut().on_rejoin(ctx);
     }
 }
 
@@ -378,18 +134,15 @@ pub fn build_miners(
     withhold_delay: u64,
 ) -> Vec<Miner> {
     (0..nodes)
-        .map(|i| match mix.role_of(i, nodes) {
-            AdversaryRole::Honest => Miner::Honest(PowReplica::new(i, config.clone())),
-            AdversaryRole::Selfish => {
-                Miner::Adversarial(AdversarialMiner::new(i, config.clone(), Strategy::Selfish))
-            }
-            AdversaryRole::Withholding => Miner::Adversarial(AdversarialMiner::new(
-                i,
-                config.clone(),
-                Strategy::Withhold {
+        .map(|i| {
+            let adversary = |s| Miner::Adversarial(PowReplica::adversarial(i, config.clone(), s));
+            match mix.role_of(i, nodes) {
+                AdversaryRole::Honest => Miner::Honest(PowReplica::new(i, config.clone())),
+                AdversaryRole::Selfish => adversary(Strategy::Selfish),
+                AdversaryRole::Withholding => adversary(Strategy::Withhold {
                     delay: withhold_delay,
-                },
-            )),
+                }),
+            }
         })
         .collect()
 }
@@ -411,8 +164,11 @@ pub fn scenario_pow_config(seed: u64, mine_until: u64) -> PowConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btadt_netsim::{FailurePlan, SimConfig, Simulator};
-    use btadt_types::{BlockBuilder, LongestChain};
+    use crate::gossip::MAX_SYNC_BATCH;
+    use crate::pow::RELEASE_TIMER;
+    use btadt_netsim::{FailurePlan, Scenario, SimConfig, Simulator};
+    use btadt_types::{BlockBuilder, BlockId, LongestChain};
+    use std::collections::HashSet;
 
     fn certain_config(seed: u64) -> PowConfig {
         PowConfig {
@@ -428,7 +184,7 @@ mod tests {
 
     #[test]
     fn selfish_miner_withholds_mined_blocks() {
-        let mut miner = AdversarialMiner::new(0, certain_config(1), Strategy::Selfish);
+        let mut miner = PowReplica::adversarial(0, certain_config(1), Strategy::Selfish);
         let mut ctx = Context::new(0, 4, SimTime(1));
         miner.mine(&mut ctx);
         let actions = ctx.into_actions();
@@ -443,7 +199,7 @@ mod tests {
 
     #[test]
     fn sync_responses_never_leak_withheld_blocks() {
-        let mut miner = AdversarialMiner::new(0, certain_config(2), Strategy::Selfish);
+        let mut miner = PowReplica::adversarial(0, certain_config(2), Strategy::Selfish);
         let mut ctx = Context::new(0, 4, SimTime(1));
         miner.mine(&mut ctx);
         miner.mine(&mut ctx);
@@ -479,7 +235,7 @@ mod tests {
         // `(height, id)` order; filtering after the cap would send fewer
         // than a full batch although enough public blocks exist.
         let mut miner =
-            AdversarialMiner::new(0, certain_config(5), Strategy::Withhold { delay: 1_000 });
+            PowReplica::adversarial(0, certain_config(5), Strategy::Withhold { delay: 1_000 });
         let mut ctx = Context::new(0, 4, SimTime(1));
         for _ in 0..3 {
             miner.mine(&mut ctx);
@@ -521,7 +277,7 @@ mod tests {
 
     #[test]
     fn selfish_miner_releases_when_the_public_chain_catches_up() {
-        let mut miner = AdversarialMiner::new(3, certain_config(3), Strategy::Selfish);
+        let mut miner = PowReplica::adversarial(3, certain_config(3), Strategy::Selfish);
         // Mine a private lead of 2 (heights 1 and 2).
         let mut ctx = Context::new(3, 4, SimTime(1));
         miner.mine(&mut ctx);
@@ -548,7 +304,7 @@ mod tests {
     #[test]
     fn withholding_miner_releases_on_its_timer() {
         let mut miner =
-            AdversarialMiner::new(0, certain_config(4), Strategy::Withhold { delay: 10 });
+            PowReplica::adversarial(0, certain_config(4), Strategy::Withhold { delay: 10 });
         let mut ctx = Context::new(0, 3, SimTime(1));
         miner.mine(&mut ctx);
         let actions = ctx.into_actions();
@@ -580,7 +336,7 @@ mod tests {
         );
         // Give the adversary outsized hash power so the attack bites.
         if let Miner::Adversarial(adv) = &mut miners[4] {
-            *adv = AdversarialMiner::new(
+            *adv = PowReplica::adversarial(
                 4,
                 PowConfig {
                     success_probability: 0.5,
@@ -700,5 +456,61 @@ mod tests {
         );
         let honesty: Vec<bool> = miners.iter().map(|m| m.is_honest()).collect();
         assert_eq!(honesty, vec![true, true, true, false, false, false]);
+    }
+
+    #[test]
+    fn an_adversary_records_no_reads() {
+        // The one branch that is not release policy: mining, receiving and
+        // a forced read leave an adversary's reads empty, while the same
+        // inputs make an honest replica record.
+        let foreign = BlockBuilder::new(&Block::genesis())
+            .producer(1)
+            .nonce(77)
+            .build();
+        let drive = |mut replica: PowReplica| {
+            let mut ctx = Context::new(0, 4, SimTime(1));
+            replica.mine(&mut ctx);
+            replica.on_message(&mut ctx, 1, Msg::NewBlock(foreign.clone()));
+            replica.force_read(SimTime(2));
+            replica
+        };
+        let adversary = drive(PowReplica::adversarial(
+            0,
+            certain_config(6),
+            Strategy::Withhold { delay: 5 },
+        ));
+        assert_eq!(adversary.log.created.len(), 1);
+        assert_eq!(adversary.log.received.len(), 1);
+        assert!(
+            adversary.log.reads.is_empty(),
+            "adversaries record no reads"
+        );
+        let honest = drive(PowReplica::new(0, certain_config(6)));
+        assert_eq!(
+            honest.log.reads.len(),
+            2,
+            "the mined-block read and the forced one"
+        );
+    }
+
+    #[test]
+    fn honest_miners_count_every_corrupted_frame() {
+        // `Miner` must forward `on_corrupted`: every frame the channel
+        // garbles is rejected (and counted) by exactly one honest replica.
+        let scenario = Scenario::new("corrupt", 4).with_corruption(0.2);
+        let config = scenario_pow_config(9, scenario.duration);
+        let miners = build_miners(4, AdversaryMix::none(), &config, 0);
+        let mut sim = Simulator::new(miners, scenario.sim_config(9), scenario.failure_plan());
+        sim.run();
+        let (miners, trace) = sim.into_parts();
+        assert!(trace.corrupted() > 0, "the channel must corrupt frames");
+        let rejected: u64 = miners
+            .iter()
+            .map(|m| match m {
+                Miner::Honest(r) => r.sync_stats().corrupt_rejected,
+                Miner::Adversarial(_) => unreachable!("the mix has no adversaries"),
+            })
+            .sum();
+        assert_eq!(rejected as usize, trace.corrupted());
     }
 }

@@ -191,6 +191,22 @@ impl CommitteeReplica {
         self.config.committee[idx]
     }
 
+    /// Logs the first sighting of `block`, whatever message carried it.
+    fn note_received(&mut self, at: SimTime, block: &Block) {
+        if self.seen_blocks.insert(block.id) {
+            self.log.record_received(at, block.clone());
+        }
+    }
+
+    /// Applies `block` and reads the grown chain; a block the tree refuses
+    /// (already present, or its parent unknown) is ignored.
+    fn apply(&mut self, at: SimTime, block: Block) {
+        if self.tree.insert(block.clone()).is_ok() {
+            self.log.record_applied(at, block);
+            self.log.record_read(at, self.selected());
+        }
+    }
+
     fn propose_if_leader(&mut self, ctx: &mut Context<Msg>) {
         if self.round >= self.config.rounds {
             return;
@@ -267,11 +283,7 @@ impl CommitteeReplica {
         }
         self.committed_rounds.insert(round);
         self.pending_commits.remove(&round);
-        let at = ctx.now();
-        if self.tree.insert(block.clone()).is_ok() {
-            self.log.record_applied(at, block.clone());
-            self.log.record_read(at, self.selected());
-        }
+        self.apply(ctx.now(), block);
         if self.round <= round {
             self.round = round + 1;
             ctx.set_timer(self.config.round_timeout, ROUND_TIMER_BASE + self.round);
@@ -296,9 +308,7 @@ impl Process<Msg> for CommitteeReplica {
         let at = ctx.now();
         match msg {
             Msg::Propose { round, block } => {
-                if self.seen_blocks.insert(block.id) {
-                    self.log.record_received(at, block.clone());
-                }
+                self.note_received(at, &block);
                 // Vote only for the legitimate leader's proposal of the
                 // current (or future) round, and only if it extends a block
                 // we know.
@@ -317,35 +327,21 @@ impl Process<Msg> for CommitteeReplica {
                 block: _,
                 payload,
             } => {
-                if self.seen_blocks.insert(payload.id) {
-                    self.log.record_received(at, payload.clone());
-                }
+                self.note_received(at, &payload);
                 self.register_vote(ctx, round, from, payload);
             }
             Msg::NewBlock(block) => {
                 // Committed blocks flooded to observers outside the committee.
-                if self.seen_blocks.insert(block.id) {
-                    self.log.record_received(at, block.clone());
-                }
-                if self.tree.insert(block.clone()).is_ok() {
-                    self.log.record_applied(at, block);
-                    self.log.record_read(at, self.selected());
-                }
+                self.note_received(at, &block);
+                self.apply(at, block);
             }
             Msg::Blocks { blocks, .. } => {
                 // Delta-sync response: committed blocks, parents-first.
                 // Committee replicas never *send* SyncRequest today, so this
-                // arm only fires in mixed fleets; it applies each block with
-                // the same semantics as the NewBlock flood above (insert
-                // failures ignored — committee blocks commit in order).
+                // arm only fires in mixed fleets; each block is a NewBlock.
                 for block in blocks {
-                    if self.seen_blocks.insert(block.id) {
-                        self.log.record_received(at, block.clone());
-                    }
-                    if self.tree.insert(block.clone()).is_ok() {
-                        self.log.record_applied(at, block);
-                        self.log.record_read(at, self.selected());
-                    }
+                    self.note_received(at, &block);
+                    self.apply(at, block);
                 }
             }
             Msg::SyncRequest {

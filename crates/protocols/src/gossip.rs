@@ -1,12 +1,12 @@
-//! Shared delta-sync gossip machinery for the mining replicas.
+//! Delta-sync gossip machinery for the mining replica.
 //!
-//! Honest ([`PowReplica`](crate::pow::PowReplica)) and adversarial
-//! ([`AdversarialMiner`](crate::adversary::AdversarialMiner)) miners repair
-//! gaps the same way: orphaned blocks are buffered, a
-//! [`Msg::SyncRequest`](crate::messages::Msg) asks the peer for the delta
-//! above a floor, and fruitless responses halve the floor until the fork
-//! point is reached.  This module holds that state machine once so the two
-//! replica types cannot drift.
+//! There is one mining replica, [`PowReplica`](crate::pow::PowReplica);
+//! selfish and withholding miners are release policies over it
+//! ([`Strategy`](crate::adversary::Strategy)), so every miner repairs gaps
+//! the same way and there is no second copy to drift: orphaned blocks are
+//! buffered, a [`Msg::SyncRequest`](crate::messages::Msg) asks the peer for
+//! the delta above a floor, and fruitless responses halve the floor until
+//! the fork point is reached.
 //!
 //! # Hardened sync
 //!
@@ -56,7 +56,7 @@
 use btadt_netsim::{Context, SimTime};
 use btadt_pipeline::{BatchReport, IngestVerdict};
 use btadt_store::{BlockStore, RecoveryReport, ReplicaCore};
-use btadt_types::{Block, BlockBuilder, BlockId, BlockTree, Transaction};
+use btadt_types::{Block, BlockId, BlockTree};
 
 use crate::extract::ReplicaLog;
 use crate::messages::Msg;
@@ -75,8 +75,8 @@ pub(crate) const SYNC_LOOKBACK: u64 = 3;
 pub const MAX_SYNC_BATCH: usize = 16;
 
 /// Timer id used by the sync retry/timeout machinery.  Must stay distinct
-/// from the replica-local timers (`MINE_TIMER = 1`, `SYNC_TIMER = 2`,
-/// adversary `RELEASE_TIMER = 3`, committee round timer).
+/// from the mining replica's own timers (`MINE_TIMER = 1`,
+/// `SYNC_TIMER = 2`, `RELEASE_TIMER = 3`, all in `pow.rs`).
 pub const RETRY_TIMER: u64 = 9;
 
 /// Base request timeout in simulated ticks (first attempt).  Doubled per
@@ -101,25 +101,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Builds the block a miner chains onto `parent`: a single transfer whose
-/// id/nonce are derived from the miner id and a per-miner counter (which
-/// this bumps).  Shared by honest and adversarial miners so the block
-/// scheme cannot drift between them.
-pub(crate) fn mint_block(id: usize, n: usize, next_tx: &mut u64, parent: &Block) -> Block {
-    let tx = Transaction::transfer(
-        (id as u64) << 32 | *next_tx,
-        id as u32,
-        ((id + 1) % n) as u32,
-        1,
-    );
-    *next_tx += 1;
-    BlockBuilder::new(parent)
-        .producer(id as u32)
-        .nonce((id as u64) << 32 | *next_tx)
-        .push_tx(tx)
-        .build()
 }
 
 /// The sync request currently in flight (at most one per replica).
@@ -632,6 +613,7 @@ impl GossipSync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btadt_types::BlockBuilder;
 
     #[test]
     fn classify_response_distinguishes_fresh_late_and_stale() {

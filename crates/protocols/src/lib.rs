@@ -36,7 +36,7 @@ pub mod gossip;
 pub mod messages;
 pub mod pow;
 
-pub use adversary::{build_miners, scenario_pow_config, AdversarialMiner, Miner, Strategy};
+pub use adversary::{build_miners, scenario_pow_config, Miner, Strategy};
 pub use classification::{classify, table1, Classification, ProtocolSpec, SystemModel, TableRow};
 pub use committee::{CommitteeConfig, CommitteeReplica, LeaderRule};
 pub use extract::{build_histories, ReplicaLog};

@@ -10,14 +10,19 @@
 //! Reads are sampled whenever a replica's selected chain grows (blockchain
 //! clients expose a monotone view of the chain), plus once at the end of the
 //! run; the classification driver adds that final quiescent read.
+//!
+//! An adversarial replica ([`PowReplica::adversarial`]) is the same miner
+//! under another *release policy* ([`Strategy`]); the one behaviour that is
+//! not policy is that adversaries record no reads (see [`crate::adversary`]).
 
 use std::sync::Arc;
 
 use btadt_netsim::{Context, Process, SimTime};
 use btadt_oracle::{Cell, Tape};
 use btadt_store::{BlockStore, SimMedium, StoreConfig};
-use btadt_types::{Block, BlockTree, Blockchain, SelectionFunction};
+use btadt_types::{Block, BlockBuilder, BlockTree, Blockchain, SelectionFunction, Transaction};
 
+use crate::adversary::Strategy;
 use crate::extract::ReplicaLog;
 use crate::gossip::{
     GossipSync, RecoveryMode, ResponseClass, SyncStats, MAX_SYNC_BATCH, RETRY_TIMER,
@@ -27,6 +32,8 @@ use crate::messages::Msg;
 
 const MINE_TIMER: u64 = 1;
 const SYNC_TIMER: u64 = 2;
+/// Fires once per block a [`Strategy::Withhold`] miner queued.
+pub(crate) const RELEASE_TIMER: u64 = 3;
 
 /// Configuration of a proof-of-work replica.
 #[derive(Clone)]
@@ -52,13 +59,21 @@ pub struct PowConfig {
     pub recovery: RecoveryMode,
 }
 
-/// A proof-of-work replica.
+/// A proof-of-work replica, honest or adversarial.
 pub struct PowReplica {
     id: usize,
     config: PowConfig,
+    /// `None` for an honest replica, which floods each block as it mines it.
+    strategy: Option<Strategy>,
     tape: Tape,
     /// Local tree plus the shared orphan-repair / delta-sync machinery.
     sync: GossipSync,
+    /// Own blocks not yet flooded, oldest first (a selfish miner's private
+    /// branch, a withholding one's release queue; empty when honest).
+    withheld: Vec<Block>,
+    /// Highest height among blocks known to be public (foreign blocks and
+    /// own released ones).
+    public_height: u64,
     last_read_score: u64,
     next_tx: u64,
     /// Everything this replica did (read by the classification driver).
@@ -66,27 +81,57 @@ pub struct PowReplica {
 }
 
 impl PowReplica {
-    /// Creates a replica.
+    /// Creates an honest replica.
     pub fn new(id: usize, config: PowConfig) -> Self {
+        Self::with_strategy(id, config, None)
+    }
+
+    /// Creates a replica that withholds the blocks it mines according to
+    /// `strategy`.  It ignores `config.recovery`: a rejoin always keeps its
+    /// state ([`RecoveryMode::Retain`]) and no durable store is attached.
+    pub fn adversarial(id: usize, config: PowConfig, strategy: Strategy) -> Self {
+        Self::with_strategy(id, config, Some(strategy))
+    }
+
+    fn with_strategy(id: usize, config: PowConfig, strategy: Option<Strategy>) -> Self {
         let tape = Tape::new(config.seed, id as u64, config.success_probability);
-        let mut sync = GossipSync::new(id);
-        if config.recovery == RecoveryMode::Checkpoint {
+        let mut replica = PowReplica {
+            id,
+            config,
+            strategy,
+            tape,
+            sync: GossipSync::new(id),
+            withheld: Vec::new(),
+            public_height: 0,
+            last_read_score: 0,
+            next_tx: 1,
+            log: ReplicaLog::new(),
+        };
+        if replica.recovery() == RecoveryMode::Checkpoint {
             // Seal often enough that a mid-run crash finds most of the
             // history behind a committed checkpoint.
             let store_config = StoreConfig {
                 chunk_capacity: 64,
                 auto_checkpoint_every: 32,
             };
-            sync = sync.with_durable_store(BlockStore::create(SimMedium::new(), store_config));
+            let store = BlockStore::create(SimMedium::new(), store_config);
+            replica.sync = GossipSync::new(id).with_durable_store(store);
         }
-        PowReplica {
-            id,
-            config,
-            tape,
-            sync,
-            last_read_score: 0,
-            next_tx: 1,
-            log: ReplicaLog::new(),
+        replica
+    }
+
+    /// Blocks mined but not yet released (always empty when honest).
+    pub fn withheld(&self) -> &[Block] {
+        &self.withheld
+    }
+
+    /// What a rejoin does with the replica's state: an adversary models a
+    /// paused process, never a crash-recovery, so it keeps its private
+    /// branch across churn windows.
+    fn recovery(&self) -> RecoveryMode {
+        match self.strategy {
+            None => self.config.recovery,
+            Some(_) => RecoveryMode::Retain,
         }
     }
 
@@ -124,6 +169,9 @@ impl PowReplica {
     }
 
     fn maybe_read(&mut self, at: SimTime) {
+        if self.strategy.is_some() {
+            return;
+        }
         // The selected chain's length beyond genesis is its tip's height:
         // only a chain that grew is worth materialising.
         let tree = self.sync.tree();
@@ -136,25 +184,76 @@ impl PowReplica {
     }
 
     /// Forces a read regardless of growth (used for the final quiescent
-    /// read).
+    /// read).  A no-op on an adversary, which records no reads.
     pub fn force_read(&mut self, at: SimTime) {
+        if self.strategy.is_some() {
+            return;
+        }
         let chain = self.selected();
         self.last_read_score = (chain.len() - 1) as u64;
         self.log.record_read(at, chain);
     }
 
-    fn mine(&mut self, ctx: &mut Context<Msg>) {
+    /// One mining attempt: on a token, chains a single transfer onto the
+    /// selected tip (its id and nonce derive from the miner id and a
+    /// per-miner counter), applies it and hands it to the release policy.
+    pub(crate) fn mine(&mut self, ctx: &mut Context<Msg>) {
         if self.tape.pop() != Cell::Token {
             return;
         }
-        let parent = self.tip().clone();
-        let block = crate::gossip::mint_block(self.id, ctx.n(), &mut self.next_tx, &parent);
+        let id = self.id as u64;
+        let tx = Transaction::transfer(
+            id << 32 | self.next_tx,
+            self.id as u32,
+            ((self.id + 1) % ctx.n()) as u32,
+            1,
+        );
+        self.next_tx += 1;
+        let block = BlockBuilder::new(self.tip())
+            .producer(self.id as u32)
+            .nonce(id << 32 | self.next_tx)
+            .push_tx(tx)
+            .build();
         let at = ctx.now();
         self.log.record_created(at, block.clone());
         self.sync
             .insert_with_orphans(at, block.clone(), &mut self.log);
         self.maybe_read(at);
+        match self.strategy {
+            None => self.release(ctx, block),
+            // Mining extends the lead; nothing is released until the
+            // public chain threatens it.
+            Some(Strategy::Selfish) => self.withheld.push(block),
+            Some(Strategy::Withhold { delay }) => {
+                self.withheld.push(block);
+                ctx.set_timer(delay, RELEASE_TIMER);
+            }
+        }
+    }
+
+    /// Floods one of the replica's own blocks.
+    fn release(&mut self, ctx: &mut Context<Msg>, block: Block) {
+        self.public_height = self.public_height.max(block.height);
         ctx.broadcast(Msg::NewBlock(block));
+    }
+
+    /// Floods the entire withheld branch, oldest first.
+    fn release_all(&mut self, ctx: &mut Context<Msg>) {
+        for block in std::mem::take(&mut self.withheld) {
+            self.release(ctx, block);
+        }
+    }
+
+    /// Runs after foreign blocks arrive: an honest replica reads a grown
+    /// chain; a selfish one publishes its private branch as soon as the
+    /// public chain is within one block of its tip (lead ≤ 1), so honest
+    /// blocks at the contested heights are orphaned by the longer branch.
+    fn after_foreign_blocks(&mut self, ctx: &mut Context<Msg>) {
+        self.maybe_read(ctx.now());
+        let private_tip = self.withheld.last().map_or(0, |tip| tip.height);
+        if self.strategy == Some(Strategy::Selfish) && private_tip <= self.public_height + 1 {
+            self.release_all(ctx); // a no-op when nothing is withheld
+        }
     }
 }
 
@@ -173,12 +272,13 @@ impl Process<Msg> for PowReplica {
             Msg::NewBlock(block) => {
                 if !self.sync.contains(block.id) {
                     self.log.record_received(at, block.clone());
+                    self.public_height = self.public_height.max(block.height);
                     if !self.sync.insert_with_orphans(at, block, &mut self.log) {
                         // The block orphaned: something upstream was lost or
                         // reordered — ask its sender for the missing delta.
                         self.sync.request_delta_sync(ctx, from);
                     }
-                    self.maybe_read(at);
+                    self.after_foreign_blocks(ctx);
                 }
             }
             Msg::Blocks { request_id, blocks } => {
@@ -195,9 +295,10 @@ impl Process<Msg> for PowReplica {
                     .collect();
                 for block in &fresh {
                     self.log.record_received(at, block.clone());
+                    self.public_height = self.public_height.max(block.height);
                 }
                 self.sync.apply_batch(at, fresh, &mut self.log);
-                self.maybe_read(at);
+                self.after_foreign_blocks(ctx);
                 self.sync.after_blocks(ctx, from, batch_len, batch_max);
             }
             Msg::SyncRequest {
@@ -206,11 +307,13 @@ impl Process<Msg> for PowReplica {
             } => {
                 // Always reply, even with an empty batch, so the requester
                 // can clear its pending request; duplicate requests get
-                // duplicate (idempotent) replies.
+                // duplicate (idempotent) replies.  Withheld blocks never
+                // leak: a sync reply is a publication.
                 let blocks = self
                     .sync
                     .tree()
                     .delta_above(above_height)
+                    .filter(|b| !self.withheld.iter().any(|w| w.id == b.id))
                     .take(MAX_SYNC_BATCH)
                     .cloned()
                     .collect();
@@ -234,6 +337,9 @@ impl Process<Msg> for PowReplica {
                 self.mine(ctx);
                 ctx.set_timer(self.config.mine_interval, MINE_TIMER);
             }
+            // Mining is over; a selfish miner holding a lead it will never
+            // extend publishes it rather than discard the work.
+            MINE_TIMER if self.strategy == Some(Strategy::Selfish) => self.release_all(ctx),
             SYNC_TIMER => {
                 self.sync.anti_entropy(ctx);
                 let sync_until =
@@ -243,18 +349,30 @@ impl Process<Msg> for PowReplica {
                 }
             }
             RETRY_TIMER => self.sync.on_retry_timer(ctx),
+            RELEASE_TIMER if !self.withheld.is_empty() => {
+                let block = self.withheld.remove(0);
+                self.release(ctx, block);
+            }
             _ => {}
         }
     }
 
     fn on_rejoin(&mut self, ctx: &mut Context<Msg>) {
-        let mode = self.config.recovery;
+        let mode = self.recovery();
         self.sync.note_rejoin(mode);
         self.on_start(ctx);
         if mode != RecoveryMode::Retain {
             // A recovering process catches up immediately instead of
             // waiting for its next periodic anti-entropy tick.
             self.sync.anti_entropy(ctx);
+        }
+        // RELEASE_TIMERs armed before a churn window died with the old
+        // incarnation: re-arm one per pending block, spaced by the delay,
+        // or the queue is stranded (a fire on a drained queue is a no-op).
+        if let Some(Strategy::Withhold { delay }) = self.strategy {
+            for k in 0..self.withheld.len() as u64 {
+                ctx.set_timer(delay * (k + 1), RELEASE_TIMER);
+            }
         }
     }
 }
