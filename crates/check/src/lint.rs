@@ -1,9 +1,10 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Seven rules: three about keeping the concurrency story auditable, one
+//! Eight rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
 //! allocation-free, one about keeping a delta-sync reply as cheap as what
-//! it sends, one about keeping one copy of a block's transactions:
+//! it sends, one about keeping one copy of a block's transactions, one
+//! about keeping whole-tree leaf scans off library paths:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -14,6 +15,7 @@
 //! | `no-allocating-encode` | no `encode_record(` call in non-test library code outside `codec.rs` unless `// LINT-ALLOW: <reason>` — it allocates a buffer per record and its sum feeds no chunk; the store's writer encodes with `encode_record_into` into its reused run buffer |
 //! | `delta-needs-cap` | every `delta_above(` call in non-test library code reaches a `.take(` on the same line or within the next 3 lines, unless `// LINT-ALLOW: <reason>` — the walk is lazy, so an uncapped one costs the whole tree above the floor |
 //! | `no-payload-copy` | no `.payload.to_vec()` and no `.payload.iter().cloned()` / `.copied()` reaching a `.collect` within the next 3 lines in non-test library code unless `// LINT-ALLOW: <reason>` — a block's `Payload` is shared and immutable, so a holder clones the handle (`.payload.clone()`) instead of copying the transactions |
+//! | `no-leaf-scan` | no `.leaves()` and no `.all_chains()` call in non-test library code unless `// LINT-ALLOW: <reason>` — the tree keeps a leaf *count*, not a leaf set, so each is an O(n) scan of the arena plus a sort; ask `leaf_count()` or a best-tip query instead |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -22,9 +24,9 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the five library
+//! cannot produce findings.  Test code is exempt from the six library
 //! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
-//! `delta-needs-cap`, `no-payload-copy`) only: files under a `tests/`
+//! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`) only: files under a `tests/`
 //! directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
 //! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
 //! harness is additionally exempt from `no-chain-for-tip`,
@@ -52,6 +54,8 @@ pub const RULE_ALLOC_ENCODE: &str = "no-allocating-encode";
 pub const RULE_DELTA_CAP: &str = "delta-needs-cap";
 /// Rule id: a block's shared payload copied transaction by transaction.
 pub const RULE_PAYLOAD_COPY: &str = "no-payload-copy";
+/// Rule id: a whole-tree leaf scan on a library path.
+pub const RULE_LEAF_SCAN: &str = "no-leaf-scan";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -349,9 +353,15 @@ fn payload_copy(lines: &[LineView], idx: usize) -> bool {
             .any(|l| l.code.contains(".collect"))
 }
 
+/// `true` iff the masked code line enumerates the tree's leaves:
+/// `.leaves()` or `.all_chains()`.
+fn leaf_scan(code: &str) -> bool {
+    code.contains(".leaves()") || code.contains(".all_chains()")
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
 /// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
-/// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`]) the whole file is exempt
+/// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`]) the whole file is exempt
 /// from (test files, binaries); `#[cfg(test)]` regions are detected
 /// internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
@@ -458,6 +468,17 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_LEAF_SCAN) && leaf_scan(&line.code) && !allowed() {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_LEAF_SCAN,
+                detail: "`.leaves()` / `.all_chains()` scans the whole arena and sorts (use \
+                         `leaf_count()` or a best-tip query, or annotate \
+                         `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -500,7 +521,7 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all five
+/// The library-only rules a path is exempt from as a whole file: all six
 /// for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`] and
 /// [`RULE_PAYLOAD_COPY`] for the `benchmark/` harness — frozen to library
 /// PRs, it reads each miner's tip once after a run, not per event, its
@@ -522,6 +543,7 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
             RULE_ALLOC_ENCODE,
             RULE_DELTA_CAP,
             RULE_PAYLOAD_COPY,
+            RULE_LEAF_SCAN,
         ]
     } else if in_dir("benchmark") {
         &[RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE, RULE_PAYLOAD_COPY]
@@ -707,6 +729,16 @@ fn corpus() -> Vec<CorpusCase> {
         (
             "shared-payload-is-clean",
             "fn rebuild(b: &Block, parent: &Block) -> (Block, u64) {\n    let shared = BlockBuilder::new(parent).payload(b.payload.clone()).build();\n    let total = b.payload.iter().copied().map(|tx| tx.amount).sum();\n    // LINT-ALLOW: the caller mutates its own copy\n    let _mine = b.payload.to_vec();\n    (shared, total)\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) -> Vec<Transaction> { b.payload.to_vec() }\n}\n",
+            vec![],
+        ),
+        (
+            "leaf-scan",
+            "fn audit(t: &BlockTree) -> usize {\n    let leaves = t.leaves();\n    let chains = t\n        .all_chains();\n    leaves.len() + chains.len()\n}\n",
+            vec![(RULE_LEAF_SCAN, 2), (RULE_LEAF_SCAN, 4)],
+        ),
+        (
+            "leaf-count-is-clean",
+            "pub fn leaves(&self) -> Vec<BlockId> {\n    self.scan()\n}\nfn audit(t: &BlockTree) -> usize {\n    // LINT-ALLOW: a report lists every branch once, off the hot path\n    let chains = t.all_chains();\n    t.leaf_count() + chains.len() + t.best_leaf_by_height(true).0 as usize\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree) { t.leaves(); }\n}\n",
             vec![],
         ),
         (

@@ -749,7 +749,7 @@ impl ConcurrentBlockTree {
     /// link, so an error never leaves the writer tree ahead of the store
     /// and a hostile block never panics under the lock; an injected panic
     /// at a seam unwinds through the tree's batch session, which reconciles
-    /// the leaf set and best tips for exactly the linked prefix, and then
+    /// the leaf count and best tips for exactly the linked prefix, and then
     /// through the [`DurableRun`] guard, which persists that prefix.
     /// Together these make
     /// [`heal_after_poison`](ConcurrentBlockTree::heal_after_poison) a pure

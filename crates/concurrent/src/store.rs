@@ -25,7 +25,7 @@
 //! Indices handed out by [`SnapshotStore::push`] are insertion-ordered and
 //! deliberately coincide with the `NodeIdx` arena indices of
 //! [`btadt_types::BlockTree`], so the writer side can maintain the rich
-//! tree (leaf sets, incremental best tips) and mirror each insert here.
+//! tree (leaf count, incremental best tips) and mirror each insert here.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;

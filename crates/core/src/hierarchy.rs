@@ -14,9 +14,10 @@
 //! The experiments generate *families of histories* by running the oracle
 //! refinement under contention — several logical processes appending on
 //! possibly stale views of a shared tree — and then measure the inclusions
-//! on the generated families.  The benchmark harness prints the resulting
-//! counts (bench groups `fig08_hierarchy_inclusions`, `fig14_impossibility`,
-//! `thm31_sc_subset_ec`, `thm34_fork_bound_inclusion`).
+//! on the generated families.  `btadt_bench::hierarchy_report` runs them
+//! over a seed range, and `cargo run --release -p btadt-bench --bin
+//! figures` prints the resulting counts next to the Figures 2–4
+//! classification.
 
 use std::sync::Arc;
 

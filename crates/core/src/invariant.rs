@@ -1,18 +1,24 @@
 //! Structural invariant checking for [`BlockTree`] instances.
 //!
 //! The arena-indexed tree maintains several aggregates incrementally
-//! (leaf set, best tips, cumulative work).  Under fault injection — stalled
-//! writers, poisoned locks healed mid-install — the cheap way to trust the
-//! incremental state is to recompute it from first principles and compare.
+//! (leaf count, best tips, cumulative work, child lists).  Under fault
+//! injection — stalled writers, poisoned locks healed mid-install — the
+//! cheap way to trust the incremental state is to recompute it from first
+//! principles and compare.
 //! [`check_block_tree`] does exactly that through the tree's *public* API,
 //! so it can run against any replica (simulated, shared-memory, recovered
 //! from a durable store) without privileged access:
 //!
 //! 1. **Link consistency** — every non-genesis block's parent is present,
 //!    sits exactly one height below, and lists the block among its
-//!    children; child links point back at their parent.
-//! 2. **Leaf-set agreement** — the incrementally maintained `leaves()`
-//!    equals the set of blocks with no children, recomputed from scratch.
+//!    children; child links point back at their parent.  Each node's child
+//!    walk (`children_idx`) yields exactly `fork_degree` entries, in
+//!    strictly increasing arena index, each naming that node as its parent.
+//! 2. **Leaf-count agreement** — the incrementally maintained
+//!    `leaf_count()` equals the number of blocks no block names as its
+//!    parent, recomputed from the parent pointers alone (`leaves()` is
+//!    derived from the child links, so comparing it against them would
+//!    check the links against themselves).
 //! 3. **Cumulative-work monotonicity** — cumulative work strictly increases
 //!    along every parent→child edge (block work is positive), and equals
 //!    `parent's cumulative work + own work`.
@@ -75,34 +81,57 @@ pub fn check_block_tree(tree: &BlockTree) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
     let mut recomputed_height = 0u64;
     let mut recomputed_max_fork = 0usize;
-    let mut childless: HashSet<BlockId> = HashSet::new();
+    let mut parents: HashSet<BlockId> = HashSet::new();
 
     for block in tree.blocks() {
         let id = block.id;
         if block.height > recomputed_height {
             recomputed_height = block.height;
         }
-        let children = tree.children(id);
-        recomputed_max_fork = recomputed_max_fork.max(children.len());
-        if children.is_empty() {
-            childless.insert(id);
-        }
-        for child in &children {
-            match tree.get(*child) {
-                None => out.push(violation(
+        // The child walk: exactly `fork_degree` entries, in strictly
+        // increasing arena index (a child is appended when it is linked, and
+        // its slot follows its parent's), each pointing back at this block.
+        // Bounded by the tree's size, so a cyclic sibling list is reported,
+        // not followed forever.
+        let idx = tree.idx_of(id).expect("enumerated blocks resolve");
+        let mut walked = 0usize;
+        let mut prev = idx;
+        for child in tree.children_idx(idx).take(tree.len()) {
+            walked += 1;
+            let child_block = tree.block_at(child);
+            let child_id = child_block.id;
+            if child <= prev {
+                out.push(violation(
                     "links",
                     Some(id),
-                    format!("child {child} is not in the tree"),
-                )),
-                Some(c) if c.parent != Some(id) => out.push(violation(
-                    "links",
-                    Some(id),
-                    format!("child {child} does not point back at this parent"),
-                )),
-                Some(_) => {}
+                    format!(
+                        "child walk visits {child_id} at slot {} after slot {}",
+                        child.0, prev.0
+                    ),
+                ));
             }
+            if tree.parent_idx(child) != Some(idx) || child_block.parent != Some(id) {
+                out.push(violation(
+                    "links",
+                    Some(id),
+                    format!("child {child_id} does not point back at this parent"),
+                ));
+            }
+            prev = child;
         }
+        if walked != tree.fork_degree(id) {
+            out.push(violation(
+                "links",
+                Some(id),
+                format!(
+                    "child walk yields {walked} entries, fork degree is {}",
+                    tree.fork_degree(id)
+                ),
+            ));
+        }
+        recomputed_max_fork = recomputed_max_fork.max(walked);
 
+        parents.extend(block.parent);
         let Some(parent_id) = block.parent else {
             // Exactly one parentless block is allowed: the genesis.
             if id != tree.genesis().id {
@@ -167,19 +196,17 @@ pub fn check_block_tree(tree: &BlockTree) -> Vec<InvariantViolation> {
         }
     }
 
-    let maintained: HashSet<BlockId> = tree.leaves().into_iter().collect();
-    for id in maintained.difference(&childless) {
+    // Every parent pointer names a present block (checked above), so the
+    // blocks no pointer names are the leaves.
+    let childless = tree.len() - parents.len();
+    if tree.leaf_count() != childless {
         out.push(violation(
             "leaf-set",
-            Some(*id),
-            "listed as a leaf but has children".to_string(),
-        ));
-    }
-    for id in childless.difference(&maintained) {
-        out.push(violation(
-            "leaf-set",
-            Some(*id),
-            "childless but missing from the maintained leaf set".to_string(),
+            None,
+            format!(
+                "maintained leaf count {} != {childless} blocks no block names as its parent",
+                tree.leaf_count()
+            ),
         ));
     }
 
@@ -285,8 +312,7 @@ fn check_reachability_labels(tree: &BlockTree, out: &mut Vec<InvariantViolation>
         }
         let mut child_ivs: Vec<_> = tree
             .children_idx(idx)
-            .iter()
-            .map(|&c| (tree.block_at(c).id, tree.interval_at(c)))
+            .map(|c| (tree.block_at(c).id, tree.interval_at(c)))
             .collect();
         child_ivs.sort_by_key(|(_, c)| c.start);
         for (k, (child_id, child_iv)) in child_ivs.iter().enumerate() {

@@ -28,7 +28,7 @@
 //!   Strong Prefix's pairwise prefix tests into O(1) containment checks and
 //!   `mcp` into an interval-guided binary ascent.
 //! * [`invariant`] — recompute-and-compare structural checking of
-//!   [`btadt_types::BlockTree`] instances (link consistency, leaf-set
+//!   [`btadt_types::BlockTree`] instances (link consistency, leaf-count
 //!   agreement, cumulative-work monotonicity) for fault-injection monitors.
 //! * [`hierarchy`] — executable versions of the hierarchy results
 //!   (Theorems 3.1, 3.3, 3.4, Corollary 3.4.1, Theorem 4.8 / Figure 14):

@@ -14,7 +14,7 @@
 //!    topological ordering of the survivors, so the tip stage sees a
 //!    parents-first batch it can apply without retries.
 //! 3. **Tip/virtual state** (the [`Ingest`] implementor): one writer-lock
-//!    or CAS round per batch, with the leaf-set / cumulative-work /
+//!    or CAS round per batch, with the leaf-count / cumulative-work /
 //!    reachability bookkeeping amortized across the whole batch
 //!    (`BlockTree::insert_batch`).
 //!

@@ -197,7 +197,7 @@ impl CheckpointedReplica {
         let mut stack = vec![root_idx];
         while let Some(idx) = stack.pop() {
             keep_hot.insert(self.hot().block_at(idx).id);
-            stack.extend_from_slice(self.hot().children_idx(idx));
+            stack.extend(self.hot().children_idx(idx));
         }
         let mut new_cold: Vec<BlockId> = Vec::new();
         let mut walk = new_root.clone();

@@ -17,7 +17,8 @@
 //!   those reads return.
 //! * [`BlockTree`] — the directed rooted tree `bt = (V_bt, E_bt)`: a dense
 //!   arena slab addressed by [`NodeIdx`] with cached heights, cumulative
-//!   work and incrementally maintained leaf/tip indices (see
+//!   work, intrusive child lists and an incrementally maintained leaf
+//!   count and tip indices (see
 //!   [`tree`] for the representation notes);
 //! * [`mod@reference`] — the naive map-based tree kept as the executable
 //!   specification for property tests and as the benchmark baseline.
@@ -55,7 +56,7 @@ pub use reference::NaiveBlockTree;
 pub use score::{ChainScore, LengthScore, Score, WorkScore};
 pub use selection::{GhostSelection, HeaviestChain, LongestChain, SelectionFunction, TieBreak};
 pub use transaction::{Transaction, TxId};
-pub use tree::{BatchInsert, BlockIdHasher, BlockTree, InsertError, NodeIdx};
+pub use tree::{BatchInsert, BlockIdHasher, BlockTree, Children, InsertError, NodeIdx};
 pub use validity::{
     AlwaysValid, CompositeValidity, MaxPayload, NeverValid, NoDoubleSpend, StructuralValidity,
     ValidityPredicate,

@@ -42,7 +42,7 @@
 //! the labels onto the new root rather than invalidating ancestor queries
 //! inside the surviving window.
 
-use crate::tree::NodeIdx;
+use crate::tree::{Children, NodeIdx};
 
 /// Reserved width a parent keeps for future siblings when granting its
 /// first child, and the per-node reserve target during reindexing.
@@ -77,7 +77,7 @@ pub(crate) struct ReachabilityIndex {
     intervals: Vec<Interval>,
     /// Next free child-allocation position per node.  Children are packed
     /// left-to-right, so child intervals are ordered by `start` in
-    /// children-vector order.
+    /// insertion order.
     cursors: Vec<u64>,
     /// How many reindex passes ran (stress-test / telemetry metric).
     reindexes: u64,
@@ -89,7 +89,7 @@ pub(crate) struct ReachabilityIndex {
 /// topology).
 pub(crate) trait Topology {
     fn parent_of(&self, idx: NodeIdx) -> Option<NodeIdx>;
-    fn children_of(&self, idx: NodeIdx) -> &[NodeIdx];
+    fn children_of(&self, idx: NodeIdx) -> Children<'_>;
 }
 
 impl ReachabilityIndex {
@@ -199,7 +199,7 @@ impl ReachabilityIndex {
                 continue;
             }
             let usable = (iv.end - 1) - iv.start;
-            let total: u64 = children.iter().map(|c| sizes[c.0 as usize]).sum();
+            let total: u64 = children.clone().map(|c| sizes[c.0 as usize]).sum();
             debug_assert!(usable >= total, "reindex root admits its subtree");
             let surplus = usable - total;
             // Hold back one unit plus (up to) the slack reserve so the node
@@ -207,7 +207,7 @@ impl ReachabilityIndex {
             let hold = 1 + ((surplus.saturating_sub(1)) / 2).min(SLACK);
             let pool = surplus.saturating_sub(hold);
             let mut cursor = iv.start;
-            for &c in children {
+            for c in children {
                 let w = sizes[c.0 as usize];
                 let share = if total > 0 {
                     ((pool as u128 * w as u128) / total as u128) as u64
@@ -238,14 +238,10 @@ impl ReachabilityIndex {
         while head < order.len() {
             let u = order[head];
             head += 1;
-            order.extend_from_slice(topo.children_of(u));
+            order.extend(topo.children_of(u));
         }
         for &u in order.iter().rev() {
-            let below: u64 = topo
-                .children_of(u)
-                .iter()
-                .map(|c| sizes[c.0 as usize])
-                .sum();
+            let below: u64 = topo.children_of(u).map(|c| sizes[c.0 as usize]).sum();
             sizes[u.0 as usize] = below + 1;
         }
         (sizes[v.0 as usize], sizes)

@@ -191,6 +191,7 @@ impl NaiveBlockTree {
 
     /// All maximal chains of the tree (one per leaf), sorted by leaf id.
     pub fn all_chains(&self) -> Vec<Blockchain> {
+        // LINT-ALLOW: the spec enumerates by scanning, on purpose
         self.leaves()
             .into_iter()
             .filter_map(|leaf| self.chain_to(leaf))
@@ -240,6 +241,7 @@ impl NaiveBlockTree {
     /// tie-break, and extract the chain.
     pub fn select_longest(&self, tie_break: TieBreak) -> Blockchain {
         let mut best: Option<(u64, BlockId)> = None;
+        // LINT-ALLOW: the spec selects by scanning, on purpose
         for leaf in self.leaves() {
             let height = self.get(leaf).map(|b| b.height).unwrap_or(0);
             best = Some(match best {
@@ -261,6 +263,7 @@ impl NaiveBlockTree {
     /// under the tie-break, and extract the chain.
     pub fn select_heaviest(&self, tie_break: TieBreak) -> Blockchain {
         let mut best: Option<(u64, BlockId)> = None;
+        // LINT-ALLOW: the spec selects by scanning, on purpose
         for leaf in self.leaves() {
             let work = self.cumulative_work(leaf).unwrap_or(0);
             best = Some(match best {

@@ -175,12 +175,10 @@ impl SelectionFunction for GhostSelection {
         let weights = tree.subtree_work_table();
         let mut cursor = NodeIdx::GENESIS;
         loop {
-            let children = tree.children_idx(cursor);
-            if children.is_empty() {
-                break;
-            }
+            // Ties fall to the id tie-break, so the order the children are
+            // walked in cannot change the choice.
             let mut best: Option<(u64, BlockId, NodeIdx)> = None;
-            for &child in children {
+            for child in tree.children_idx(cursor) {
                 let weight = weights[child.0 as usize];
                 let child_id = tree.block_at(child).id;
                 let replace = match best {
@@ -194,9 +192,11 @@ impl SelectionFunction for GhostSelection {
                     best = Some((weight, child_id, child));
                 }
             }
-            cursor = best.expect("children is non-empty").2;
+            match best {
+                Some((_, _, child)) => cursor = child,
+                None => return cursor,
+            }
         }
-        cursor
     }
 
     fn name(&self) -> &'static str {

@@ -9,7 +9,9 @@
 //!    same leaves, heights, fork degrees, cumulative/subtree works, same
 //!    `read()` chain under every selection rule, and the same capped
 //!    delta-sync prefixes (`delta_above(h).take(k)`), re-rooted windows
-//!    included.
+//!    included.  A known id re-offered with a forged height, parent or
+//!    work is a `Duplicate` through every door (`insert`, `insert_batch`,
+//!    `Ingest::ingest_batch`), exactly as in the spec.
 //! 2. **Algebraic laws** the rest of the workspace relies on: score
 //!    monotonicity, prefix-relation laws, selection determinism and
 //!    tree/chain consistency.
@@ -17,13 +19,18 @@
 //! Cases are driven by the workspace's deterministic ChaCha8 generator, so
 //! every failure reproduces from its printed seed.
 
+use std::collections::HashMap;
+
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
+use btadt_pipeline::{Ingest, IngestVerdict};
+
 use btadt_types::workload::Workload;
 use btadt_types::{
-    Block, BlockBuilder, BlockTree, Blockchain, GhostSelection, HeaviestChain, LengthScore,
-    LongestChain, NaiveBlockTree, Score, SelectionFunction, TieBreak, WorkScore, GENESIS_ID,
+    Block, BlockBuilder, BlockId, BlockTree, Blockchain, GhostSelection, HeaviestChain,
+    InsertError, LengthScore, LongestChain, NaiveBlockTree, Score, SelectionFunction, TieBreak,
+    WorkScore, GENESIS_ID,
 };
 
 const CASES: u64 = 96;
@@ -47,7 +54,9 @@ fn build_tree(seed: u64, size: usize, bias: f64) -> BlockTree {
 
 /// A randomised stream of insert attempts: mostly valid blocks attached to
 /// random known parents, plus duplicates, orphans (unknown parents, possibly
-/// delivered out of order) and height-corrupted blocks.
+/// delivered out of order), height-corrupted blocks and forged duplicates
+/// (a known id re-offered with a corrupted height, an unknown parent or a
+/// work that overflows).
 fn random_insert_sequence(seed: u64, len: usize) -> Vec<Block> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut w = Workload::new(seed ^ 0x5a5a);
@@ -82,6 +91,18 @@ fn random_insert_sequence(seed: u64, len: usize) -> Vec<Block> {
             let parent = known[rng.gen_range(0..known.len())].clone();
             let mut block = w.block_on(&parent, 3, 0, 2);
             block.height += 1 + rng.gen::<u64>() % 3;
+            sequence.push(block);
+        } else if roll < 96 {
+            // Forged duplicate: invalid for a second reason besides its id.
+            let mut block = known[rng.gen_range(0..known.len())].clone();
+            if block.is_genesis() {
+                continue;
+            }
+            match rng.gen::<u64>() % 3 {
+                0 => block.height += 1 + rng.gen::<u64>() % 3,
+                1 => block.parent = Some(BlockId(rng.gen())),
+                _ => block.work = u64::MAX,
+            }
             sequence.push(block);
         } else if let Some(parent) = deferred.pop() {
             // Deliver a deferred parent late: it becomes insertable now.
@@ -174,18 +195,49 @@ fn naive_mirror(tree: &BlockTree) -> NaiveBlockTree {
 
 #[test]
 fn arena_tree_is_observationally_equivalent_to_the_naive_reference() {
+    let mut forged = 0;
     for case in 0..CASES {
         let (seed, size, _) = tree_params(case);
         let sequence = random_insert_sequence(seed, size.max(4) * 2);
         let mut arena = BlockTree::new();
         let mut naive = NaiveBlockTree::new();
-        for block in sequence {
+        let mut outcomes = Vec::with_capacity(sequence.len());
+        for block in &sequence {
             let a = arena.insert(block.clone());
-            let n = naive.insert(block);
+            let n = naive.insert(block.clone());
             assert_eq!(a, n, "case {case}: insert outcomes must agree");
+            outcomes.push(n);
         }
         assert_equivalent(case, &arena, &naive);
+
+        // The batch doors decide every block as the single inserts did.
+        let batched = BlockTree::new().insert_batch(&sequence);
+        assert_eq!(batched, outcomes, "case {case}: insert_batch");
+        let ingested = BlockTree::new().ingest_batch(sequence.clone());
+        assert_eq!(
+            ingested,
+            NaiveBlockTree::new().ingest_batch(sequence.clone()),
+            "case {case}: ingest_batch"
+        );
+        // Every re-offered id is refused as a duplicate, whatever else is
+        // wrong with the copy.
+        let mut accepted: HashMap<BlockId, &Block> = HashMap::new();
+        for (pos, block) in sequence.iter().enumerate() {
+            if let Some(original) = accepted.get(&block.id) {
+                forged += usize::from(*original != block);
+                let what = format!("case {case}, position {pos}");
+                assert_eq!(
+                    outcomes[pos],
+                    Err(InsertError::Duplicate(block.id)),
+                    "{what}"
+                );
+                assert_eq!(ingested.verdicts[pos], IngestVerdict::Duplicate, "{what}");
+            } else if outcomes[pos].is_ok() {
+                accepted.insert(block.id, block);
+            }
+        }
     }
+    assert!(forged > 0, "the sequences offer forged duplicates");
 }
 
 #[test]

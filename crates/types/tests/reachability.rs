@@ -93,8 +93,7 @@ fn assert_nesting_invariants(label: &str, tree: &BlockTree) {
         );
         let mut children: Vec<_> = tree
             .children_idx(idx)
-            .iter()
-            .map(|&c| tree.interval_at(c))
+            .map(|c| tree.interval_at(c))
             .collect();
         children.sort_by_key(|c| c.start);
         for (k, child) in children.iter().enumerate() {
