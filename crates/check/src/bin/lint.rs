@@ -2,15 +2,17 @@
 //! — the offline lint gate over the workspace sources.
 //!
 //! Scans every `.rs` file (skipping `target/`, `.git/` and the vendored
-//! `shims/`) for the eight rules of [`btadt_check::lint`]: `unsafe`
+//! `shims/`) for the nine rules of [`btadt_check::lint`]: `unsafe`
 //! without `// SAFETY:`, atomic `Ordering::` variants without a naming
 //! `// ORDERING:` comment, and — in non-test library code, unless
 //! `// LINT-ALLOW:` — bare `.unwrap()` / `.expect(`, a chain selected
 //! only to read its tip (`.selected().tip()`), the allocating
 //! `encode_record(` outside `codec.rs`, a `delta_above(` walk with no
 //! `.take(` cap, a block's shared payload copied out
-//! (`.payload.to_vec()`), and a whole-tree leaf scan (`.leaves()` /
-//! `.all_chains()`).  Exits 1 on any finding.
+//! (`.payload.to_vec()`), a whole-tree leaf scan (`.leaves()` /
+//! `.all_chains()`), and — under `crates/core/src/criteria/` — a `for`
+//! over `(i + 1)..`, the inner half of an all-pairs loop.  Exits 1 on any
+//! finding.
 //!
 //! `--self-test` runs the embedded corpus (every rule exercised
 //! positively and negatively) instead of scanning, exiting nonzero on

@@ -119,8 +119,10 @@ fn rerooted_disagreements(tree: &BlockTree, head: (u32, u32), selected_tip: bool
     out
 }
 
-/// Cross-validates the interval-indexed [`ReachForest`] against the
-/// positional chain operations on the chains the reads returned.
+/// Cross-validates the pre-order-numbered [`ReachForest`] against the
+/// positional chain operations on the chains the reads returned: every
+/// pair's compatibility and common prefix, and every chain's count of
+/// diverging later chains.
 fn forest_disagreements(chains: &[Blockchain]) -> Vec<String> {
     if chains.is_empty() {
         return Vec::new();
@@ -147,6 +149,21 @@ fn forest_disagreements(chains: &[Blockchain]) -> Vec<String> {
                  {m_positional}"
             ));
         }
+    }
+    let counted = forest.diverging_later();
+    let positional: Vec<usize> = (0..chains.len())
+        .map(|i| {
+            chains[i + 1..]
+                .iter()
+                .filter(|later| !chains[i].prefix_compatible(later))
+                .count()
+        })
+        .collect();
+    if counted != positional {
+        out.push(format!(
+            "ReachForest::diverging_later() = {counted:?} but the positional pairwise counts \
+             are {positional:?}"
+        ));
     }
     out
 }

@@ -1,10 +1,11 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Eight rules: three about keeping the concurrency story auditable, one
+//! Nine rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
 //! allocation-free, one about keeping a delta-sync reply as cheap as what
 //! it sends, one about keeping one copy of a block's transactions, one
-//! about keeping whole-tree leaf scans off library paths:
+//! about keeping whole-tree leaf scans off library paths, one about
+//! keeping the consistency checkers off all-pairs loops:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -16,6 +17,7 @@
 //! | `delta-needs-cap` | every `delta_above(` call in non-test library code reaches a `.take(` on the same line or within the next 3 lines, unless `// LINT-ALLOW: <reason>` — the walk is lazy, so an uncapped one costs the whole tree above the floor |
 //! | `no-payload-copy` | no `.payload.to_vec()` and no `.payload.iter().cloned()` / `.copied()` reaching a `.collect` within the next 3 lines in non-test library code unless `// LINT-ALLOW: <reason>` — a block's `Payload` is shared and immutable, so a holder clones the handle (`.payload.clone()`) instead of copying the transactions |
 //! | `no-leaf-scan` | no `.leaves()` and no `.all_chains()` call in non-test library code unless `// LINT-ALLOW: <reason>` — the tree keeps a leaf *count*, not a leaf set, so each is an O(n) scan of the arena plus a sort; ask `leaf_count()` or a best-tip query instead |
+//! | `no-pair-loop` | in non-test library code under `crates/core/src/criteria/`, no `for` whose range starts at `(<ident> + 1)..` (or `<ident> + 1..`) unless `// LINT-ALLOW: <reason>` — the inner half of an all-pairs loop is O(R²) over a history's reads; count with an index (`ReachForest::diverging_later`) and say why what is left is bounded |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -24,15 +26,16 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the six library
+//! cannot produce findings.  Test code is exempt from the seven library
 //! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
-//! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`) only: files under a `tests/`
+//! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`, `no-pair-loop`) only: files under a `tests/`
 //! directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
 //! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
 //! harness is additionally exempt from `no-chain-for-tip`,
 //! `no-allocating-encode` (its probe times `encode_record` itself) and
 //! `no-payload-copy`, and `codec.rs`, which defines the wrapper, from
-//! `no-allocating-encode`.  The
+//! `no-allocating-encode`; `no-pair-loop` applies under a `criteria/`
+//! directory only.  The
 //! justification rules apply *everywhere*, tests included — a memory
 //! ordering deserves a reason even in a test.
 
@@ -56,6 +59,8 @@ pub const RULE_DELTA_CAP: &str = "delta-needs-cap";
 pub const RULE_PAYLOAD_COPY: &str = "no-payload-copy";
 /// Rule id: a whole-tree leaf scan on a library path.
 pub const RULE_LEAF_SCAN: &str = "no-leaf-scan";
+/// Rule id: the inner half of an all-pairs loop in a consistency checker.
+pub const RULE_PAIR_LOOP: &str = "no-pair-loop";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -359,9 +364,31 @@ fn leaf_scan(code: &str) -> bool {
     code.contains(".leaves()") || code.contains(".all_chains()")
 }
 
+/// `true` iff the masked code line opens a `for` loop whose range starts
+/// one past a variable: `for <pat> in (<ident> + 1)..` or
+/// `for <pat> in <ident> + 1..` — the inner half of an all-pairs loop.
+fn pair_loop(code: &str) -> bool {
+    code.match_indices("for ").any(|(p, _)| {
+        let Some((_, range)) = code[p..].split_once(" in ") else {
+            return false;
+        };
+        let range: String = range.chars().filter(|c| !c.is_whitespace()).collect();
+        let start = match range.strip_prefix('(') {
+            Some(inner) => inner.split_once("+1)..").map(|(ident, _)| ident),
+            None => range.split_once("+1..").map(|(ident, _)| ident),
+        };
+        let is_ident = |ident: &str| {
+            ident.starts_with(|c: char| c.is_alphabetic() || c == '_')
+                && ident.chars().all(|c| c.is_alphanumeric() || c == '_')
+        };
+        !ident_tail(&code[..p]) && start.is_some_and(is_ident)
+    })
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
 /// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
-/// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`]) the whole file is exempt
+/// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`],
+/// [`RULE_PAIR_LOOP`]) the whole file is exempt
 /// from (test files, binaries); `#[cfg(test)]` regions are detected
 /// internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
@@ -479,6 +506,17 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_PAIR_LOOP) && pair_loop(&line.code) && !allowed() {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_PAIR_LOOP,
+                detail: "a `for` over `(i + 1)..` in a consistency checker is half of an \
+                         all-pairs loop (count with an index, or annotate \
+                         `// LINT-ALLOW: <reason>` saying why it is bounded)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -521,13 +559,14 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all six
+/// The library-only rules a path is exempt from as a whole file: all seven
 /// for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`] and
 /// [`RULE_PAYLOAD_COPY`] for the `benchmark/` harness — frozen to library
 /// PRs, it reads each miner's tip once after a run, not per event, its
 /// encode probe times the allocating wrapper on purpose, and it builds its
 /// inputs untimed; and [`RULE_ALLOC_ENCODE`] for `codec.rs`, where the
-/// wrapper is defined.
+/// wrapper is defined.  [`RULE_PAIR_LOOP`] binds only the consistency
+/// checkers under a `criteria/` directory.
 fn exempt_rules(path: &Path) -> &'static [&'static str] {
     let in_dir = |name: &str| path.components().any(|c| c.as_os_str() == name);
     let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
@@ -544,13 +583,21 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
             RULE_DELTA_CAP,
             RULE_PAYLOAD_COPY,
             RULE_LEAF_SCAN,
+            RULE_PAIR_LOOP,
         ]
     } else if in_dir("benchmark") {
-        &[RULE_CHAIN_FOR_TIP, RULE_ALLOC_ENCODE, RULE_PAYLOAD_COPY]
+        &[
+            RULE_CHAIN_FOR_TIP,
+            RULE_ALLOC_ENCODE,
+            RULE_PAYLOAD_COPY,
+            RULE_PAIR_LOOP,
+        ]
     } else if file == "codec.rs" {
-        &[RULE_ALLOC_ENCODE]
-    } else {
+        &[RULE_ALLOC_ENCODE, RULE_PAIR_LOOP]
+    } else if in_dir("criteria") {
         &[]
+    } else {
+        &[RULE_PAIR_LOOP]
     }
 }
 
@@ -742,6 +789,16 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
+            "pair-loop",
+            "fn judge(reads: &[Chain]) -> usize {\n    let mut n = 0;\n    for i in 0..reads.len() {\n        for j in (i + 1)..reads.len() {\n            n += usize::from(reads[i] != reads[j]);\n        }\n        for j in i + 1..reads.len() { n += j; }\n    }\n    n\n}\n",
+            vec![(RULE_PAIR_LOOP, 4), (RULE_PAIR_LOOP, 7)],
+        ),
+        (
+            "bounded-pair-loop-is-clean",
+            "fn judge(reads: &[Chain], rows: &[usize]) -> usize {\n    let mut n = 0;\n    for &i in rows {\n        // LINT-ALLOW: only the rows that hold a violation, at most DETAIL_CAP\n        for j in (i + 1)..reads.len() {\n            n += usize::from(reads[i] != reads[j]);\n        }\n    }\n    for k in (n + 2)..8 { n += k; }\n    for j in 1..n { n += j; }\n    let _ = (n + 1..9).count();\n    n\n}\n#[cfg(test)]\nmod tests {\n    fn t(r: &[u8]) { for i in 0..r.len() { for j in (i + 1)..r.len() {} } }\n}\n",
+            vec![],
+        ),
+        (
             "block-comment-masked",
             "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
             vec![],
@@ -809,6 +866,22 @@ mod tests {
         );
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, RULE_ORDERING);
+    }
+
+    #[test]
+    fn the_pair_loop_rule_binds_only_the_criteria() {
+        let src = "fn f(r: &[u8]) -> usize {\n    let mut n = 0;\n    for i in 0..r.len() {\n        for j in (i + 1)..r.len() { n += j; }\n    }\n    n\n}\n";
+        let lint = |path: &str| lint_source(path, src, exempt_rules(Path::new(path)));
+        let hits = lint("crates/core/src/criteria/strong_prefix.rs");
+        assert_eq!(hits.len(), 1);
+        assert_eq!((hits[0].rule, hits[0].line), (RULE_PAIR_LOOP, 4));
+        for elsewhere in [
+            "crates/core/src/reachability.rs",
+            "crates/core/tests/criteria/scale.rs",
+            "crates/bench/src/scenarios.rs",
+        ] {
+            assert!(lint(elsewhere).is_empty(), "{elsewhere}");
+        }
     }
 
     #[test]

@@ -156,6 +156,7 @@ impl EventualPrefix {
             }
             // Every pair of final reads must share a prefix of score ≥ s.
             for a in 0..finals.len() {
+                // LINT-ALLOW: pairs of final reads, one per process (≤ P²)
                 for b in (a + 1)..finals.len() {
                     let (ra, ca) = finals[a];
                     let (rb, cb) = finals[b];

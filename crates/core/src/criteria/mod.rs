@@ -26,12 +26,13 @@
 //!
 //! Every property but Local Monotonic Read has two bodies: the default one,
 //! which answers each read's quantifier from indexes built once per history
-//! (`index.rs`, Block Validity's path aggregates, the `ReachForest` for
-//! Strong Prefix), and `::reference()`, which rescans the history per read
-//! and is kept as the executable spec.  The default body is exact on any
-//! history — ties, inverted or pending records, seq order disagreeing with
-//! time order — with no well-formedness gate; `tests/equivalence.rs` holds
-//! the two to byte-identical verdicts.
+//! (`index.rs`, Block Validity's path aggregates, the `ReachForest`'s
+//! pre-order numbering for Strong Prefix, which counts its diverging pairs
+//! instead of enumerating them), and `::reference()`, which rescans the
+//! history per read and is kept as the executable spec.  The default body
+//! is exact on any history — ties, inverted or pending records, seq order
+//! disagreeing with time order — with no well-formedness gate;
+//! `tests/equivalence.rs` holds the two to byte-identical verdicts.
 
 mod block_validity;
 mod eventual_prefix;
@@ -96,6 +97,17 @@ impl CappedViolations {
         } else {
             self.suppressed += 1;
         }
+    }
+
+    /// How many violations are materialized so far (at most [`DETAIL_CAP`]).
+    pub(crate) fn len(&self) -> usize {
+        self.violations.len()
+    }
+
+    /// Counts `count` further violations past the cap without materializing
+    /// them, for a property that knows how many it did not enumerate.
+    pub(crate) fn suppress(&mut self, count: usize) {
+        self.suppressed += count;
     }
 
     pub(crate) fn finish(mut self) -> Vec<Violation> {

@@ -9,24 +9,28 @@
 //! ## Two implementations, one verdict
 //!
 //! The default path interns every read chain into a [`ReachForest`] and
-//! decides each pair with two O(1) interval-containment checks; the
-//! reference path ([`StrongPrefix::reference`]) zips the chains positionally
-//! via [`Blockchain::prefix_compatible`] and is kept as the executable spec.
-//! Both apply the same violation-detail cap, so the equivalence tests can
-//! require byte-identical verdicts.  The default path first tries an
-//! admitted fast path: with the reads sorted by tip height, R − 1
-//! neighbour checks decide "every pair compatible" (⊑ is transitive), and
-//! only a history with a violation pays the pairwise loop.  Histories
-//! whose chains do not form one consistent tree (never produced by the
-//! BT-ADT, but checkers accept arbitrary histories) make the forest
+//! asks it, in one O(R log n) sweep, how many later reads diverge from
+//! each read ([`ReachForest::diverging_later`]).  A total of zero admits.
+//! Otherwise only rows with a non-zero count are scanned, in the same
+//! `(i, j)` order as the spec and with two O(1) span checks per pair,
+//! until [`DETAIL_CAP`] details exist — at most `DETAIL_CAP` rows of R
+//! probes — and the rest of the total is folded into the summary without
+//! being enumerated.  The reference path ([`StrongPrefix::reference`]) zips
+//! every pair positionally via [`Blockchain::prefix_compatible`] and is
+//! kept as the executable spec; both apply the same violation-detail cap,
+//! so the equivalence tests can require byte-identical verdicts.
+//! Histories whose chains do not form one consistent tree (never produced
+//! by the BT-ADT, but checkers accept arbitrary histories) make the forest
 //! construction bail and the default path falls back to the reference
 //! walk.
 //!
+//! [`DETAIL_CAP`]: crate::criteria::DETAIL_CAP
 //! [`Blockchain::prefix_compatible`]: btadt_types::Blockchain::prefix_compatible
 
 use btadt_history::{ConsistencyCriterion, Verdict};
+use btadt_types::Blockchain;
 
-use crate::criteria::CappedViolations;
+use crate::criteria::{CappedViolations, DETAIL_CAP};
 use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtResponse};
 use crate::reachability::ReachForest;
 
@@ -60,21 +64,21 @@ impl StrongPrefix {
         let reads = history.reads();
         let mut violations = CappedViolations::new("strong-prefix");
         for i in 0..reads.len() {
+            // LINT-ALLOW: the spec itself enumerates every pair
             for j in (i + 1)..reads.len() {
                 let (ri, ci) = reads[i];
                 let (rj, cj) = reads[j];
                 if !ci.prefix_compatible(cj) {
-                    violations.push_with(vec![ri.id, rj.id], || {
-                        format!(
-                            "reads returned diverging chains {:?} and {:?} (neither prefixes the other)",
-                            ci, cj
-                        )
-                    });
+                    violations.push_with(vec![ri.id, rj.id], || divergence(ci, cj));
                 }
             }
         }
         Verdict::from_violations(violations.finish())
     }
+}
+
+fn divergence(a: &Blockchain, b: &Blockchain) -> String {
+    format!("reads returned diverging chains {a:?} and {b:?} (neither prefixes the other)")
 }
 
 impl ConsistencyCriterion<BtOperation, BtResponse> for StrongPrefix {
@@ -86,30 +90,28 @@ impl ConsistencyCriterion<BtOperation, BtResponse> for StrongPrefix {
         let Some(forest) = ReachForest::from_chains(reads.iter().map(|(_, c)| *c)) else {
             return self.check_walk(history);
         };
-        // Admitted fast path.  Sorted by tip height, two forest-compatible
-        // neighbours are ancestor-or-equal in that order (an ancestor sits
-        // strictly lower), and ancestry is transitive: if every neighbour
-        // pair is compatible, every pair is.
-        let mut by_height: Vec<usize> = (0..reads.len()).collect();
-        by_height.sort_unstable_by_key(|&i| forest.tree().block_at(forest.tip(i)).height);
-        if by_height.windows(2).all(|w| forest.compatible(w[0], w[1])) {
+        let counts = forest.diverging_later();
+        let total: usize = counts.iter().sum();
+        if total == 0 {
             return Verdict::admitted();
         }
+        // Details for the first DETAIL_CAP diverging pairs in (i, j) order;
+        // a scanned row holds at least one, so at most DETAIL_CAP rows are.
         let mut violations = CappedViolations::new("strong-prefix");
-        for i in 0..reads.len() {
+        'rows: for i in (0..reads.len()).filter(|&i| counts[i] > 0) {
+            // LINT-ALLOW: only rows holding a violation, at most DETAIL_CAP of them
             for j in (i + 1)..reads.len() {
                 if !forest.compatible(i, j) {
                     let (ri, ci) = reads[i];
                     let (rj, cj) = reads[j];
-                    violations.push_with(vec![ri.id, rj.id], || {
-                        format!(
-                            "reads returned diverging chains {:?} and {:?} (neither prefixes the other)",
-                            ci, cj
-                        )
-                    });
+                    violations.push_with(vec![ri.id, rj.id], || divergence(ci, cj));
+                    if violations.len() == DETAIL_CAP {
+                        break 'rows;
+                    }
                 }
             }
         }
+        violations.suppress(total - violations.len());
         Verdict::from_violations(violations.finish())
     }
 
@@ -123,7 +125,7 @@ mod tests {
     use super::*;
     use btadt_history::ProcessId;
     use btadt_types::workload::Workload;
-    use btadt_types::{Blockchain, LongestChain, SelectionFunction};
+    use btadt_types::{LongestChain, SelectionFunction};
 
     use crate::ops::BtRecorder;
 

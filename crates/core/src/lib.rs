@@ -24,9 +24,10 @@
 //!   abstraction (Definition 4.4), as executable checks over
 //!   message-passing histories.
 //! * [`reachability`] — the [`ReachForest`]: all read chains of a history
-//!   interned into one interval-indexed [`btadt_types::BlockTree`], turning
-//!   Strong Prefix's pairwise prefix tests into O(1) containment checks and
-//!   `mcp` into an interval-guided binary ascent.
+//!   interned into one [`btadt_types::BlockTree`] and numbered once in
+//!   pre-order, turning pairwise prefix tests into O(1) span containment
+//!   checks, `mcp` into a span-guided binary ascent, and Strong Prefix's
+//!   count of diverging read pairs into one O(R log n) sweep.
 //! * [`invariant`] — recompute-and-compare structural checking of
 //!   [`btadt_types::BlockTree`] instances (link consistency, leaf-count
 //!   agreement, cumulative-work monotonicity) for fault-injection monitors.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use btadt_core::hierarchy::{run_contended, ContendedRunConfig, OracleKind};
 use btadt_core::{
     eventual_consistency, eventual_consistency_reference, strong_consistency,
-    strong_consistency_reference, BtHistory, BtOperation, BtRecorder, BtResponse,
+    strong_consistency_reference, BtHistory, BtOperation, BtRecorder, BtResponse, StrongPrefix,
 };
 use btadt_history::{
     ConcurrentHistory, ConsistencyCriterion, OpId, OperationRecord, ProcessId, Timestamp,
@@ -576,4 +576,165 @@ fn hostile_histories_get_identical_verdicts() {
             "{property} rejected only {n} verdicts: {rejected:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Strong Prefix at the edges of its counting sweep: the cap boundary, a
+// violation only in the last row, shared tips, nested prefixes, and random
+// multi-branch histories.  The indexed verdict must equal the reference
+// walk byte for byte.
+// ---------------------------------------------------------------------------
+
+/// A base chain of `fork` blocks and `count` branches of `len` blocks off
+/// its tip.
+fn fork_branches(fork: usize, len: usize, count: u64) -> Vec<Blockchain> {
+    let base = Workload::new(40).linear_chain(fork, 0);
+    (0..count)
+        .map(|nonce| {
+            let mut chain = base.clone();
+            for _ in 0..len {
+                let block = BlockBuilder::new(chain.tip()).nonce(nonce).build();
+                chain = chain.extended_with(block).unwrap();
+            }
+            chain
+        })
+        .collect()
+}
+
+/// Judges the reads (round-robin over three processes) both ways, requires
+/// byte-identical verdicts and returns the number of strong-prefix entries
+/// and the last one's detail.
+fn strong_prefix_both_ways(reads: &[Blockchain]) -> (usize, String) {
+    let mut rec = BtRecorder::new();
+    for (k, chain) in reads.iter().enumerate() {
+        rec.instantaneous(
+            ProcessId(k as u32 % 3),
+            BtOperation::Read,
+            BtResponse::Chain(chain.clone()),
+        );
+    }
+    let history = rec.into_history();
+    let verdict = StrongPrefix::new().check(&history);
+    assert_eq!(
+        format!("{verdict:?}"),
+        format!("{:?}", StrongPrefix::reference().check(&history))
+    );
+    let last = verdict.violations.last().map(|v| v.detail.clone());
+    (verdict.violations.len(), last.unwrap_or_default())
+}
+
+#[test]
+fn strong_prefix_cap_boundary_is_identical() {
+    let branches = fork_branches(5, 4, 2);
+    let (a, b) = (&branches[0], &branches[1]);
+    // 16 A-reads (nested, some repeated) against one B-read: 16 pairs, no
+    // summary; one more A-read: 17 pairs, one suppressed.
+    let mut reads: Vec<Blockchain> = (0..16).map(|k| a.truncated(6 + k % 3)).collect();
+    reads.insert(7, b.clone());
+    assert_eq!(strong_prefix_both_ways(&reads).0, 16);
+    reads.push(a.clone());
+    assert_eq!(
+        strong_prefix_both_ways(&reads),
+        (
+            17,
+            "1 further strong-prefix violations suppressed (showing the first 16)".to_string()
+        )
+    );
+    // 4 × 4 and 17 × 1 by rows instead of columns.
+    let mut square: Vec<Blockchain> = (0..4).map(|k| a.truncated(6 + k)).collect();
+    square.extend((0..4).map(|k| b.truncated(9 - k)));
+    assert_eq!(strong_prefix_both_ways(&square).0, 16);
+    let mut column = vec![b.truncated(6)];
+    column.extend((0..17).map(|k| a.truncated(6 + k % 4)));
+    assert_eq!(strong_prefix_both_ways(&column).0, 17);
+}
+
+#[test]
+fn strong_prefix_violation_in_the_last_row_only_is_identical() {
+    let branches = fork_branches(6, 3, 2);
+    let mut reads: Vec<Blockchain> = (0..40).map(|k| branches[0].truncated(k % 7)).collect();
+    reads.push(branches[0].clone());
+    reads.push(branches[1].clone());
+    let (entries, detail) = strong_prefix_both_ways(&reads);
+    assert_eq!(entries, 1);
+    assert!(detail.starts_with("reads returned diverging chains"));
+}
+
+#[test]
+fn strong_prefix_reads_sharing_one_tip_are_identical() {
+    let branches = fork_branches(3, 5, 3);
+    let mut reads = Vec::new();
+    for k in 0..60 {
+        reads.push(match k % 5 {
+            0 => branches[1].clone(),
+            3 => branches[2].truncated(3),
+            _ => branches[0].clone(),
+        });
+    }
+    // 36 reads on A, 12 on B, 12 on the fork point: 36 × 12 pairs.
+    assert_eq!(
+        strong_prefix_both_ways(&reads),
+        (
+            17,
+            format!(
+                "{} further strong-prefix violations suppressed (showing the first 16)",
+                36 * 12 - 16
+            )
+        )
+    );
+    // Only shared tips, all compatible: admitted both ways.
+    assert_eq!(strong_prefix_both_ways(&vec![branches[2].clone(); 30]).0, 0);
+}
+
+#[test]
+fn strong_prefix_nested_prefix_chains_are_identical() {
+    let branches = fork_branches(8, 8, 2);
+    let (a, b) = (&branches[0], &branches[1]);
+    // Every prefix of A, longest first, then every prefix of B: only the
+    // pairs past the fork point at height 8 diverge.
+    let mut reads: Vec<Blockchain> = (0..=16).rev().map(|k| a.truncated(k)).collect();
+    reads.extend((0..=16).map(|k| b.truncated(k)));
+    assert_eq!(
+        strong_prefix_both_ways(&reads),
+        (
+            17,
+            format!(
+                "{} further strong-prefix violations suppressed (showing the first 16)",
+                8 * 8 - 16
+            )
+        )
+    );
+    // Nested only: admitted both ways.
+    let nested: Vec<Blockchain> = (0..=16).map(|k| a.truncated((k * 7) % 17)).collect();
+    assert_eq!(strong_prefix_both_ways(&nested).0, 0);
+}
+
+#[test]
+fn strong_prefix_random_branching_histories_are_identical() {
+    let mut rejected = 0;
+    for seed in 0..24u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        // A trunk, then 1–2 more branches, each forking off an earlier
+        // branch at a random height.
+        let mut branches = vec![Workload::new(seed).linear_chain(rng.gen_range(4usize..12), 0)];
+        for nonce in 0..rng.gen_range(1u64..=2) {
+            let from = &branches[rng.gen_range(0..branches.len())];
+            let mut chain = from.truncated(rng.gen_range(0..from.len()));
+            for _ in 0..rng.gen_range(1usize..6) {
+                let block = BlockBuilder::new(chain.tip()).nonce(nonce + 1).build();
+                chain = chain.extended_with(block).unwrap();
+            }
+            branches.push(chain);
+        }
+        let reads: Vec<Blockchain> = (0..rng.gen_range(2usize..60))
+            .map(|_| {
+                let branch = &branches[rng.gen_range(0..branches.len())];
+                branch.truncated(rng.gen_range(0..branch.len()))
+            })
+            .collect();
+        if strong_prefix_both_ways(&reads).0 > 0 {
+            rejected += 1;
+        }
+    }
+    assert!(rejected >= 12, "only {rejected} of 24 histories diverge");
 }

@@ -1,16 +1,22 @@
 //! Scale guard for the indexed SC/EC checkers, judged by counts, not
 //! timings: a history of ≈ 22 500 operations must be judged in a debug
-//! build in seconds (the rescanning checkers are O(R²·P) on it), and a
+//! build in seconds (the rescanning checkers are O(R²·P) on it), a
 //! smaller variant with one forked read must report exactly the violations
-//! its construction implies, capped.
+//! its construction implies, capped, and 16 000 reads over a two-branch
+//! fork — ≈ 1.3·10⁸ read pairs, millions of them diverging — must have
+//! their Strong Prefix violations counted, not enumerated.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use btadt_core::{eventual_consistency, strong_consistency, BtHistory, BtOperation, BtResponse};
+use btadt_core::{
+    eventual_consistency, strong_consistency, BtHistory, BtOperation, BtResponse, StrongPrefix,
+};
 use btadt_history::{ConsistencyCriterion, HistoryRecorder, ProcessId, Timestamp, Verdict};
 use btadt_types::workload::Workload;
 use btadt_types::{AlwaysValid, BlockBuilder, Blockchain, LengthScore};
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
 
 const PROCESSES: u32 = 8;
 
@@ -146,6 +152,93 @@ fn one_forked_read_gives_exact_capped_violation_counts() {
         format!(
             "{} further eventual-prefix violations suppressed (showing the first 16)",
             eventual - 16
+        )
+    );
+}
+
+/// Count twin of the Strong Prefix sweep.  A base chain of `FORK` blocks
+/// forks into branches A and B of `BRANCH` blocks each; 8 processes make
+/// 2 000 reads each, every one a base prefix (length ≤ `FORK`), an
+/// A-prefix or a B-prefix longer than `FORK`, drawn from a handful of
+/// lengths so tips repeat and prefixes nest.  Base reads prefix every
+/// read and reads along one branch nest, so the diverging pairs are
+/// exactly the A × B pairs, of the R(R−1)/2 ≈ 1.28·10⁸ pairs of reads:
+/// the checker must count them, not enumerate them.
+#[test]
+fn two_branch_fork_counts_its_diverging_reads_without_enumerating_them() {
+    const FORK: usize = 24;
+    const BRANCH: usize = 24;
+    const READS_PER_PROCESS: usize = 2_000;
+    let base = Workload::new(34).linear_chain(FORK, 0);
+    let branch = |nonce: u64| {
+        let mut chain = base.clone();
+        for _ in 0..BRANCH {
+            let block = BlockBuilder::new(chain.tip()).nonce(nonce).build();
+            chain = chain.extended_with(block).unwrap();
+        }
+        chain
+    };
+    let (a, b) = (branch(1), branch(2));
+    let lengths = [
+        0,
+        1,
+        FORK / 2,
+        FORK - 1,
+        FORK,
+        FORK + 1,
+        FORK + 7,
+        FORK + BRANCH,
+    ];
+    // Every distinct read value once; reads share them.
+    let base_reads = lengths.map(|len| base.truncated(len.min(FORK)));
+    let branch_reads = |chain: &Blockchain| lengths.map(|len| chain.truncated(len.max(FORK + 1)));
+    let (a_reads, b_reads) = (branch_reads(&a), branch_reads(&b));
+
+    let mut rng = ChaCha8Rng::seed_from_u64(34);
+    let mut rec: HistoryRecorder<BtOperation, BtResponse> = HistoryRecorder::new();
+    let (mut on_a, mut on_b) = (0usize, 0usize);
+    for t in 0..READS_PER_PROCESS as u64 {
+        for p in 0..PROCESSES {
+            let k = rng.gen_range(0..lengths.len());
+            let read = match rng.gen_range(0..3u32) {
+                0 => base_reads[k].clone(),
+                1 => {
+                    on_a += 1;
+                    a_reads[k].clone()
+                }
+                _ => {
+                    on_b += 1;
+                    b_reads[k].clone()
+                }
+            };
+            rec.scripted(
+                ProcessId(p),
+                Timestamp(2 * t + 1),
+                Timestamp(2 * t + 2),
+                BtOperation::Read,
+                BtResponse::Chain(read),
+            );
+        }
+    }
+    let history = rec.into_history();
+    let reads = READS_PER_PROCESS * PROCESSES as usize;
+    assert_eq!(history.len(), reads);
+    assert!(reads * (reads - 1) / 2 >= 120_000_000);
+    assert!(
+        on_a > 5_000 && on_b > 5_000,
+        "{on_a} A-reads, {on_b} B-reads"
+    );
+
+    let verdict = StrongPrefix::new().check(&history);
+    assert_eq!(verdict.violations.len(), 17);
+    assert!(verdict.violations[..16]
+        .iter()
+        .all(|v| v.witnesses.len() == 2 && v.detail.starts_with("reads returned diverging")));
+    assert_eq!(
+        verdict.violations[16].detail,
+        format!(
+            "{} further strong-prefix violations suppressed (showing the first 16)",
+            on_a * on_b - 16
         )
     );
 }
