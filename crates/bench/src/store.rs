@@ -3,17 +3,18 @@
 //! Two sections, both **fully deterministic** (no wall-clock fields, so
 //! the committed baseline diffs byte-for-byte across hosts):
 //!
-//! * **`steady`** — the memory-ceiling drill of ROADMAP item 3: a
-//!   [`CheckpointedReplica`] ingests a 10⁵-block workload (5 × 10³ in
-//!   smoke mode) with pruning enabled, and the row records the resident
-//!   high-water mark against the configured ceiling.  `under_ceiling`
-//!   flipping false is the regression CI guards.
+//! * **`steady`** — the memory-ceiling drill of ROADMAP item 3: a durable
+//!   [`ReplicaCore`] ingests a 10⁵-block workload (5 × 10³ in smoke mode)
+//!   one block at a time, calling [`ReplicaCore::prune`] on its scale's
+//!   cadence, and the row records the resident high-water mark against
+//!   the scale's ceiling.
+//!   `under_ceiling` flipping false is the regression CI guards.
 //! * **`corruption`** — seeded corruption recovery cells: the steady
 //!   replica's crashed disk image is copied once per `(fault, seed)`
 //!   cell, damaged deterministically (torn chunk tail, flipped bit,
 //!   torn manifest), recovered through the store's verifying pipeline
-//!   and healed from a pristine peer serving exactly the
-//!   [`missing_parents`](CheckpointedReplica::missing_parents) gap.
+//!   and healed from a pristine peer serving exactly the missing parents
+//!   the core's orphan pool ([`ReplicaCore::pool`]) names.
 //!   Every cell must end healed, converged to the pre-crash tip, and
 //!   clean under both the tree invariants and the store↔tree agreement
 //!   check — with `resync_rounds` recording how many serve rounds the
@@ -21,9 +22,8 @@
 
 use std::collections::HashMap;
 
-use btadt_concurrent::Ingest;
 use btadt_core::{check_block_tree, check_store_tree_agreement};
-use btadt_store::{CheckpointedReplica, ReplicaConfig, SimMedium, StoreConfig, MANIFEST};
+use btadt_store::{BlockStore, ReplicaCore, SimMedium, StoreConfig, MANIFEST};
 use btadt_types::{Block, BlockBuilder, BlockId};
 
 use crate::harness::json_string;
@@ -57,7 +57,7 @@ pub struct SteadyOutcome {
     pub blocks: usize,
     /// Final selected-tip height.
     pub height: u64,
-    /// Resident high-water mark (hot window + pending).
+    /// Resident high-water mark (hot window + orphan pool).
     pub resident_peak: usize,
     /// The configured soft ceiling.
     pub memory_ceiling: usize,
@@ -65,7 +65,7 @@ pub struct SteadyOutcome {
     pub under_ceiling: bool,
     /// Final pruning-point height.
     pub pruning_height: u64,
-    /// Blocks evicted from the hot window by rebase pruning.
+    /// Blocks evicted from the hot window by pruning.
     pub pruned_from_hot: u64,
     /// Blocks durable in the store at the end.
     pub store_blocks: usize,
@@ -102,8 +102,8 @@ pub struct CorruptionOutcome {
     pub manifest_fallback: bool,
     /// Blocks the peer served to close the gap.
     pub healed_blocks: usize,
-    /// Serve rounds the repair cost (each round serves the replica's
-    /// current [`missing_parents`](CheckpointedReplica::missing_parents)).
+    /// Serve rounds the repair cost (each round serves the missing parents
+    /// the core's [`pool`](ReplicaCore::pool) currently names).
     pub resync_rounds: u64,
     /// `true` iff every surviving block linked back into the tree.
     pub healed: bool,
@@ -147,50 +147,62 @@ impl StoreReport {
     }
 }
 
-/// The replica configuration of one scale.
-pub fn scale_config(smoke: bool) -> ReplicaConfig {
-    if smoke {
-        ReplicaConfig {
-            prune_depth: 32,
-            prune_every: 64,
-            memory_ceiling: 768,
-            store: StoreConfig {
-                chunk_capacity: 32,
-                auto_checkpoint_every: 128,
-            },
-        }
-    } else {
-        ReplicaConfig {
-            prune_depth: 128,
-            prune_every: 512,
-            memory_ceiling: 4096,
-            store: StoreConfig {
-                chunk_capacity: 256,
-                auto_checkpoint_every: 1024,
-            },
-        }
-    }
+/// The workload size, pruning policy and store shape of one scale.
+struct Scale {
+    /// Blocks ingested.
+    blocks: usize,
+    /// Heights kept hot below the selected tip ([`ReplicaCore::prune`]'s
+    /// depth).
+    prune_depth: u64,
+    /// Linked blocks between pruning attempts.
+    prune_every: u64,
+    /// Soft ceiling on resident blocks (tree + orphan pool) the steady row
+    /// is judged against.
+    memory_ceiling: usize,
+    /// The chunk store's configuration.
+    store: StoreConfig,
 }
 
-/// Blocks per scale: the acceptance-gate 10⁵ for the full run, 5 × 10³
-/// for the smoke run CI exercises on every push.
-pub fn scale_blocks(smoke: bool) -> usize {
-    if smoke {
-        5_000
-    } else {
-        100_000
-    }
-}
+/// The smoke scale CI runs on every push.
+const SMOKE: Scale = Scale {
+    blocks: 5_000,
+    prune_depth: 32,
+    prune_every: 64,
+    memory_ceiling: 768,
+    store: StoreConfig {
+        chunk_capacity: 32,
+        auto_checkpoint_every: 128,
+    },
+};
+
+/// The full scale behind `BENCH_store.json`: the acceptance-gate 10⁵
+/// blocks.
+const FULL: Scale = Scale {
+    blocks: 100_000,
+    prune_depth: 128,
+    prune_every: 512,
+    memory_ceiling: 4096,
+    store: StoreConfig {
+        chunk_capacity: 256,
+        auto_checkpoint_every: 1024,
+    },
+};
 
 /// Drives the deterministic mostly-linear workload with occasional forks
-/// (1 in 8 blocks forks off a recent, still-hot ancestor) and returns
-/// every produced block — the pristine peer history the healing loop
-/// serves from.
-fn grow(replica: &mut CheckpointedReplica, n: usize, seed: u64) -> Vec<Block> {
-    let mut produced = Vec::with_capacity(n);
-    let mut tips: Vec<Block> = vec![replica.hot().genesis().clone()];
+/// (1 in 8 blocks forks off a recent, still-hot ancestor) through `core`
+/// one block at a time, pruning on `scale`'s cadence.  Returns every
+/// produced block — the pristine peer history the healing loop serves
+/// from — the resident high-water mark (tree + pool) and the blocks
+/// pruning evicted from the tree.
+fn grow(core: &mut ReplicaCore, scale: &Scale, seed: u64) -> (Vec<Block>, usize, u64) {
+    let resident = |core: &ReplicaCore| core.tree().len() + core.pool().len();
+    let mut produced = Vec::with_capacity(scale.blocks);
+    let mut tips: Vec<Block> = vec![core.tree().genesis().clone()];
     let mut state = seed;
-    for i in 0..n {
+    let mut resident_peak = 1;
+    let mut linked_since_prune = 0;
+    let mut pruned_from_hot = 0;
+    for i in 0..scale.blocks {
         state = splitmix64(state);
         let parent = if state.is_multiple_of(8) && tips.len() > 1 {
             tips[tips.len() - 2].clone()
@@ -202,10 +214,18 @@ fn grow(replica: &mut CheckpointedReplica, n: usize, seed: u64) -> Vec<Block> {
             .nonce(i as u64)
             .work(1 + state % 3)
             .build();
-        assert!(
-            replica.ingest_block(block.clone()).is_accepted(),
-            "parent is hot"
-        );
+        let report = core.ingest(vec![block.clone()], |_| linked_since_prune += 1);
+        assert!(report.verdicts[0].is_accepted(), "parent is hot");
+        resident_peak = resident_peak.max(resident(core));
+        if linked_since_prune >= scale.prune_every {
+            // The cadence restarts on every attempt, moved or not.
+            linked_since_prune = 0;
+            let before = core.tree().len();
+            if core.prune(scale.prune_depth).is_some() {
+                pruned_from_hot += (before - core.tree().len()) as u64;
+                resident_peak = resident_peak.max(resident(core));
+            }
+        }
         if block.height
             > tips
                 .last()
@@ -219,7 +239,7 @@ fn grow(replica: &mut CheckpointedReplica, n: usize, seed: u64) -> Vec<Block> {
         }
         produced.push(block);
     }
-    produced
+    (produced, resident_peak, pruned_from_hot)
 }
 
 /// Applies one seeded fault to a disk image.  Returns `false` when the
@@ -260,10 +280,10 @@ fn apply_fault(medium: &mut SimMedium, fault: &str, seed: u64) -> bool {
 }
 
 /// Runs one corruption cell over a copy of the crashed disk image,
-/// healing from the pristine `history` until the replica settles.
+/// healing from the pristine `history` until the core settles.
 fn run_corruption_cell(
     image: &SimMedium,
-    config: ReplicaConfig,
+    store: StoreConfig,
     history: &HashMap<BlockId, Block>,
     pre_tip: BlockId,
     pre_height: u64,
@@ -275,18 +295,18 @@ fn run_corruption_cell(
         apply_fault(&mut medium, fault, seed),
         "{fault} found a target"
     );
-    let (mut replica, report) = CheckpointedReplica::recover(medium, config);
+    let (mut core, report) = ReplicaCore::recover(medium, store);
 
     let mut resync_rounds = 0u64;
     let mut healed_blocks = 0usize;
     loop {
-        // Pull phase: the replica names its missing parents and the peer
+        // Pull phase: the core names its missing parents and the peer
         // serves exactly those, one linkage hop per round.
-        let mut pulled = false;
-        while !replica.is_healed() {
+        while !core.pool().is_empty() {
             resync_rounds += 1;
             assert!(resync_rounds < 10_000, "healing must converge");
-            let serve: Vec<Block> = replica
+            let serve: Vec<Block> = core
+                .pool()
                 .missing_parents()
                 .iter()
                 .filter_map(|id| history.get(id).cloned())
@@ -294,43 +314,38 @@ fn run_corruption_cell(
             if serve.is_empty() {
                 break; // the peer cannot close the gap; recorded as unhealed
             }
-            pulled = true;
             healed_blocks += serve.len();
-            replica.admit_blocks(&serve);
+            core.ingest(serve, |_| {});
         }
         // Push phase (delta-sync): a torn tail can lose *leaves*, which no
         // missing-parent request ever names.  The peer walks back from its
-        // own tip to the first block the replica still holds and pushes
-        // that suffix; new arrivals may re-open the pull phase.
+        // own tip to the first block the core's store still holds and
+        // pushes that suffix; new arrivals may re-open the pull phase.
+        let durable = core.store().expect("the drill runs over a store");
         let mut suffix: Vec<Block> = Vec::new();
         let mut cursor = Some(pre_tip);
         while let Some(id) = cursor {
-            if replica.store().contains(id) {
+            if durable.contains(id) {
                 break;
             }
             let block = history.get(&id).expect("the peer holds its own chain");
             cursor = block.parent;
             suffix.push(block.clone());
         }
-        if suffix.is_empty() && !pulled {
-            break; // neither phase moved: healing is done (or stuck)
+        if suffix.is_empty() {
+            break; // nothing left to push: healing is done (or stuck)
         }
-        if !suffix.is_empty() {
-            suffix.reverse();
-            resync_rounds += 1;
-            assert!(resync_rounds < 10_000, "healing must converge");
-            healed_blocks += suffix.len();
-            replica.admit_blocks(&suffix);
-        } else {
-            break;
-        }
+        suffix.reverse();
+        resync_rounds += 1;
+        assert!(resync_rounds < 10_000, "healing must converge");
+        healed_blocks += suffix.len();
+        core.ingest(suffix, |_| {});
     }
 
-    let mut violations = check_block_tree(replica.hot());
-    violations.extend(check_store_tree_agreement(
-        replica.hot(),
-        &replica.store().blocks(),
-    ));
+    let tree = core.tree();
+    let durable = core.store().expect("the drill runs over a store");
+    let mut violations = check_block_tree(tree);
+    violations.extend(check_store_tree_agreement(tree, &durable.blocks()));
     CorruptionOutcome {
         fault,
         seed,
@@ -341,8 +356,8 @@ fn run_corruption_cell(
         manifest_fallback: report.manifest_fallback,
         healed_blocks,
         resync_rounds,
-        healed: replica.is_healed(),
-        converged: replica.tip() == pre_tip && replica.height() == pre_height,
+        healed: core.pool().is_empty(),
+        converged: tree.best_leaf_by_work(true) == pre_tip && tree.height() == pre_height,
         clean: violations.is_empty(),
     }
 }
@@ -350,43 +365,55 @@ fn run_corruption_cell(
 /// Runs the full (or smoke) suite: one steady-state run, then the
 /// corruption cells over its crashed disk image.
 pub fn run_all(smoke: bool) -> StoreReport {
-    let config = scale_config(smoke);
-    let blocks = scale_blocks(smoke);
-    let mut replica = CheckpointedReplica::new(config);
-    let produced = grow(&mut replica, blocks, STEADY_SEED);
-    replica.checkpoint();
+    let scale = if smoke { SMOKE } else { FULL };
+    let mut core = ReplicaCore::with_store(BlockStore::create(SimMedium::new(), scale.store));
+    let (produced, resident_peak, pruned_from_hot) = grow(&mut core, &scale, STEADY_SEED);
+    core.store_mut()
+        .expect("the drill runs over a store")
+        .checkpoint();
+    let durable = core.store().expect("the drill runs over a store");
 
-    let stats = replica.store().stats();
+    let stats = durable.stats();
+    let tree = core.tree();
     let steady = SteadyOutcome {
         scale: if smoke { "smoke" } else { "full" },
         seed: STEADY_SEED,
-        blocks,
-        height: replica.height(),
-        resident_peak: replica.resident_peak(),
-        memory_ceiling: config.memory_ceiling,
-        under_ceiling: replica.resident_peak() <= config.memory_ceiling,
-        pruning_height: replica.pruning_height(),
-        pruned_from_hot: replica.pruned_from_hot(),
-        store_blocks: replica.store().len(),
+        blocks: scale.blocks,
+        height: tree.height(),
+        resident_peak,
+        memory_ceiling: scale.memory_ceiling,
+        under_ceiling: resident_peak <= scale.memory_ceiling,
+        pruning_height: tree.genesis().height,
+        pruned_from_hot,
+        store_blocks: durable.len(),
         chunks_sealed: stats.chunks_sealed,
         checkpoints: stats.checkpoints,
         gc_dropped: stats.pruned,
         appended: stats.appended,
-        medium_writes: replica.store().medium().stats().writes,
+        medium_writes: durable.medium().stats().writes,
     };
 
-    let pre_tip = replica.tip();
-    let pre_height = replica.height();
+    let pre_tip = tree.best_leaf_by_work(true);
+    let pre_height = tree.height();
     let mut history: HashMap<BlockId, Block> = produced.iter().map(|b| (b.id, b.clone())).collect();
     let genesis = Block::genesis();
     history.insert(genesis.id, genesis);
-    let image = replica.crash();
+    let image = core
+        .into_store()
+        .expect("the drill runs over a store")
+        .into_medium();
 
     let mut corruption = Vec::new();
     for fault in FAULTS {
         for &seed in &CORRUPTION_SEEDS {
             corruption.push(run_corruption_cell(
-                &image, config, &history, pre_tip, pre_height, fault, seed,
+                &image,
+                scale.store,
+                &history,
+                pre_tip,
+                pre_height,
+                fault,
+                seed,
             ));
         }
     }

@@ -2,7 +2,7 @@
 //! — the offline lint gate over the workspace sources.
 //!
 //! Scans every `.rs` file (skipping `target/`, `.git/` and the vendored
-//! `shims/`) for the nine rules of [`btadt_check::lint`]: `unsafe`
+//! `shims/`) for the ten rules of [`btadt_check::lint`]: `unsafe`
 //! without `// SAFETY:`, atomic `Ordering::` variants without a naming
 //! `// ORDERING:` comment, and — in non-test library code, unless
 //! `// LINT-ALLOW:` — bare `.unwrap()` / `.expect(`, a chain selected
@@ -10,8 +10,10 @@
 //! `encode_record(` outside `codec.rs`, a `delta_above(` walk with no
 //! `.take(` cap, a block's shared payload copied out
 //! (`.payload.to_vec()`), a whole-tree leaf scan (`.leaves()` /
-//! `.all_chains()`), and — under `crates/core/src/criteria/` — a `for`
-//! over `(i + 1)..`, the inner half of an all-pairs loop.  Exits 1 on any
+//! `.all_chains()`), under `crates/core/src/criteria/` a `for` over
+//! `(i + 1)..` (the inner half of an all-pairs loop), and a window rebuilt
+//! with `BlockTree::rerooted(` or a store pruned with `.prune(&` outside
+//! `ReplicaCore::prune` (`store/src/durable.rs`).  Exits 1 on any
 //! finding.
 //!
 //! `--self-test` runs the embedded corpus (every rule exercised

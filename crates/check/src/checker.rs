@@ -98,6 +98,8 @@ fn rerooted_disagreements(tree: &BlockTree, head: (u32, u32), selected_tip: bool
     let Some(&root_idx) = path.get(1) else {
         return out; // nothing appended: the window is the whole tree
     };
+    // LINT-ALLOW: a throwaway copy that checks rerooted labels against the
+    // explored tree; no replica's window or store is touched.
     let mut window = BlockTree::rerooted(tree.block_at(root_idx).clone());
     for (i, block) in tree.blocks().enumerate() {
         let idx = NodeIdx(i as u32);

@@ -1,11 +1,12 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Nine rules: three about keeping the concurrency story auditable, one
+//! Ten rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
 //! allocation-free, one about keeping a delta-sync reply as cheap as what
 //! it sends, one about keeping one copy of a block's transactions, one
 //! about keeping whole-tree leaf scans off library paths, one about
-//! keeping the consistency checkers off all-pairs loops:
+//! keeping the consistency checkers off all-pairs loops, one about keeping
+//! one pruning path:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -18,6 +19,7 @@
 //! | `no-payload-copy` | no `.payload.to_vec()` and no `.payload.iter().cloned()` / `.copied()` reaching a `.collect` within the next 3 lines in non-test library code unless `// LINT-ALLOW: <reason>` — a block's `Payload` is shared and immutable, so a holder clones the handle (`.payload.clone()`) instead of copying the transactions |
 //! | `no-leaf-scan` | no `.leaves()` and no `.all_chains()` call in non-test library code unless `// LINT-ALLOW: <reason>` — the tree keeps a leaf *count*, not a leaf set, so each is an O(n) scan of the arena plus a sort; ask `leaf_count()` or a best-tip query instead |
 //! | `no-pair-loop` | in non-test library code under `crates/core/src/criteria/`, no `for` whose range starts at `(<ident> + 1)..` (or `<ident> + 1..`) unless `// LINT-ALLOW: <reason>` — the inner half of an all-pairs loop is O(R²) over a history's reads; count with an index (`ReachForest::diverging_later`) and say why what is left is bounded |
+//! | `one-prune-door` | in non-test library code, no `BlockTree::rerooted(` outside `types/src/tree.rs` and `store/src/durable.rs`, and no `BlockStore::prune` call (`.prune(&`) outside `store/src/durable.rs`, unless `// LINT-ALLOW: <reason>` — a replica's window is rebuilt and its store collected in one place, `ReplicaCore::prune`, so a second pruning path cannot drift from it |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -26,9 +28,10 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the seven library
+//! cannot produce findings.  Test code is exempt from the eight library
 //! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
-//! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`, `no-pair-loop`) only: files under a `tests/`
+//! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`, `no-pair-loop`,
+//! `one-prune-door`) only: files under a `tests/`
 //! directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
 //! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
 //! harness is additionally exempt from `no-chain-for-tip`,
@@ -61,6 +64,8 @@ pub const RULE_PAYLOAD_COPY: &str = "no-payload-copy";
 pub const RULE_LEAF_SCAN: &str = "no-leaf-scan";
 /// Rule id: the inner half of an all-pairs loop in a consistency checker.
 pub const RULE_PAIR_LOOP: &str = "no-pair-loop";
+/// Rule id: a window rebuilt or a store pruned outside `ReplicaCore::prune`.
+pub const RULE_PRUNE_DOOR: &str = "one-prune-door";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -385,10 +390,23 @@ fn pair_loop(code: &str) -> bool {
     })
 }
 
+/// `true` iff the masked code line in `file` rebuilds a tree window or
+/// prunes a store outside the files that own pruning: a
+/// `BlockTree::rerooted(` call outside `types/src/tree.rs` (which defines
+/// it) and `store/src/durable.rs`, or a `.prune(&` call outside
+/// `store/src/durable.rs`.
+fn prune_door(file: &str, code: &str) -> bool {
+    let owner = |suffix: &str| Path::new(file).ends_with(suffix);
+    let rerooted = code.contains("BlockTree::rerooted(")
+        && !owner("types/src/tree.rs")
+        && !owner("store/src/durable.rs");
+    rerooted || (code.contains(".prune(&") && !owner("store/src/durable.rs"))
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
 /// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
 /// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`],
-/// [`RULE_PAIR_LOOP`]) the whole file is exempt
+/// [`RULE_PAIR_LOOP`], [`RULE_PRUNE_DOOR`]) the whole file is exempt
 /// from (test files, binaries); `#[cfg(test)]` regions are detected
 /// internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
@@ -517,6 +535,16 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_PRUNE_DOOR) && prune_door(file, &line.code) && !allowed() {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_PRUNE_DOOR,
+                detail: "a tree window rebuilt or a store pruned outside `ReplicaCore::prune` \
+                         (prune through the core, or annotate `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -559,7 +587,7 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all seven
+/// The library-only rules a path is exempt from as a whole file: all eight
 /// for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`] and
 /// [`RULE_PAYLOAD_COPY`] for the `benchmark/` harness — frozen to library
 /// PRs, it reads each miner's tip once after a run, not per event, its
@@ -584,6 +612,7 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
             RULE_PAYLOAD_COPY,
             RULE_LEAF_SCAN,
             RULE_PAIR_LOOP,
+            RULE_PRUNE_DOOR,
         ]
     } else if in_dir("benchmark") {
         &[
@@ -799,6 +828,16 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
+            "prune-door",
+            "fn shrink(t: &BlockTree, root: Block, s: &mut BlockStore, keep: &HashSet<BlockId>) -> BlockTree {\n    s.prune(&keep, 9);\n    let window = BlockTree::rerooted(root);\n    window\n}\n",
+            vec![(RULE_PRUNE_DOOR, 2), (RULE_PRUNE_DOOR, 3)],
+        ),
+        (
+            "prune-through-the-core-is-clean",
+            "pub fn prune(&mut self, depth: u64) -> Option<PruneOutcome> {\n    self.prune_inner(depth)\n}\nfn shrink(core: &mut ReplicaCore, s: BlockStore, keep: &HashSet<BlockId>) -> BlockTree {\n    core.prune(16);\n    let _ = s.prune_crashing_before_commit(&keep, 9);\n    // LINT-ALLOW: a throwaway tree interned from recorded chains, not a window\n    let fresh = BlockTree::rerooted(Block::genesis());\n    fresh\n}\n#[cfg(test)]\nmod tests {\n    fn t(s: &mut BlockStore, k: &HashSet<BlockId>) { s.prune(&k, 3); BlockTree::rerooted(Block::genesis()); }\n}\n",
+            vec![],
+        ),
+        (
             "block-comment-masked",
             "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
             vec![],
@@ -882,6 +921,24 @@ mod tests {
         ] {
             assert!(lint(elsewhere).is_empty(), "{elsewhere}");
         }
+    }
+
+    #[test]
+    fn the_prune_door_is_the_durable_core() {
+        let src = "fn f(t: &BlockTree, s: &mut BlockStore, k: &HashSet<BlockId>) {\n    let _ = BlockTree::rerooted(t.genesis().clone());\n    s.prune(&k, 8);\n}\n";
+        let rules = |path: &str| -> Vec<(&str, usize)> {
+            lint_source(path, src, exempt_rules(Path::new(path)))
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect()
+        };
+        assert!(rules("crates/store/src/durable.rs").is_empty());
+        assert_eq!(rules("crates/types/src/tree.rs"), [(RULE_PRUNE_DOOR, 3)]);
+        assert_eq!(
+            rules("crates/store/src/store.rs"),
+            [(RULE_PRUNE_DOOR, 2), (RULE_PRUNE_DOOR, 3)]
+        );
+        assert!(rules("crates/store/tests/crash_prefixes.rs").is_empty());
     }
 
     #[test]

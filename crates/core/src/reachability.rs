@@ -77,6 +77,8 @@ impl ReachForest {
         let root = chains.first()?.blocks().first()?;
         // The rerooted boundary copy clears the parent pointer, so chains
         // over pruned windows intern exactly like genesis-rooted ones.
+        // LINT-ALLOW: a fresh tree interned from recorded chains, not a
+        // replica's window.
         let mut tree = BlockTree::rerooted(root.clone());
         let mut tips = Vec::with_capacity(chains.len());
 

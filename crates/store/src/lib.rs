@@ -22,10 +22,9 @@
 //!   (link, persist what linked, pool the rest, release what the links
 //!   unblocked) and one restart (recover the store, survivors back
 //!   through the door).  The gossip replicas of `btadt-protocols` own one
-//!   too;
-//! * [`CheckpointedReplica`] — a memory-bounded replica: a core whose
-//!   tree is a hot window over cold chunks, with peer-healing of
-//!   corruption gaps.
+//!   too.  Bounded memory is one method on it, [`ReplicaCore::prune`]:
+//!   the tree becomes a hot window above `selected tip − depth` over cold
+//!   chunks, with the selected chain below it kept as a cold spine of ids.
 //!
 //! Everything is deterministic: faults are seeded functions of the write
 //! sequence, never of wall time, so every corruption/recovery drill in the
@@ -36,7 +35,6 @@
 pub mod codec;
 pub mod durable;
 pub mod medium;
-pub mod replica;
 pub mod store;
 
 pub use codec::{
@@ -47,7 +45,6 @@ pub use durable::ReplicaCore;
 pub use medium::{
     FaultInjector, MediumStats, SeededCorruption, SimMedium, WriteFault, WriteKind, WriteOp,
 };
-pub use replica::{CheckpointedReplica, ReplicaConfig};
 pub use store::{
     chunk_file, BlockStore, ChunkMeta, PruneOutcome, RecoveryReport, StoreConfig, StoreStats,
     MANIFEST, MANIFEST_TMP,

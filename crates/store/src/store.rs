@@ -53,15 +53,16 @@
 //! Blocks that existed only in lost/damaged regions are simply *gone* from
 //! the store's perspective — the recovery report and the returned block
 //! set tell the replica layer exactly what survived, and the replica
-//! delta-syncs the gap from healthy peers (hardened gossip, or the peer
-//! healing in `CheckpointedReplica`).
+//! delta-syncs the gap from healthy peers (hardened gossip, or the healing
+//! loop of the store drill, which serves a `ReplicaCore`'s missing parents).
 //!
 //! ## Pruning
 //!
-//! [`BlockStore::prune`] garbage-collects losing subtrees: the caller
-//! supplies the keep-set (selected-chain spine + the hot window) and a
-//! requested pruning height, which is clamped to the **last checkpoint
-//! height** — history is only GC'd once a durable manifest seals it.
+//! [`BlockStore::prune`] garbage-collects losing subtrees.  Its one library
+//! caller is `ReplicaCore::prune`, which supplies the keep-set (the cold
+//! spine + the hot window) and a requested pruning height, which is
+//! clamped to the **last checkpoint height** — history is only GC'd once a
+//! durable manifest seals it.
 //! Compaction writes the retained blocks into fresh chunk indices, commits
 //! them with a manifest swap, and only then deletes the old chunk files;
 //! a crash at any intermediate point (the `PruneRace` seam) leaves either
