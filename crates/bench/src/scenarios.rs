@@ -26,6 +26,7 @@ use btadt_netsim::{
 };
 use btadt_protocols::adversary::{build_miners, scenario_pow_config};
 use btadt_protocols::extract::{build_histories, ReplicaLog};
+use btadt_protocols::SyncStats;
 use btadt_types::{AlwaysValid, Blockchain, LengthScore};
 
 use crate::harness::json_string;
@@ -62,6 +63,12 @@ pub struct CellOutcome {
     pub delivered: usize,
     /// Messages dropped (loss, partitions, Byzantine omission).
     pub dropped: usize,
+    /// Delta-sync requests sent by all replicas.
+    pub sync_requests: u64,
+    /// Blocks all replicas received in sync replies.
+    pub reply_blocks: u64,
+    /// Reply blocks that were new to their receiver.
+    pub reply_blocks_new: u64,
 }
 
 /// Runs one cell: scenario × seed → outcome.
@@ -130,6 +137,8 @@ pub fn run_cell(scenario: &Scenario, seed: u64) -> CellOutcome {
         .max()
         .unwrap_or(0);
 
+    let sync_total =
+        |count: fn(&SyncStats) -> u64| miners.iter().map(|m| count(m.sync_stats())).sum();
     let logs: Vec<ReplicaLog> = miners.iter().map(|m| m.log().clone()).collect();
     let blocks_created = logs.iter().map(|l| l.created.len()).sum();
     let (history, _messages) = build_histories(&logs);
@@ -147,6 +156,9 @@ pub fn run_cell(scenario: &Scenario, seed: u64) -> CellOutcome {
         eventual: ec.admits(&history),
         delivered: trace.delivered(),
         dropped: trace.dropped(),
+        sync_requests: sync_total(|s| s.requests_sent),
+        reply_blocks: sync_total(|s| s.reply_blocks),
+        reply_blocks_new: sync_total(|s| s.reply_blocks_new),
     }
 }
 
@@ -290,7 +302,8 @@ pub fn render_json(sweep: &[MatrixCell<CellOutcome>]) -> String {
             "    {{\"scenario\": {}, \"seed\": {}, \"events\": {}, \
              \"quiescent\": {}, \"converged\": {}, \"convergence_time\": {}, \
              \"divergence_depth\": {}, \"max_fork_degree\": {}, \"blocks_created\": {}, \
-             \"strong\": {}, \"eventual\": {}, \"delivered\": {}, \"dropped\": {}}}{comma}",
+             \"strong\": {}, \"eventual\": {}, \"delivered\": {}, \"dropped\": {}, \
+             \"sync_requests\": {}, \"reply_blocks\": {}, \"reply_blocks_new\": {}}}{comma}",
             json_string(&cell.scenario),
             cell.seed,
             o.report.events_processed,
@@ -304,6 +317,9 @@ pub fn render_json(sweep: &[MatrixCell<CellOutcome>]) -> String {
             o.eventual,
             o.delivered,
             o.dropped,
+            o.sync_requests,
+            o.reply_blocks,
+            o.reply_blocks_new,
         );
     }
     let _ = writeln!(out, "  ],");

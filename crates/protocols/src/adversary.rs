@@ -32,7 +32,7 @@ use btadt_netsim::{AdversaryMix, AdversaryRole, Context, Process, SimTime};
 use btadt_types::{Block, BlockTree, Blockchain};
 
 use crate::extract::ReplicaLog;
-use crate::gossip::RecoveryMode;
+use crate::gossip::{RecoveryMode, SyncStats};
 use crate::messages::Msg;
 use crate::pow::{PowConfig, PowReplica};
 
@@ -89,6 +89,11 @@ impl Miner {
     /// The replica's log.
     pub fn log(&self) -> &ReplicaLog {
         &self.replica().log
+    }
+
+    /// The replica's sync counters.
+    pub fn sync_stats(&self) -> &SyncStats {
+        self.replica().sync_stats()
     }
 
     /// Whether the replica plays the honest protocol.
@@ -165,6 +170,7 @@ pub fn scenario_pow_config(seed: u64, mine_until: u64) -> PowConfig {
 mod tests {
     use super::*;
     use crate::gossip::MAX_SYNC_BATCH;
+    use crate::messages::SyncRequest;
     use crate::pow::RELEASE_TIMER;
     use btadt_netsim::{FailurePlan, Scenario, SimConfig, Simulator};
     use btadt_types::{BlockBuilder, BlockId, LongestChain};
@@ -210,10 +216,12 @@ mod tests {
         miner.on_message(
             &mut ctx,
             1,
-            Msg::SyncRequest {
+            Msg::SyncRequest(SyncRequest {
                 request_id: 7,
                 above_height: 0,
-            },
+                have: vec![],
+                want: vec![],
+            }),
         );
         let actions = ctx.into_actions();
         assert_eq!(actions.outgoing.len(), 1, "responders always reply");
@@ -257,10 +265,12 @@ mod tests {
         assert_eq!(withheld.len(), 4);
 
         let mut ctx = Context::new(0, 4, SimTime(4));
-        let request = Msg::SyncRequest {
+        let request = Msg::SyncRequest(SyncRequest {
             request_id: 8,
             above_height: 0,
-        };
+            have: vec![],
+            want: vec![],
+        });
         miner.on_message(&mut ctx, 1, request);
         let actions = ctx.into_actions();
         let Msg::Blocks { blocks, .. } = &actions.outgoing[0].1 else {

@@ -27,6 +27,7 @@ use btadt_types::{
 };
 
 use crate::extract::ReplicaLog;
+use crate::gossip::sync_reply;
 use crate::messages::Msg;
 
 /// Round timers are encoded as `ROUND_TIMER_BASE + round` so that a timeout
@@ -344,19 +345,12 @@ impl Process<Msg> for CommitteeReplica {
                     self.apply(at, block);
                 }
             }
-            Msg::SyncRequest {
-                request_id,
-                above_height,
-            } => {
+            Msg::SyncRequest(request) => {
                 // Always reply (even with an empty, possibly truncated
                 // batch) so the requester's pending-request machinery can
                 // settle; the echoed id correlates the response.
-                let blocks = self
-                    .tree
-                    .delta_above(above_height)
-                    .take(crate::gossip::MAX_SYNC_BATCH)
-                    .cloned()
-                    .collect();
+                let blocks = sync_reply(&self.tree, &request, &[]);
+                let request_id = request.request_id;
                 ctx.send(from, Msg::Blocks { request_id, blocks });
             }
         }

@@ -3,17 +3,20 @@
 //! There is one mining replica, [`PowReplica`](crate::pow::PowReplica);
 //! selfish and withholding miners are release policies over it
 //! ([`Strategy`](crate::adversary::Strategy)), so every miner repairs gaps
-//! the same way and there is no second copy to drift: orphaned blocks are
-//! buffered, a [`Msg::SyncRequest`](crate::messages::Msg) asks the peer for
-//! the delta above a floor, and fruitless responses halve the floor until
-//! the fork point is reached.
+//! the same way and there is no second copy to drift.  A [`SyncRequest`]
+//! names what the requester holds, so a reply ([`sync_reply`]) carries
+//! only blocks it lacks: every request asks above `height − SYNC_LOOKBACK`
+//! naming its leaves above that floor, and while orphans wait it asks for
+//! their missing parents with a block locator, whose highest entry the
+//! responder knows marks the fork point — one round trip however deep the
+//! fork lies.
 //!
 //! # Hardened sync
 //!
 //! On top of the orphan-repair loop, [`GossipSync`] implements the
 //! robustness layer:
 //!
-//! * **Request ids** — every [`Msg::SyncRequest`] carries
+//! * **Request ids** — every [`SyncRequest`] carries
 //!   `(incarnation << 32) | seq`.  A churn rejoin bumps the incarnation, so
 //!   responses addressed to a previous life of the process are recognised
 //!   and dropped ([`ResponseClass::Stale`]) instead of corrupting the
@@ -23,26 +26,25 @@
 //!   backoff (base [`BASE_TIMEOUT`], doubled per attempt, plus a
 //!   deterministic per-request jitter); expiry penalises the peer's health
 //!   score and re-sends to the next healthy peer, up to [`MAX_ATTEMPTS`]
-//!   attempts.
+//!   attempts.  Anti-entropy never supersedes a request younger than a
+//!   first attempt's timeout: the retry timer already covers a lost round
+//!   trip.  An orphan does: it proves a gap now, and its sender holds the
+//!   missing parent.
 //! * **Peer health** — peers score +1 (clamped) on any evidence of life
 //!   (message or corrupted frame received) and −1 on a request timeout.
 //!   Anti-entropy skips peers below the suspicion threshold, so a crashed
 //!   or partitioned peer stops absorbing sync rounds until it speaks again.
-//! * **Bounded batches** — a responder sends the first [`MAX_SYNC_BATCH`]
-//!   blocks of the `(height, id)`-ordered walk [`BlockTree::delta_above`],
-//!   so every sent block's parent is below the floor or earlier in the
-//!   batch, and a reply costs the heights it spans, not the tree.  A full
-//!   batch signals "more above": the requester issues a continuation
-//!   strictly above the highest block it just received, so progress is
-//!   guaranteed and re-sync of a long chain costs at most
-//!   `ceil(missing / MAX_SYNC_BATCH)` rounds.  *Known cost:* on a forked
-//!   tree a full batch can end partway through one height, and the blocks
-//!   it left out at that height sit at the continuation's floor, so that
-//!   walk never asks for them; later requests (anti-entropy's lookback,
-//!   floor halving) pick them up.  On a `net_converge` rep (seed 1),
-//!   10 107 of the 15 438 full replies end partway through a height.
-//!   Continuing one height lower would close the gap but changes the event
-//!   counts of every run, so it is not done here.
+//! * **Bounded work** — a responder examines at most [`MAX_REPLY_WALK`]
+//!   blocks per request and refuses, unwalked, a request naming more than
+//!   [`MAX_REQUEST_IDS`] ids.  A reply above a floor is the first
+//!   [`MAX_SYNC_BATCH`] unheld blocks of the `(height, id)`-ordered walk
+//!   [`BlockTree::delta_above`].  A reply to the pending request that grew
+//!   the tree is followed by the next request, so a batch capped partway
+//!   through a height continues at that height (the leaves the follow-up
+//!   names exclude what the batch brought).  A path deeper than the walk
+//!   is sent from its top; its bottom block's parent is then a missing
+//!   parent, asked for next.  A late reply's blocks are applied, but the
+//!   request that superseded it owns the follow-up.
 //! * **One durable log** — the tree, the orphan pool and the optional
 //!   `btadt-store` [`BlockStore`] are one [`ReplicaCore`]: the blocks an
 //!   ingest links are recorded as applied and persisted as one run before
@@ -56,10 +58,10 @@
 use btadt_netsim::{Context, SimTime};
 use btadt_pipeline::{BatchReport, IngestVerdict};
 use btadt_store::{BlockStore, RecoveryReport, ReplicaCore};
-use btadt_types::{Block, BlockId, BlockTree};
+use btadt_types::{Block, BlockId, BlockTree, NodeIdx};
 
 use crate::extract::ReplicaLog;
-use crate::messages::Msg;
+use crate::messages::{Msg, SyncRequest};
 
 /// How many anti-entropy rounds keep running after mining stops, so that
 /// deltas lost to the channel still reconcile before quiescence.
@@ -69,10 +71,17 @@ pub(crate) const SYNC_TAIL_ROUNDS: u64 = 12;
 /// deterministic across replicas) still propagate.
 pub(crate) const SYNC_LOOKBACK: u64 = 3;
 
-/// Maximum number of blocks in one [`Msg::Blocks`] delta batch.  Responders
-/// take this many from [`BlockTree::delta_above`]; requesters detect a full
-/// batch and issue a continuation request above it.
+/// Maximum number of blocks in one [`Msg::Blocks`] reply above a floor.
+/// Requesters detect a full batch and issue a continuation.
 pub const MAX_SYNC_BATCH: usize = 16;
+
+/// Maximum number of blocks a responder examines for one request, and so
+/// the most blocks a reply on the paths to missing parents carries.
+pub const MAX_REPLY_WALK: usize = 64;
+
+/// Maximum number of ids a [`SyncRequest`] may name.  Requesters name at
+/// most this many; a responder refuses a longer request unwalked.
+pub const MAX_REQUEST_IDS: usize = 64;
 
 /// Timer id used by the sync retry/timeout machinery.  Must stay distinct
 /// from the mining replica's own timers (`MINE_TIMER = 1`,
@@ -80,9 +89,12 @@ pub const MAX_SYNC_BATCH: usize = 16;
 pub const RETRY_TIMER: u64 = 9;
 
 /// Base request timeout in simulated ticks (first attempt).  Doubled per
-/// retry attempt; chosen above the round trip of the slowest shipped
-/// channel model so healthy peers practically never time out.
-pub const BASE_TIMEOUT: u64 = 24;
+/// retry attempt.  One anti-entropy period of the shipped scenarios and
+/// above their synchronous round trip (2 to 6 ticks): a request unanswered
+/// when the next round is due is retried elsewhere, and its reply still
+/// applies if it comes.  With one request in flight, a longer timeout
+/// leaves anti-entropy waiting behind lost round trips.
+pub const BASE_TIMEOUT: u64 = 8;
 
 /// Maximum send attempts (initial send + retries) for one logical sync
 /// request before giving up and leaving repair to periodic anti-entropy.
@@ -104,18 +116,17 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The sync request currently in flight (at most one per replica).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct PendingRequest {
-    /// `(incarnation << 32) | seq` — echoed by the responder.
-    pub request_id: u64,
     /// Peer the request was sent to.
     pub peer: usize,
     /// Simulated time of the (re)send.
     pub sent_at: SimTime,
     /// Zero-based attempt counter (0 = initial send).
     pub attempt: u32,
-    /// The floor the request asked the delta above.
-    pub above_height: u64,
+    /// The request as sent; its id, `(incarnation << 32) | seq`, is
+    /// echoed by the responder.  A retry re-sends it under a new id.
+    pub request: SyncRequest,
 }
 
 /// Counters describing the sync machinery's behaviour over a run.
@@ -155,6 +166,14 @@ pub struct SyncStats {
     pub batch_orphaned: u64,
     /// Blocks a batch recognised as already present.
     pub batch_duplicates: u64,
+    /// Blocks received in sync replies (stale ones included).
+    pub reply_blocks: u64,
+    /// Reply blocks in neither the tree nor the orphan pool when they
+    /// arrived.
+    pub reply_blocks_new: u64,
+    /// Requests this replica refused for naming more than
+    /// [`MAX_REQUEST_IDS`] ids.
+    pub oversized_requests: u64,
 }
 
 impl SyncStats {
@@ -208,6 +227,65 @@ pub enum ResponseClass {
     Stale,
 }
 
+/// The reply to `request` from a replica holding `tree`: the blocks the
+/// requester lacks, parents first, none of them in `exclude` (an
+/// adversary's withheld blocks — a sync reply is a publication).  An
+/// [oversized](SyncRequest::oversized) request gets an empty reply.
+///
+/// The requester holds the root and every ancestor of a named id the
+/// responder knows.  The reply is the path down from each wanted block to
+/// the first held one, then the first [`MAX_SYNC_BATCH`] unheld blocks
+/// above the floor; each part examines at most [`MAX_REPLY_WALK`] blocks.
+pub fn sync_reply(tree: &BlockTree, request: &SyncRequest, exclude: &[Block]) -> Vec<Block> {
+    if request.oversized() {
+        return Vec::new();
+    }
+    let idx = |ids: &[BlockId]| {
+        ids.iter()
+            .filter_map(|&id| tree.idx_of(id))
+            .collect::<Vec<_>>()
+    };
+    let mut named = idx(&request.have);
+    let held = |i: NodeIdx, named: &[NodeIdx]| named.iter().any(|&n| tree.is_ancestor_idx(i, n));
+    let mut reply: Vec<&Block> = Vec::new();
+    for mut cursor in idx(&request.want).into_iter().map(Some) {
+        while let Some(i) = cursor.filter(|&i| i != NodeIdx::GENESIS && !held(i, &named)) {
+            let block = tree.block_at(i);
+            if reply.len() == MAX_REPLY_WALK || reply.iter().any(|r| r.id == block.id) {
+                break;
+            }
+            reply.push(block);
+            cursor = tree.parent_idx(i);
+        }
+    }
+    // Only a named block above the floor can descend from a block there.
+    named.retain(|&n| tree.block_at(n).height > request.above_height);
+    let public = |b: &&Block| !exclude.iter().any(|w| w.id == b.id);
+    let unsent = |b: &&Block| !reply.iter().any(|r| r.id == b.id);
+    let unheld = |b: &&Block| tree.idx_of(b.id).is_some_and(|i| !held(i, &named));
+    let walk = tree.delta_above(request.above_height).take(MAX_REPLY_WALK);
+    let above = walk.filter(unheld).filter(unsent).filter(public);
+    let above: Vec<&Block> = above.take(MAX_SYNC_BATCH).collect();
+    reply.retain(public);
+    reply.extend(above);
+    reply.sort_unstable_by_key(|b| (b.height, b.id));
+    reply.into_iter().cloned().collect()
+}
+
+/// The leaves of `tree` above `floor`, highest first (at most
+/// [`MAX_REQUEST_IDS`]): with their ancestors, everything the tree holds
+/// above the floor.
+fn leaves_above(tree: &BlockTree, floor: u64) -> Vec<BlockId> {
+    let leaf = |b: &&Block| {
+        tree.idx_of(b.id)
+            .is_some_and(|i| tree.children_idx(i).next().is_none())
+    };
+    let leaves = tree.delta_above(floor).filter(leaf).map(|b| b.id);
+    let mut leaves: Vec<BlockId> = leaves.take(MAX_REQUEST_IDS).collect();
+    leaves.reverse();
+    leaves
+}
+
 /// A replica's durable core plus the orphan-repair / delta-sync state.
 pub struct GossipSync {
     id: usize,
@@ -216,11 +294,6 @@ pub struct GossipSync {
     /// block is persisted to.
     core: ReplicaCore,
     sync_round: u64,
-    /// Current delta-sync floor.  While orphans persist, each fruitless
-    /// sync round halves it (a response can only carry blocks *above* the
-    /// requested floor, so the floor must be pushed below the unknown fork
-    /// point explicitly); it resets once the orphan buffer drains.
-    sync_floor: Option<u64>,
     incarnation: u32,
     next_seq: u32,
     pending: Option<PendingRequest>,
@@ -237,7 +310,6 @@ impl GossipSync {
             id,
             core: ReplicaCore::default(),
             sync_round: 0,
-            sync_floor: None,
             incarnation: 0,
             next_seq: 1,
             pending: None,
@@ -332,6 +404,17 @@ impl GossipSync {
         backoff + jitter
     }
 
+    /// `true` while a request is pending and younger than the timeout of
+    /// its attempt (of a first attempt if `first`).  Anti-entropy waits
+    /// that long for a first attempt — its retry timer covers a lost round
+    /// trip — but not out a retry's longer backoff.
+    fn awaiting_reply(&self, now: SimTime, first: bool) -> bool {
+        self.pending.as_ref().is_some_and(|p| {
+            let attempt = if first { 0 } else { p.attempt };
+            now.0 < p.sent_at.0 + self.timeout_for(p.request.request_id, attempt)
+        })
+    }
+
     /// First non-suspect peer at or after `start` (excluding self); falls
     /// back to `start` when every peer looks down, so probing never fully
     /// stops and recovered peers are rediscovered.
@@ -348,33 +431,57 @@ impl GossipSync {
         start
     }
 
-    /// Sends a sync request for the delta above `above_height` to `peer`,
-    /// replacing any pending request, and arms the retry timer.
+    /// Sends `request` to `peer` under a fresh id, replacing any pending
+    /// request, and arms the retry timer.
     fn send_request(
         &mut self,
         ctx: &mut Context<Msg>,
         peer: usize,
-        above_height: u64,
+        mut request: SyncRequest,
         attempt: u32,
     ) {
-        let request_id = u64::from(self.incarnation) << 32 | u64::from(self.next_seq);
+        request.request_id = u64::from(self.incarnation) << 32 | u64::from(self.next_seq);
         self.next_seq += 1;
+        self.stats.requests_sent += 1;
+        ctx.send(peer, Msg::SyncRequest(request.clone()));
+        ctx.set_timer(self.timeout_for(request.request_id, attempt), RETRY_TIMER);
         self.pending = Some(PendingRequest {
-            request_id,
             peer,
             sent_at: ctx.now(),
             attempt,
-            above_height,
+            request,
         });
-        self.stats.requests_sent += 1;
-        ctx.send(
-            peer,
-            Msg::SyncRequest {
-                request_id,
-                above_height,
-            },
-        );
-        ctx.set_timer(self.timeout_for(request_id, attempt), RETRY_TIMER);
+    }
+
+    /// What to ask for now: what lies above `height − SYNC_LOOKBACK`,
+    /// naming the leaves above it, and the missing parents of the pooled
+    /// orphans, naming also a block locator — offsets 0, 1, 2, 4, 8, …
+    /// down the longest chain, then the root.
+    fn next_request(&self) -> SyncRequest {
+        let tree = self.tree();
+        let floor = tree.height().saturating_sub(SYNC_LOOKBACK);
+        let mut have = leaves_above(tree, floor);
+        let mut want = self.core.pool().missing_parents();
+        want.truncate(MAX_REQUEST_IDS / 2);
+        let mut cursor = tree
+            .idx_of(tree.best_leaf_by_height(true))
+            .filter(|_| !want.is_empty());
+        let (mut offset, mut next) = (0u64, 0u64);
+        while let Some(i) = cursor {
+            cursor = tree.parent_idx(i);
+            if offset == next || cursor.is_none() {
+                have.push(tree.block_at(i).id);
+                next = (2 * next).max(1);
+            }
+            offset += 1;
+        }
+        have.truncate(MAX_REQUEST_IDS - want.len());
+        SyncRequest {
+            request_id: 0,
+            above_height: floor,
+            have,
+            want,
+        }
     }
 
     /// Inserts a block, releasing any orphans it unblocks and recording
@@ -408,77 +515,59 @@ impl GossipSync {
         let report = self
             .core
             .ingest(blocks, |block| log.record_applied(at, block.clone()));
-        if self.core.pool().is_empty() {
-            self.sync_floor = None;
-        }
         self.stats.batch_accepted += report.accepted as u64;
         self.stats.batch_orphaned += report.orphaned as u64;
         self.stats.batch_duplicates += report.duplicates as u64;
         report
     }
 
-    /// Asks `peer` for the delta that can re-attach our orphans.  An orphan
-    /// at height `h` is missing at least its parent at `h - 1`, and
-    /// `delta_above` is strictly-above, so the floor must sit at `h - 2` for
-    /// the parent to be included.  If a response surfaces still-deeper gaps,
-    /// the floor-halving fallback in [`GossipSync::after_blocks`] pushes it
-    /// down — bottoming out at genesis, so sync always terminates.
-    pub fn request_delta_sync(&mut self, ctx: &mut Context<Msg>, peer: usize) {
-        let base = self
-            .core
-            .pool()
-            .blocks()
-            .map(|b| b.height)
-            .min()
-            .map(|h| h.saturating_sub(2))
-            .unwrap_or_else(|| self.tree().height().saturating_sub(SYNC_LOOKBACK));
-        let above_height = match self.sync_floor {
-            Some(floor) => floor.min(base),
-            None => base,
-        };
-        self.sync_floor = Some(above_height);
-        self.send_request(ctx, peer, above_height, 0);
+    /// A block from `peer` orphaned: ask `peer` — which linked it, so holds
+    /// its parent — for the missing parents.  The orphan proves a gap now,
+    /// so the request replaces any pending one.
+    pub fn request_parents(&mut self, ctx: &mut Context<Msg>, peer: usize) {
+        self.send_request(ctx, peer, self.next_request(), 0);
     }
 
-    /// One periodic anti-entropy round: ask a rotating, non-suspect peer
-    /// for the delta above our height (or above our orphan floor when gaps
-    /// are known).  A request still pending from an earlier round is
-    /// superseded (its response, if it ever arrives, classifies as
-    /// [`ResponseClass::Late`] and is applied idempotently) — the periodic
-    /// cadence must never be starved by a lost round trip.
+    /// One periodic anti-entropy round: unless a request is awaiting its
+    /// reply, ask a rotating, non-suspect peer for what it holds above our
+    /// lookback floor and for the missing parents.
     pub fn anti_entropy(&mut self, ctx: &mut Context<Msg>) {
-        if ctx.n() < 2 {
+        if ctx.n() < 2 || self.awaiting_reply(ctx.now(), true) {
             return;
         }
         self.ensure_health(ctx.n());
         let start = (self.id + 1 + (self.sync_round as usize % (ctx.n() - 1))) % ctx.n();
         self.sync_round += 1;
         let peer = self.pick_healthy(start, ctx.n());
-        self.request_delta_sync(ctx, peer);
+        self.send_request(ctx, peer, self.next_request(), 0);
     }
 
     /// Handles a [`RETRY_TIMER`] expiry.  Timers from superseded requests
     /// are recognised (the pending request is newer than the deadline they
     /// guard) and ignored.
     pub fn on_retry_timer(&mut self, ctx: &mut Context<Msg>) {
-        let Some(p) = self.pending else {
-            return;
-        };
-        let deadline = p.sent_at.0 + self.timeout_for(p.request_id, p.attempt);
-        if ctx.now().0 < deadline {
+        if self.awaiting_reply(ctx.now(), false) {
             // A stale timer armed for an earlier, already-replaced request.
             return;
         }
+        let Some(p) = self.pending.take() else {
+            return;
+        };
         self.stats.timeouts += 1;
         self.note_timeout(p.peer, ctx.n());
         if p.attempt + 1 >= MAX_ATTEMPTS {
             // Give up; the next periodic anti-entropy round starts over.
-            self.pending = None;
             return;
         }
         self.stats.retries += 1;
         let peer = self.pick_healthy((p.peer + 1) % ctx.n(), ctx.n());
-        self.send_request(ctx, peer, p.above_height, p.attempt + 1);
+        self.send_request(ctx, peer, p.request, p.attempt + 1);
+    }
+
+    /// Counts `request` as refused if it is
+    /// [oversized](SyncRequest::oversized); [`sync_reply`] answers it empty.
+    pub fn note_request(&mut self, request: &SyncRequest) {
+        self.stats.oversized_requests += u64::from(request.oversized());
     }
 
     /// Classifies an incoming response by its echoed `request_id`, updating
@@ -493,8 +582,8 @@ impl GossipSync {
             self.stats.stale_responses += 1;
             return ResponseClass::Stale;
         }
-        match self.pending {
-            Some(p) if p.request_id == request_id => {
+        match &self.pending {
+            Some(p) if p.request.request_id == request_id => {
                 self.pending = None;
                 self.stats.responses += 1;
                 if batch_len == 0 {
@@ -509,52 +598,46 @@ impl GossipSync {
         }
     }
 
-    /// Follow-up after handling a [`Msg::Blocks`] batch.  If orphans
-    /// remain, the delta was not deep enough to reach the fork point: halve
-    /// the floor (a response never carries blocks below the floor it
-    /// answered, so orphan heights alone cannot push it down) and ask
-    /// again.  Once the floor has bottomed out at 0 this peer has already
-    /// sent its whole tree — stop re-asking it (the periodic anti-entropy
-    /// rotates to other peers), otherwise two replicas would ping-pong
-    /// full-tree payloads for the rest of the run.  With no orphans, a full
-    /// batch means the responder capped its reply: continue strictly above
-    /// the highest block received, which grows every round, so a full
-    /// re-sync terminates in at most `ceil(missing / MAX_SYNC_BATCH)`
-    /// rounds.  A batch that ended partway through its top height leaves
-    /// that height's remaining blocks to later requests: the continuation
-    /// asks only above it (see "Bounded batches" in the module docs).
-    pub fn after_blocks(
+    /// Handles a [`Msg::Blocks`] reply from `from`: applies the blocks not
+    /// yet held, each recorded as received in `log`.  Returns the highest
+    /// new block's height (0 if none), or `None` for a reply to a previous
+    /// incarnation, which is ignored.
+    ///
+    /// A reply to the pending request that grew the tree or the orphan
+    /// pool is followed up by the next request to `from`: a batch capped
+    /// partway through a height continues at that height, since the leaves
+    /// the follow-up names exclude what the batch brought.  A late reply's
+    /// blocks are applied, but the request that superseded it owns the
+    /// follow-up.
+    pub fn on_reply(
         &mut self,
         ctx: &mut Context<Msg>,
         from: usize,
-        batch_len: usize,
-        batch_max_height: u64,
-    ) {
-        if !self.core.pool().is_empty() {
-            if batch_len >= MAX_SYNC_BATCH {
-                // The batch was truncated, so it proves nothing about the
-                // blocks above its end — the missing ancestry may sit in
-                // the cut-off region (a capped batch over a deep gap fills
-                // up with blocks the requester already has).  Walk upward
-                // from the truncation point; `batch_max_height` strictly
-                // grows each round, so the walk terminates.
-                self.sync_floor = Some(batch_max_height);
-                self.send_request(ctx, from, batch_max_height, 0);
-                return;
-            }
-            // A non-full batch is complete coverage above the floor, so the
-            // fork point must lie below it: halve the floor (orphan heights
-            // alone cannot push it down) and ask again.
-            let floor = self.sync_floor.unwrap_or_else(|| self.tree().height());
-            if floor > 0 {
-                self.sync_floor = Some(floor / 2);
-                self.request_delta_sync(ctx, from);
-            }
-            return;
+        request_id: u64,
+        blocks: Vec<Block>,
+        log: &mut ReplicaLog,
+    ) -> Option<u64> {
+        self.stats.reply_blocks += blocks.len() as u64;
+        let class = self.classify_response(request_id, blocks.len());
+        if class == ResponseClass::Stale {
+            return None;
         }
-        if batch_len >= MAX_SYNC_BATCH {
-            self.send_request(ctx, from, batch_max_height, 0);
+        let held = |b: &Block| self.contains(b.id) || self.core.pool().contains(b.id);
+        let fresh: Vec<Block> = blocks.into_iter().filter(|b| !held(b)).collect();
+        self.stats.reply_blocks_new += fresh.len() as u64;
+        let at = ctx.now();
+        let highest = fresh.iter().map(|b| b.height).max().unwrap_or(0);
+        for block in &fresh {
+            log.record_received(at, block.clone());
         }
+        let grew = !fresh.is_empty() && {
+            let report = self.apply_batch(at, fresh, log);
+            report.accepted + report.orphaned > 0
+        };
+        if grew && class == ResponseClass::Fresh {
+            self.send_request(ctx, from, self.next_request(), 0);
+        }
+        Some(highest)
     }
 
     /// Records a churn rejoin: bumps the incarnation (so in-flight
@@ -578,11 +661,9 @@ impl GossipSync {
         }
     }
 
-    /// Wipes the volatile sync state (sync floor, pending request, peer
-    /// health) — what any flavour of crash loses besides the tree and the
-    /// orphan pool.
+    /// Wipes the volatile sync state (pending request, peer health) — what
+    /// any flavour of crash loses besides the tree and the orphan pool.
     fn wipe_sync_state(&mut self) {
-        self.sync_floor = None;
         self.pending = None;
         self.health.clear();
     }
@@ -621,11 +702,15 @@ mod tests {
         // Forge a pending request without a Context by driving the fields
         // the way send_request would.
         sync.pending = Some(PendingRequest {
-            request_id: 5,
             peer: 1,
             sent_at: SimTime(0),
             attempt: 0,
-            above_height: 0,
+            request: SyncRequest {
+                request_id: 5,
+                above_height: 0,
+                have: Vec::new(),
+                want: Vec::new(),
+            },
         });
         assert_eq!(sync.classify_response(5, 0), ResponseClass::Fresh);
         assert!(sync.pending.is_none());
@@ -1013,5 +1098,204 @@ mod tests {
             sync.timeout_for(42, 0) % BASE_TIMEOUT,
             sync.timeout_for(43, 0) % BASE_TIMEOUT
         );
+    }
+
+    /// `n` blocks chained on `parent`, nonces from `nonce`, mined by `producer`.
+    fn chain_on(parent: &Block, n: u64, producer: u32, nonce: u64) -> Vec<Block> {
+        let mut tip = parent.clone();
+        (0..n)
+            .map(|k| {
+                tip = BlockBuilder::new(&tip)
+                    .producer(producer)
+                    .nonce(nonce + k)
+                    .build();
+                tip.clone()
+            })
+            .collect()
+    }
+
+    fn holding(id: usize, blocks: &[Block]) -> (GossipSync, ReplicaLog) {
+        let mut sync = GossipSync::new(id);
+        let mut log = ReplicaLog::new();
+        sync.apply_batch(SimTime(0), blocks.to_vec(), &mut log);
+        assert!(sync.core.pool().is_empty());
+        (sync, log)
+    }
+
+    /// The sync requests a context collected.
+    fn requests(ctx: Context<Msg>) -> Vec<SyncRequest> {
+        let actions = ctx.into_actions();
+        let requests = actions.outgoing.into_iter().filter_map(|(_, m)| match m {
+            Msg::SyncRequest(r) => Some(r),
+            _ => None,
+        });
+        requests.collect()
+    }
+
+    #[test]
+    fn an_anti_entropy_tick_inside_a_young_requests_timeout_sends_nothing() {
+        let mut sync = GossipSync::new(0);
+        let mut ctx = Context::new(0, 4, SimTime(0));
+        sync.anti_entropy(&mut ctx);
+        assert_eq!(requests(ctx).len(), 1);
+        let timeout = sync.timeout_for(sync.pending.as_ref().unwrap().request.request_id, 0);
+        for t in [1, timeout - 1] {
+            let mut ctx = Context::new(0, 4, SimTime(t));
+            sync.anti_entropy(&mut ctx);
+            assert!(
+                requests(ctx).is_empty(),
+                "tick at {t} superseded a young request"
+            );
+        }
+        let mut ctx = Context::new(0, 4, SimTime(timeout));
+        sync.anti_entropy(&mut ctx);
+        assert_eq!(
+            requests(ctx).len(),
+            1,
+            "an expired request no longer holds the tick"
+        );
+        assert_eq!(sync.stats().requests_sent, 2);
+    }
+
+    #[test]
+    fn a_late_reply_is_applied_but_sends_no_request() {
+        let genesis = Block::genesis();
+        let blocks = chain_on(&genesis, MAX_SYNC_BATCH as u64, 1, 1);
+        let mut sync = GossipSync::new(0);
+        let mut log = ReplicaLog::new();
+        let mut ctx = Context::new(0, 4, SimTime(0));
+        sync.anti_entropy(&mut ctx);
+        let asked = requests(ctx).remove(0).request_id;
+        // A full batch answering an id that is not pending: were it fresh,
+        // it would be continued.
+        let mut ctx = Context::new(0, 4, SimTime(3));
+        sync.on_reply(&mut ctx, 1, asked + 7, blocks.clone(), &mut log);
+        assert!(requests(ctx).is_empty(), "a late reply owns no follow-up");
+        assert!(
+            sync.contains(blocks[MAX_SYNC_BATCH - 1].id),
+            "its blocks applied"
+        );
+        assert_eq!(sync.stats().late_responses, 1);
+        assert!(sync.pending.is_some(), "the pending request still waits");
+        assert_eq!(sync.stats().reply_blocks_new, MAX_SYNC_BATCH as u64);
+    }
+
+    #[test]
+    fn a_height_wider_than_a_batch_syncs_through_continuations_alone() {
+        let genesis = Block::genesis();
+        let width = 2 * MAX_SYNC_BATCH as u64 + 8;
+        let siblings: Vec<Block> = (0..width)
+            .map(|k| BlockBuilder::new(&genesis).producer(1).nonce(k).build())
+            .collect();
+        let on_top = chain_on(&siblings[3], 2, 1, 100);
+        let (responder, _) = holding(1, &[siblings.clone(), on_top].concat());
+        let mut sync = GossipSync::new(0);
+        let mut log = ReplicaLog::new();
+        let mut ctx = Context::new(0, 2, SimTime(0));
+        sync.anti_entropy(&mut ctx);
+        let mut request = requests(ctx).pop();
+        let mut round_trips = 0;
+        while let Some(asked) = request {
+            round_trips += 1;
+            let blocks = sync_reply(responder.tree(), &asked, &[]);
+            let mut ctx = Context::new(0, 2, SimTime(round_trips));
+            sync.on_reply(&mut ctx, 1, asked.request_id, blocks, &mut log);
+            request = requests(ctx).pop();
+        }
+        assert_eq!(sync.tree().sorted_ids(), responder.tree().sorted_ids());
+        // 40 siblings and 2 above: 16 + 16 + 10, then an empty reply.
+        assert_eq!(round_trips, 4);
+        assert_eq!(sync.stats().reply_blocks, width + 2, "no block sent twice");
+    }
+
+    #[test]
+    fn an_orphan_forked_40_heights_down_is_repaired_in_one_round_trip() {
+        let genesis = Block::genesis();
+        let shared = chain_on(&genesis, 60, 0, 1);
+        let ours = chain_on(&shared[59], 20, 0, 1_000);
+        let theirs = chain_on(&shared[59], 41, 1, 2_000);
+        let (mut sync, mut log) = holding(0, &[shared.clone(), ours].concat());
+        let (peer, _) = holding(1, &[shared, theirs.clone()].concat());
+        // Their tip floods in: its parent sits 40 heights above the fork.
+        let orphan = theirs[40].clone();
+        assert!(!sync.insert_with_orphans(SimTime(1), orphan.clone(), &mut log));
+        let mut ctx = Context::new(0, 2, SimTime(1));
+        sync.request_parents(&mut ctx, 1);
+        let asked = requests(ctx).remove(0);
+        assert_eq!(asked.want, vec![theirs[39].id]);
+        assert!(!asked.oversized());
+        let blocks = sync_reply(peer.tree(), &asked, &[]);
+        let mut ctx = Context::new(0, 2, SimTime(2));
+        sync.on_reply(&mut ctx, 1, asked.request_id, blocks.clone(), &mut log);
+        assert!(
+            sync.contains(orphan.id),
+            "the orphan linked after one round trip"
+        );
+        assert!(sync.core.pool().is_empty());
+        // The 40-block path down to the fork at height 60, on through the 12
+        // shared blocks above the locator entry the peer knows (height 48:
+        // offset 32 below our tip at 80), plus the orphan itself from above
+        // the floor.
+        assert_eq!(blocks.len(), 40 + 12 + 1);
+        for request in requests(ctx) {
+            assert!(
+                request.want.is_empty(),
+                "nothing left to repair: {request:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_request_gets_an_empty_reply_unwalked() {
+        let genesis = Block::genesis();
+        let (mut sync, _) = holding(0, &chain_on(&genesis, 5, 0, 1));
+        let forged = SyncRequest {
+            request_id: 1,
+            above_height: 0,
+            have: (0..10_000).map(BlockId).collect(),
+            want: Vec::new(),
+        };
+        sync.note_request(&forged);
+        assert!(sync_reply(sync.tree(), &forged, &[]).is_empty());
+        assert_eq!(sync.stats().oversized_requests, 1);
+        let bounded = SyncRequest {
+            have: forged.have[..MAX_REQUEST_IDS].to_vec(),
+            ..forged
+        };
+        sync.note_request(&bounded);
+        assert_eq!(sync_reply(sync.tree(), &bounded, &[]).len(), 5);
+        assert_eq!(sync.stats().oversized_requests, 1);
+    }
+
+    #[test]
+    fn a_forged_request_walks_no_more_than_the_reply_bound() {
+        // A tall chain with one unheld side block halfway up.  Naming the
+        // tip at floor 0 makes every block below it held: a walk over the
+        // whole tree would find the side block, a bounded one stops first.
+        let genesis = Block::genesis();
+        let chain = chain_on(&genesis, 1_000, 0, 1);
+        let side = BlockBuilder::new(&chain[499]).producer(9).nonce(1).build();
+        let (responder, _) = holding(1, &[chain.clone(), vec![side.clone()]].concat());
+        let tip = chain[999].id;
+        let floor = SyncRequest {
+            request_id: 1,
+            above_height: 0,
+            have: vec![tip],
+            want: Vec::new(),
+        };
+        assert!(sync_reply(responder.tree(), &floor, &[]).is_empty());
+        // Wanting the tip with a locator the responder does not know: the
+        // path is walked down from the want for at most the bound, and its
+        // top blocks are sent for the requester to pool.
+        let path = SyncRequest {
+            above_height: 1_000,
+            have: vec![BlockId(7)],
+            want: vec![tip],
+            ..floor
+        };
+        let blocks = sync_reply(responder.tree(), &path, &[]);
+        assert_eq!(blocks.len(), MAX_REPLY_WALK);
+        assert_eq!(blocks.last().map(|b| b.id), Some(tip));
+        assert_eq!(blocks[0].height, 1_000 - MAX_REPLY_WALK as u64 + 1);
     }
 }

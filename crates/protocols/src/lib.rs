@@ -41,5 +41,5 @@ pub use classification::{classify, table1, Classification, ProtocolSpec, SystemM
 pub use committee::{CommitteeConfig, CommitteeReplica, LeaderRule};
 pub use extract::{build_histories, ReplicaLog};
 pub use gossip::{GossipSync, RecoveryMode, ResponseClass, SyncStats, MAX_SYNC_BATCH};
-pub use messages::Msg;
+pub use messages::{Msg, SyncRequest};
 pub use pow::{PowConfig, PowReplica};

@@ -8,8 +8,10 @@
 //! chain for Bitcoin, GHOST for Ethereum — later resolves.
 //!
 //! Reads are sampled whenever a replica's selected chain grows (blockchain
-//! clients expose a monotone view of the chain), plus once at the end of the
-//! run; the classification driver adds that final quiescent read.
+//! clients expose a monotone view of the chain) or, at an anti-entropy
+//! round, when it switched to another tip of the same height, plus once at
+//! the end of the run; the classification driver adds that final quiescent
+//! read.
 //!
 //! An adversarial replica ([`PowReplica::adversarial`]) is the same miner
 //! under another *release policy* ([`Strategy`]); the one behaviour that is
@@ -20,13 +22,14 @@ use std::sync::Arc;
 use btadt_netsim::{Context, Process, SimTime};
 use btadt_oracle::{Cell, Tape};
 use btadt_store::{BlockStore, SimMedium, StoreConfig};
-use btadt_types::{Block, BlockBuilder, BlockTree, Blockchain, SelectionFunction, Transaction};
+use btadt_types::{
+    Block, BlockBuilder, BlockId, BlockTree, Blockchain, SelectionFunction, Transaction,
+};
 
 use crate::adversary::Strategy;
 use crate::extract::ReplicaLog;
 use crate::gossip::{
-    GossipSync, RecoveryMode, ResponseClass, SyncStats, MAX_SYNC_BATCH, RETRY_TIMER,
-    SYNC_TAIL_ROUNDS,
+    sync_reply, GossipSync, RecoveryMode, SyncStats, RETRY_TIMER, SYNC_TAIL_ROUNDS,
 };
 use crate::messages::Msg;
 
@@ -74,7 +77,8 @@ pub struct PowReplica {
     /// Highest height among blocks known to be public (foreign blocks and
     /// own released ones).
     public_height: u64,
-    last_read_score: u64,
+    /// Height and id of the tip of the last recorded read.
+    last_read: (u64, BlockId),
     next_tx: u64,
     /// Everything this replica did (read by the classification driver).
     pub log: ReplicaLog,
@@ -103,7 +107,7 @@ impl PowReplica {
             sync: GossipSync::new(id),
             withheld: Vec::new(),
             public_height: 0,
-            last_read_score: 0,
+            last_read: (0, Block::genesis().id),
             next_tx: 1,
             log: ReplicaLog::new(),
         };
@@ -168,17 +172,24 @@ impl PowReplica {
         tree.block_at(self.config.selection.select_tip(tree))
     }
 
-    fn maybe_read(&mut self, at: SimTime) {
+    /// Records a read if the selected chain grew since the last one, or —
+    /// when `settle` — if it switched to another tip of the same height.
+    fn maybe_read(&mut self, at: SimTime, settle: bool) {
         if self.strategy.is_some() {
             return;
         }
         // The selected chain's length beyond genesis is its tip's height:
-        // only a chain that grew is worth materialising.
+        // only a chain that grew is worth materialising on every event.
+        // A switch between tied tips is read at the next anti-entropy
+        // round, so a replica that crashes after one does not leave its
+        // last read on the losing side.
         let tree = self.sync.tree();
         let tip = self.config.selection.select_tip(tree);
-        let score = tree.block_at(tip).height;
-        if score > self.last_read_score {
-            self.last_read_score = score;
+        let read = (tree.block_at(tip).height, tree.block_at(tip).id);
+        if read.0 > self.last_read.0
+            || settle && read.0 == self.last_read.0 && read != self.last_read
+        {
+            self.last_read = read;
             self.log.record_read(at, tree.chain_to_idx(tip));
         }
     }
@@ -190,7 +201,7 @@ impl PowReplica {
             return;
         }
         let chain = self.selected();
-        self.last_read_score = (chain.len() - 1) as u64;
+        self.last_read = (chain.tip().height, chain.tip().id);
         self.log.record_read(at, chain);
     }
 
@@ -218,7 +229,7 @@ impl PowReplica {
         self.log.record_created(at, block.clone());
         self.sync
             .insert_with_orphans(at, block.clone(), &mut self.log);
-        self.maybe_read(at);
+        self.maybe_read(at, false);
         match self.strategy {
             None => self.release(ctx, block),
             // Mining extends the lead; nothing is released until the
@@ -249,7 +260,7 @@ impl PowReplica {
     /// public chain is within one block of its tip (lead ≤ 1), so honest
     /// blocks at the contested heights are orphaned by the longer branch.
     fn after_foreign_blocks(&mut self, ctx: &mut Context<Msg>) {
-        self.maybe_read(ctx.now());
+        self.maybe_read(ctx.now(), false);
         let private_tip = self.withheld.last().map_or(0, |tip| tip.height);
         if self.strategy == Some(Strategy::Selfish) && private_tip <= self.public_height + 1 {
             self.release_all(ctx); // a no-op when nothing is withheld
@@ -275,48 +286,30 @@ impl Process<Msg> for PowReplica {
                     self.public_height = self.public_height.max(block.height);
                     if !self.sync.insert_with_orphans(at, block, &mut self.log) {
                         // The block orphaned: something upstream was lost or
-                        // reordered — ask its sender for the missing delta.
-                        self.sync.request_delta_sync(ctx, from);
+                        // reordered — ask its sender for the missing parents.
+                        self.sync.request_parents(ctx, from);
                     }
                     self.after_foreign_blocks(ctx);
                 }
             }
             Msg::Blocks { request_id, blocks } => {
-                if self.sync.classify_response(request_id, blocks.len()) == ResponseClass::Stale {
-                    // Addressed to a previous incarnation of this process:
-                    // ignore the payload wholesale.
-                    return;
+                let reply = self
+                    .sync
+                    .on_reply(ctx, from, request_id, blocks, &mut self.log);
+                // `None`: addressed to a previous incarnation, ignored.
+                if let Some(highest) = reply {
+                    self.public_height = self.public_height.max(highest);
+                    self.after_foreign_blocks(ctx);
                 }
-                let batch_len = blocks.len();
-                let batch_max = blocks.iter().map(|b| b.height).max().unwrap_or(0);
-                let fresh: Vec<Block> = blocks
-                    .into_iter()
-                    .filter(|b| !self.sync.contains(b.id))
-                    .collect();
-                for block in &fresh {
-                    self.log.record_received(at, block.clone());
-                    self.public_height = self.public_height.max(block.height);
-                }
-                self.sync.apply_batch(at, fresh, &mut self.log);
-                self.after_foreign_blocks(ctx);
-                self.sync.after_blocks(ctx, from, batch_len, batch_max);
             }
-            Msg::SyncRequest {
-                request_id,
-                above_height,
-            } => {
+            Msg::SyncRequest(request) => {
                 // Always reply, even with an empty batch, so the requester
                 // can clear its pending request; duplicate requests get
                 // duplicate (idempotent) replies.  Withheld blocks never
                 // leak: a sync reply is a publication.
-                let blocks = self
-                    .sync
-                    .tree()
-                    .delta_above(above_height)
-                    .filter(|b| !self.withheld.iter().any(|w| w.id == b.id))
-                    .take(MAX_SYNC_BATCH)
-                    .cloned()
-                    .collect();
+                self.sync.note_request(&request);
+                let blocks = sync_reply(self.sync.tree(), &request, &self.withheld);
+                let request_id = request.request_id;
                 ctx.send(from, Msg::Blocks { request_id, blocks });
             }
             Msg::Propose { .. } | Msg::Vote { .. } => {
@@ -341,6 +334,7 @@ impl Process<Msg> for PowReplica {
             // extend publishes it rather than discard the work.
             MINE_TIMER if self.strategy == Some(Strategy::Selfish) => self.release_all(ctx),
             SYNC_TIMER => {
+                self.maybe_read(ctx.now(), true);
                 self.sync.anti_entropy(ctx);
                 let sync_until =
                     self.config.mine_until + SYNC_TAIL_ROUNDS * self.config.sync_interval;
@@ -494,24 +488,7 @@ mod tests {
         // creator floods each block exactly once).  With delta sync, any
         // later block arriving as an orphan triggers a catch-up request, so
         // replicas converge despite the loss.
-        use btadt_netsim::ChannelModel;
-        let run_lossy = |drop_probability: f64| {
-            let replicas: Vec<PowReplica> = (0..4)
-                .map(|i| PowReplica::new(i, config(13, 0.3)))
-                .collect();
-            let sim_config = SimConfig {
-                seed: 13,
-                channel: ChannelModel::lossy(ChannelModel::synchronous(3), drop_probability),
-                max_time: 800,
-                max_events: 500_000,
-            };
-            let mut sim = Simulator::new(replicas, sim_config, FailurePlan::none());
-            sim.run();
-            let (replicas, trace) = sim.into_parts();
-            (replicas, trace)
-        };
-
-        let (replicas, trace) = run_lossy(0.25);
+        let (replicas, trace) = run_lossy(13, 0.25);
         assert!(
             trace.dropped() > 0,
             "the channel must actually lose messages"
@@ -528,6 +505,40 @@ mod tests {
             tips.iter().all(|&t| t == tips[0]),
             "delta sync reconciles lossy replicas: tips {tips:?}, heights {heights:?}"
         );
+    }
+
+    /// Four miners for 40 ticks on a synchronous channel that drops each
+    /// message with probability `drop_probability`.
+    fn run_lossy(seed: u64, drop_probability: f64) -> (Vec<PowReplica>, btadt_netsim::NetTrace) {
+        use btadt_netsim::ChannelModel;
+        let replicas: Vec<PowReplica> = (0..4)
+            .map(|i| PowReplica::new(i, config(seed, 0.3)))
+            .collect();
+        let sim_config = SimConfig {
+            seed,
+            channel: ChannelModel::lossy(ChannelModel::synchronous(3), drop_probability),
+            max_time: 800,
+            max_events: 500_000,
+        };
+        let mut sim = Simulator::new(replicas, sim_config, FailurePlan::none());
+        sim.run();
+        sim.into_parts()
+    }
+
+    #[test]
+    fn every_seed_of_a_25_percent_lossy_drill_converges() {
+        // Update agreement under loss (Thms 4.6/4.7): with a quarter of all
+        // messages dropped, delta sync still brings every replica to the
+        // same selected tip before the anti-entropy tail ends, on every
+        // seed of the drill.
+        let split: Vec<u64> = (1..=60u64)
+            .filter(|&seed| {
+                let (replicas, _) = run_lossy(seed, 0.25);
+                let tips: Vec<_> = replicas.iter().map(|r| r.tip().id).collect();
+                tips.iter().any(|&t| t != tips[0])
+            })
+            .collect();
+        assert!(split.is_empty(), "seeds ending with split tips: {split:?}");
     }
 
     /// Replica 3 mines alone behind a partition, then crashes before the
