@@ -1,12 +1,13 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Ten rules: three about keeping the concurrency story auditable, one
+//! Eleven rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
 //! allocation-free, one about keeping a delta-sync reply as cheap as what
 //! it sends, one about keeping one copy of a block's transactions, one
 //! about keeping whole-tree leaf scans off library paths, one about
 //! keeping the consistency checkers off all-pairs loops, one about keeping
-//! one pruning path:
+//! one pruning path, one about keeping a recorded read as cheap as what
+//! changed:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -20,6 +21,7 @@
 //! | `no-leaf-scan` | no `.leaves()` and no `.all_chains()` call in non-test library code unless `// LINT-ALLOW: <reason>` — the tree keeps a leaf *count*, not a leaf set, so each is an O(n) scan of the arena plus a sort; ask `leaf_count()` or a best-tip query instead |
 //! | `no-pair-loop` | in non-test library code under `crates/core/src/criteria/`, no `for` whose range starts at `(<ident> + 1)..` (or `<ident> + 1..`) unless `// LINT-ALLOW: <reason>` — the inner half of an all-pairs loop is O(R²) over a history's reads; count with an index (`ReachForest::diverging_later`) and say why what is left is bounded |
 //! | `one-prune-door` | in non-test library code, no `BlockTree::rerooted(` outside `types/src/tree.rs` and `store/src/durable.rs`, and no `BlockStore::prune` call (`.prune(&`) outside `store/src/durable.rs`, unless `// LINT-ALLOW: <reason>` — a replica's window is rebuilt and its store collected in one place, `ReplicaCore::prune`, so a second pruning path cannot drift from it |
+//! | `no-chain-per-read` | in non-test library code, no `chain_to_idx(` call outside `crates/types/src` unless `// LINT-ALLOW: <reason>` — it copies the whole O(height) path from the root; a replica records a read with `ReplicaLog::record_read(at, tree, tip)`, which pushes only the blocks that differ from its spine |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -28,10 +30,10 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the eight library
+//! cannot produce findings.  Test code is exempt from the nine library
 //! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
 //! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`, `no-pair-loop`,
-//! `one-prune-door`) only: files under a `tests/`
+//! `one-prune-door`, `no-chain-per-read`) only: files under a `tests/`
 //! directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
 //! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
 //! harness is additionally exempt from `no-chain-for-tip`,
@@ -66,6 +68,8 @@ pub const RULE_LEAF_SCAN: &str = "no-leaf-scan";
 pub const RULE_PAIR_LOOP: &str = "no-pair-loop";
 /// Rule id: a window rebuilt or a store pruned outside `ReplicaCore::prune`.
 pub const RULE_PRUNE_DOOR: &str = "one-prune-door";
+/// Rule id: a whole chain copied out of a tree outside the types crate.
+pub const RULE_CHAIN_PER_READ: &str = "no-chain-per-read";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -403,10 +407,21 @@ fn prune_door(file: &str, code: &str) -> bool {
     rerooted || (code.contains(".prune(&") && !owner("store/src/durable.rs"))
 }
 
+/// `true` iff the masked code line in `file` copies a root-to-tip path
+/// out of a tree (`chain_to_idx(`) outside `crates/types/src`, which
+/// defines it and builds `SelectionFunction::select` on it.
+fn chain_per_read(file: &str, code: &str) -> bool {
+    code.contains("chain_to_idx(")
+        && !Path::new(file)
+            .ancestors()
+            .any(|dir| dir.ends_with("crates/types/src"))
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
 /// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
 /// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`],
-/// [`RULE_PAIR_LOOP`], [`RULE_PRUNE_DOOR`]) the whole file is exempt
+/// [`RULE_PAIR_LOOP`], [`RULE_PRUNE_DOOR`], [`RULE_CHAIN_PER_READ`]) the
+/// whole file is exempt
 /// from (test files, binaries); `#[cfg(test)]` regions are detected
 /// internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
@@ -545,6 +560,18 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_CHAIN_PER_READ) && chain_per_read(file, &line.code) && !allowed()
+        {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_CHAIN_PER_READ,
+                detail: "`chain_to_idx(` copies the whole path from the root (record a read \
+                         with `ReplicaLog::record_read(at, tree, tip)`, or annotate \
+                         `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -587,7 +614,7 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all eight
+/// The library-only rules a path is exempt from as a whole file: all nine
 /// for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`] and
 /// [`RULE_PAYLOAD_COPY`] for the `benchmark/` harness — frozen to library
 /// PRs, it reads each miner's tip once after a run, not per event, its
@@ -613,6 +640,7 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
             RULE_LEAF_SCAN,
             RULE_PAIR_LOOP,
             RULE_PRUNE_DOOR,
+            RULE_CHAIN_PER_READ,
         ]
     } else if in_dir("benchmark") {
         &[
@@ -838,6 +866,16 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
+            "chain-per-read",
+            "fn read(log: &mut Vec<Blockchain>, tree: &BlockTree, tip: NodeIdx) {\n    log.push(tree.chain_to_idx(tip));\n    let again = BlockTree::chain_to_idx(tree, tip);\n    log.push(again);\n}\n",
+            vec![(RULE_CHAIN_PER_READ, 2), (RULE_CHAIN_PER_READ, 3)],
+        ),
+        (
+            "read-through-the-log-is-clean",
+            "fn read(log: &mut ReplicaLog, at: SimTime, tree: &BlockTree, tip: NodeIdx) -> Blockchain {\n    log.record_read(at, tree, tip);\n    let _ = tree.chain_to(tree.block_at(tip).id);\n    // LINT-ALLOW: a report prints one chain, off the replica's path\n    tree.chain_to_idx(tip)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree, tip: NodeIdx) { t.chain_to_idx(tip); }\n}\n",
+            vec![],
+        ),
+        (
             "block-comment-masked",
             "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
             vec![],
@@ -939,6 +977,33 @@ mod tests {
             [(RULE_PRUNE_DOOR, 2), (RULE_PRUNE_DOOR, 3)]
         );
         assert!(rules("crates/store/tests/crash_prefixes.rs").is_empty());
+    }
+
+    #[test]
+    fn a_chain_per_read_is_refused_outside_the_types_crate() {
+        let src = "fn f(t: &BlockTree, tip: NodeIdx) -> Blockchain {\n    t.chain_to_idx(tip)\n}\n";
+        let rules = |path: &str| -> Vec<(&str, usize)> {
+            lint_source(path, src, exempt_rules(Path::new(path)))
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect()
+        };
+        for owner in ["crates/types/src/tree.rs", "crates/types/src/selection.rs"] {
+            assert!(rules(owner).is_empty(), "{owner}");
+        }
+        for library in [
+            "crates/protocols/src/pow.rs",
+            "crates/types/benches/walk.rs",
+            "crates/bench/src/scenarios.rs",
+        ] {
+            assert_eq!(rules(library), [(RULE_CHAIN_PER_READ, 2)], "{library}");
+        }
+        for test in [
+            "crates/protocols/tests/recorded_reads.rs",
+            "crates/types/tests/props.rs",
+        ] {
+            assert!(rules(test).is_empty(), "{test}");
+        }
     }
 
     #[test]

@@ -492,12 +492,12 @@ mod tests {
         assert_eq!(adversary.log.created.len(), 1);
         assert_eq!(adversary.log.received.len(), 1);
         assert!(
-            adversary.log.reads.is_empty(),
+            adversary.log.reads().len() == 0,
             "adversaries record no reads"
         );
         let honest = drive(PowReplica::new(0, certain_config(6)));
         assert_eq!(
-            honest.log.reads.len(),
+            honest.log.reads().len(),
             2,
             "the mined-block read and the forced one"
         );

@@ -176,8 +176,8 @@ impl CommitteeReplica {
 
     /// Forces a read (used for the final quiescent read).
     pub fn force_read(&mut self, at: SimTime) {
-        let chain = self.selected();
-        self.log.record_read(at, chain);
+        let tip = self.config.selection.select_tip(&self.tree);
+        self.log.record_read(at, &self.tree, tip);
     }
 
     fn is_member(&self, p: usize) -> bool {
@@ -204,7 +204,7 @@ impl CommitteeReplica {
     fn apply(&mut self, at: SimTime, block: Block) {
         if self.tree.insert(block.clone()).is_ok() {
             self.log.record_applied(at, block);
-            self.log.record_read(at, self.selected());
+            self.force_read(at);
         }
     }
 

@@ -16,9 +16,16 @@ use btadt_core::{
 };
 use btadt_history::{HistoryRecorder, ProcessId, Timestamp};
 use btadt_netsim::SimTime;
-use btadt_types::{Block, Blockchain, GENESIS_ID};
+use btadt_types::{Block, BlockTree, Blockchain, NodeIdx, GENESIS_ID};
 
 /// What one replica recorded during a run.
+///
+/// Reads are recorded as *runs*: a run's spine is one chain the log owns
+/// alone, and each read of the run is a length — the read's chain is the
+/// spine's prefix of that length.  A read that extends the spine pushes
+/// the new blocks onto it, a read of a prefix records a length only, and
+/// only a branch switch copies: it opens a new run from the kept prefix.
+/// So recording costs the blocks that changed, not the chain's height.
 #[derive(Clone, Debug, Default)]
 pub struct ReplicaLog {
     /// Blocks this replica created, with creation time.
@@ -27,8 +34,10 @@ pub struct ReplicaLog {
     pub received: Vec<(SimTime, Block)>,
     /// Blocks this replica applied to its local tree, with application time.
     pub applied: Vec<(SimTime, Block)>,
-    /// Chains this replica read, with read time.
-    pub reads: Vec<(SimTime, Blockchain)>,
+    /// The runs' spines, oldest first; only the last one still grows.
+    spines: Vec<Blockchain>,
+    /// Reads in order: time, spine and the read chain's length.
+    reads: Vec<(SimTime, usize, usize)>,
 }
 
 impl ReplicaLog {
@@ -52,9 +61,63 @@ impl ReplicaLog {
         self.applied.push((at, block));
     }
 
-    /// Records a read.
-    pub fn record_read(&mut self, at: SimTime, chain: Blockchain) {
-        self.reads.push((at, chain));
+    /// Records a read of `tree`'s chain ending at `tip` — the value
+    /// `tree.chain_to_idx(tip)` — paying for the blocks that differ from
+    /// the current spine.  It walks down from `tip` to the first block
+    /// equal, in full, to the spine's block at that height; a tree whose
+    /// root is not the spine's first block (a rerooted window) shares
+    /// nothing and opens a new run.
+    pub fn record_read(&mut self, at: SimTime, tree: &BlockTree, tip: NodeIdx) {
+        let spine = self.spines.last().filter(|s| &s[0] == tree.genesis());
+        let mut path = Vec::new();
+        let mut cursor = Some(tip);
+        let keep = loop {
+            let Some(idx) = cursor else { break 0 };
+            let block = tree.block_at(idx);
+            if let Some(spine) = spine {
+                let i = (block.height - spine[0].height) as usize;
+                if spine.blocks().get(i) == Some(block) {
+                    break i + 1;
+                }
+            }
+            path.push(idx);
+            cursor = tree.parent_idx(idx);
+        };
+        let len = keep + path.len();
+        let blocks = path.iter().rev().map(|&idx| tree.block_at(idx).clone());
+        match self.spines.pop() {
+            // The tip is on the spine: a length is the whole record.
+            Some(spine) if path.is_empty() => self.spines.push(spine),
+            // The read extends the spine: push the new blocks in place.
+            Some(spine) if keep == spine.len() => {
+                self.spines.push(Blockchain::spliced(spine, keep, blocks).0);
+            }
+            // A branch switch: a new run copies the kept prefix.
+            Some(spine) if keep > 0 => {
+                let fresh = Blockchain::spliced(spine.clone(), keep, blocks).0;
+                self.spines.extend([spine, fresh]);
+            }
+            old => {
+                self.spines.extend(old);
+                self.spines
+                    .push(Blockchain::from_blocks_trusted(blocks.collect()));
+            }
+        }
+        self.reads.push((at, self.spines.len() - 1, len));
+    }
+
+    /// The chains this replica read, with read time, in recording order:
+    /// each an O(1) prefix view of its run's spine.
+    pub fn reads(&self) -> impl ExactSizeIterator<Item = (SimTime, Blockchain)> + '_ {
+        self.reads
+            .iter()
+            .map(|&(at, run, len)| (at, self.spines[run].truncated(len - 1)))
+    }
+
+    /// Blocks the recorded reads materialised: the summed length of the
+    /// runs' spines (each read on its own would cost its whole length).
+    pub fn spine_blocks(&self) -> usize {
+        self.spines.iter().map(Blockchain::len).sum()
     }
 }
 
@@ -114,8 +177,8 @@ pub fn build_histories(logs: &[ReplicaLog]) -> (BtHistory, MessageHistory) {
                 at: ts(*at, 3),
             });
         }
-        for (at, chain) in &log.reads {
-            ops.push((*at, p, Pending::Read(chain.clone())));
+        for (at, chain) in log.reads() {
+            ops.push((at, p, Pending::Read(chain)));
         }
     }
 
@@ -159,17 +222,19 @@ mod tests {
             .nonce(1)
             .producer(0)
             .build();
-        let chain = Blockchain::genesis_only().extended_with(b.clone()).unwrap();
+        let mut tree = BlockTree::new();
+        tree.insert(b.clone()).unwrap();
+        let tip = tree.idx_of(b.id).unwrap();
 
         let mut creator = ReplicaLog::new();
         creator.record_created(SimTime(1), b.clone());
         creator.record_applied(SimTime(1), b.clone());
-        creator.record_read(SimTime(2), chain.clone());
+        creator.record_read(SimTime(2), &tree, tip);
 
         let mut follower = ReplicaLog::new();
         follower.record_received(SimTime(3), b.clone());
         follower.record_applied(SimTime(3), b.clone());
-        follower.record_read(SimTime(4), chain.clone());
+        follower.record_read(SimTime(4), &tree, tip);
 
         let (history, messages) = build_histories(&[creator, follower]);
         assert_eq!(history.appends().len(), 1);
@@ -189,10 +254,12 @@ mod tests {
 
     #[test]
     fn reads_are_ordered_globally_by_time() {
+        let tree = BlockTree::new();
+        let root = tree.idx_of(GENESIS_ID).unwrap();
         let mut a = ReplicaLog::new();
-        a.record_read(SimTime(5), Blockchain::genesis_only());
+        a.record_read(SimTime(5), &tree, root);
         let mut b = ReplicaLog::new();
-        b.record_read(SimTime(2), Blockchain::genesis_only());
+        b.record_read(SimTime(2), &tree, root);
         let (history, _) = build_histories(&[a, b]);
         let reads = history.reads();
         assert_eq!(reads[0].0.process, ProcessId(1), "earlier read comes first");

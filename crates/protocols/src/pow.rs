@@ -11,7 +11,10 @@
 //! clients expose a monotone view of the chain) or, at an anti-entropy
 //! round, when it switched to another tip of the same height, plus once at
 //! the end of the run; the classification driver adds that final quiescent
-//! read.
+//! read.  A read hands the log the replica's own tree and selected tip
+//! ([`ReplicaLog::record_read`]): the log keeps each run of reads as prefix
+//! views of one spine, so recording a read copies the blocks that changed
+//! since the last one, not the whole chain.
 //!
 //! An adversarial replica ([`PowReplica::adversarial`]) is the same miner
 //! under another *release policy* ([`Strategy`]); the one behaviour that is
@@ -179,7 +182,7 @@ impl PowReplica {
             return;
         }
         // The selected chain's length beyond genesis is its tip's height:
-        // only a chain that grew is worth materialising on every event.
+        // only a chain that grew is worth recording on every event.
         // A switch between tied tips is read at the next anti-entropy
         // round, so a replica that crashes after one does not leave its
         // last read on the losing side.
@@ -190,7 +193,7 @@ impl PowReplica {
             || settle && read.0 == self.last_read.0 && read != self.last_read
         {
             self.last_read = read;
-            self.log.record_read(at, tree.chain_to_idx(tip));
+            self.log.record_read(at, tree, tip);
         }
     }
 
@@ -200,9 +203,10 @@ impl PowReplica {
         if self.strategy.is_some() {
             return;
         }
-        let chain = self.selected();
-        self.last_read = (chain.tip().height, chain.tip().id);
-        self.log.record_read(at, chain);
+        let tree = self.sync.tree();
+        let tip = self.config.selection.select_tip(tree);
+        self.last_read = (tree.block_at(tip).height, tree.block_at(tip).id);
+        self.log.record_read(at, tree, tip);
     }
 
     /// One mining attempt: on a token, chains a single transfer onto the
@@ -437,9 +441,9 @@ mod tests {
     fn reads_are_locally_monotone() {
         let replicas = run(4, 11, 0.25);
         for r in &replicas {
-            let scores: Vec<usize> = r.log.reads.iter().map(|(_, c)| c.len()).collect();
+            let scores: Vec<usize> = r.log.reads().map(|(_, c)| c.len()).collect();
             assert!(scores.windows(2).all(|w| w[1] >= w[0]), "{scores:?}");
-            assert!(!r.log.reads.is_empty());
+            assert!(r.log.reads().len() > 0);
         }
     }
 

@@ -21,18 +21,26 @@ use crate::block::{Block, BlockId, GENESIS_ID};
 /// * every subsequent block's parent is the preceding block;
 /// * heights increase by one along the chain.
 ///
-/// The block sequence is `Arc`-shared: cloning a chain — which every
-/// recorded `read()` response, replica snapshot and criterion check does —
-/// is O(1) instead of a deep copy.  Chains are immutable values; extension
-/// and truncation return new chains.
+/// A chain is a *prefix view* of an `Arc`-shared block sequence: its blocks
+/// are the first `len` of the backing sequence, which may hold more.
+/// Cloning a chain — which every recorded `read()` response, replica
+/// snapshot and criterion check does — is O(1) instead of a deep copy, and
+/// so is [`truncated`](Blockchain::truncated): a replica's recorded reads
+/// are views of different lengths over one spine (`ReplicaLog` in the
+/// protocols crate).  Two views of one backing answer `==`, `⊑` and `mcps`
+/// from their lengths alone.  Chains are immutable values; extension and
+/// truncation return new chains, and nothing past a view's `len` is ever
+/// visible through it.
 #[derive(Clone)]
 pub struct Blockchain {
+    /// The backing sequence; the chain is `blocks[..len]`.
     blocks: Arc<Vec<Block>>,
+    len: usize,
 }
 
 impl PartialEq for Blockchain {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.blocks, &other.blocks) || self.blocks == other.blocks
+        self.len == other.len && (self.shares_backing(other) || self.blocks() == other.blocks())
     }
 }
 
@@ -42,9 +50,7 @@ impl Blockchain {
     /// The chain containing only the genesis block (`read()` on an empty
     /// BlockTree returns this).
     pub fn genesis_only() -> Self {
-        Blockchain {
-            blocks: Arc::new(vec![Block::genesis()]),
-        }
+        Self::from_vec_trusted(vec![Block::genesis()])
     }
 
     /// Builds a chain from a vector of blocks, checking the chain invariants.
@@ -60,9 +66,7 @@ impl Blockchain {
                 return None;
             }
         }
-        Some(Blockchain {
-            blocks: Arc::new(blocks),
-        })
+        Some(Self::from_vec_trusted(blocks))
     }
 
     /// Builds a chain from a vector already known to satisfy the chain
@@ -82,57 +86,59 @@ impl Blockchain {
         debug_assert!(blocks
             .windows(2)
             .all(|w| w[1].parent == Some(w[0].id) && w[1].height == w[0].height + 1));
+        let len = blocks.len();
         Blockchain {
             blocks: Arc::new(blocks),
+            len,
         }
     }
 
     /// Number of blocks in the chain, including the genesis block.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.len
     }
 
     /// Returns `true` iff the chain consists of the genesis block only.
     pub fn is_empty(&self) -> bool {
-        self.blocks.len() == 1
+        self.len == 1
     }
 
     /// Height of the tip of the chain (0 for the genesis-only chain).
     pub fn height(&self) -> u64 {
-        self.blocks.last().map(|b| b.height).unwrap_or(0)
+        self.tip().height
     }
 
     /// The last block of the chain.
     pub fn tip(&self) -> &Block {
-        self.blocks.last().expect("chain is never empty")
+        self.blocks().last().expect("chain is never empty")
     }
 
     /// All blocks of the chain, genesis first.
     pub fn blocks(&self) -> &[Block] {
-        &self.blocks
+        &self.blocks[..self.len]
     }
 
     /// Iterator over the block identifiers, genesis first.
     pub fn ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.blocks.iter().map(|b| b.id)
+        self.blocks().iter().map(|b| b.id)
     }
 
     /// Returns `true` iff the chain contains the block with the given id.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.blocks.iter().any(|b| b.id == id)
+        self.blocks().iter().any(|b| b.id == id)
     }
 
     /// Total work embodied by the chain (sum of per-block work, saturating
     /// at `u64::MAX` — a hand-built hostile chain must not panic or wrap).
     pub fn total_work(&self) -> u64 {
-        self.blocks
+        self.blocks()
             .iter()
             .fold(0u64, |sum, b| sum.saturating_add(b.work))
     }
 
     /// Total number of transactions carried by the chain.
     pub fn total_transactions(&self) -> usize {
-        self.blocks.iter().map(|b| b.payload.len()).sum()
+        self.blocks().iter().map(|b| b.payload.len()).sum()
     }
 
     /// Appends a block to the chain, returning the extended chain.
@@ -151,9 +157,10 @@ impl Blockchain {
     /// the blocks that changed instead of the whole height.
     ///
     /// When `prev` is the last handle to its block sequence the sequence is
-    /// truncated and extended in place; otherwise exactly the kept prefix
-    /// is copied into a fresh sequence, so a chain value somebody still
-    /// holds is never mutated.  Returns the chain together with the number
+    /// truncated and extended in place (dropping whatever the backing held
+    /// past `prev`'s view); otherwise exactly the kept prefix is copied
+    /// into a fresh sequence, so a chain value somebody still holds is
+    /// never mutated.  Returns the chain together with the number
     /// of prefix blocks that had to be copied (`0` on the in-place path).
     ///
     /// `keep` must be in `1..=prev.len()` (a chain never loses its root) and
@@ -184,7 +191,8 @@ impl Blockchain {
                 keep
             }
         };
-        debug_assert!(prev.blocks[keep - 1..]
+        prev.len = prev.blocks.len();
+        debug_assert!(prev.blocks()[keep - 1..]
             .windows(2)
             .all(|w| w[1].parent == Some(w[0].id) && w[1].height == w[0].height + 1));
         (prev, copied)
@@ -192,15 +200,13 @@ impl Blockchain {
 
     /// The prefix relation `bc ⊑ bc'`: `self` is a prefix of `other`.
     ///
-    /// Every chain is a prefix of itself.
+    /// Every chain is a prefix of itself; two views of one backing answer
+    /// from their lengths.
     pub fn is_prefix_of(&self, other: &Blockchain) -> bool {
         if self.len() > other.len() {
             return false;
         }
-        self.blocks
-            .iter()
-            .zip(other.blocks.iter())
-            .all(|(a, b)| a.id == b.id)
+        self.shares_backing(other) || self.ids().zip(other.ids()).all(|(a, b)| a == b)
     }
 
     /// Returns `true` iff one of the two chains is a prefix of the other.
@@ -226,33 +232,47 @@ impl Blockchain {
         (self.shared_blocks(other) - 1) as u64
     }
 
+    /// `true` iff both chains are views of one backing sequence, so the
+    /// shorter is a prefix of the longer.
+    fn shares_backing(&self, other: &Blockchain) -> bool {
+        Arc::ptr_eq(&self.blocks, &other.blocks)
+    }
+
     /// Number of leading blocks the two chains share (≥ 1: both start at
     /// the genesis block).
     fn shared_blocks(&self, other: &Blockchain) -> usize {
+        if self.shares_backing(other) {
+            return self.len.min(other.len);
+        }
         let shared = self
-            .blocks
-            .iter()
-            .zip(other.blocks.iter())
-            .take_while(|(a, b)| a.id == b.id)
+            .ids()
+            .zip(other.ids())
+            .take_while(|(a, b)| a == b)
             .count();
         debug_assert!(shared > 0, "chains share at least the genesis block");
         shared
     }
 
     /// The prefix of this chain truncated to the given number of non-genesis
-    /// blocks (`take = 0` returns the genesis-only chain).
+    /// blocks (`take = 0` returns the genesis-only chain): an O(1) view of
+    /// the same backing sequence.
     pub fn truncated(&self, take: usize) -> Blockchain {
-        let end = (take + 1).min(self.blocks.len());
-        if end == self.blocks.len() {
-            return self.clone();
+        Blockchain {
+            blocks: Arc::clone(&self.blocks),
+            len: (take + 1).min(self.len),
         }
-        Blockchain::spliced(self.clone(), end, []).0
     }
 
-    /// Consumes the chain and returns its blocks (without copying when this
-    /// is the last handle to the underlying sequence).
+    /// Consumes the chain and returns its `len()` blocks (without copying
+    /// when this is the last handle to the underlying sequence).
     pub fn into_blocks(self) -> Vec<Block> {
-        Arc::try_unwrap(self.blocks).unwrap_or_else(|shared| (*shared).clone())
+        match Arc::try_unwrap(self.blocks) {
+            Ok(mut blocks) => {
+                blocks.truncate(self.len);
+                blocks
+            }
+            Err(shared) => shared[..self.len].to_vec(),
+        }
     }
 }
 
@@ -266,14 +286,14 @@ impl Index<usize> for Blockchain {
     type Output = Block;
 
     fn index(&self, index: usize) -> &Block {
-        &self.blocks[index]
+        &self.blocks()[index]
     }
 }
 
 impl fmt::Debug for Blockchain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for b in self.blocks.iter() {
+        for b in self.blocks() {
             if !first {
                 write!(f, "⌢")?;
             }
@@ -441,6 +461,82 @@ mod tests {
     #[should_panic(expected = "keeps between the root and the whole chain")]
     fn spliced_never_drops_the_root() {
         let _ = Blockchain::spliced(chain_of(2), 0, []);
+    }
+
+    #[test]
+    fn views_of_one_spine_differ_by_length() {
+        let spine = chain_of(5);
+        let (short, long) = (spine.truncated(2), spine.truncated(4));
+        assert_ne!(short, long);
+        assert_eq!(long, spine.truncated(4));
+        assert_eq!(
+            short,
+            Blockchain::from_blocks(spine.blocks()[..3].to_vec()).unwrap()
+        );
+    }
+
+    #[test]
+    fn truncated_is_a_view_of_the_same_backing() {
+        let spine = chain_of(5);
+        let view = spine.truncated(2);
+        assert_eq!(view.blocks().as_ptr(), spine.blocks().as_ptr());
+        assert_eq!(view.len(), 3);
+        assert_eq!(view.tip(), &spine[2]);
+        assert_eq!(view.height(), 2);
+        assert_eq!(format!("{view:?}").matches('⌢').count(), 2);
+    }
+
+    #[test]
+    fn relations_between_views_of_one_spine_follow_the_lengths() {
+        let spine = chain_of(6);
+        let (a, b) = (spine.truncated(2), spine.truncated(5));
+        assert!(a.is_prefix_of(&b) && !b.is_prefix_of(&a));
+        assert_eq!((a.mcp_len(&b), b.mcp_len(&a)), (2, 2));
+        let common = b.common_prefix(&a);
+        assert_eq!(common, a);
+        assert_eq!(common.blocks().as_ptr(), spine.blocks().as_ptr());
+        // The same answers as from two unshared copies.
+        let copy = |c: &Blockchain| Blockchain::from_blocks(c.blocks().to_vec()).unwrap();
+        assert!(copy(&a).is_prefix_of(&copy(&b)));
+        assert_eq!(copy(&a).mcp_len(&copy(&b)), 2);
+        assert_eq!(copy(&b).common_prefix(&copy(&a)), a);
+    }
+
+    #[test]
+    fn into_blocks_of_a_view_returns_its_blocks_only() {
+        let spine = chain_of(5);
+        let expected = spine.blocks()[..3].to_vec();
+        // Shared backing: the view's blocks are copied out.
+        assert_eq!(spine.truncated(2).into_blocks(), expected);
+        // Last handle: the backing is reused and cut to the view.
+        let unique = Blockchain::from_blocks(spine.blocks().to_vec()).unwrap();
+        let view = unique.truncated(2);
+        drop(unique);
+        assert_eq!(view.into_blocks(), expected);
+    }
+
+    #[test]
+    fn spliced_on_a_unique_view_of_a_longer_backing() {
+        let spine = Blockchain::from_blocks(chain_of(6).blocks().to_vec()).unwrap();
+        let hidden = spine[5].id;
+        // The last handle, a view of 4 over a backing of 7.
+        let view = spine.truncated(3);
+        drop(spine);
+        for keep in [2, 4] {
+            let suffix = suffix_on(&view, keep, 2);
+            let mut expected = view.blocks()[..keep].to_vec();
+            expected.extend(suffix.iter().cloned());
+            let (shared, copied) = Blockchain::spliced(view.clone(), keep, suffix.clone());
+            assert_eq!((copied, shared.blocks()), (keep, &expected[..]));
+        }
+        let suffix = suffix_on(&view, 4, 2);
+        let mut expected = view.blocks().to_vec();
+        expected.extend(suffix.iter().cloned());
+        let (chain, copied) = Blockchain::spliced(view, 4, suffix);
+        assert_eq!(copied, 0, "the last handle splices in place");
+        assert_eq!(chain.blocks(), &expected[..]);
+        assert!(!chain.contains(hidden), "nothing past the view comes back");
+        assert!(Blockchain::from_blocks(chain.into_blocks()).is_some());
     }
 
     #[test]

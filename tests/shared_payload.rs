@@ -56,7 +56,7 @@ fn eight_miners_hold_one_payload_allocation_per_mined_block() {
         note(&mut seen, m.log.created.iter().map(|(_, b)| b));
         note(&mut seen, m.log.received.iter().map(|(_, b)| b));
         note(&mut seen, m.log.applied.iter().map(|(_, b)| b));
-        for (_, chain) in &m.log.reads {
+        for (_, chain) in m.log.reads() {
             note(&mut seen, chain.blocks());
         }
         holders += m.tree().len() - 1 + m.log.received.len() + m.log.applied.len();
