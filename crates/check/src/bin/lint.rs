@@ -2,7 +2,7 @@
 //! — the offline lint gate over the workspace sources.
 //!
 //! Scans every `.rs` file (skipping `target/`, `.git/` and the vendored
-//! `shims/`) for the eleven rules of [`btadt_check::lint`]: `unsafe`
+//! `shims/`) for the twelve rules of [`btadt_check::lint`]: `unsafe`
 //! without `// SAFETY:`, atomic `Ordering::` variants without a naming
 //! `// ORDERING:` comment, and — in non-test library code, unless
 //! `// LINT-ALLOW:` — bare `.unwrap()` / `.expect(`, a chain selected
@@ -14,8 +14,9 @@
 //! `(i + 1)..` (the inner half of an all-pairs loop), and a window rebuilt
 //! with `BlockTree::rerooted(` or a store pruned with `.prune(&` outside
 //! `ReplicaCore::prune` (`store/src/durable.rs`), and a root-to-tip path
-//! copied with `chain_to_idx(` outside `crates/types/src`.  Exits 1 on
-//! any finding.
+//! copied with `chain_to_idx(` outside `crates/types/src`, and, under
+//! `crates/oracle/src`, `K[]` state kept beside `SlotArena`
+//! (`consumed_serials`, `Vec<Vec<Block>>`).  Exits 1 on any finding.
 //!
 //! `--self-test` runs the embedded corpus (every rule exercised
 //! positively and negatively) instead of scanning, exiting nonzero on

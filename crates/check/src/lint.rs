@@ -1,13 +1,13 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Eleven rules: three about keeping the concurrency story auditable, one
+//! Twelve rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
 //! allocation-free, one about keeping a delta-sync reply as cheap as what
 //! it sends, one about keeping one copy of a block's transactions, one
 //! about keeping whole-tree leaf scans off library paths, one about
 //! keeping the consistency checkers off all-pairs loops, one about keeping
 //! one pruning path, one about keeping a recorded read as cheap as what
-//! changed:
+//! changed, one about keeping one copy of the oracle's `K[]`:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -22,6 +22,7 @@
 //! | `no-pair-loop` | in non-test library code under `crates/core/src/criteria/`, no `for` whose range starts at `(<ident> + 1)..` (or `<ident> + 1..`) unless `// LINT-ALLOW: <reason>` — the inner half of an all-pairs loop is O(R²) over a history's reads; count with an index (`ReachForest::diverging_later`) and say why what is left is bounded |
 //! | `one-prune-door` | in non-test library code, no `BlockTree::rerooted(` outside `types/src/tree.rs` and `store/src/durable.rs`, and no `BlockStore::prune` call (`.prune(&`) outside `store/src/durable.rs`, unless `// LINT-ALLOW: <reason>` — a replica's window is rebuilt and its store collected in one place, `ReplicaCore::prune`, so a second pruning path cannot drift from it |
 //! | `no-chain-per-read` | in non-test library code, no `chain_to_idx(` call outside `crates/types/src` unless `// LINT-ALLOW: <reason>` — it copies the whole O(height) path from the root; a replica records a read with `ReplicaLog::record_read(at, tree, tip)`, which pushes only the blocks that differ from its spine |
+//! | `one-k-door` | in non-test library code under `crates/oracle/src`, no `consumed_serials` identifier and no `Vec<Vec<Block>>` unless `// LINT-ALLOW: <reason>` — `K[]` lives and changes only inside `SlotArena` (one arena cell per accepted token; freshness is "serial not in `K[h]`"), so a second set of consumed serials or a vector per parent cannot come back beside it |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -30,11 +31,11 @@
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the nine library
+//! cannot produce findings.  Test code is exempt from the ten library
 //! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
 //! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`, `no-pair-loop`,
-//! `one-prune-door`, `no-chain-per-read`) only: files under a `tests/`
-//! directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
+//! `one-prune-door`, `no-chain-per-read`, `one-k-door`) only: files under
+//! a `tests/` directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
 //! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
 //! harness is additionally exempt from `no-chain-for-tip`,
 //! `no-allocating-encode` (its probe times `encode_record` itself) and
@@ -70,6 +71,8 @@ pub const RULE_PAIR_LOOP: &str = "no-pair-loop";
 pub const RULE_PRUNE_DOOR: &str = "one-prune-door";
 /// Rule id: a whole chain copied out of a tree outside the types crate.
 pub const RULE_CHAIN_PER_READ: &str = "no-chain-per-read";
+/// Rule id: the oracle's `K[]` is kept and changed only in `SlotArena`.
+pub const RULE_K_DOOR: &str = "one-k-door";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -417,11 +420,22 @@ fn chain_per_read(file: &str, code: &str) -> bool {
             .any(|dir| dir.ends_with("crates/types/src"))
 }
 
+/// `true` iff the masked code line in `file`, under `crates/oracle/src`,
+/// keeps `K[]` state beside `SlotArena`: a `consumed_serials` identifier
+/// or a `Vec<Vec<Block>>` (spaces ignored).
+fn k_door(file: &str, code: &str) -> bool {
+    let compact: String = code.split_whitespace().collect();
+    (has_word(code, "consumed_serials") || compact.contains("Vec<Vec<Block>>"))
+        && Path::new(file)
+            .ancestors()
+            .any(|dir| dir.ends_with("crates/oracle/src"))
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
 /// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
 /// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`],
-/// [`RULE_PAIR_LOOP`], [`RULE_PRUNE_DOOR`], [`RULE_CHAIN_PER_READ`]) the
-/// whole file is exempt
+/// [`RULE_PAIR_LOOP`], [`RULE_PRUNE_DOOR`], [`RULE_CHAIN_PER_READ`],
+/// [`RULE_K_DOOR`]) the whole file is exempt
 /// from (test files, binaries); `#[cfg(test)]` regions are detected
 /// internally on top of it.
 pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
@@ -572,6 +586,16 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     .to_string(),
             });
         }
+        if !exempt.contains(&RULE_K_DOOR) && k_door(file, &line.code) && !allowed() {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_K_DOOR,
+                detail: "`K[]` state kept beside `SlotArena` (consume through \
+                         `SlotArena::consume`, or annotate `// LINT-ALLOW: <reason>`)"
+                    .to_string(),
+            });
+        }
         if !exempt.contains(&RULE_UNWRAP) {
             let bare_unwrap = line.code.contains(".unwrap()");
             // `.expect("…")` with a string-literal message is the annotated
@@ -614,7 +638,7 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all nine
+/// The library-only rules a path is exempt from as a whole file: all ten
 /// for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`] and
 /// [`RULE_PAYLOAD_COPY`] for the `benchmark/` harness — frozen to library
 /// PRs, it reads each miner's tip once after a run, not per event, its
@@ -641,6 +665,7 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
             RULE_PAIR_LOOP,
             RULE_PRUNE_DOOR,
             RULE_CHAIN_PER_READ,
+            RULE_K_DOOR,
         ]
     } else if in_dir("benchmark") {
         &[
@@ -876,6 +901,16 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
+            "crates/oracle/src/second-k.rs",
+            "struct Oracle {\n    slots: Vec<Vec<Block>>,\n    consumed_serials: HashSet<u64>,\n}\nfn fresh(o: &Oracle, serial: u64) -> bool {\n    !o.consumed_serials.contains(&serial) && o.slots.len() < 9\n}\ntype Slab = Vec< Vec<Block> >;\n",
+            vec![(RULE_K_DOOR, 2), (RULE_K_DOOR, 3), (RULE_K_DOOR, 6), (RULE_K_DOOR, 8)],
+        ),
+        (
+            "crates/oracle/src/k-through-the-arena-is-clean.rs",
+            "fn consume(slots: &mut SlotArena, grant: &TokenGrant, consumed_serials_seen: u64) -> bool {\n    // a consumed_serials set is what this replaced\n    let chains: Vec<Vec<BlockId>> = Vec::new();\n    // LINT-ALLOW: a throwaway copy for a report, not the oracle's state\n    let report: Vec<Vec<Block>> = Vec::new();\n    slots.consume(grant, Some(1)) && chains.is_empty() && report.is_empty() && consumed_serials_seen > 0\n}\n#[cfg(test)]\nmod tests {\n    struct Reference { consumed_serials: HashSet<u64>, slots: Vec<Vec<Block>> }\n}\n",
+            vec![],
+        ),
+        (
             "block-comment-masked",
             "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
             vec![],
@@ -1003,6 +1038,31 @@ mod tests {
             "crates/types/tests/props.rs",
         ] {
             assert!(rules(test).is_empty(), "{test}");
+        }
+    }
+
+    #[test]
+    fn the_k_door_binds_only_the_oracle_sources() {
+        let src = "struct Reference {\n    consumed_serials: HashSet<u64>,\n    slots: Vec<Vec<Block>>,\n}\n";
+        let rules = |path: &str| -> Vec<(&str, usize)> {
+            lint_source(path, src, exempt_rules(Path::new(path)))
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect()
+        };
+        for oracle in ["crates/oracle/src/oracle.rs", "crates/oracle/src/pow.rs"] {
+            assert_eq!(
+                rules(oracle),
+                [(RULE_K_DOOR, 2), (RULE_K_DOOR, 3)],
+                "{oracle}"
+            );
+        }
+        for elsewhere in [
+            "crates/oracle/tests/k_reference.rs",
+            "crates/concurrent/src/blocktree.rs",
+            "crates/bench/src/scenarios.rs",
+        ] {
+            assert!(rules(elsewhere).is_empty(), "{elsewhere}");
         }
     }
 

@@ -43,8 +43,8 @@ pub mod tape;
 pub use fork_coherence::{ForkCoherenceChecker, OracleLog, OracleLogEntry};
 pub use merit::{Merit, MeritTable};
 pub use oracle::{
-    ConsumeOutcome, FrugalOracle, OracleConfig, OracleStats, ProdigalOracle, SlotArena, SlotIdx,
-    TokenGrant, TokenOracle, WeakenedFrugalOracle,
+    ConsumeOutcome, FrugalOracle, OracleConfig, OracleStats, ProdigalOracle, SlotArena, TokenGrant,
+    TokenOracle, WeakenedFrugalOracle,
 };
 pub use pow::SimulatedPow;
 pub use shared::SharedOracle;

@@ -13,66 +13,124 @@
 //! [`FrugalOracle`] implements Θ_F,k for finite `k`; [`ProdigalOracle`]
 //! implements Θ_P, which the paper defines as Θ_F with `k = ∞`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use btadt_types::{Block, BlockId};
 
 use crate::merit::MeritTable;
 use crate::tape::{Cell, Tape};
 
-/// Dense index of a parent slot `K[h]` inside a [`SlotArena`].
-///
-/// Mirrors the `NodeIdx` arena indexing of `btadt_types::BlockTree`: parent
-/// identifiers are interned once and all per-parent bookkeeping lives in a
-/// dense `Vec` addressed by this index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SlotIdx(pub u32);
+/// One accepted token of a `K[h]`: block, serial, next cell (its own index in the last); 80 bytes.
+#[derive(Clone, Debug)]
+struct TokenCell {
+    block: Block,
+    serial: u64,
+    next: usize,
+}
 
-/// The oracle's `K[]` array: per-parent sets of consumed blocks, stored in
-/// a dense slab with a `BlockId → SlotIdx` interning layer, mirroring the
-/// `NodeIdx` arena of the BlockTree.  Lookups still hash the parent id once;
-/// what the slab buys is stable dense indices (usable as keys by callers)
-/// and contiguous slot storage instead of a map of scattered vectors.
+/// Cells per arena chunk (80 KiB).  A chunk is allocated once at full
+/// size and never moves, so `K[]` grows without copying or doubling.
+const CHUNK: usize = 1024;
+
+/// The indices of the cells of the list starting at `head`.
+fn list(cells: &[Vec<TokenCell>], head: Option<usize>) -> impl Iterator<Item = usize> + Clone + '_ {
+    std::iter::successors(head, |&at| {
+        Some(cells[at / CHUNK][at % CHUNK].next).filter(|&next| next != at)
+    })
+}
+
+/// The oracle's `K[]` array and the one `consumeToken` body every oracle
+/// runs ([`SlotArena::consume`]).
+///
+/// One arena holds a cell per accepted token, appended in consume order
+/// and addressed by a flat `usize` index over fixed-size chunks.  The
+/// cells of one `K[h]` form a list threaded through `next`, and a
+/// `BlockId → head` index finds the first; the walk that checks freshness
+/// also yields the length and the tail.  A token costs an 80-byte cell
+/// plus, per parent, a 16-byte index entry: ≈ 103 bytes with `k = 1`
+/// after the map's growth slack (`tests/k_bytes.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct SlotArena {
-    index: HashMap<BlockId, SlotIdx>,
-    slots: Vec<Vec<Block>>,
+    index: HashMap<BlockId, usize>,
+    chunks: Vec<Vec<TokenCell>>,
+    cells: usize,
+    minted: u64,
 }
 
 impl SlotArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        SlotArena::default()
-    }
-
-    /// The slot index for a parent, interning it on first use.
-    pub fn intern(&mut self, parent: BlockId) -> SlotIdx {
-        if let Some(&idx) = self.index.get(&parent) {
-            return idx;
+    /// `getToken`'s grant `b_ℓ^{tkn_h}` for `parent`, under a serial no
+    /// earlier grant of this oracle carries.
+    pub(crate) fn grant(&mut self, parent: BlockId, block: Block) -> TokenGrant {
+        self.minted += 1;
+        TokenGrant {
+            parent,
+            block,
+            serial: self.minted,
         }
-        let idx = SlotIdx(u32::try_from(self.slots.len()).expect("slot arena capacity exceeded"));
-        self.index.insert(parent, idx);
-        self.slots.push(Vec::new());
-        idx
     }
 
-    /// The slot index of a parent, if it was ever consumed against.
-    pub fn idx_of(&self, parent: BlockId) -> Option<SlotIdx> {
-        self.index.get(&parent).copied()
-    }
-
-    /// Mutable access to `K[h]` for the given parent, interning it.
-    pub fn slot_mut(&mut self, parent: BlockId) -> &mut Vec<Block> {
-        let idx = self.intern(parent);
-        &mut self.slots[idx.0 as usize]
-    }
-
-    /// The contents of `K[h]`, empty for parents never consumed against.
-    pub fn slot(&self, parent: BlockId) -> &[Block] {
-        match self.idx_of(parent) {
-            Some(idx) => &self.slots[idx.0 as usize],
-            None => &[],
+    /// `consumeToken(b_ℓ^{tkn_h})`'s transition: inserts the grant's block
+    /// into `K[h]` iff `|K[h]| < k` (`None` is `k = ∞`) and the token is
+    /// fresh; returns whether it did.
+    ///
+    /// `SlotArena::grant` mints a serial for one parent, and only
+    /// accepted serials enter `K[h]`, which never shrinks, so "never
+    /// consumed" is "not in `K[grant.parent]`".  The walk is `O(k)` under
+    /// Θ_F,k; under Θ_P it is `O(|K[h]|)`, which stays at or below the
+    /// process count in every caller in this workspace.
+    pub fn consume(&mut self, grant: &TokenGrant, k: Option<usize>) -> bool {
+        let fresh = self.cells;
+        let (mut len, mut tail) = (0, None);
+        for at in list(&self.chunks, self.index.get(&grant.parent).copied()) {
+            if self.chunks[at / CHUNK][at % CHUNK].serial == grant.serial {
+                return false;
+            }
+            (len, tail) = (len + 1, Some(at));
         }
+        if k.is_some_and(|k| len >= k) {
+            return false;
+        }
+        if let Some(at) = tail {
+            self.chunks[at / CHUNK][at % CHUNK].next = fresh;
+        } else {
+            self.index.insert(grant.parent, fresh);
+        }
+        self.cells += 1;
+        if fresh.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks[fresh / CHUNK].push(TokenCell {
+            block: grant.block.clone(),
+            serial: grant.serial,
+            next: fresh,
+        });
+        true
+    }
+
+    /// `consumeToken` under fork bound `k`, counted in `stats`: the
+    /// transition plus the output function `δ`, a copy of `K[h]`.
+    pub(crate) fn consume_token(
+        &mut self,
+        grant: &TokenGrant,
+        k: Option<usize>,
+        stats: &mut OracleStats,
+    ) -> ConsumeOutcome {
+        stats.consume_calls += 1;
+        let accepted = self.consume(grant, k);
+        stats.tokens_consumed += u64::from(accepted);
+        ConsumeOutcome {
+            accepted,
+            slot: self.slot(grant.parent),
+        }
+    }
+
+    /// The contents of `K[h]` in consume order, empty for parents never
+    /// consumed against.
+    pub fn slot(&self, parent: BlockId) -> Vec<Block> {
+        let cells = list(&self.chunks, self.index.get(&parent).copied());
+        let mut out = Vec::with_capacity(cells.clone().count());
+        out.extend(cells.map(|at| self.chunks[at / CHUNK][at % CHUNK].block.clone()));
+        out
     }
 }
 
@@ -170,7 +228,7 @@ pub trait TokenOracle: Send {
     /// `consumeToken(b_ℓ^{tkn_h})`.
     fn consume_token(&mut self, grant: &TokenGrant) -> ConsumeOutcome;
 
-    /// The fork bound `k` (`None` for the prodigal oracle's `k = ∞`).
+    /// The fork bound `k`, fixed for the oracle's lifetime (`None`: Θ_P's `k = ∞`).
     fn fork_bound(&self) -> Option<usize>;
 
     /// Current contents of `K[h]` for the given parent.
@@ -214,8 +272,6 @@ pub struct FrugalOracle {
     k: Option<usize>,
     tapes: HashMap<usize, Tape>,
     slots: SlotArena,
-    consumed_serials: HashSet<u64>,
-    next_serial: u64,
     stats: OracleStats,
 }
 
@@ -233,9 +289,7 @@ impl FrugalOracle {
             merits,
             k,
             tapes: HashMap::new(),
-            slots: SlotArena::new(),
-            consumed_serials: HashSet::new(),
-            next_serial: 1,
+            slots: SlotArena::default(),
             stats: OracleStats::default(),
         }
     }
@@ -270,36 +324,14 @@ impl TokenOracle for FrugalOracle {
         let cell = self.tape_for(requester).pop();
         if cell == Cell::Token {
             self.stats.tokens_granted += 1;
-            let serial = self.next_serial;
-            self.next_serial += 1;
-            Some(TokenGrant {
-                parent: parent.id,
-                block: candidate,
-                serial,
-            })
+            Some(self.slots.grant(parent.id, candidate))
         } else {
             None
         }
     }
 
     fn consume_token(&mut self, grant: &TokenGrant) -> ConsumeOutcome {
-        self.stats.consume_calls += 1;
-        let slot = self.slots.slot_mut(grant.parent);
-        let under_bound = match self.k {
-            Some(k) => slot.len() < k,
-            None => true,
-        };
-        let fresh = !self.consumed_serials.contains(&grant.serial);
-        let accepted = under_bound && fresh;
-        if accepted {
-            self.consumed_serials.insert(grant.serial);
-            slot.push(grant.block.clone());
-            self.stats.tokens_consumed += 1;
-        }
-        ConsumeOutcome {
-            accepted,
-            slot: slot.clone(),
-        }
+        self.slots.consume_token(grant, self.k, &mut self.stats)
     }
 
     fn fork_bound(&self) -> Option<usize> {
@@ -307,7 +339,7 @@ impl TokenOracle for FrugalOracle {
     }
 
     fn slot(&self, parent: BlockId) -> Vec<Block> {
-        self.slots.slot(parent).to_vec()
+        self.slots.slot(parent)
     }
 
     fn stats(&self) -> OracleStats {

@@ -11,8 +11,6 @@
 //! backends are interchangeable, which the `ablation_oracle_backend` bench
 //! demonstrates.
 
-use std::collections::HashSet;
-
 use btadt_types::{Block, BlockId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -32,8 +30,6 @@ pub struct SimulatedPow {
     k: Option<usize>,
     rng: ChaCha8Rng,
     slots: SlotArena,
-    consumed_serials: HashSet<u64>,
-    next_serial: u64,
     stats: OracleStats,
 }
 
@@ -49,9 +45,7 @@ impl SimulatedPow {
             config,
             merits,
             k,
-            slots: SlotArena::new(),
-            consumed_serials: HashSet::new(),
-            next_serial: 1,
+            slots: SlotArena::default(),
             stats: OracleStats::default(),
         }
     }
@@ -100,34 +94,12 @@ impl TokenOracle for SimulatedPow {
         }
         self.attempt(parent.id, &candidate, merit).map(|_nonce| {
             self.stats.tokens_granted += 1;
-            let serial = self.next_serial;
-            self.next_serial += 1;
-            TokenGrant {
-                parent: parent.id,
-                block: candidate,
-                serial,
-            }
+            self.slots.grant(parent.id, candidate)
         })
     }
 
     fn consume_token(&mut self, grant: &TokenGrant) -> ConsumeOutcome {
-        self.stats.consume_calls += 1;
-        let slot = self.slots.slot_mut(grant.parent);
-        let under_bound = match self.k {
-            Some(k) => slot.len() < k,
-            None => true,
-        };
-        let fresh = !self.consumed_serials.contains(&grant.serial);
-        let accepted = under_bound && fresh;
-        if accepted {
-            self.consumed_serials.insert(grant.serial);
-            slot.push(grant.block.clone());
-            self.stats.tokens_consumed += 1;
-        }
-        ConsumeOutcome {
-            accepted,
-            slot: slot.clone(),
-        }
+        self.slots.consume_token(grant, self.k, &mut self.stats)
     }
 
     fn fork_bound(&self) -> Option<usize> {
@@ -135,7 +107,7 @@ impl TokenOracle for SimulatedPow {
     }
 
     fn slot(&self, parent: BlockId) -> Vec<Block> {
-        self.slots.slot(parent).to_vec()
+        self.slots.slot(parent)
     }
 
     fn stats(&self) -> OracleStats {

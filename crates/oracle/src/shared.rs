@@ -15,22 +15,18 @@ use parking_lot::Mutex;
 use crate::oracle::{ConsumeOutcome, OracleStats, TokenGrant, TokenOracle};
 
 /// A cloneable, thread-safe handle to a token oracle.
+#[derive(Clone)]
 pub struct SharedOracle {
     inner: Arc<Mutex<Box<dyn TokenOracle + Send>>>,
-}
-
-impl Clone for SharedOracle {
-    fn clone(&self) -> Self {
-        SharedOracle {
-            inner: Arc::clone(&self.inner),
-        }
-    }
+    /// `k` never changes, so it is read once and checked without the lock.
+    fork_bound: Option<usize>,
 }
 
 impl SharedOracle {
     /// Wraps an oracle.
     pub fn new(oracle: impl TokenOracle + 'static) -> Self {
         SharedOracle {
+            fork_bound: oracle.fork_bound(),
             inner: Arc::new(Mutex::new(Box::new(oracle))),
         }
     }
@@ -78,9 +74,9 @@ impl SharedOracle {
         self.inner.lock().slot(parent)
     }
 
-    /// Fork bound of the wrapped oracle.
+    /// Fork bound of the wrapped oracle, read without taking its lock.
     pub fn fork_bound(&self) -> Option<usize> {
-        self.inner.lock().fork_bound()
+        self.fork_bound
     }
 
     /// Usage statistics of the wrapped oracle.
