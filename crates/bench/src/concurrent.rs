@@ -132,17 +132,22 @@ pub fn render_json(report: &ConcurrentReport) -> String {
     out
 }
 
-/// Prints a human summary of the report.
+/// Prints a human summary of the report.  The fork degree a threaded
+/// run reaches depends on its interleaving, so it goes to stderr and
+/// stdout stays the same from run to run.
 pub fn print_summary(report: &ConcurrentReport) {
     for c in &report.verification {
         println!(
-            "{:>18} {}t: {} -> {} ({} ops, max fork degree {})",
+            "{:>18} {}t: {} -> {} ({} ops)",
             c.path,
             c.threads,
             c.criterion,
             if c.admitted { "admitted" } else { "REJECTED" },
             c.ops,
-            c.max_fork_degree
+        );
+        eprintln!(
+            "{:>18} {}t: max fork degree {}",
+            c.path, c.threads, c.max_fork_degree
         );
     }
 }

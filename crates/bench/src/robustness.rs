@@ -297,11 +297,14 @@ pub fn print_summary(report: &RobustnessReport) {
             .map(|o| o.violations.len())
             .sum::<usize>()
     );
+    // The read and store totals depend on how the cells' threads
+    // interleave, so they go to stderr and stdout stays the same from run
+    // to run.
     let reads = |count: fn(&ReadStats) -> u64| -> u64 {
         let per_client = report.chaos.iter().flat_map(|o| &o.read_stats);
         per_client.map(count).sum()
     };
-    println!(
+    eprintln!(
         "  reads: {} hits, {} extended in place, {} rebuilt, {} blocks cloned",
         reads(|s| s.hits),
         reads(|s| s.extended),
@@ -315,7 +318,7 @@ pub fn print_summary(report: &RobustnessReport) {
         .collect();
     let appended: u64 = stores.iter().map(|s| s.appended).sum();
     let medium_writes: u64 = stores.iter().map(|s| s.medium_writes).sum();
-    println!(
+    eprintln!(
         "  stores: {} cells persisted {} blocks with {} medium writes ({:.2} medium writes / block)",
         stores.len(),
         appended,

@@ -119,9 +119,12 @@ fn main() {
     for p in &probes {
         let state = if p.as_expected { "ok" } else { "UNEXPECTED" };
         println!(
-            "  race probe {:<20} {:<8} races {:>2}  stores {:>3}",
-            p.name, state, p.races, p.stores
+            "  race probe {:<20} {:<8} races {:>2}",
+            p.name, state, p.races
         );
+        // How many stores a threaded probe publishes depends on the
+        // interleaving, so it stays off the stdout that runs diff.
+        eprintln!("  race probe {:<20} stores {:>3}", p.name, p.stores);
     }
 
     let json = render_report(smoke, &results, &probes);

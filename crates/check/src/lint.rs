@@ -21,7 +21,7 @@
 //! | `no-leaf-scan` | no `.leaves()` and no `.all_chains()` call in non-test library code unless `// LINT-ALLOW: <reason>` — the tree keeps a leaf *count*, not a leaf set, so each is an O(n) scan of the arena plus a sort; ask `leaf_count()` or a best-tip query instead |
 //! | `no-pair-loop` | in non-test library code under `crates/core/src/criteria/`, no `for` whose range starts at `(<ident> + 1)..` (or `<ident> + 1..`) unless `// LINT-ALLOW: <reason>` — the inner half of an all-pairs loop is O(R²) over a history's reads; count with an index (`ReachForest::diverging_later`) and say why what is left is bounded |
 //! | `one-prune-door` | in non-test library code, no `BlockTree::rerooted(` outside `types/src/tree.rs` and `store/src/durable.rs`, and no `BlockStore::prune` call (`.prune(&`) outside `store/src/durable.rs`, unless `// LINT-ALLOW: <reason>` — a replica's window is rebuilt and its store collected in one place, `ReplicaCore::prune`, so a second pruning path cannot drift from it |
-//! | `no-chain-per-read` | in non-test library code, no `chain_to_idx(` call outside `crates/types/src` unless `// LINT-ALLOW: <reason>` — it copies the whole O(height) path from the root; a replica records a read with `ReplicaLog::record_read(at, tree, tip)`, which pushes only the blocks that differ from its spine |
+//! | `no-chain-per-read` | in non-test library code, no `chain_to_idx(` call outside `crates/types/src` and no `.chain_to(` call under `crates/core/src` or `crates/protocols/src` unless `// LINT-ALLOW: <reason>` — each copies the whole O(height) path from the root; a recorded read goes through the shared recorder `ReadSpines::record(tree, tip)` (behind `ReplicaLog::record_read` and `run_contended`), which pushes only the blocks that differ from its spine |
 //! | `one-k-door` | in non-test library code under `crates/oracle/src`, no `consumed_serials` identifier and no `Vec<Vec<Block>>` unless `// LINT-ALLOW: <reason>` — `K[]` lives and changes only inside `SlotArena` (one arena cell per accepted token; freshness is "serial not in `K[h]`"), so a second set of consumed serials or a vector per parent cannot come back beside it |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
@@ -411,13 +411,15 @@ fn prune_door(file: &str, code: &str) -> bool {
 }
 
 /// `true` iff the masked code line in `file` copies a root-to-tip path
-/// out of a tree (`chain_to_idx(`) outside `crates/types/src`, which
-/// defines it and builds `SelectionFunction::select` on it.
+/// out of a tree: a `chain_to_idx(` call outside `crates/types/src`, which
+/// defines it and builds `SelectionFunction::select` on it, or a
+/// `.chain_to(` call under `crates/core/src` or `crates/protocols/src`,
+/// the crates that record histories.
 fn chain_per_read(file: &str, code: &str) -> bool {
-    code.contains("chain_to_idx(")
-        && !Path::new(file)
-            .ancestors()
-            .any(|dir| dir.ends_with("crates/types/src"))
+    let under = |dir: &str| Path::new(file).ancestors().any(|d| d.ends_with(dir));
+    (code.contains("chain_to_idx(") && !under("crates/types/src"))
+        || (code.contains(".chain_to(")
+            && (under("crates/core/src") || under("crates/protocols/src")))
 }
 
 /// `true` iff the masked code line in `file`, under `crates/oracle/src`,
@@ -580,8 +582,8 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                 file: file.to_string(),
                 line: lineno,
                 rule: RULE_CHAIN_PER_READ,
-                detail: "`chain_to_idx(` copies the whole path from the root (record a read \
-                         with `ReplicaLog::record_read(at, tree, tip)`, or annotate \
+                detail: "`chain_to_idx(` / `.chain_to(` copies the whole path from the root \
+                         (record a read with `ReadSpines::record(tree, tip)`, or annotate \
                          `// LINT-ALLOW: <reason>`)"
                     .to_string(),
             });
@@ -891,13 +893,22 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
-            "chain-per-read",
-            "fn read(log: &mut Vec<Blockchain>, tree: &BlockTree, tip: NodeIdx) {\n    log.push(tree.chain_to_idx(tip));\n    let again = BlockTree::chain_to_idx(tree, tip);\n    log.push(again);\n}\n",
-            vec![(RULE_CHAIN_PER_READ, 2), (RULE_CHAIN_PER_READ, 3)],
+            "crates/protocols/src/chain-per-read.rs",
+            "fn read(log: &mut Vec<Blockchain>, tree: &BlockTree, tip: NodeIdx) {\n    log.push(tree.chain_to_idx(tip));\n    let again = BlockTree::chain_to_idx(tree, tip);\n    log.push(again);\n    log.extend(tree.chain_to(tree.block_at(tip).id));\n}\n",
+            vec![
+                (RULE_CHAIN_PER_READ, 2),
+                (RULE_CHAIN_PER_READ, 3),
+                (RULE_CHAIN_PER_READ, 5),
+            ],
         ),
         (
-            "read-through-the-log-is-clean",
-            "fn read(log: &mut ReplicaLog, at: SimTime, tree: &BlockTree, tip: NodeIdx) -> Blockchain {\n    log.record_read(at, tree, tip);\n    let _ = tree.chain_to(tree.block_at(tip).id);\n    // LINT-ALLOW: a report prints one chain, off the replica's path\n    tree.chain_to_idx(tip)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree, tip: NodeIdx) { t.chain_to_idx(tip); }\n}\n",
+            "crates/core/src/read-by-id-is-a-chain-per-read.rs",
+            "fn read(spines: &mut ReadSpines, tree: &BlockTree, tip: NodeIdx) -> Blockchain {\n    spines.record(tree, tip);\n    let _ = tree.chain_to(tree.block_at(tip).id);\n    // LINT-ALLOW: a report prints one chain, off the replica's path\n    tree.chain_to_idx(tip)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree, tip: NodeIdx) { t.chain_to_idx(tip); t.chain_to(t.genesis().id); }\n}\n",
+            vec![(RULE_CHAIN_PER_READ, 3)],
+        ),
+        (
+            "crates/core/src/read-through-the-recorder-is-clean.rs",
+            "pub fn chain_to(&self, id: BlockId) -> Option<Blockchain> {\n    self.idx_of(id).map(|idx| self.walk(idx))\n}\nfn read(spines: &mut ReadSpines, tree: &BlockTree, tip: NodeIdx) -> (usize, usize) {\n    spines.record(tree, tip)\n}\nfn valid(tree: &BlockTree, parent: BlockId) -> bool {\n    // LINT-ALLOW: the spec's validity context is the whole chain\n    tree.chain_to(parent).is_some()\n}\n",
             vec![],
         ),
         (
@@ -1038,6 +1049,32 @@ mod tests {
             "crates/types/tests/props.rs",
         ] {
             assert!(rules(test).is_empty(), "{test}");
+        }
+    }
+
+    #[test]
+    fn a_chain_by_id_is_refused_where_histories_are_recorded() {
+        let src =
+            "fn f(t: &BlockTree, id: BlockId) -> Option<Blockchain> {\n    t.chain_to(id)\n}\n";
+        let rules = |path: &str| -> Vec<(&str, usize)> {
+            lint_source(path, src, exempt_rules(Path::new(path)))
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect()
+        };
+        for recorder in [
+            "crates/core/src/hierarchy.rs",
+            "crates/protocols/src/pow.rs",
+        ] {
+            assert_eq!(rules(recorder), [(RULE_CHAIN_PER_READ, 2)], "{recorder}");
+        }
+        for elsewhere in [
+            "crates/types/src/tree.rs",
+            "crates/bench/src/scenarios.rs",
+            "crates/core/tests/contended_reads.rs",
+            "crates/protocols/tests/recorded_reads.rs",
+        ] {
+            assert!(rules(elsewhere).is_empty(), "{elsewhere}");
         }
     }
 

@@ -592,11 +592,11 @@ impl ConcurrentBlockTree {
         // `getToken* ; consumeToken` against the mediator ...
         let outcome = match &self.mediator {
             Mediator::Frugal(oracle) => {
-                let cas = OracleCas::new(oracle.clone(), parent.id);
                 let (grant, attempts) =
                     oracle.get_token_until_granted(client, &parent, block.clone());
                 session.apply(Seam::CasPreConsume);
-                let observed = cas.compare_and_swap(&grant);
+                // The mediator was checked to be Θ_F,k=1 when it was built.
+                let observed = OracleCas::swap_on(oracle, &grant);
                 // Winning the register K[h] makes ours the unique child of
                 // this parent; a stall before its install is exactly the
                 // window the losers' helping covers.

@@ -43,13 +43,17 @@ impl OracleCas {
             grant.parent, self.parent,
             "the grant must target this CAS's parent block"
         );
-        let outcome = self.oracle.consume_token(grant);
-        let returned = outcome
-            .slot
-            .first()
-            .cloned()
-            .expect("after a consume the slot holds at least one block");
-        if outcome.accepted && returned.id == grant.block.id {
+        Self::swap_on(&self.oracle, grant)
+    }
+
+    /// [`compare_and_swap`](OracleCas::compare_and_swap) on the register
+    /// `K[grant.parent]` of a borrowed Θ_F,k=1 oracle, for callers that
+    /// already hold one (a strong replica's commit): no handle is cloned,
+    /// and the consume answers with `K[h]`'s first block only.
+    pub fn swap_on(oracle: &SharedOracle, grant: &TokenGrant) -> Option<Block> {
+        let (accepted, head) = oracle.consume_token_head(grant);
+        let returned = head.expect("after a consume the slot holds at least one block");
+        if accepted && returned.id == grant.block.id {
             None // the register was empty: we won
         } else {
             Some(returned)
@@ -66,7 +70,9 @@ impl OracleCas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btadt_oracle::{FrugalOracle, MeritTable, OracleConfig, SharedOracle};
+    use btadt_oracle::{
+        FrugalOracle, MeritTable, OracleConfig, SharedOracle, WeakenedFrugalOracle,
+    };
     use btadt_types::{Block, BlockBuilder};
     use std::collections::HashSet;
     use std::thread;
@@ -141,6 +147,30 @@ mod tests {
             "every participant observes the same block"
         );
         assert!(observed.contains(&winning_id));
+    }
+
+    #[test]
+    fn a_weakened_oracles_lie_reaches_the_borrowed_cas() {
+        let honest = FrugalOracle::new(
+            1,
+            MeritTable::uniform(4),
+            OracleConfig {
+                seed: 1,
+                probability_scale: 1e9,
+                min_probability: 1.0,
+            },
+        );
+        let oracle = SharedOracle::new(WeakenedFrugalOracle::new(honest, 2));
+        let genesis = Block::genesis();
+        let mut observed = Vec::new();
+        for i in 0..4 {
+            let mine = BlockBuilder::new(&genesis).nonce(i).build();
+            let grant = oracle.get_token_until_granted(i as usize, &genesis, mine).0;
+            observed.push(OracleCas::swap_on(&oracle, &grant).is_none());
+        }
+        // Both lied-to consumers believe they won; the lies leave `K[h]`
+        // empty, so the third wins for real and the fourth sees it.
+        assert_eq!(observed, [true, true, true, false]);
     }
 
     #[test]

@@ -30,7 +30,8 @@ use btadt_oracle::{
     TokenOracle,
 };
 use btadt_types::{
-    AlwaysValid, Block, BlockBuilder, BlockTree, LengthScore, LongestChain, SelectionFunction,
+    AlwaysValid, BlockBuilder, BlockTree, Blockchain, LengthScore, LongestChain, NodeIdx,
+    ReadSpines, SelectionFunction,
 };
 
 use crate::criteria::{eventual_consistency, strong_consistency};
@@ -107,6 +108,9 @@ pub struct ContendedRun {
     pub tree: BlockTree,
     /// Which oracle generated the run.
     pub oracle: OracleKind,
+    /// Blocks the recorded reads materialised: the summed length of every
+    /// process's read spines (copying each read would cost its length).
+    pub spine_blocks: usize,
 }
 
 impl ContendedRun {
@@ -130,6 +134,12 @@ impl ContendedRun {
 /// and tries to consume it.  Successful appends extend the shared tree.
 /// Every process reads after each of its attempts, and a final quiescent
 /// round refreshes every view and reads once more.
+///
+/// Each process records its reads through a [`ReadSpines`] of its own, so
+/// a read's response is a prefix view of one of that process's spines and
+/// recording it costs the blocks that changed since its last read.  The
+/// views are built once the run is over, so every spine has a single
+/// owner while it grows.
 pub fn run_contended(kind: OracleKind, config: ContendedRunConfig) -> ContendedRun {
     assert!(config.processes > 0, "need at least one process");
     let selection: Arc<dyn SelectionFunction> = Arc::new(LongestChain::new());
@@ -138,16 +148,30 @@ pub fn run_contended(kind: OracleKind, config: ContendedRunConfig) -> ContendedR
     let mut tree = BlockTree::new();
     let mut recorder = BtRecorder::new();
     let mut log = OracleLog::new();
-    let mut local_tips: Vec<Block> = vec![tree.genesis().clone(); config.processes];
+    let mut local_tips: Vec<NodeIdx> = vec![NodeIdx::GENESIS; config.processes];
+    let mut spines = vec![ReadSpines::new(); config.processes];
+    // Every read's record index, process, run and length; its response is
+    // a placeholder until the run is over.
+    let mut reads: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let placeholder = Blockchain::genesis_only();
     let mut nonce = 0u64;
+    let mut read = |recorder: &mut BtRecorder, tree: &BlockTree, p: usize, tip: NodeIdx| {
+        let (run, len) = spines[p].record(tree, tip);
+        let op = recorder.instantaneous(
+            ProcessId(p as u32),
+            BtOperation::Read,
+            BtResponse::Chain(placeholder.clone()),
+        );
+        reads.push((op.0 as usize, p, run, len));
+    };
 
     for round in 0..config.rounds {
         let p = round % config.processes;
         // Optionally refresh the local view to the globally selected chain.
         if rng.gen_bool(config.sync_probability.clamp(0.0, 1.0)) {
-            local_tips[p] = tree.block_at(selection.select_tip(&tree)).clone();
+            local_tips[p] = selection.select_tip(&tree);
         }
-        let parent = local_tips[p].clone();
+        let parent = tree.block_at(local_tips[p]).clone();
         nonce += 1;
         let candidate = BlockBuilder::new(&parent)
             .producer(p as u32)
@@ -161,37 +185,34 @@ pub fn run_contended(kind: OracleKind, config: ContendedRunConfig) -> ContendedR
         if outcome.accepted {
             tree.insert(grant.block.clone())
                 .expect("granted blocks attach to known parents");
-            local_tips[p] = grant.block.clone();
+            local_tips[p] = tree
+                .idx_of(grant.block.id)
+                .expect("an inserted block is in the tree");
         }
         recorder.respond(op, BtResponse::Appended(outcome.accepted));
 
         // The process reads its own view of the chain.
-        let view = tree
-            .chain_to(local_tips[p].id)
-            .expect("local tips stay inside the shared tree");
-        recorder.instantaneous(
-            ProcessId(p as u32),
-            BtOperation::Read,
-            BtResponse::Chain(view),
-        );
+        read(&mut recorder, &tree, p, local_tips[p]);
     }
 
     // Quiescent final round: everyone converges on the selected chain.
-    let final_chain = selection.select(&tree);
-    for (p, tip) in local_tips.iter_mut().enumerate() {
-        *tip = final_chain.tip().clone();
-        recorder.instantaneous(
-            ProcessId(p as u32),
-            BtOperation::Read,
-            BtResponse::Chain(final_chain.clone()),
-        );
+    let final_tip = selection.select_tip(&tree);
+    for p in 0..config.processes {
+        read(&mut recorder, &tree, p, final_tip);
     }
 
+    // A fresh recorder numbers its operations 0, 1, … in record order.
+    let mut records = recorder.into_history().into_records();
+    for (at, p, run, len) in reads {
+        debug_assert_eq!(records[at].id.0, at as u64);
+        records[at].response = Some(BtResponse::Chain(spines[p].view(run, len)));
+    }
     ContendedRun {
-        history: recorder.into_history(),
+        history: BtHistory::from_records(records),
         log,
         tree,
         oracle: kind,
+        spine_blocks: spines.iter().map(ReadSpines::spine_blocks).sum(),
     }
 }
 

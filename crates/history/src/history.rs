@@ -73,6 +73,12 @@ impl<Op: Clone, Resp: Clone> ConcurrentHistory<Op, Resp> {
         ConcurrentHistory { records }
     }
 
+    /// Consumes the history and returns its records, in recording order
+    /// (the inverse of [`from_records`](ConcurrentHistory::from_records)).
+    pub fn into_records(self) -> Vec<OperationRecord<Op, Resp>> {
+        self.records
+    }
+
     /// Number of operations (complete or pending) in the history.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -264,7 +270,8 @@ impl<Op: Clone, Resp: Clone> HistoryRecorder<Op, Resp> {
             .history
             .records
             .iter_mut()
-            .find(|r| r.id == id)
+            // Newest first: a response usually follows its invocation closely.
+            .rfind(|r| r.id == id)
             .expect("respond() called for an unknown operation");
         assert!(
             rec.responded_at.is_none(),

@@ -115,13 +115,27 @@ impl SlotArena {
         k: Option<usize>,
         stats: &mut OracleStats,
     ) -> ConsumeOutcome {
-        stats.consume_calls += 1;
-        let accepted = self.consume(grant, k);
-        stats.tokens_consumed += u64::from(accepted);
+        let (accepted, _) = self.consume_token_head(grant, k, stats);
         ConsumeOutcome {
             accepted,
             slot: self.slot(grant.parent),
         }
+    }
+
+    /// [`consume_token`](SlotArena::consume_token) answering with the
+    /// first block of `K[h]` instead of a copy of the set.
+    pub(crate) fn consume_token_head(
+        &mut self,
+        grant: &TokenGrant,
+        k: Option<usize>,
+        stats: &mut OracleStats,
+    ) -> (bool, Option<Block>) {
+        stats.consume_calls += 1;
+        let accepted = self.consume(grant, k);
+        stats.tokens_consumed += u64::from(accepted);
+        let head = self.index.get(&grant.parent);
+        let head = head.map(|&at| self.chunks[at / CHUNK][at % CHUNK].block.clone());
+        (accepted, head)
     }
 
     /// The contents of `K[h]` in consume order, empty for parents never
@@ -227,6 +241,16 @@ pub trait TokenOracle: Send {
 
     /// `consumeToken(b_ℓ^{tkn_h})`.
     fn consume_token(&mut self, grant: &TokenGrant) -> ConsumeOutcome;
+
+    /// `consumeToken(b_ℓ^{tkn_h})` answering with whether the block was
+    /// inserted and the first block of `K[h]` only — all a CAS over `K[h]`
+    /// reads — instead of a copy of the whole set.  The same transition as
+    /// [`consume_token`](TokenOracle::consume_token), which the default
+    /// runs.
+    fn consume_token_head(&mut self, grant: &TokenGrant) -> (bool, Option<Block>) {
+        let outcome = self.consume_token(grant);
+        (outcome.accepted, outcome.slot.into_iter().next())
+    }
 
     /// The fork bound `k`, fixed for the oracle's lifetime (`None`: Θ_P's `k = ∞`).
     fn fork_bound(&self) -> Option<usize>;
@@ -334,6 +358,11 @@ impl TokenOracle for FrugalOracle {
         self.slots.consume_token(grant, self.k, &mut self.stats)
     }
 
+    fn consume_token_head(&mut self, grant: &TokenGrant) -> (bool, Option<Block>) {
+        self.slots
+            .consume_token_head(grant, self.k, &mut self.stats)
+    }
+
     fn fork_bound(&self) -> Option<usize> {
         self.k
     }
@@ -387,6 +416,10 @@ impl TokenOracle for ProdigalOracle {
 
     fn consume_token(&mut self, grant: &TokenGrant) -> ConsumeOutcome {
         self.inner.consume_token(grant)
+    }
+
+    fn consume_token_head(&mut self, grant: &TokenGrant) -> (bool, Option<Block>) {
+        self.inner.consume_token_head(grant)
     }
 
     fn fork_bound(&self) -> Option<usize> {

@@ -102,6 +102,11 @@ impl TokenOracle for SimulatedPow {
         self.slots.consume_token(grant, self.k, &mut self.stats)
     }
 
+    fn consume_token_head(&mut self, grant: &TokenGrant) -> (bool, Option<Block>) {
+        self.slots
+            .consume_token_head(grant, self.k, &mut self.stats)
+    }
+
     fn fork_bound(&self) -> Option<usize> {
         self.k
     }

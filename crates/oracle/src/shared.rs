@@ -46,6 +46,13 @@ impl SharedOracle {
         self.inner.lock().consume_token(grant)
     }
 
+    /// Atomic `consumeToken` answering with the first block of `K[h]`
+    /// only ([`TokenOracle::consume_token_head`]): nothing is copied under
+    /// the lock but that one block's handle.
+    pub fn consume_token_head(&self, grant: &TokenGrant) -> (bool, Option<Block>) {
+        self.inner.lock().consume_token_head(grant)
+    }
+
     /// Atomic `getToken` loop until a grant is produced.
     pub fn get_token_until_granted(
         &self,

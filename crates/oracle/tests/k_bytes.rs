@@ -9,7 +9,8 @@
 //! ≈ 103 bytes per token.  A `Vec<Block>` per parent (4 blocks of
 //! capacity at the first push) plus a global `HashSet<u64>` of consumed
 //! serials held ≈ 321.  Re-consuming a consumed grant must allocate only
-//! the `K[h]` copy it returns.
+//! the `K[h]` copy it returns, and the head-only consume a CAS runs
+//! (`consume_token_head`) must allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -91,7 +92,7 @@ fn chain() -> Vec<Block> {
 
 /// Heap bytes per accepted token the oracle built by `make` holds after
 /// `TOKENS` consumes; then checks that a repeated consume allocates only
-/// its returned `K[h]` copy.
+/// its returned `K[h]` copy, and a head-only consume nothing.
 fn bytes_per_token<O: TokenOracle>(make: impl FnOnce() -> O) -> f64 {
     let blocks = chain();
     let (start, _) = counts();
@@ -119,6 +120,21 @@ fn bytes_per_token<O: TokenOracle>(make: impl FnOnce() -> O) -> f64 {
         (1, std::mem::size_of::<Block>() as isize),
         "a repeated consume allocates exactly its returned K[h]"
     );
+    drop(again);
+
+    // The head-only consume a CAS runs copies nothing: the head's handle
+    // shares the cell's payload.
+    let (bytes_before, allocs_before) = counts();
+    let (accepted, head) = oracle.consume_token_head(&grant);
+    let (bytes_after, allocs_after) = counts();
+    assert!(!accepted, "a consumed token is stale");
+    assert_eq!(head.as_ref(), Some(&grant.block));
+    assert_eq!(
+        (allocs_after - allocs_before, bytes_after - bytes_before),
+        (0, 0),
+        "a head-only consume allocates nothing"
+    );
+    drop(head);
     assert_eq!(oracle.stats().tokens_consumed, TOKENS as u64);
     per_token
 }

@@ -16,16 +16,13 @@ use btadt_core::{
 };
 use btadt_history::{HistoryRecorder, ProcessId, Timestamp};
 use btadt_netsim::SimTime;
-use btadt_types::{Block, BlockTree, Blockchain, NodeIdx, GENESIS_ID};
+use btadt_types::{Block, BlockTree, Blockchain, NodeIdx, ReadSpines, GENESIS_ID};
 
 /// What one replica recorded during a run.
 ///
-/// Reads are recorded as *runs*: a run's spine is one chain the log owns
-/// alone, and each read of the run is a length — the read's chain is the
-/// spine's prefix of that length.  A read that extends the spine pushes
-/// the new blocks onto it, a read of a prefix records a length only, and
-/// only a branch switch copies: it opens a new run from the kept prefix.
-/// So recording costs the blocks that changed, not the chain's height.
+/// Reads are recorded through a [`ReadSpines`]: each run of reads is a
+/// set of prefix views of one spine the log owns alone, so recording
+/// costs the blocks that changed, not the chain's height.
 #[derive(Clone, Debug, Default)]
 pub struct ReplicaLog {
     /// Blocks this replica created, with creation time.
@@ -34,9 +31,9 @@ pub struct ReplicaLog {
     pub received: Vec<(SimTime, Block)>,
     /// Blocks this replica applied to its local tree, with application time.
     pub applied: Vec<(SimTime, Block)>,
-    /// The runs' spines, oldest first; only the last one still grows.
-    spines: Vec<Blockchain>,
-    /// Reads in order: time, spine and the read chain's length.
+    /// The read chains' runs.
+    spines: ReadSpines,
+    /// Reads in order: time, run and the read chain's length.
     reads: Vec<(SimTime, usize, usize)>,
 }
 
@@ -63,47 +60,10 @@ impl ReplicaLog {
 
     /// Records a read of `tree`'s chain ending at `tip` — the value
     /// `tree.chain_to_idx(tip)` — paying for the blocks that differ from
-    /// the current spine.  It walks down from `tip` to the first block
-    /// equal, in full, to the spine's block at that height; a tree whose
-    /// root is not the spine's first block (a rerooted window) shares
-    /// nothing and opens a new run.
+    /// the current spine ([`ReadSpines::record`]).
     pub fn record_read(&mut self, at: SimTime, tree: &BlockTree, tip: NodeIdx) {
-        let spine = self.spines.last().filter(|s| &s[0] == tree.genesis());
-        let mut path = Vec::new();
-        let mut cursor = Some(tip);
-        let keep = loop {
-            let Some(idx) = cursor else { break 0 };
-            let block = tree.block_at(idx);
-            if let Some(spine) = spine {
-                let i = (block.height - spine[0].height) as usize;
-                if spine.blocks().get(i) == Some(block) {
-                    break i + 1;
-                }
-            }
-            path.push(idx);
-            cursor = tree.parent_idx(idx);
-        };
-        let len = keep + path.len();
-        let blocks = path.iter().rev().map(|&idx| tree.block_at(idx).clone());
-        match self.spines.pop() {
-            // The tip is on the spine: a length is the whole record.
-            Some(spine) if path.is_empty() => self.spines.push(spine),
-            // The read extends the spine: push the new blocks in place.
-            Some(spine) if keep == spine.len() => {
-                self.spines.push(Blockchain::spliced(spine, keep, blocks).0);
-            }
-            // A branch switch: a new run copies the kept prefix.
-            Some(spine) if keep > 0 => {
-                let fresh = Blockchain::spliced(spine.clone(), keep, blocks).0;
-                self.spines.extend([spine, fresh]);
-            }
-            old => {
-                self.spines.extend(old);
-                self.spines
-                    .push(Blockchain::from_blocks_trusted(blocks.collect()));
-            }
-        }
-        self.reads.push((at, self.spines.len() - 1, len));
+        let (run, len) = self.spines.record(tree, tip);
+        self.reads.push((at, run, len));
     }
 
     /// The chains this replica read, with read time, in recording order:
@@ -111,13 +71,13 @@ impl ReplicaLog {
     pub fn reads(&self) -> impl ExactSizeIterator<Item = (SimTime, Blockchain)> + '_ {
         self.reads
             .iter()
-            .map(|&(at, run, len)| (at, self.spines[run].truncated(len - 1)))
+            .map(|&(at, run, len)| (at, self.spines.view(run, len)))
     }
 
     /// Blocks the recorded reads materialised: the summed length of the
     /// runs' spines (each read on its own would cost its whole length).
     pub fn spine_blocks(&self) -> usize {
-        self.spines.iter().map(Blockchain::len).sum()
+        self.spines.spine_blocks()
     }
 }
 

@@ -25,9 +25,8 @@ use crate::block::{Block, BlockId, GENESIS_ID};
 /// are the first `len` of the backing sequence, which may hold more.
 /// Cloning a chain — which every recorded `read()` response, replica
 /// snapshot and criterion check does — is O(1) instead of a deep copy, and
-/// so is [`truncated`](Blockchain::truncated): a replica's recorded reads
-/// are views of different lengths over one spine (`ReplicaLog` in the
-/// protocols crate).  Two views of one backing answer `==`, `⊑` and `mcps`
+/// so is [`truncated`](Blockchain::truncated): a recorder's reads are
+/// views of different lengths over one spine ([`ReadSpines`](crate::ReadSpines)).  Two views of one backing answer `==`, `⊑` and `mcps`
 /// from their lengths alone.  Chains are immutable values; extension and
 /// truncation return new chains, and nothing past a view's `len` is ever
 /// visible through it.

@@ -15,6 +15,9 @@
 //!   BT-ADT (Def. 3.1) returns `{b0}⌢f(bt)`, and Strong/Eventual Prefix
 //!   (Defs. 3.2/3.4) are stated in terms of `⊑` and `mcps` over the chains
 //!   those reads return.
+//! * [`ReadSpines`] — a recorder of those read responses that keeps each
+//!   run of reads as prefix views of one spine, so a recorded read costs
+//!   the blocks that changed, not the chain's height.
 //! * [`BlockTree`] — the directed rooted tree `bt = (V_bt, E_bt)`: a dense
 //!   arena slab addressed by [`NodeIdx`] with cached heights, cumulative
 //!   work, intrusive child lists and an incrementally maintained leaf
@@ -44,6 +47,7 @@ pub mod reachability;
 pub mod reference;
 pub mod score;
 pub mod selection;
+pub mod spines;
 pub mod transaction;
 pub mod tree;
 pub mod validity;
@@ -55,6 +59,7 @@ pub use reachability::Interval;
 pub use reference::NaiveBlockTree;
 pub use score::{ChainScore, LengthScore, Score, WorkScore};
 pub use selection::{GhostSelection, HeaviestChain, LongestChain, SelectionFunction, TieBreak};
+pub use spines::ReadSpines;
 pub use transaction::{Transaction, TxId};
 pub use tree::{BatchInsert, BlockIdHasher, BlockTree, Children, InsertError, NodeIdx};
 pub use validity::{
