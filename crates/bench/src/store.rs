@@ -24,6 +24,7 @@ use std::collections::HashMap;
 
 use btadt_core::{check_block_tree, check_store_tree_agreement};
 use btadt_store::{BlockStore, ReplicaCore, SimMedium, StoreConfig, MANIFEST};
+use btadt_types::rng::mix64;
 use btadt_types::{Block, BlockBuilder, BlockId};
 
 use crate::harness::json_string;
@@ -37,14 +38,6 @@ pub const CORRUPTION_SEEDS: [u64; 2] = [13, 77];
 
 /// The corruption faults drilled per seed.
 pub const FAULTS: [&str; 3] = ["torn-tail", "bit-flip", "torn-manifest"];
-
-/// SplitMix64 — drives the deterministic workload and damage placement.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The steady-state row.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -203,7 +196,7 @@ fn grow(core: &mut ReplicaCore, scale: &Scale, seed: u64) -> (Vec<Block>, usize,
     let mut linked_since_prune = 0;
     let mut pruned_from_hot = 0;
     for i in 0..scale.blocks {
-        state = splitmix64(state);
+        state = mix64(state);
         let parent = if state.is_multiple_of(8) && tips.len() > 1 {
             tips[tips.len() - 2].clone()
         } else {
@@ -257,22 +250,22 @@ fn apply_fault(medium: &mut SimMedium, fault: &str, seed: u64) -> bool {
                 return false;
             };
             let len = medium.len(last);
-            let cut = 1 + (splitmix64(seed) % 32) as usize;
+            let cut = 1 + (mix64(seed) % 32) as usize;
             medium.truncate(last, len.saturating_sub(cut))
         }
         "bit-flip" => {
             if chunks.is_empty() {
                 return false;
             }
-            let chunk = &chunks[(splitmix64(seed) % chunks.len() as u64) as usize];
-            let bit = (splitmix64(seed ^ 1) % (medium.len(chunk).max(1) as u64 * 8)) as usize;
+            let chunk = &chunks[(mix64(seed) % chunks.len() as u64) as usize];
+            let bit = (mix64(seed ^ 1) % (medium.len(chunk).max(1) as u64 * 8)) as usize;
             medium.corrupt_bit(chunk, bit)
         }
         "torn-manifest" => {
             // A checkpoint interrupted mid-swap leaves a mangled manifest;
             // recovery must fall back to scanning the chunks themselves.
             let len = medium.len(MANIFEST);
-            let cut = 1 + (splitmix64(seed) % 8) as usize;
+            let cut = 1 + (mix64(seed) % 8) as usize;
             medium.truncate(MANIFEST, len.saturating_sub(cut))
         }
         other => panic!("unknown fault {other}"),

@@ -1,8 +1,8 @@
 //! `cargo run -p btadt-check --bin lint [-- --self-test] [--root PATH]`
 //! — the offline lint gate over the workspace sources.
 //!
-//! Scans every `.rs` file (skipping `target/`, `.git/` and the vendored
-//! `shims/`) for the twelve rules of [`btadt_check::lint`]: `unsafe`
+//! Scans every `.rs` file (skipping `target/` and `.git/`) for the
+//! thirteen rules of [`btadt_check::lint`]: `unsafe`
 //! without `// SAFETY:`, atomic `Ordering::` variants without a naming
 //! `// ORDERING:` comment, and — in non-test library code, unless
 //! `// LINT-ALLOW:` — bare `.unwrap()` / `.expect(`, a chain selected
@@ -16,7 +16,9 @@
 //! `ReplicaCore::prune` (`store/src/durable.rs`), and a root-to-tip path
 //! copied with `chain_to_idx(` outside `crates/types/src`, and, under
 //! `crates/oracle/src`, `K[]` state kept beside `SlotArena`
-//! (`consumed_serials`, `Vec<Vec<Block>>`).  Exits 1 on any finding.
+//! (`consumed_serials`, `Vec<Vec<Block>>`), and — tests included — a
+//! SplitMix64 or ChaCha constant outside `crates/types/src/rng.rs`.
+//! Exits 1 on any finding.
 //!
 //! `--self-test` runs the embedded corpus (every rule exercised
 //! positively and negatively) instead of scanning, exiting nonzero on

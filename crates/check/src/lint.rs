@@ -1,13 +1,14 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Twelve rules: three about keeping the concurrency story auditable, one
+//! Thirteen rules: three about keeping the concurrency story auditable, one
 //! about keeping tip lookups O(1), one about keeping the durable write path
 //! allocation-free, one about keeping a delta-sync reply as cheap as what
 //! it sends, one about keeping one copy of a block's transactions, one
 //! about keeping whole-tree leaf scans off library paths, one about
 //! keeping the consistency checkers off all-pairs loops, one about keeping
 //! one pruning path, one about keeping a recorded read as cheap as what
-//! changed, one about keeping one copy of the oracle's `K[]`:
+//! changed, one about keeping one copy of the oracle's `K[]`, one about
+//! keeping one randomness source:
 //!
 //! | Rule id | Requirement |
 //! |---|---|
@@ -23,6 +24,7 @@
 //! | `one-prune-door` | in non-test library code, no `BlockTree::rerooted(` outside `types/src/tree.rs` and `store/src/durable.rs`, and no `BlockStore::prune` call (`.prune(&`) outside `store/src/durable.rs`, unless `// LINT-ALLOW: <reason>` — a replica's window is rebuilt and its store collected in one place, `ReplicaCore::prune`, so a second pruning path cannot drift from it |
 //! | `no-chain-per-read` | in non-test library code, no `chain_to_idx(` call outside `crates/types/src` and no `.chain_to(` call under `crates/core/src` or `crates/protocols/src` unless `// LINT-ALLOW: <reason>` — each copies the whole O(height) path from the root; a recorded read goes through the shared recorder `ReadSpines::record(tree, tip)` (behind `ReplicaLog::record_read` and `run_contended`), which pushes only the blocks that differ from its spine |
 //! | `one-k-door` | in non-test library code under `crates/oracle/src`, no `consumed_serials` identifier and no `Vec<Vec<Block>>` unless `// LINT-ALLOW: <reason>` — `K[]` lives and changes only inside `SlotArena` (one arena cell per accepted token; freshness is "serial not in `K[h]`"), so a second set of consumed serials or a vector per parent cannot come back beside it |
+//! | `one-rng` | outside `crates/types/src/rng.rs`, no SplitMix64 finalizer constant (`0xbf58_476d_1ce4_e5b9`, `0x94d0_49bb_1331_11eb`) and no ChaCha constant (`0x6170_7865`), matched in code with case and `_` ignored, tests included — every generator step goes through `btadt_types::rng` (`ChaCha8`, `SplitMix64`, `mix64`), so a private copy cannot drift from the streams the reports are functions of |
 //!
 //! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
 //! the ordering rule — only the five atomic variants are matched.
@@ -38,10 +40,11 @@
 //! a `tests/` directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
 //! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
 //! harness is additionally exempt from `no-chain-for-tip`,
-//! `no-allocating-encode` (its probe times `encode_record` itself) and
-//! `no-payload-copy`, and `codec.rs`, which defines the wrapper, from
+//! `no-allocating-encode` (its probe times `encode_record` itself),
+//! `no-payload-copy` and `one-rng` (its frozen `gen.rs` keeps its own
+//! SplitMix64), and `codec.rs`, which defines the wrapper, from
 //! `no-allocating-encode`; `no-pair-loop` applies under a `criteria/`
-//! directory only.  The
+//! directory only.  `one-rng` and the
 //! justification rules apply *everywhere*, tests included — a memory
 //! ordering deserves a reason even in a test.
 
@@ -73,6 +76,8 @@ pub const RULE_PRUNE_DOOR: &str = "one-prune-door";
 pub const RULE_CHAIN_PER_READ: &str = "no-chain-per-read";
 /// Rule id: the oracle's `K[]` is kept and changed only in `SlotArena`.
 pub const RULE_K_DOOR: &str = "one-k-door";
+/// Rule id: a generator constant outside the one `rng` module.
+pub const RULE_ONE_RNG: &str = "one-rng";
 
 const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
@@ -433,6 +438,17 @@ fn k_door(file: &str, code: &str) -> bool {
             .any(|dir| dir.ends_with("crates/oracle/src"))
 }
 
+/// `true` iff the masked code line in `file`, outside
+/// `crates/types/src/rng.rs`, holds a SplitMix64 finalizer constant or the
+/// ChaCha constant (case and `_` ignored).
+fn one_rng(file: &str, code: &str) -> bool {
+    let code = code.replace('_', "").to_ascii_lowercase();
+    ["bf58476d1ce4e5b9", "94d049bb133111eb", "61707865"]
+        .iter()
+        .any(|k| code.contains(k))
+        && !Path::new(file).ends_with("crates/types/src/rng.rs")
+}
+
 /// Lints one source file.  `exempt` lists the library-only rules
 /// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
 /// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`],
@@ -490,6 +506,16 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                     detail: format!("`{pat}` without a `// ORDERING:` comment naming `{variant}`"),
                 });
             }
+        }
+        if !exempt.contains(&RULE_ONE_RNG) && one_rng(file, &line.code) {
+            findings.push(LintFinding {
+                file: file.to_string(),
+                line: lineno,
+                rule: RULE_ONE_RNG,
+                detail: "a SplitMix64 / ChaCha constant outside `btadt_types::rng` (draw from \
+                         `ChaCha8`, `SplitMix64` or `mix64` instead of a private copy)"
+                    .to_string(),
+            });
         }
         if in_test {
             continue;
@@ -640,13 +666,14 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
     findings
 }
 
-/// The library-only rules a path is exempt from as a whole file: all ten
-/// for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`] and
-/// [`RULE_PAYLOAD_COPY`] for the `benchmark/` harness — frozen to library
-/// PRs, it reads each miner's tip once after a run, not per event, its
-/// encode probe times the allocating wrapper on purpose, and it builds its
-/// inputs untimed; and [`RULE_ALLOC_ENCODE`] for `codec.rs`, where the
-/// wrapper is defined.  [`RULE_PAIR_LOOP`] binds only the consistency
+/// The rules a path is exempt from as a whole file: the ten library-only
+/// ones for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
+/// [`RULE_PAYLOAD_COPY`] and [`RULE_ONE_RNG`] for the `benchmark/`
+/// harness — frozen to library PRs, it reads each miner's tip once after
+/// a run, not per event, its encode probe times the allocating wrapper on
+/// purpose, it builds its inputs untimed, and its generator is its own;
+/// and [`RULE_ALLOC_ENCODE`] for `codec.rs`, where the wrapper is
+/// defined.  [`RULE_PAIR_LOOP`] binds only the consistency
 /// checkers under a `criteria/` directory.
 fn exempt_rules(path: &Path) -> &'static [&'static str] {
     let in_dir = |name: &str| path.components().any(|c| c.as_os_str() == name);
@@ -675,6 +702,7 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
             RULE_ALLOC_ENCODE,
             RULE_PAYLOAD_COPY,
             RULE_PAIR_LOOP,
+            RULE_ONE_RNG,
         ]
     } else if file == "codec.rs" {
         &[RULE_ALLOC_ENCODE, RULE_PAIR_LOOP]
@@ -686,8 +714,7 @@ fn exempt_rules(path: &Path) -> &'static [&'static str] {
 }
 
 /// Recursively collects the workspace `.rs` files under `root`, skipping
-/// `target/`, `.git/` and the dependency shims (vendored idiom, not ours
-/// to annotate).  Sorted for deterministic output.
+/// `target/` and `.git/`.  Sorted for deterministic output.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         for entry in fs::read_dir(dir)? {
@@ -696,7 +723,7 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_str().unwrap_or("");
             if path.is_dir() {
-                if matches!(name, "target" | ".git" | "shims" | "node_modules") {
+                if matches!(name, "target" | ".git" | "node_modules") {
                     continue;
                 }
                 walk(&path, out)?;
@@ -922,6 +949,16 @@ fn corpus() -> Vec<CorpusCase> {
             vec![],
         ),
         (
+            "crates/store/src/private-splitmix.rs",
+            "fn mix(mut x: u64) -> u64 {\n    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);\n    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);\n    x ^ (x >> 31)\n}\nconst SIGMA: [u32; 1] = [0x6170_7865];\n#[cfg(test)]\nmod tests {\n    const K: u64 = 0xbf58_476d_1ce4_e5b9;\n}\n",
+            vec![(RULE_ONE_RNG, 2), (RULE_ONE_RNG, 3), (RULE_ONE_RNG, 6), (RULE_ONE_RNG, 9)],
+        ),
+        (
+            "crates/types/src/rng.rs",
+            "// a comment may name 0xbf58_476d_1ce4_e5b9 anywhere\nconst SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];\nfn mix64(x: u64) -> u64 {\n    let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);\n    let _ = \"0x94d0_49bb_1331_11eb\";\n    (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb)\n}\n",
+            vec![],
+        ),
+        (
             "block-comment-masked",
             "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
             vec![],
@@ -954,7 +991,7 @@ mod tests {
     #[test]
     fn corpus_self_test_passes() {
         let n = self_test().expect("corpus verdicts match");
-        assert!(n >= 12);
+        assert!(n >= 13);
     }
 
     #[test]
@@ -1104,15 +1141,36 @@ mod tests {
     }
 
     #[test]
+    fn generator_constants_live_only_in_the_rng_module() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn step(z: u64) -> u64 { z.wrapping_mul(0xBF58_476D_1CE4_E5B9) }\n}\n";
+        let rules = |path: &str| -> Vec<(&str, usize)> {
+            lint_source(path, src, exempt_rules(Path::new(path)))
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect()
+        };
+        assert!(rules("crates/types/src/rng.rs").is_empty());
+        assert!(rules("benchmark/src/gen.rs").is_empty());
+        for elsewhere in [
+            "crates/types/src/tree.rs",
+            "crates/concurrent/src/fault.rs",
+            "crates/pipeline/tests/equivalence.rs",
+            "crates/bench/src/bin/store.rs",
+            "crates/shims/rand_chacha/src/lib.rs",
+        ] {
+            assert_eq!(rules(elsewhere), [(RULE_ONE_RNG, 3)], "{elsewhere}");
+        }
+    }
+
+    #[test]
     fn workspace_walk_finds_this_file_and_skips_target() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let files = workspace_files(&root).expect("walk");
         assert!(files
             .iter()
             .any(|p| p.ends_with("crates/check/src/lint.rs")));
-        assert!(files.iter().all(|p| {
-            !p.components().any(|c| c.as_os_str() == "target")
-                && !p.components().any(|c| c.as_os_str() == "shims")
-        }));
+        assert!(files
+            .iter()
+            .all(|p| !p.components().any(|c| c.as_os_str() == "target")));
     }
 }

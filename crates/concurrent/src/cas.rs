@@ -6,9 +6,7 @@
 //! pseudo-code of Figure 9.  CAS has consensus number ∞ (Herlihy), which is
 //! the anchor of Theorem 4.2.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A linearizable Compare&Swap register holding a value of type `T`.
 pub struct CasRegister<T> {
@@ -34,7 +32,7 @@ impl<T: Clone + PartialEq> CasRegister<T> {
     /// Atomically: if the register equals `old`, store `new`.  Returns the
     /// value held at the start of the operation.
     pub fn compare_and_swap(&self, old: &T, new: T) -> T {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let previous = guard.clone();
         if previous == *old {
             *guard = new;
@@ -44,13 +42,19 @@ impl<T: Clone + PartialEq> CasRegister<T> {
 
     /// Atomically reads the current value.
     pub fn load(&self) -> T {
-        self.inner.lock().clone()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::rc::Rc;
     use std::thread;
 
     #[test]
@@ -83,5 +87,50 @@ mod tests {
             .count();
         assert_eq!(winners, 1);
         assert!(r.load().is_some());
+    }
+
+    /// A value whose next clone panics once `armed` is set.
+    #[derive(Debug)]
+    struct Touchy {
+        value: u64,
+        armed: Rc<Cell<bool>>,
+    }
+
+    impl Clone for Touchy {
+        fn clone(&self) -> Self {
+            if self.armed.replace(false) {
+                panic!("clone panicked under the register's lock");
+            }
+            Touchy {
+                value: self.value,
+                armed: Rc::clone(&self.armed),
+            }
+        }
+    }
+
+    impl PartialEq for Touchy {
+        fn eq(&self, other: &Self) -> bool {
+            self.value == other.value
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_stop_the_next_caller() {
+        let armed = Rc::new(Cell::new(false));
+        let touchy = |value| Touchy {
+            value,
+            armed: Rc::clone(&armed),
+        };
+        let r = CasRegister::new(touchy(1));
+        armed.set(true);
+        let swap = catch_unwind(AssertUnwindSafe(|| {
+            r.compare_and_swap(&touchy(1), touchy(2))
+        }));
+        assert!(swap.is_err(), "the clone under the lock panicked");
+        // The panic struck before the store: the register still holds 1,
+        // and both operations are served.
+        assert_eq!(r.load().value, 1);
+        assert_eq!(r.compare_and_swap(&touchy(1), touchy(3)).value, 1);
+        assert_eq!(r.load().value, 3);
     }
 }

@@ -22,6 +22,7 @@ use std::thread;
 
 use btadt_core::{eventual_consistency, strong_consistency, BtHistory, BtOperation, BtResponse};
 use btadt_history::{ConsistencyCriterion, ProcessId, Verdict};
+use btadt_types::rng::SplitMix64;
 use btadt_types::{AlwaysValid, BlockBuilder};
 
 use crate::blocktree::{AppendPath, ConcurrentBlockTree, ReadStats, TipRule};
@@ -103,21 +104,9 @@ pub fn build_replica(config: &DriverConfig) -> ConcurrentBlockTree {
     }
 }
 
-/// Deterministic per-thread generator (SplitMix64).
-struct Mix(u64);
-
-impl Mix {
-    fn new(seed: u64, thread: usize) -> Self {
-        Mix(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+/// Thread `thread`'s deterministic generator for the run seeded `seed`.
+fn thread_mix(seed: u64, thread: usize) -> SplitMix64 {
+    SplitMix64::new(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Runs the workload against a fresh replica.
@@ -168,7 +157,7 @@ pub fn run_workload_with_on(
                     .then(|| hub.handle::<BtOperation, BtResponse>(ProcessId(t as u32)));
                 let barrier = &barrier;
                 scope.spawn(move || {
-                    let mut mix = Mix::new(config.seed, t);
+                    let mut mix = thread_mix(config.seed, t);
                     let mut session = plan
                         .map(|p| FaultSession::new(p, t))
                         .unwrap_or_else(FaultSession::passthrough);
@@ -191,8 +180,8 @@ pub fn run_workload_with_on(
                         if batch_armed && op % 8 == 0 {
                             let prepared = replica.prepare(t, vec![]);
                             let b1 = prepared.block;
-                            let b2 = BlockBuilder::new(&b1).nonce(mix.next()).build();
-                            let b3 = BlockBuilder::new(&b2).nonce(mix.next()).build();
+                            let b2 = BlockBuilder::new(&b1).nonce(mix.next_u64()).build();
+                            let b3 = BlockBuilder::new(&b2).nonce(mix.next_u64()).build();
                             let batch = vec![b1, b2, b3];
                             let idxs: Vec<_> = batch
                                 .iter()
@@ -233,7 +222,7 @@ pub fn run_workload_with_on(
                             }
                             continue;
                         }
-                        if (mix.next() % 100) < u64::from(config.append_percent) {
+                        if (mix.next_u64() % 100) < u64::from(config.append_percent) {
                             let prepared = replica.prepare(t, vec![]);
                             let idx = recorder
                                 .as_mut()
@@ -425,12 +414,12 @@ mod tests {
 
     #[test]
     fn mix_is_deterministic_per_seed_and_thread() {
-        let mut a = Mix::new(5, 1);
-        let mut b = Mix::new(5, 1);
-        let mut c = Mix::new(5, 2);
-        let xs: Vec<_> = (0..8).map(|_| a.next()).collect();
-        let ys: Vec<_> = (0..8).map(|_| b.next()).collect();
-        let zs: Vec<_> = (0..8).map(|_| c.next()).collect();
+        let mut a = thread_mix(5, 1);
+        let mut b = thread_mix(5, 1);
+        let mut c = thread_mix(5, 2);
+        let xs: Vec<_> = (0..8).map(|_| a.next_u64()).collect();
+        let ys: Vec<_> = (0..8).map(|_| b.next_u64()).collect();
+        let zs: Vec<_> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
     }

@@ -25,6 +25,8 @@
 
 use std::thread;
 
+use btadt_types::rng::mix64;
+
 /// A named dangerous program point inside the replica's append/read paths.
 ///
 /// The variants are ordered by where they sit in the refinement
@@ -358,7 +360,7 @@ impl FaultPlan {
         if arm.rate_percent == 0 {
             return FaultAction::Proceed;
         }
-        let mixed = splitmix64(
+        let mixed = mix64(
             self.seed
                 ^ (client as u64).wrapping_mul(0xA076_1D64_78BD_642F)
                 ^ ((seam.index() as u64) << 32)
@@ -376,13 +378,6 @@ impl SeamHook for FaultPlan {
     fn at(&self, client: usize, seam: Seam, occurrence: u32) -> FaultAction {
         self.decide(client, seam, occurrence)
     }
-}
-
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-thread fault session: holds the per-seam occurrence counters that

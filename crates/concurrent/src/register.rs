@@ -6,9 +6,7 @@
 //! (guarded by a short critical section), and a monotonically increasing
 //! sequence number lets the snapshot object detect intervening writes.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A linearizable register holding a value of type `T`.
 ///
@@ -44,26 +42,33 @@ impl<T: Clone> AtomicRegister<T> {
 
     /// Atomically writes a new value.
     pub fn write(&self, value: T) {
-        let mut guard = self.inner.write();
+        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         guard.value = value;
         guard.version += 1;
     }
 
     /// Atomically reads the current value.
     pub fn read(&self) -> T {
-        self.inner.read().value.clone()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .value
+            .clone()
     }
 
     /// Atomically reads the current value together with its version
     /// (number of writes applied so far).
     pub fn read_versioned(&self) -> (T, u64) {
-        let guard = self.inner.read();
+        let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         (guard.value.clone(), guard.version)
     }
 
     /// Number of writes applied so far.
     pub fn version(&self) -> u64 {
-        self.inner.read().version
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .version
     }
 }
 

@@ -14,9 +14,7 @@
 //! interval.  `update` embeds a scan before writing, making both operations
 //! wait-free.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 #[derive(Clone, Debug)]
 struct Component<T> {
@@ -71,7 +69,7 @@ impl<T: Clone + Default> AtomicSnapshot<T> {
         self.components
             .iter()
             .map(|c| {
-                let guard = c.read();
+                let guard = c.read().unwrap_or_else(PoisonError::into_inner);
                 (guard.value.clone(), guard.seq)
             })
             .collect()
@@ -97,7 +95,11 @@ impl<T: Clone + Default> AtomicSnapshot<T> {
                 if s1 != s2 {
                     moved[i] += 1;
                     if moved[i] >= 2 {
-                        return self.components[i].read().embedded.clone();
+                        return self.components[i]
+                            .read()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .embedded
+                            .clone();
                     }
                 }
             }
@@ -109,7 +111,9 @@ impl<T: Clone + Default> AtomicSnapshot<T> {
     /// embeds a fresh scan to keep `scan()` wait-free.
     pub fn update(&self, i: usize, value: T) {
         let embedded = self.scan();
-        let mut guard = self.components[i].write();
+        let mut guard = self.components[i]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         guard.value = value;
         guard.seq += 1;
         guard.embedded = embedded;

@@ -22,9 +22,10 @@ use btadt_core::invariant::{check_store_tree_agreement, InvariantViolation};
 use btadt_store::{
     BlockStore, FaultInjector, RecoveryReport, SimMedium, WriteFault, WriteKind, WriteOp,
 };
+use btadt_types::rng::mix64;
 use btadt_types::{Block, BlockId, BlockTree, GENESIS_ID};
 
-use crate::fault::{splitmix64, FaultAction, FaultPlan, Seam, SEAM_COUNT};
+use crate::fault::{FaultAction, FaultPlan, Seam, SEAM_COUNT};
 
 /// The pseudo-client index under which storage-seam triggers are drawn.
 /// There is one durable medium per replica, not one per thread, so its
@@ -65,7 +66,7 @@ impl PlanInjector {
             FaultAction::Proceed => None,
             _ => {
                 self.injected += 1;
-                Some(splitmix64(
+                Some(mix64(
                     self.plan.seed
                         ^ 0x5704_41BE_u64.wrapping_mul(u64::from(occurrence).wrapping_add(1))
                         ^ ((seam.index() as u64) << 48),

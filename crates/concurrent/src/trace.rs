@@ -29,8 +29,7 @@
 //! publish).  See `btadt-check`'s `vclock` module for the analysis.
 
 use btadt_types::BlockId;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One synchronization-relevant access, as emitted by the replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -106,14 +105,17 @@ impl SyncTraceHub {
 
     /// Records one event, assigning it the next tick.
     pub fn record(&self, client: usize, kind: SyncEventKind) {
-        let mut events = self.events.lock();
+        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         let tick = events.len() as u64;
         events.push(SyncEvent { tick, client, kind });
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Returns `true` iff nothing has been recorded.
@@ -123,12 +125,15 @@ impl SyncTraceHub {
 
     /// Drains the recorded events (tick order), leaving the hub empty.
     pub fn take(&self) -> Vec<SyncEvent> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *self.events.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// A copy of the recorded events (tick order).
     pub fn events(&self) -> Vec<SyncEvent> {
-        self.events.lock().clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 

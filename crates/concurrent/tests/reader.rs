@@ -24,23 +24,12 @@ use std::sync::Barrier;
 use std::thread;
 
 use btadt_concurrent::{BtReader, ConcurrentBlockTree, ReadStats};
+use btadt_types::rng::SplitMix64;
 use btadt_types::{Block, BlockBuilder, Blockchain};
 
-/// Deterministic generator (SplitMix64).
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+/// A draw in `0..n`.
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
 }
 
 /// Grows a fork-y tree one published block at a time.  Each step picks a
@@ -49,7 +38,7 @@ impl Mix {
 /// child on the racy path, which publishes that child as the tip.
 struct Reorganiser<'a> {
     replica: &'a ConcurrentBlockTree,
-    mix: Mix,
+    mix: SplitMix64,
     blocks: Vec<Block>,
 }
 
@@ -57,7 +46,7 @@ impl<'a> Reorganiser<'a> {
     fn new(replica: &'a ConcurrentBlockTree, seed: u64) -> Self {
         Reorganiser {
             replica,
-            mix: Mix(seed),
+            mix: SplitMix64::new(seed),
             blocks: vec![Block::genesis()],
         }
     }
@@ -65,10 +54,10 @@ impl<'a> Reorganiser<'a> {
     /// Publishes one more tip and returns it.
     fn step(&mut self) -> Block {
         let n = self.blocks.len();
-        let parent = match self.mix.below(10) {
+        let parent = match below(&mut self.mix, 10) {
             0..=4 => n - 1,
-            5..=7 => n - 1 - self.mix.below(n.min(4)),
-            _ => self.mix.below(n),
+            5..=7 => n - 1 - below(&mut self.mix, n.min(4)),
+            _ => below(&mut self.mix, n),
         };
         let prepared = self
             .replica
@@ -106,7 +95,7 @@ fn reads_equal_a_from_scratch_walk_across_reorgs_and_retained_chains_never_chang
     for seed in [1u64, 7, 42, 1234] {
         let replica = ConcurrentBlockTree::racy(1);
         let mut writer = Reorganiser::new(&replica, seed);
-        let mut choices = Mix(seed ^ 0xfeed);
+        let mut choices = SplitMix64::new(seed ^ 0xfeed);
         let mut reader = replica.reader();
         let mut retained: Vec<Retained> = Vec::new();
         let mut shorter = 0;
@@ -116,7 +105,7 @@ fn reads_equal_a_from_scratch_walk_across_reorgs_and_retained_chains_never_chang
             shorter += usize::from(tip.height < last_height);
             last_height = tip.height;
             // Not every publish is read: a reader may skip several moves.
-            if choices.below(3) == 0 {
+            if below(&mut choices, 3) == 0 {
                 continue;
             }
             let what = format!("seed {seed}, step {step}");
@@ -129,7 +118,7 @@ fn reads_equal_a_from_scratch_walk_across_reorgs_and_retained_chains_never_chang
             }
             // Per read: keep the chain (the next move must copy) or drop
             // it (the next move may splice in place).
-            if choices.below(2) == 0 {
+            if below(&mut choices, 2) == 0 {
                 retained.push(Retained::keep(chain));
             }
         }
@@ -165,7 +154,7 @@ fn concurrent_readers_agree_with_the_tree_while_a_writer_keeps_reorganising() {
                     let (replica, start, done) = (&replica, &start, &done);
                     scope.spawn(move || {
                         let mut reader = replica.reader_for(1 + r);
-                        let mut choices = Mix(seed ^ r as u64);
+                        let mut choices = SplitMix64::new(seed ^ r as u64);
                         let mut retained: Vec<Retained> = Vec::new();
                         start.wait();
                         loop {
@@ -181,7 +170,7 @@ fn concurrent_readers_agree_with_the_tree_while_a_writer_keeps_reorganising() {
                             if last {
                                 return (retained, chain);
                             }
-                            if choices.below(2) == 0 {
+                            if below(&mut choices, 2) == 0 {
                                 retained.push(Retained::keep(chain));
                             }
                         }

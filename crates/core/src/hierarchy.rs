@@ -21,8 +21,7 @@
 
 use std::sync::Arc;
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use btadt_types::rng::ChaCha8;
 
 use btadt_history::{ConsistencyCriterion, ProcessId};
 use btadt_oracle::{
@@ -144,7 +143,7 @@ pub fn run_contended(kind: OracleKind, config: ContendedRunConfig) -> ContendedR
     assert!(config.processes > 0, "need at least one process");
     let selection: Arc<dyn SelectionFunction> = Arc::new(LongestChain::new());
     let mut oracle = kind.build(config.processes, config.seed);
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xdead_beef);
+    let mut rng = ChaCha8::new(config.seed ^ 0xdead_beef);
     let mut tree = BlockTree::new();
     let mut recorder = BtRecorder::new();
     let mut log = OracleLog::new();

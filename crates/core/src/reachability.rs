@@ -240,10 +240,9 @@ impl Fenwick {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btadt_types::rng::ChaCha8;
     use btadt_types::workload::Workload;
     use btadt_types::{Block, BlockTree};
-    use rand::prelude::*;
-    use rand_chacha::ChaCha8Rng;
 
     /// Every maximal chain of a random tree, its half-height prefix and
     /// the genesis chain, each twice, shuffled — repeated tips and nested
@@ -260,7 +259,7 @@ mod tests {
                     chains.push(chain.truncated(len));
                 }
             }
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut rng = ChaCha8::new(seed);
             for k in (1..chains.len()).rev() {
                 chains.swap(k, rng.gen_range(0..=k));
             }

@@ -16,8 +16,7 @@
 
 use std::sync::Arc;
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use btadt_types::rng::ChaCha8;
 
 use btadt_core::hierarchy::{run_contended, ContendedRunConfig, OracleKind};
 use btadt_core::{BtHistory, BtOperation, BtRecorder, BtResponse};
@@ -30,7 +29,7 @@ use btadt_types::{Block, BlockBuilder, BlockTree, LongestChain, SelectionFunctio
 fn reference_history(kind: OracleKind, config: ContendedRunConfig) -> BtHistory {
     let selection: Arc<dyn SelectionFunction> = Arc::new(LongestChain::new());
     let mut oracle = kind.build(config.processes, config.seed);
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xdead_beef);
+    let mut rng = ChaCha8::new(config.seed ^ 0xdead_beef);
     let mut tree = BlockTree::new();
     let mut recorder = BtRecorder::new();
     let mut local_tips: Vec<Block> = vec![tree.genesis().clone(); config.processes];

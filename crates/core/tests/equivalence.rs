@@ -18,13 +18,12 @@ use btadt_core::{
 use btadt_history::{
     ConcurrentHistory, ConsistencyCriterion, OpId, OperationRecord, ProcessId, Timestamp,
 };
+use btadt_types::rng::ChaCha8;
 use btadt_types::workload::Workload;
 use btadt_types::{
     AlwaysValid, Block, BlockBuilder, BlockTree, Blockchain, LengthScore, NoDoubleSpend, Score,
     ValidityPredicate, WorkScore,
 };
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
 
 fn config(seed: u64, rounds: usize, sync_probability: f64) -> ContendedRunConfig {
     ContendedRunConfig {
@@ -180,7 +179,7 @@ type Record = OperationRecord<BtOperation, BtResponse>;
 /// A history under construction: its records and the tree its blocks and
 /// chains come from.
 struct Battery {
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     tree: BlockTree,
     records: Vec<Record>,
     processes: u32,
@@ -248,7 +247,7 @@ fn chain_of(r: &Record) -> Option<&Blockchain> {
 /// the read responds (the deepest one most of the time, a stale one
 /// otherwise; any appended block now and then).
 fn base_history(seed: u64) -> Battery {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8::new(seed);
     let processes = rng.gen_range(2u32..=4);
     let tree = Workload::new(seed).random_tree(14, 0.6, 1);
     let mut b = Battery {
@@ -713,7 +712,7 @@ fn strong_prefix_nested_prefix_chains_are_identical() {
 fn strong_prefix_random_branching_histories_are_identical() {
     let mut rejected = 0;
     for seed in 0..24u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = ChaCha8::new(seed);
         // A trunk, then 1–2 more branches, each forking off an earlier
         // branch at a random height.
         let mut branches = vec![Workload::new(seed).linear_chain(rng.gen_range(4usize..12), 0)];

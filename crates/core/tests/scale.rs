@@ -13,10 +13,9 @@ use btadt_core::{
     eventual_consistency, strong_consistency, BtHistory, BtOperation, BtResponse, StrongPrefix,
 };
 use btadt_history::{ConsistencyCriterion, HistoryRecorder, ProcessId, Timestamp, Verdict};
+use btadt_types::rng::ChaCha8;
 use btadt_types::workload::Workload;
 use btadt_types::{AlwaysValid, BlockBuilder, Blockchain, LengthScore};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
 
 const PROCESSES: u32 = 8;
 
@@ -194,7 +193,7 @@ fn two_branch_fork_counts_its_diverging_reads_without_enumerating_them() {
     let branch_reads = |chain: &Blockchain| lengths.map(|len| chain.truncated(len.max(FORK + 1)));
     let (a_reads, b_reads) = (branch_reads(&a), branch_reads(&b));
 
-    let mut rng = ChaCha8Rng::seed_from_u64(34);
+    let mut rng = ChaCha8::new(34);
     let mut rec: HistoryRecorder<BtOperation, BtResponse> = HistoryRecorder::new();
     let (mut on_a, mut on_b) = (0usize, 0usize);
     for t in 0..READS_PER_PROCESS as u64 {

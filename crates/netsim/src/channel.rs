@@ -16,7 +16,7 @@
 //! **partitioned** channels (two groups cannot communicate until the
 //! partition heals).
 
-use rand::Rng;
+use btadt_types::rng::ChaCha8;
 
 use crate::time::SimTime;
 
@@ -176,7 +176,7 @@ impl ChannelModel {
     }
 
     /// Decides the fate of a message sent at `now` from `from` to `to`.
-    pub fn delivery(&self, now: SimTime, from: usize, to: usize, rng: &mut impl Rng) -> Delivery {
+    pub fn delivery(&self, now: SimTime, from: usize, to: usize, rng: &mut ChaCha8) -> Delivery {
         match self {
             ChannelModel::Synchronous { min_delay, delta } => {
                 let d = rng.gen_range(*min_delay..=(*delta).max(*min_delay));
@@ -235,7 +235,7 @@ impl ChannelModel {
     /// general form of [`ChannelModel::delivery`] that the simulator uses.
     /// Non-faulty models produce exactly one fate; a [`ChannelModel::Faulty`]
     /// wrapper may corrupt, delay or duplicate it.
-    pub fn fates(&self, now: SimTime, from: usize, to: usize, rng: &mut impl Rng) -> Vec<Fate> {
+    pub fn fates(&self, now: SimTime, from: usize, to: usize, rng: &mut ChaCha8) -> Vec<Fate> {
         match self {
             ChannelModel::Faulty {
                 inner,
@@ -331,11 +331,9 @@ impl ChannelModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
-    fn rng() -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(42)
+    fn rng() -> ChaCha8 {
+        ChaCha8::new(42)
     }
 
     #[test]

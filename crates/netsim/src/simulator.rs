@@ -18,8 +18,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use btadt_types::rng::ChaCha8;
 
 use crate::channel::{ChannelModel, Fate};
 use crate::process::{Context, Destination, Process};
@@ -231,7 +230,7 @@ pub struct Simulator<M, P> {
     processes: Vec<P>,
     config: SimConfig,
     failures: FailurePlan,
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     payloads: Vec<Option<QueuedEvent<M>>>,
     clock: SimTime,
@@ -250,7 +249,7 @@ impl<M: Clone, P: Process<M>> Simulator<M, P> {
         let n = processes.len();
         assert!(n > 0, "a simulation needs at least one process");
         Simulator {
-            rng: ChaCha8Rng::seed_from_u64(config.seed),
+            rng: ChaCha8::new(config.seed),
             processes,
             config,
             failures,

@@ -11,9 +11,8 @@
 //! backends are interchangeable, which the `ablation_oracle_backend` bench
 //! demonstrates.
 
+use btadt_types::rng::ChaCha8;
 use btadt_types::{Block, BlockId};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
 
 use crate::merit::MeritTable;
 use crate::oracle::{
@@ -28,7 +27,7 @@ pub struct SimulatedPow {
     config: OracleConfig,
     merits: MeritTable,
     k: Option<usize>,
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     slots: SlotArena,
     stats: OracleStats,
 }
@@ -41,7 +40,7 @@ impl SimulatedPow {
             assert!(k >= 1, "the fork bound must be at least 1");
         }
         SimulatedPow {
-            rng: ChaCha8Rng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15),
+            rng: ChaCha8::new(config.seed ^ 0x9e37_79b9_7f4a_7c15),
             config,
             merits,
             k,
@@ -64,7 +63,7 @@ impl SimulatedPow {
     /// One puzzle attempt: hash (parent, candidate id, nonce) and compare to
     /// the target.
     fn attempt(&mut self, parent: BlockId, candidate: &Block, merit: f64) -> Option<u64> {
-        let nonce: u64 = self.rng.gen();
+        let nonce = self.rng.next_u64();
         let digest = Block::compute_id(
             parent,
             candidate.producer,

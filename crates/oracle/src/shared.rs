@@ -7,10 +7,9 @@
 //! the whole Θ-ADT operation (tape pop, `K[h]` update) is atomic, exactly as
 //! the ADT's transition function requires.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use btadt_types::{Block, BlockId};
-use parking_lot::Mutex;
 
 use crate::oracle::{ConsumeOutcome, OracleStats, TokenGrant, TokenOracle};
 
@@ -31,6 +30,13 @@ impl SharedOracle {
         }
     }
 
+    /// The wrapped oracle, locked.  A call that panicked inside the oracle
+    /// does not take it away from every other thread: the next caller is
+    /// served (the lock's poison is ignored).
+    fn lock(&self) -> MutexGuard<'_, Box<dyn TokenOracle + Send>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Atomic `getToken`.
     pub fn get_token(
         &self,
@@ -38,19 +44,19 @@ impl SharedOracle {
         parent: &Block,
         candidate: Block,
     ) -> Option<TokenGrant> {
-        self.inner.lock().get_token(requester, parent, candidate)
+        self.lock().get_token(requester, parent, candidate)
     }
 
     /// Atomic `consumeToken`.
     pub fn consume_token(&self, grant: &TokenGrant) -> ConsumeOutcome {
-        self.inner.lock().consume_token(grant)
+        self.lock().consume_token(grant)
     }
 
     /// Atomic `consumeToken` answering with the first block of `K[h]`
     /// only ([`TokenOracle::consume_token_head`]): nothing is copied under
     /// the lock but that one block's handle.
     pub fn consume_token_head(&self, grant: &TokenGrant) -> (bool, Option<Block>) {
-        self.inner.lock().consume_token_head(grant)
+        self.lock().consume_token_head(grant)
     }
 
     /// Atomic `getToken` loop until a grant is produced.
@@ -66,11 +72,7 @@ impl SharedOracle {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            if let Some(grant) = self
-                .inner
-                .lock()
-                .get_token(requester, parent, candidate.clone())
-            {
+            if let Some(grant) = self.lock().get_token(requester, parent, candidate.clone()) {
                 return (grant, attempts);
             }
         }
@@ -78,7 +80,7 @@ impl SharedOracle {
 
     /// Current contents of `K[h]`.
     pub fn slot(&self, parent: BlockId) -> Vec<Block> {
-        self.inner.lock().slot(parent)
+        self.lock().slot(parent)
     }
 
     /// Fork bound of the wrapped oracle, read without taking its lock.
@@ -88,7 +90,7 @@ impl SharedOracle {
 
     /// Usage statistics of the wrapped oracle.
     pub fn stats(&self) -> OracleStats {
-        self.inner.lock().stats()
+        self.lock().stats()
     }
 }
 
@@ -98,6 +100,7 @@ mod tests {
     use crate::merit::MeritTable;
     use crate::oracle::{FrugalOracle, OracleConfig};
     use btadt_types::BlockBuilder;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread;
 
     fn always() -> OracleConfig {
@@ -165,5 +168,65 @@ mod tests {
         assert_eq!(stats.get_token_calls, 4);
         assert_eq!(stats.consume_calls, 4);
         assert_eq!(stats.tokens_consumed, 2);
+    }
+
+    /// A frugal oracle whose first `getToken` panics.
+    struct PanicsOnce {
+        inner: FrugalOracle,
+        armed: bool,
+    }
+
+    impl TokenOracle for PanicsOnce {
+        fn get_token(
+            &mut self,
+            requester: usize,
+            parent: &Block,
+            candidate: Block,
+        ) -> Option<TokenGrant> {
+            if std::mem::take(&mut self.armed) {
+                panic!("getToken panicked under the oracle's lock");
+            }
+            self.inner.get_token(requester, parent, candidate)
+        }
+
+        fn consume_token(&mut self, grant: &TokenGrant) -> ConsumeOutcome {
+            self.inner.consume_token(grant)
+        }
+
+        fn fork_bound(&self) -> Option<usize> {
+            self.inner.fork_bound()
+        }
+
+        fn slot(&self, parent: BlockId) -> Vec<Block> {
+            self.inner.slot(parent)
+        }
+
+        fn stats(&self) -> OracleStats {
+            self.inner.stats()
+        }
+
+        fn name(&self) -> &'static str {
+            "panics-once"
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_the_oracle_does_not_stop_the_next_caller() {
+        let oracle = SharedOracle::new(PanicsOnce {
+            inner: FrugalOracle::new(1, MeritTable::uniform(2), always()),
+            armed: true,
+        });
+        let genesis = Block::genesis();
+        let b = BlockBuilder::new(&genesis).nonce(1).build();
+        let first = catch_unwind(AssertUnwindSafe(|| {
+            oracle.get_token(0, &genesis, b.clone())
+        }));
+        assert!(first.is_err(), "the first getToken panicked");
+        let grant = oracle
+            .get_token(1, &genesis, b)
+            .expect("the next caller is served");
+        assert!(oracle.consume_token(&grant).accepted);
+        assert_eq!(oracle.stats().get_token_calls, 1);
+        assert_eq!(oracle.slot(genesis.id).len(), 1);
     }
 }

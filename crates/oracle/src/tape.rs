@@ -8,8 +8,7 @@
 //! given `(oracle seed, merit index)` so that every experiment is
 //! reproducible, with the `head` / `pop` interface of the Θ-ADT definition.
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use btadt_types::rng::ChaCha8;
 
 /// One cell of a tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,7 +26,7 @@ pub enum Cell {
 /// functions of Definition 3.5.
 #[derive(Clone, Debug)]
 pub struct Tape {
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     probability: f64,
     /// Lazily generated lookahead cell (the current head).
     lookahead: Option<Cell>,
@@ -40,10 +39,8 @@ impl Tape {
     /// `probability` (clamped into `[0, 1]`), seeded deterministically from
     /// `(seed, stream)`.
     pub fn new(seed: u64, stream: u64, probability: f64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        rng.set_stream(stream);
         Tape {
-            rng,
+            rng: ChaCha8::with_stream(seed, stream),
             probability: probability.clamp(0.0, 1.0),
             lookahead: None,
             popped: 0,

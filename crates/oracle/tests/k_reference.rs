@@ -18,9 +18,8 @@ use btadt_oracle::{
     ConsumeOutcome, FrugalOracle, MeritTable, OracleConfig, OracleStats, ProdigalOracle,
     SimulatedPow, TokenGrant, TokenOracle,
 };
+use btadt_types::rng::ChaCha8;
 use btadt_types::{Block, BlockBuilder, BlockId};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
 
 /// The `K[]` layout and `consumeToken` body before the flat arena.
 #[derive(Default)]
@@ -87,7 +86,7 @@ fn oracles(k: Option<usize>, seed: u64) -> Vec<Box<dyn TokenOracle>> {
 /// mints 1–3 times; returns how many accepted consumes put a block into a
 /// `K[h]` that already held it (a re-granted block under a fresh serial).
 fn run(seed: u64, k: Option<usize>, steps: Range<u64>, oracle: &mut dyn TokenOracle) -> usize {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8::new(seed);
     let genesis = Block::genesis();
     let parents: Vec<Block> = std::iter::once(genesis.clone())
         .chain((1..rng.gen_range(1..=8u64)).map(|n| BlockBuilder::new(&genesis).nonce(n).build()))

@@ -17,22 +17,15 @@
 use std::collections::HashMap;
 
 use btadt_pipeline::{ingest_pooled, BatchReport, Ingest, IngestVerdict, OrphanPool};
+use btadt_types::rng::SplitMix64;
 use btadt_types::workload::Workload;
 use btadt_types::{Block, BlockId, BlockTree, NaiveBlockTree, NodeIdx, GENESIS_ID};
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn shuffled(blocks: &[Block], seed: u64) -> Vec<Block> {
     let mut out = blocks.to_vec();
-    let mut state = seed;
+    let mut rng = SplitMix64::new(seed);
     for i in (1..out.len()).rev() {
-        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
         out.swap(i, j);
     }
     out
@@ -91,10 +84,10 @@ fn assert_matches_naive(tree: &BlockTree, naive: &NaiveBlockTree) {
     // Reachability: the interval index must answer exactly like chain
     // containment on the reference, over a deterministic pair sample.
     let ids = naive.sorted_ids();
-    let mut state = 0x5eed;
+    let mut rng = SplitMix64::new(0x5eed);
     for _ in 0..256 {
-        let a = ids[(splitmix64(&mut state) % ids.len() as u64) as usize];
-        let b = ids[(splitmix64(&mut state) % ids.len() as u64) as usize];
+        let a = ids[(rng.next_u64() % ids.len() as u64) as usize];
+        let b = ids[(rng.next_u64() % ids.len() as u64) as usize];
         let on_chain = naive
             .chain_to(b)
             .expect("reference contains every id it reported")

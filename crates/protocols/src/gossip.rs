@@ -58,6 +58,7 @@
 use btadt_netsim::{Context, SimTime};
 use btadt_pipeline::{BatchReport, IngestVerdict};
 use btadt_store::{BlockStore, RecoveryReport, ReplicaCore};
+use btadt_types::rng::mix64;
 use btadt_types::{Block, BlockId, BlockTree, NodeIdx};
 
 use crate::extract::ReplicaLog;
@@ -106,14 +107,6 @@ const HEALTH_MAX: i32 = 3;
 const HEALTH_MIN: i32 = -6;
 /// Peers scoring below this are skipped by anti-entropy peer selection.
 const HEALTH_SUSPECT: i32 = -2;
-
-/// SplitMix64 — used only for deterministic timeout jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The sync request currently in flight (at most one per replica).
 #[derive(Clone, Debug)]
@@ -400,7 +393,7 @@ impl GossipSync {
     /// synchronise.
     fn timeout_for(&self, request_id: u64, attempt: u32) -> u64 {
         let backoff = BASE_TIMEOUT << attempt.min(4);
-        let jitter = splitmix64((self.id as u64).rotate_left(32) ^ request_id) % (BASE_TIMEOUT / 4);
+        let jitter = mix64((self.id as u64).rotate_left(32) ^ request_id) % (BASE_TIMEOUT / 4);
         backoff + jitter
     }
 

@@ -22,6 +22,7 @@ use btadt_netsim::{Latency, Scenario, SimTime, Simulator};
 use btadt_protocols::{
     build_histories, build_miners, scenario_pow_config, Miner, PowConfig, RecoveryMode, ReplicaLog,
 };
+use btadt_types::rng::SplitMix64;
 use btadt_types::{
     AlwaysValid, Block, BlockBuilder, BlockTree, Blockchain, LengthScore, LongestChain, NodeIdx,
     SelectionFunction,
@@ -90,27 +91,15 @@ fn a_recorded_read_materialises_what_changed() {
     );
 }
 
-/// A seeded generator (SplitMix64): the differential needs no more.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
+/// A draw in `0..n`.
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
 }
 
 /// A random tree under a replica's read sequence: every step reshapes the
 /// tree or picks a tip the way a replica's reads can move.
 struct Walk {
-    rng: Rng,
+    rng: SplitMix64,
     tree: BlockTree,
     /// Every block ever mined, parents first (what a rebuild re-offers).
     mined: Vec<Block>,
@@ -123,7 +112,7 @@ impl Walk {
         let tree = BlockTree::new();
         let tip = tree.idx_of(tree.genesis().id).unwrap();
         Walk {
-            rng: Rng(seed),
+            rng: SplitMix64::new(seed),
             tree,
             mined: Vec::new(),
             nonce: 0,
@@ -132,7 +121,7 @@ impl Walk {
     }
 
     fn random_node(&mut self) -> NodeIdx {
-        NodeIdx(self.rng.below(self.tree.len()) as u32)
+        NodeIdx(below(&mut self.rng, self.tree.len()) as u32)
     }
 
     /// Grows a branch of `n` blocks on `parent`; returns its tip.
@@ -159,7 +148,7 @@ impl Walk {
         let parents: HashSet<_> = self.mined.iter().filter_map(|b| b.parent).collect();
         self.tree = BlockTree::rerooted(root);
         for block in &mut self.mined {
-            match self.rng.below(16) {
+            match below(&mut self.rng, 16) {
                 0 => continue,
                 1 if !parents.contains(&block.id) => block.producer ^= 1,
                 _ => {}
@@ -171,16 +160,16 @@ impl Walk {
     /// One step; returns the tip to read.
     fn step(&mut self) -> NodeIdx {
         let best = LongestChain::new().select_tip(&self.tree);
-        self.tip = match self.rng.below(12) {
+        self.tip = match below(&mut self.rng, 12) {
             // The selected chain grows.
             0..=3 => {
-                let n = 1 + self.rng.below(3);
+                let n = 1 + below(&mut self.rng, 3);
                 self.grow(best, n)
             }
             // A prefix of the last read, or the same tip again.
             4 => {
                 let mut at = self.tip;
-                for _ in 0..self.rng.below(4) {
+                for _ in 0..below(&mut self.rng, 4) {
                     at = self.tree.parent_idx(at).unwrap_or(at);
                 }
                 at
@@ -194,7 +183,7 @@ impl Walk {
             // A deep reorg: a longer branch from anywhere.
             7 => {
                 let from = self.random_node();
-                let n = 1 + self.rng.below(8);
+                let n = 1 + below(&mut self.rng, 8);
                 self.grow(from, n)
             }
             // Any node at all.

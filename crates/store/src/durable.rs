@@ -239,7 +239,7 @@ mod tests {
         let mut tips = vec![Block::genesis()];
         let mut state = seed;
         for i in 0..n {
-            state = crate::medium::splitmix64(state);
+            state = btadt_types::rng::mix64(state);
             let parent = if state.is_multiple_of(8) && tips.len() > 1 {
                 tips[tips.len() - 2].clone()
             } else {

@@ -21,6 +21,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use btadt_types::rng::mix64;
+
 /// The kind of durable operation a fault decision applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WriteKind {
@@ -297,16 +299,6 @@ impl SimMedium {
     }
 }
 
-/// SplitMix64 — the same deterministic generator the fault engine and the
-/// workload mixes use, duplicated here so the store crate stays
-/// dependency-free below `btadt-types`.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// A standalone seeded injector: each durable operation draws one
 /// SplitMix64 value from `(seed, occurrence)` and converts it into a fault
 /// according to per-kind percentage rates.  Purely a function of the seed
@@ -361,7 +353,7 @@ impl SeededCorruption {
     }
 
     fn draw(&mut self) -> u64 {
-        let v = splitmix64(self.seed ^ self.occurrence.wrapping_mul(0xA076_1D64_78BD_642F));
+        let v = mix64(self.seed ^ self.occurrence.wrapping_mul(0xA076_1D64_78BD_642F));
         self.occurrence += 1;
         v
     }

@@ -31,6 +31,8 @@
 //!   heaviest chain, GHOST) with deterministic tie-breaking.
 //! * [`validity`] — validity predicates `P : B → {true, false}` (structural
 //!   validity, no double spend, payload limits, …).
+//! * [`rng`] — the one seeded randomness source: a ChaCha8 keystream and
+//!   SplitMix64, whose streams every report and tape is a function of.
 //! * [`workload`] — deterministic generators of blocks, chains, forks and
 //!   transaction streams used by tests, examples and the benchmark harness.
 //!
@@ -45,6 +47,7 @@ pub mod block;
 pub mod chain;
 pub mod reachability;
 pub mod reference;
+pub mod rng;
 pub mod score;
 pub mod selection;
 pub mod spines;
@@ -66,3 +69,74 @@ pub use validity::{
     AlwaysValid, CompositeValidity, MaxPayload, NeverValid, NoDoubleSpend, StructuralValidity,
     ValidityPredicate,
 };
+
+/// Properties of the [`rng`] generators; their known answers are pinned in
+/// `tests/rng_streams.rs`.
+#[cfg(test)]
+mod tests {
+    use crate::rng::ChaCha8;
+
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut rng = ChaCha8::new(7);
+        for _ in 0..1000 {
+            let v: u64 = rng.gen_range(3..10);
+            assert!((3..10).contains(&v));
+            let w: usize = rng.gen_range(0..=4);
+            assert!(w <= 4);
+        }
+    }
+
+    #[test]
+    fn gen_bool_extremes() {
+        let mut rng = ChaCha8::new(9);
+        assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
+        assert!((0..100).all(|_| rng.gen_bool(1.0)));
+    }
+
+    #[test]
+    fn gen_bool_tracks_probability() {
+        let mut rng = ChaCha8::new(11);
+        let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
+        let freq = hits as f64 / 10_000.0;
+        assert!((freq - 0.25).abs() < 0.05, "frequency {freq}");
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let mut a = ChaCha8::new(42);
+        let mut b = ChaCha8::new(42);
+        let xs: Vec<u64> = (0..100).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..100).map(|_| b.next_u64()).collect();
+        assert_eq!(xs, ys);
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let mut a = ChaCha8::new(1);
+        let mut b = ChaCha8::new(2);
+        let xs: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
+        assert_ne!(xs, ys);
+    }
+
+    #[test]
+    fn streams_are_independent_and_reproducible() {
+        let mut a = ChaCha8::with_stream(7, 3);
+        let mut b = ChaCha8::with_stream(7, 3);
+        let mut c = ChaCha8::with_stream(7, 4);
+        let xs: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
+        let ys: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
+        let zs: Vec<u64> = (0..64).map(|_| c.next_u64()).collect();
+        assert_eq!(xs, ys);
+        assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn uniformity_smoke_test() {
+        let mut rng = ChaCha8::new(1234);
+        let hits = (0..20_000).filter(|_| rng.gen_bool(0.5)).count();
+        let freq = hits as f64 / 20_000.0;
+        assert!((freq - 0.5).abs() < 0.02, "frequency {freq}");
+    }
+}

@@ -5,8 +5,7 @@
 //! merit distributions.  All generators are seeded so that every figure and
 //! table in EXPERIMENTS.md can be regenerated bit-for-bit.
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use crate::rng::ChaCha8;
 
 use crate::block::{Block, BlockBuilder, BlockId};
 use crate::chain::Blockchain;
@@ -16,7 +15,7 @@ use crate::tree::BlockTree;
 /// A seeded workload generator.
 #[derive(Clone, Debug)]
 pub struct Workload {
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     next_tx_id: u64,
     next_nonce: u64,
 }
@@ -25,7 +24,7 @@ impl Workload {
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> Self {
         Workload {
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8::new(seed),
             next_tx_id: 1,
             next_nonce: 1,
         }

@@ -8,8 +8,7 @@
 //! sorted everything above the floor before truncating would clone about
 //! 3.4·10⁹ for the same requests.
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use btadt_types::rng::ChaCha8;
 
 use btadt_types::workload::Workload;
 use btadt_types::{Block, NaiveBlockTree};
@@ -43,7 +42,7 @@ fn capped_requests_on_a_large_forked_tree_cost_what_they_send() {
     }
     let spec = naive.delta_above(0);
 
-    let mut rng = ChaCha8Rng::seed_from_u64(26);
+    let mut rng = ChaCha8::new(26);
     let mut sent = 0usize;
     let mut uncapped = 0usize;
     for request in 0..REQUESTS {

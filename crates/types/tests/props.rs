@@ -21,8 +21,7 @@
 
 use std::collections::HashMap;
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use btadt_types::rng::ChaCha8;
 
 use btadt_pipeline::{Ingest, IngestVerdict};
 
@@ -37,10 +36,10 @@ const CASES: u64 = 96;
 
 /// Deterministic per-case parameters: (seed, size, chain-bias).
 fn tree_params(case: u64) -> (u64, usize, f64) {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xbead_5eed ^ case);
-    let seed = rng.gen::<u64>() % 5_000;
-    let size = 1 + (rng.gen::<u64>() % 80) as usize;
-    let bias = f64::from((rng.gen::<u64>() % 101) as u32) / 100.0;
+    let mut rng = ChaCha8::new(0xbead_5eed ^ case);
+    let seed = rng.next_u64() % 5_000;
+    let size = 1 + (rng.next_u64() % 80) as usize;
+    let bias = f64::from((rng.next_u64() % 101) as u32) / 100.0;
     (seed, size, bias)
 }
 
@@ -58,14 +57,14 @@ fn build_tree(seed: u64, size: usize, bias: f64) -> BlockTree {
 /// (a known id re-offered with a corrupted height, an unknown parent or a
 /// work that overflows).
 fn random_insert_sequence(seed: u64, len: usize) -> Vec<Block> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8::new(seed);
     let mut w = Workload::new(seed ^ 0x5a5a);
     let mut known: Vec<Block> = vec![Block::genesis()];
     let mut sequence: Vec<Block> = Vec::with_capacity(len);
     let mut deferred: Vec<Block> = Vec::new();
 
     for _ in 0..len {
-        let roll = rng.gen::<u64>() % 100;
+        let roll = rng.next_u64() % 100;
         if roll < 60 || known.len() == 1 {
             // Valid insert under a random known parent.
             let parent = known[rng.gen_range(0..known.len())].clone();
@@ -90,7 +89,7 @@ fn random_insert_sequence(seed: u64, len: usize) -> Vec<Block> {
             // Height-corrupted block.
             let parent = known[rng.gen_range(0..known.len())].clone();
             let mut block = w.block_on(&parent, 3, 0, 2);
-            block.height += 1 + rng.gen::<u64>() % 3;
+            block.height += 1 + rng.next_u64() % 3;
             sequence.push(block);
         } else if roll < 96 {
             // Forged duplicate: invalid for a second reason besides its id.
@@ -98,9 +97,9 @@ fn random_insert_sequence(seed: u64, len: usize) -> Vec<Block> {
             if block.is_genesis() {
                 continue;
             }
-            match rng.gen::<u64>() % 3 {
-                0 => block.height += 1 + rng.gen::<u64>() % 3,
-                1 => block.parent = Some(BlockId(rng.gen())),
+            match rng.next_u64() % 3 {
+                0 => block.height += 1 + rng.next_u64() % 3,
+                1 => block.parent = Some(BlockId(rng.next_u64())),
                 _ => block.work = u64::MAX,
             }
             sequence.push(block);
@@ -488,9 +487,9 @@ fn genesis_is_unique_root() {
 #[test]
 fn truncation_yields_prefixes() {
     for case in 0..CASES {
-        let mut rng = ChaCha8Rng::seed_from_u64(case);
-        let len = (rng.gen::<u64>() % 40) as usize;
-        let k = (rng.gen::<u64>() % 50) as usize;
+        let mut rng = ChaCha8::new(case);
+        let len = (rng.next_u64() % 40) as usize;
+        let k = (rng.next_u64() % 50) as usize;
         let chain = Workload::new(case).linear_chain(len, 0);
         let t = chain.truncated(k);
         assert!(t.is_prefix_of(&chain), "case {case}");

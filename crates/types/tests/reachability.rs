@@ -14,8 +14,7 @@
 //!    nesting invariants (child ⊂ parent, siblings disjoint, cursors in
 //!    bounds) survive every pass.
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use btadt_types::rng::ChaCha8;
 
 use btadt_types::workload::Workload;
 use btadt_types::{BlockBuilder, BlockId, BlockTree, NaiveBlockTree, NodeIdx};
@@ -206,10 +205,10 @@ fn adversarial_deep_forks_agree_with_the_reference() {
 #[test]
 fn random_trees_agree_with_the_reference_across_seeds() {
     for case in 0..12u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed_ab1e ^ case);
-        let seed = rng.gen::<u64>() % 10_000;
-        let size = 20 + (rng.gen::<u64>() % 90) as usize;
-        let bias = f64::from((rng.gen::<u64>() % 101) as u32) / 100.0;
+        let mut rng = ChaCha8::new(0x5eed_ab1e ^ case);
+        let seed = rng.next_u64() % 10_000;
+        let size = 20 + (rng.next_u64() % 90) as usize;
+        let bias = f64::from((rng.next_u64() % 101) as u32) / 100.0;
         let tree = Workload::new(seed).random_tree(size, bias, 0);
         assert_matches_reference(
             &format!("random seed={seed} size={size} bias={bias}"),
