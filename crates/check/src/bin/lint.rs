@@ -1,30 +1,13 @@
 //! `cargo run -p btadt-check --bin lint [-- --self-test] [--root PATH]`
 //! — the offline lint gate over the workspace sources.
 //!
-//! Scans every `.rs` file (skipping `target/` and `.git/`) for the
-//! thirteen rules of [`btadt_check::lint`]: `unsafe`
-//! without `// SAFETY:`, atomic `Ordering::` variants without a naming
-//! `// ORDERING:` comment, and — in non-test library code, unless
-//! `// LINT-ALLOW:` — bare `.unwrap()` / `.expect(`, a chain selected
-//! only to read its tip (`.selected().tip()`), the allocating
-//! `encode_record(` outside `codec.rs`, a `delta_above(` walk with no
-//! `.take(` cap, a block's shared payload copied out
-//! (`.payload.to_vec()`), a whole-tree leaf scan (`.leaves()` /
-//! `.all_chains()`), under `crates/core/src/criteria/` a `for` over
-//! `(i + 1)..` (the inner half of an all-pairs loop), and a window rebuilt
-//! with `BlockTree::rerooted(` or a store pruned with `.prune(&` outside
-//! `ReplicaCore::prune` (`store/src/durable.rs`), and a root-to-tip path
-//! copied with `chain_to_idx(` outside `crates/types/src`, and, under
-//! `crates/oracle/src`, `K[]` state kept beside `SlotArena`
-//! (`consumed_serials`, `Vec<Vec<Block>>`), and — tests included — a
-//! SplitMix64 or ChaCha constant outside `crates/types/src/rng.rs`.
-//! Exits 1 on any finding.
-//!
-//! `--self-test` runs the embedded corpus (every rule exercised
-//! positively and negatively) instead of scanning, exiting nonzero on
-//! any corpus mismatch — CI runs both modes.
+//! Scans every `.rs` file (skipping `target/` and `.git/`) against the
+//! rows of [`btadt_check::lint::RULES`] (described in `docs/ANALYSIS.md`
+//! §3) and exits 1 on any finding.  `--self-test` instead prints each row
+//! with its scope and runs the embedded corpus, exiting nonzero on any
+//! mismatch.  CI runs both modes.
 
-use btadt_check::lint::{lint_workspace, self_test};
+use btadt_check::lint::{lint_workspace, self_test, RULES};
 
 fn main() {
     let mut root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -47,6 +30,9 @@ fn main() {
     }
 
     if run_self_test {
+        for (n, rule) in RULES.iter().enumerate() {
+            println!("{:>2} {:<35} {}", n + 1, rule.id, rule.scope());
+        }
         match self_test() {
             Ok(n) => println!("lint --self-test: {n} corpus cases ok"),
             Err(e) => {

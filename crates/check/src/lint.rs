@@ -1,85 +1,23 @@
 //! Dependency-free, token-level lint pass for the workspace sources.
 //!
-//! Thirteen rules: three about keeping the concurrency story auditable, one
-//! about keeping tip lookups O(1), one about keeping the durable write path
-//! allocation-free, one about keeping a delta-sync reply as cheap as what
-//! it sends, one about keeping one copy of a block's transactions, one
-//! about keeping whole-tree leaf scans off library paths, one about
-//! keeping the consistency checkers off all-pairs loops, one about keeping
-//! one pruning path, one about keeping a recorded read as cheap as what
-//! changed, one about keeping one copy of the oracle's `K[]`, one about
-//! keeping one randomness source:
-//!
-//! | Rule id | Requirement |
-//! |---|---|
-//! | `unsafe-needs-safety` | every `unsafe` token carries a `// SAFETY:` comment on the same line or within the 3 lines above |
-//! | `atomic-ordering-needs-justification` | every *atomic* `Ordering::` variant (`Relaxed`, `Acquire`, `Release`, `AcqRel`, `SeqCst`) carries a `// ORDERING:` comment within the same window that **names the variant** |
-//! | `no-bare-unwrap` | no `.unwrap()` and no `.expect(` with a non-literal argument in non-test library code unless the line (or a line in the window above) carries `// LINT-ALLOW: <reason>` — `.expect("message")` with a string-literal invariant message *is* the annotated form |
-//! | `no-chain-for-tip` | no `.selected().tip()` / `.select(…).tip()` on one line in non-test library code unless `// LINT-ALLOW: <reason>` — that builds an O(height) chain to look at one block; ask `SelectionFunction::select_tip` (or the replica's `tip()`) instead |
-//! | `no-allocating-encode` | no `encode_record(` call in non-test library code outside `codec.rs` unless `// LINT-ALLOW: <reason>` — it allocates a buffer per record and its sum feeds no chunk; the store's writer encodes with `encode_record_into` into its reused run buffer |
-//! | `delta-needs-cap` | every `delta_above(` call in non-test library code reaches a `.take(` on the same line or within the next 3 lines, unless `// LINT-ALLOW: <reason>` — the walk is lazy, so an uncapped one costs the whole tree above the floor |
-//! | `no-payload-copy` | no `.payload.to_vec()` and no `.payload.iter().cloned()` / `.copied()` reaching a `.collect` within the next 3 lines in non-test library code unless `// LINT-ALLOW: <reason>` — a block's `Payload` is shared and immutable, so a holder clones the handle (`.payload.clone()`) instead of copying the transactions |
-//! | `no-leaf-scan` | no `.leaves()` and no `.all_chains()` call in non-test library code unless `// LINT-ALLOW: <reason>` — the tree keeps a leaf *count*, not a leaf set, so each is an O(n) scan of the arena plus a sort; ask `leaf_count()` or a best-tip query instead |
-//! | `no-pair-loop` | in non-test library code under `crates/core/src/criteria/`, no `for` whose range starts at `(<ident> + 1)..` (or `<ident> + 1..`) unless `// LINT-ALLOW: <reason>` — the inner half of an all-pairs loop is O(R²) over a history's reads; count with an index (`ReachForest::diverging_later`) and say why what is left is bounded |
-//! | `one-prune-door` | in non-test library code, no `BlockTree::rerooted(` outside `types/src/tree.rs` and `store/src/durable.rs`, and no `BlockStore::prune` call (`.prune(&`) outside `store/src/durable.rs`, unless `// LINT-ALLOW: <reason>` — a replica's window is rebuilt and its store collected in one place, `ReplicaCore::prune`, so a second pruning path cannot drift from it |
-//! | `no-chain-per-read` | in non-test library code, no `chain_to_idx(` call outside `crates/types/src` and no `.chain_to(` call under `crates/core/src` or `crates/protocols/src` unless `// LINT-ALLOW: <reason>` — each copies the whole O(height) path from the root; a recorded read goes through the shared recorder `ReadSpines::record(tree, tip)` (behind `ReplicaLog::record_read` and `run_contended`), which pushes only the blocks that differ from its spine |
-//! | `one-k-door` | in non-test library code under `crates/oracle/src`, no `consumed_serials` identifier and no `Vec<Vec<Block>>` unless `// LINT-ALLOW: <reason>` — `K[]` lives and changes only inside `SlotArena` (one arena cell per accepted token; freshness is "serial not in `K[h]`"), so a second set of consumed serials or a vector per parent cannot come back beside it |
-//! | `one-rng` | outside `crates/types/src/rng.rs`, no SplitMix64 finalizer constant (`0xbf58_476d_1ce4_e5b9`, `0x94d0_49bb_1331_11eb`) and no ChaCha constant (`0x6170_7865`), matched in code with case and `_` ignored, tests included — every generator step goes through `btadt_types::rng` (`ChaCha8`, `SplitMix64`, `mix64`), so a private copy cannot drift from the streams the reports are functions of |
-//!
-//! `std::cmp::Ordering` variants (`Less`/`Equal`/`Greater`) never trigger
-//! the ordering rule — only the five atomic variants are matched.
+//! Every rule is one row of [`RULES`]: its id, what a finding says, the
+//! patterns it refuses with the paths each binds under and the owner files
+//! it never fires in, the comment that lifts it, and whether test code and
+//! the frozen `benchmark/` harness are in scope.  `docs/ANALYSIS.md` §3 is
+//! the prose table of the rows (a unit test keeps its ids equal to these).
 //!
 //! The scanner is a small hand-rolled tokenizer, not a regex pass: it
 //! masks out string literals (including raw and byte strings), char
 //! literals (without eating lifetimes), and line/nested-block comments,
 //! so `"contains .unwrap()"` in a string or an `unsafe` in a doc comment
-//! cannot produce findings.  Test code is exempt from the ten library
-//! rules (`no-bare-unwrap`, `no-chain-for-tip`, `no-allocating-encode`,
-//! `delta-needs-cap`, `no-payload-copy`, `no-leaf-scan`, `no-pair-loop`,
-//! `one-prune-door`, `no-chain-per-read`, `one-k-door`) only: files under
-//! a `tests/` directory, `src/bin/` entry points, `main.rs`/`build.rs`, and
-//! `#[cfg(test)]` brace regions (tracked by depth); the frozen `benchmark/`
-//! harness is additionally exempt from `no-chain-for-tip`,
-//! `no-allocating-encode` (its probe times `encode_record` itself),
-//! `no-payload-copy` and `one-rng` (its frozen `gen.rs` keeps its own
-//! SplitMix64), and `codec.rs`, which defines the wrapper, from
-//! `no-allocating-encode`; `no-pair-loop` applies under a `criteria/`
-//! directory only.  `one-rng` and the
-//! justification rules apply *everywhere*, tests included — a memory
-//! ordering deserves a reason even in a test.
+//! cannot produce findings.  Test code is every file under a `tests/`,
+//! `bin/` or `examples/` directory, `main.rs`/`build.rs`, and the braced
+//! item after a `#[cfg(test)]` (tracked by depth).
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Rule id: `unsafe` without a `// SAFETY:` comment.
-pub const RULE_SAFETY: &str = "unsafe-needs-safety";
-/// Rule id: atomic `Ordering::` variant without a naming `// ORDERING:` comment.
-pub const RULE_ORDERING: &str = "atomic-ordering-needs-justification";
-/// Rule id: bare `.unwrap()` / `.expect(` in non-test library code.
-pub const RULE_UNWRAP: &str = "no-bare-unwrap";
-/// Rule id: a whole chain materialised to read its last block.
-pub const RULE_CHAIN_FOR_TIP: &str = "no-chain-for-tip";
-/// Rule id: the allocating record encoder called on a library path.
-pub const RULE_ALLOC_ENCODE: &str = "no-allocating-encode";
-/// Rule id: a delta-sync walk that is not capped.
-pub const RULE_DELTA_CAP: &str = "delta-needs-cap";
-/// Rule id: a block's shared payload copied transaction by transaction.
-pub const RULE_PAYLOAD_COPY: &str = "no-payload-copy";
-/// Rule id: a whole-tree leaf scan on a library path.
-pub const RULE_LEAF_SCAN: &str = "no-leaf-scan";
-/// Rule id: the inner half of an all-pairs loop in a consistency checker.
-pub const RULE_PAIR_LOOP: &str = "no-pair-loop";
-/// Rule id: a window rebuilt or a store pruned outside `ReplicaCore::prune`.
-pub const RULE_PRUNE_DOOR: &str = "one-prune-door";
-/// Rule id: a whole chain copied out of a tree outside the types crate.
-pub const RULE_CHAIN_PER_READ: &str = "no-chain-per-read";
-/// Rule id: the oracle's `K[]` is kept and changed only in `SlotArena`.
-pub const RULE_K_DOOR: &str = "one-k-door";
-/// Rule id: a generator constant outside the one `rng` module.
-pub const RULE_ONE_RNG: &str = "one-rng";
-
-const ATOMIC_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 /// How many lines above a site a justification comment may sit.
 const LOOKBACK: usize = 3;
 /// How many lines below a `delta_above(` call its `.take(` cap (or below a
@@ -93,7 +31,7 @@ pub struct LintFinding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// One of the `RULE_*` ids.
+    /// The id of a [`RULES`] row.
     pub rule: &'static str,
     /// Human-readable description of the site.
     pub detail: String,
@@ -313,13 +251,236 @@ fn justified(lines: &[LineView], idx: usize, marker: &str, must_name: Option<&st
     false
 }
 
-/// `true` iff the masked code line selects a whole chain only to take its
-/// last block: `.selected().tip()` or `.select(<args>).tip()`.
-fn chain_for_tip(code: &str) -> bool {
-    if code.contains(".selected().tip()") {
-        return true;
+/// `true` iff the masked `lines[idx]` holds the pattern.
+type Matcher = fn(&[LineView], usize, &str) -> bool;
+
+/// One pattern a rule refuses, and where in the tree it binds.
+#[derive(Clone, Copy)]
+struct Find {
+    pattern: &'static str,
+    matcher: Matcher,
+    /// Index of what a hit says in the rule's `details`.
+    detail: usize,
+    /// Path fragments it binds under (none: everywhere).
+    under: &'static [&'static str],
+    /// Path fragments that own the pattern: it never fires there.
+    owners: &'static [&'static str],
+}
+
+/// `pattern` as a plain substring of the code, bound everywhere.
+const fn find(pattern: &'static str) -> Find {
+    Find {
+        pattern,
+        matcher: contains,
+        detail: 0,
+        under: &[],
+        owners: &[],
     }
-    code.match_indices(".select(").any(|(p, pat)| {
+}
+
+impl Find {
+    const fn by(self, matcher: Matcher) -> Self {
+        Find { matcher, ..self }
+    }
+    const fn detail(self, detail: usize) -> Self {
+        Find { detail, ..self }
+    }
+    const fn under(self, under: &'static [&'static str]) -> Self {
+        Find { under, ..self }
+    }
+    const fn owners(self, owners: &'static [&'static str]) -> Self {
+        Find { owners, ..self }
+    }
+
+    /// Whether the pattern binds in `path`.
+    fn binds(&self, path: &Path) -> bool {
+        (self.under.is_empty() || self.under.iter().any(|u| within(path, u)))
+            && !self.owners.iter().any(|o| within(path, o))
+    }
+}
+
+/// One row of the registry.
+pub struct Rule {
+    /// The id printed in brackets with each finding.
+    pub id: &'static str,
+    /// The comment marker that lifts the rule on a site's line or in the
+    /// window above (`None`: nothing does); an `ORDERING:` comment must
+    /// also name the matched variant.
+    lift: Option<&'static str>,
+    /// Whether test code is in scope.
+    tests: bool,
+    /// Whether the frozen `benchmark/` harness's library code is in scope.
+    benchmark: bool,
+    /// What a finding says; `{}` stands for the matched pattern.
+    details: &'static [&'static str],
+    finds: &'static [Find],
+}
+
+const RNG: &[&str] = &["crates/types/src/rng.rs"];
+const ORACLE: &[&str] = &["crates/oracle/src"];
+
+/// The rules, in the order `docs/ANALYSIS.md` §3 numbers them.
+#[rustfmt::skip]
+pub static RULES: [Rule; 13] = [
+    Rule { id: "unsafe-needs-safety", lift: Some("SAFETY:"), tests: true, benchmark: true,
+        details: &["`unsafe` without a `// SAFETY:` justification"],
+        finds: &[find("unsafe").by(word)] },
+    Rule { id: "atomic-ordering-needs-justification", lift: Some("ORDERING:"), tests: true, benchmark: true,
+        details: &["`Ordering::{}` without a `// ORDERING:` comment naming `{}`"],
+        finds: &[find("Relaxed").by(atomic), find("Acquire").by(atomic), find("Release").by(atomic),
+            find("AcqRel").by(atomic), find("SeqCst").by(atomic)] },
+    Rule { id: "no-bare-unwrap", lift: Some("LINT-ALLOW:"), tests: false, benchmark: true,
+        details: &["bare `.unwrap()` in library code (annotate `// LINT-ALLOW: <reason>` or handle the error)",
+            "`.expect(..)` without a string-literal invariant message (give it one, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find(".unwrap()"), find(".expect(").by(non_literal_expect).detail(1)] },
+    Rule { id: "no-chain-for-tip", lift: Some("LINT-ALLOW:"), tests: false, benchmark: false,
+        details: &["a whole chain selected to read its tip (use `select_tip` / the replica's `tip()`, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find(".selected().tip()"), find(".select(").by(select_then_tip)] },
+    Rule { id: "no-allocating-encode", lift: Some("LINT-ALLOW:"), tests: false, benchmark: false,
+        details: &["`encode_record(..)` allocates per record (encode with `encode_record_into` into a reused buffer, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find("encode_record(").by(whole_name).owners(&["codec.rs"])] },
+    Rule { id: "delta-needs-cap", lift: Some("LINT-ALLOW:"), tests: false, benchmark: true,
+        details: &["`delta_above(..)` without a `.take(..)` cap within the next 3 lines (a reply costs what it walks; cap it, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find("delta_above(").by(uncapped_call)] },
+    Rule { id: "no-payload-copy", lift: Some("LINT-ALLOW:"), tests: false, benchmark: false,
+        details: &["a block's payload copied transaction by transaction (a `Payload` is shared: clone the handle with `.payload.clone()`, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find(".payload.to_vec()"), find(".payload.iter().cloned()").by(collected),
+            find(".payload.iter().copied()").by(collected)] },
+    Rule { id: "no-leaf-scan", lift: Some("LINT-ALLOW:"), tests: false, benchmark: true,
+        details: &["`.leaves()` / `.all_chains()` scans the whole arena and sorts (use `leaf_count()` or a best-tip query, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find(".leaves()"), find(".all_chains()")] },
+    Rule { id: "no-pair-loop", lift: Some("LINT-ALLOW:"), tests: false, benchmark: false,
+        details: &["a `for` over `(i + 1)..` in a consistency checker is half of an all-pairs loop (count with an index, or annotate `// LINT-ALLOW: <reason>` saying why it is bounded)"],
+        finds: &[find("for ").by(pair_loop).under(&["criteria"])] },
+    Rule { id: "one-prune-door", lift: Some("LINT-ALLOW:"), tests: false, benchmark: true,
+        details: &["a tree window rebuilt or a store pruned outside `ReplicaCore::prune` (prune through the core, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find("BlockTree::rerooted(").owners(&["types/src/tree.rs", "store/src/durable.rs"]),
+            find(".prune(&").owners(&["store/src/durable.rs"])] },
+    Rule { id: "no-chain-per-read", lift: Some("LINT-ALLOW:"), tests: false, benchmark: true,
+        details: &["`chain_to_idx(` / `.chain_to(` copies the whole path from the root (record a read with `ReadSpines::record(tree, tip)`, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find("chain_to_idx(").owners(&["crates/types/src"]),
+            find(".chain_to(").under(&["crates/core/src", "crates/protocols/src"])] },
+    Rule { id: "one-k-door", lift: Some("LINT-ALLOW:"), tests: false, benchmark: true,
+        details: &["`K[]` state kept beside `SlotArena` (consume through `SlotArena::consume`, or annotate `// LINT-ALLOW: <reason>`)"],
+        finds: &[find("consumed_serials").by(word).under(ORACLE), find("Vec<Vec<Block>>").by(spaceless).under(ORACLE)] },
+    Rule { id: "one-rng", lift: None, tests: true, benchmark: false,
+        details: &["a SplitMix64 / ChaCha constant outside `btadt_types::rng` (draw from `ChaCha8`, `SplitMix64` or `mix64` instead of a private copy)"],
+        finds: &[find("bf58476d1ce4e5b9").by(generator).owners(RNG), find("94d049bb133111eb").by(generator).owners(RNG),
+            find("61707865").by(generator).owners(RNG)] },
+];
+
+impl Rule {
+    /// Whether a justification comment at `lines[idx]` lifts this rule.
+    fn lifted(&self, lines: &[LineView], idx: usize, pattern: &str) -> bool {
+        self.lift.is_some_and(|marker| {
+            let name = (marker == "ORDERING:").then_some(pattern);
+            justified(lines, idx, marker, name)
+        })
+    }
+
+    /// Where the row binds, on one line.
+    pub fn scope(&self) -> String {
+        let mut out = String::from(["non-test code", "tests included"][usize::from(self.tests)]);
+        if !self.benchmark {
+            out += ", benchmark/ exempt";
+        }
+        for f in self.finds {
+            for (word, paths) in [("under", f.under), ("not in", f.owners)] {
+                if !paths.is_empty() {
+                    out += &format!("; `{}` {word} {}", f.pattern, paths.join(", "));
+                }
+            }
+        }
+        match self.lift {
+            Some(marker) => out + &format!("; lifted by `// {marker}`"),
+            None => out + "; nothing lifts it",
+        }
+    }
+}
+
+/// `true` iff `path` holds the component sequence `fragment` (a directory
+/// name, a path suffix such as `store/src/durable.rs`, or a file name).
+fn within(path: &Path, fragment: &str) -> bool {
+    path.ancestors().any(|a| a.ends_with(fragment))
+}
+
+/// `true` iff `lines[idx]` or one of the [`LOOKAHEAD`] lines below holds
+/// `needle`.
+fn ahead(lines: &[LineView], idx: usize, needle: &str) -> bool {
+    lines[idx..lines.len().min(idx + 1 + LOOKAHEAD)]
+        .iter()
+        .any(|l| l.code.contains(needle))
+}
+
+fn contains(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    lines[idx].code.contains(pattern)
+}
+
+fn word(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    has_word(&lines[idx].code, pattern)
+}
+
+/// Whitespace ignored: `Vec< Vec<Block> >` holds `Vec<Vec<Block>>`.
+fn spaceless(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    let compact: String = lines[idx].code.split_whitespace().collect();
+    compact.contains(pattern)
+}
+
+/// Case and `_` ignored: `0xBF58_476D_1CE4_E5B9` holds `bf58476d1ce4e5b9`.
+fn generator(lines: &[LineView], idx: usize, constant: &str) -> bool {
+    let code = lines[idx].code.replace('_', "").to_ascii_lowercase();
+    code.contains(constant)
+}
+
+/// `Ordering::<variant>`; `std::cmp::Ordering`'s variants are not atomic.
+fn atomic(lines: &[LineView], idx: usize, variant: &str) -> bool {
+    lines[idx].code.contains(&format!("Ordering::{variant}"))
+}
+
+/// `pattern` not preceded by an identifier character
+/// (`encode_record_into(` is not `encode_record(`).
+fn whole_name(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    let code = &lines[idx].code;
+    code.match_indices(pattern)
+        .any(|(p, _)| !ident_tail(&code[..p]))
+}
+
+/// A call of `pattern` (not where a `fn` defines it) with no `.take(` on
+/// its line or within the next [`LOOKAHEAD`] lines.
+fn uncapped_call(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    let code = &lines[idx].code;
+    let call = code.match_indices(pattern).any(|(p, _)| {
+        let pre = &code[..p];
+        let definition = pre
+            .trim_end()
+            .strip_suffix("fn")
+            .is_some_and(|rest| !ident_tail(rest));
+        !ident_tail(pre) && !definition
+    });
+    call && !ahead(lines, idx, ".take(")
+}
+
+/// `pattern` reaching a `.collect` on its line or within the next
+/// [`LOOKAHEAD`] lines.
+fn collected(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    contains(lines, idx, pattern) && ahead(lines, idx, ".collect")
+}
+
+/// `.expect(` whose argument is not a string literal; the argument may
+/// start on the next line (rustfmt wraps long messages).
+fn non_literal_expect(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    let code = &lines[idx].code;
+    code.match_indices(pattern).any(|(p, _)| {
+        let after = code[p + pattern.len()..].trim_start();
+        let next = || lines.get(idx + 1).map_or("", |l| l.code.trim_start());
+        !(if after.is_empty() { next() } else { after }).starts_with('"')
+    })
+}
+
+/// `.select(<args>).tip()`: a whole chain selected to take its last block.
+fn select_then_tip(lines: &[LineView], idx: usize, pattern: &str) -> bool {
+    let code = &lines[idx].code;
+    code.match_indices(pattern).any(|(p, pat)| {
         let args = &code[p + pat.len()..];
         let mut depth = 1usize;
         for (i, c) in args.char_indices() {
@@ -334,58 +495,12 @@ fn chain_for_tip(code: &str) -> bool {
     })
 }
 
-/// `true` iff the masked code line calls the allocating record encoder:
-/// `encode_record(` as a whole name (`encode_record_into(` is the in-place
-/// one).
-fn allocating_encode(code: &str) -> bool {
-    code.match_indices("encode_record(").any(|(p, _)| {
-        let pre = code[..p].chars().next_back();
-        !pre.is_some_and(|c| c.is_alphanumeric() || c == '_')
-    })
-}
-
-/// `true` iff the masked code line calls `delta_above(` — as a method or
-/// path call, not where it is defined.
-fn delta_call(code: &str) -> bool {
-    code.match_indices("delta_above(").any(|(p, _)| {
-        let pre = &code[..p];
-        let definition = pre
-            .trim_end()
-            .strip_suffix("fn")
-            .is_some_and(|rest| !ident_tail(rest));
-        !ident_tail(pre) && !definition
-    })
-}
-
-/// `true` iff the masked code at `lines[idx]` copies a block's payload
-/// out: `.payload.to_vec()`, or `.payload.iter().cloned()` /
-/// `.payload.iter().copied()` that reaches a `.collect` on the same line or
-/// within the next [`LOOKAHEAD`] lines.
-fn payload_copy(lines: &[LineView], idx: usize) -> bool {
+/// A `for` whose range starts one past a variable: `for <pat> in
+/// (<ident> + 1)..` or `for <pat> in <ident> + 1..` — the inner half of an
+/// all-pairs loop.
+fn pair_loop(lines: &[LineView], idx: usize, pattern: &str) -> bool {
     let code = &lines[idx].code;
-    if code.contains(".payload.to_vec()") {
-        return true;
-    }
-    let iterated = [".payload.iter().cloned()", ".payload.iter().copied()"]
-        .iter()
-        .any(|pat| code.contains(pat));
-    iterated
-        && lines[idx..lines.len().min(idx + 1 + LOOKAHEAD)]
-            .iter()
-            .any(|l| l.code.contains(".collect"))
-}
-
-/// `true` iff the masked code line enumerates the tree's leaves:
-/// `.leaves()` or `.all_chains()`.
-fn leaf_scan(code: &str) -> bool {
-    code.contains(".leaves()") || code.contains(".all_chains()")
-}
-
-/// `true` iff the masked code line opens a `for` loop whose range starts
-/// one past a variable: `for <pat> in (<ident> + 1)..` or
-/// `for <pat> in <ident> + 1..` — the inner half of an all-pairs loop.
-fn pair_loop(code: &str) -> bool {
-    code.match_indices("for ").any(|(p, _)| {
+    code.match_indices(pattern).any(|(p, _)| {
         let Some((_, range)) = code[p..].split_once(" in ") else {
             return false;
         };
@@ -402,74 +517,54 @@ fn pair_loop(code: &str) -> bool {
     })
 }
 
-/// `true` iff the masked code line in `file` rebuilds a tree window or
-/// prunes a store outside the files that own pruning: a
-/// `BlockTree::rerooted(` call outside `types/src/tree.rs` (which defines
-/// it) and `store/src/durable.rs`, or a `.prune(&` call outside
-/// `store/src/durable.rs`.
-fn prune_door(file: &str, code: &str) -> bool {
-    let owner = |suffix: &str| Path::new(file).ends_with(suffix);
-    let rerooted = code.contains("BlockTree::rerooted(")
-        && !owner("types/src/tree.rs")
-        && !owner("store/src/durable.rs");
-    rerooted || (code.contains(".prune(&") && !owner("store/src/durable.rs"))
+/// Where the item after a `#[cfg(test)]` ends its header: `Some('{')` at
+/// the brace that opens its body, `Some(';')` if it ends first (`use …;`,
+/// `mod tests;`), `None` if neither is on this line.  `nest` carries the
+/// `(`/`[` depth across lines, so the `;` in `[u8; 2]` does not end it.
+fn item_end(code: &str, nest: &mut i64) -> Option<char> {
+    for c in code.chars() {
+        match c {
+            '(' | '[' => *nest += 1,
+            ')' | ']' => *nest -= 1,
+            '{' => return Some('{'),
+            ';' if *nest == 0 => return Some(';'),
+            _ => {}
+        }
+    }
+    None
 }
 
-/// `true` iff the masked code line in `file` copies a root-to-tip path
-/// out of a tree: a `chain_to_idx(` call outside `crates/types/src`, which
-/// defines it and builds `SelectionFunction::select` on it, or a
-/// `.chain_to(` call under `crates/core/src` or `crates/protocols/src`,
-/// the crates that record histories.
-fn chain_per_read(file: &str, code: &str) -> bool {
-    let under = |dir: &str| Path::new(file).ancestors().any(|d| d.ends_with(dir));
-    (code.contains("chain_to_idx(") && !under("crates/types/src"))
-        || (code.contains(".chain_to(")
-            && (under("crates/core/src") || under("crates/protocols/src")))
-}
-
-/// `true` iff the masked code line in `file`, under `crates/oracle/src`,
-/// keeps `K[]` state beside `SlotArena`: a `consumed_serials` identifier
-/// or a `Vec<Vec<Block>>` (spaces ignored).
-fn k_door(file: &str, code: &str) -> bool {
-    let compact: String = code.split_whitespace().collect();
-    (has_word(code, "consumed_serials") || compact.contains("Vec<Vec<Block>>"))
-        && Path::new(file)
-            .ancestors()
-            .any(|dir| dir.ends_with("crates/oracle/src"))
-}
-
-/// `true` iff the masked code line in `file`, outside
-/// `crates/types/src/rng.rs`, holds a SplitMix64 finalizer constant or the
-/// ChaCha constant (case and `_` ignored).
-fn one_rng(file: &str, code: &str) -> bool {
-    let code = code.replace('_', "").to_ascii_lowercase();
-    ["bf58476d1ce4e5b9", "94d049bb133111eb", "61707865"]
+/// Lints one source file.  `file` (workspace-relative when walked) decides
+/// what binds: test code has only the rows that take tests, the
+/// `benchmark/` harness only the rows that take it, and each pattern binds
+/// under its paths and outside its owners.
+pub fn lint_source(file: &str, source: &str) -> Vec<LintFinding> {
+    let path = Path::new(file);
+    let test_file = ["tests", "bin", "examples"].iter().any(|d| within(path, d))
+        || path
+            .file_name()
+            .is_some_and(|f| f == "main.rs" || f == "build.rs");
+    let benchmark = !test_file && within(path, "benchmark");
+    let live: Vec<(&Rule, &Find)> = RULES
         .iter()
-        .any(|k| code.contains(k))
-        && !Path::new(file).ends_with("crates/types/src/rng.rs")
-}
-
-/// Lints one source file.  `exempt` lists the library-only rules
-/// ([`RULE_UNWRAP`], [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
-/// [`RULE_DELTA_CAP`], [`RULE_PAYLOAD_COPY`], [`RULE_LEAF_SCAN`],
-/// [`RULE_PAIR_LOOP`], [`RULE_PRUNE_DOOR`], [`RULE_CHAIN_PER_READ`],
-/// [`RULE_K_DOOR`]) the whole file is exempt
-/// from (test files, binaries); `#[cfg(test)]` regions are detected
-/// internally on top of it.
-pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding> {
+        .filter(|r| (r.tests || !test_file) && (r.benchmark || !benchmark))
+        .flat_map(|r| {
+            r.finds
+                .iter()
+                .filter(|f| f.binds(path))
+                .map(move |f| (r, f))
+        })
+        .collect();
     let lines = mask(source);
-    let mut findings = Vec::new();
-    // cfg(test) region tracking: after a line mentions #[cfg(test)], the
-    // region opened by the next brace (at whatever depth the opener sits)
-    // is test code until that brace closes.
-    let mut pending_cfg_test = false;
+    let mut findings: Vec<LintFinding> = Vec::new();
+    // The braced item after a #[cfg(test)] is test code: its region opens
+    // at that brace (at whatever depth it sits), is active on every line
+    // that starts inside it, and closes once the depth returns to the
+    // floor.  An item that ends at a `;` first opens no region.
+    let mut pending: Option<i64> = None;
     let mut test_floor: Option<i64> = None;
     let mut entered = false;
     for (idx, line) in lines.iter().enumerate() {
-        let lineno = idx + 1;
-        // A test region opens at the brace following #[cfg(test)] and is
-        // active on every line whose starting depth is below (inside) it;
-        // it closes once the depth returns to the floor after entry.
         if let Some(floor) = test_floor {
             if line.depth_at_start > floor {
                 entered = true;
@@ -478,239 +573,48 @@ pub fn lint_source(file: &str, source: &str, exempt: &[&str]) -> Vec<LintFinding
                 entered = false;
             }
         }
-        if line.code.contains("#[cfg(test)]") {
-            pending_cfg_test = true;
+        let mut header = line.code.as_str();
+        if let Some(at) = header.find("#[cfg(test)]") {
+            pending = Some(0);
+            header = &header[at + "#[cfg(test)]".len()..];
         }
-        if pending_cfg_test && test_floor.is_none() && line.code.contains('{') {
-            test_floor = Some(line.depth_at_start);
-            entered = false;
-            pending_cfg_test = false;
+        if let Some(nest) = pending.as_mut() {
+            match item_end(header, nest) {
+                Some('{') if test_floor.is_none() => {
+                    test_floor = Some(line.depth_at_start);
+                    entered = false;
+                    pending = None;
+                }
+                Some(_) => pending = None,
+                None => {}
+            }
         }
         let in_test = test_floor.is_some_and(|floor| line.depth_at_start > floor);
 
-        if has_word(&line.code, "unsafe") && !justified(&lines, idx, "SAFETY:", None) {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_SAFETY,
-                detail: "`unsafe` without a `// SAFETY:` justification".to_string(),
-            });
-        }
-        for variant in ATOMIC_VARIANTS {
-            let pat = format!("Ordering::{variant}");
-            if line.code.contains(&pat) && !justified(&lines, idx, "ORDERING:", Some(variant)) {
-                findings.push(LintFinding {
-                    file: file.to_string(),
-                    line: lineno,
-                    rule: RULE_ORDERING,
-                    detail: format!("`{pat}` without a `// ORDERING:` comment naming `{variant}`"),
-                });
+        let first = findings.len();
+        for &(rule, find) in &live {
+            if (in_test && !rule.tests)
+                || !(find.matcher)(&lines, idx, find.pattern)
+                || rule.lifted(&lines, idx, find.pattern)
+            {
+                continue;
             }
-        }
-        if !exempt.contains(&RULE_ONE_RNG) && one_rng(file, &line.code) {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_ONE_RNG,
-                detail: "a SplitMix64 / ChaCha constant outside `btadt_types::rng` (draw from \
-                         `ChaCha8`, `SplitMix64` or `mix64` instead of a private copy)"
-                    .to_string(),
-            });
-        }
-        if in_test {
-            continue;
-        }
-        let allowed = || justified(&lines, idx, "LINT-ALLOW:", None);
-        if !exempt.contains(&RULE_CHAIN_FOR_TIP) && chain_for_tip(&line.code) && !allowed() {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_CHAIN_FOR_TIP,
-                detail: "a whole chain selected to read its tip (use `select_tip` / the \
-                         replica's `tip()`, or annotate `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_ALLOC_ENCODE) && allocating_encode(&line.code) && !allowed() {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_ALLOC_ENCODE,
-                detail: "`encode_record(..)` allocates per record (encode with \
-                         `encode_record_into` into a reused buffer, or annotate \
-                         `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_DELTA_CAP)
-            && delta_call(&line.code)
-            && !lines[idx..lines.len().min(idx + 1 + LOOKAHEAD)]
+            let detail = rule.details[find.detail].replace("{}", find.pattern);
+            // A row reports a line once per distinct detail.
+            if !findings[first..]
                 .iter()
-                .any(|l| l.code.contains(".take("))
-            && !allowed()
-        {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_DELTA_CAP,
-                detail: "`delta_above(..)` without a `.take(..)` cap within the next 3 lines \
-                         (a reply costs what it walks; cap it, or annotate \
-                         `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_PAYLOAD_COPY) && payload_copy(&lines, idx) && !allowed() {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_PAYLOAD_COPY,
-                detail: "a block's payload copied transaction by transaction (a `Payload` \
-                         is shared: clone the handle with `.payload.clone()`, or annotate \
-                         `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_LEAF_SCAN) && leaf_scan(&line.code) && !allowed() {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_LEAF_SCAN,
-                detail: "`.leaves()` / `.all_chains()` scans the whole arena and sorts (use \
-                         `leaf_count()` or a best-tip query, or annotate \
-                         `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_PAIR_LOOP) && pair_loop(&line.code) && !allowed() {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_PAIR_LOOP,
-                detail: "a `for` over `(i + 1)..` in a consistency checker is half of an \
-                         all-pairs loop (count with an index, or annotate \
-                         `// LINT-ALLOW: <reason>` saying why it is bounded)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_PRUNE_DOOR) && prune_door(file, &line.code) && !allowed() {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_PRUNE_DOOR,
-                detail: "a tree window rebuilt or a store pruned outside `ReplicaCore::prune` \
-                         (prune through the core, or annotate `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_CHAIN_PER_READ) && chain_per_read(file, &line.code) && !allowed()
-        {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_CHAIN_PER_READ,
-                detail: "`chain_to_idx(` / `.chain_to(` copies the whole path from the root \
-                         (record a read with `ReadSpines::record(tree, tip)`, or annotate \
-                         `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_K_DOOR) && k_door(file, &line.code) && !allowed() {
-            findings.push(LintFinding {
-                file: file.to_string(),
-                line: lineno,
-                rule: RULE_K_DOOR,
-                detail: "`K[]` state kept beside `SlotArena` (consume through \
-                         `SlotArena::consume`, or annotate `// LINT-ALLOW: <reason>`)"
-                    .to_string(),
-            });
-        }
-        if !exempt.contains(&RULE_UNWRAP) {
-            let bare_unwrap = line.code.contains(".unwrap()");
-            // `.expect("…")` with a string-literal message is the annotated
-            // form; only non-literal arguments are flagged.  The argument
-            // may start on the next line (rustfmt wraps long messages).
-            let bare_expect = line.code.match_indices(".expect(").any(|(p, pat)| {
-                let after = line.code[p + pat.len()..].trim_start();
-                let head = if after.is_empty() {
-                    lines
-                        .get(idx + 1)
-                        .map(|l| l.code.trim_start())
-                        .unwrap_or("")
-                } else {
-                    after
-                };
-                !head.starts_with('"')
-            });
-            if bare_unwrap && !allowed() {
+                .any(|f| f.rule == rule.id && f.detail == detail)
+            {
                 findings.push(LintFinding {
                     file: file.to_string(),
-                    line: lineno,
-                    rule: RULE_UNWRAP,
-                    detail: "bare `.unwrap()` in library code (annotate `// LINT-ALLOW: <reason>` \
-                             or handle the error)"
-                        .to_string(),
-                });
-            }
-            if bare_expect && !allowed() {
-                findings.push(LintFinding {
-                    file: file.to_string(),
-                    line: lineno,
-                    rule: RULE_UNWRAP,
-                    detail: "`.expect(..)` without a string-literal invariant message (give it \
-                             one, or annotate `// LINT-ALLOW: <reason>`)"
-                        .to_string(),
+                    line: idx + 1,
+                    rule: rule.id,
+                    detail,
                 });
             }
         }
     }
     findings
-}
-
-/// The rules a path is exempt from as a whole file: the ten library-only
-/// ones for tests and tools; [`RULE_CHAIN_FOR_TIP`], [`RULE_ALLOC_ENCODE`],
-/// [`RULE_PAYLOAD_COPY`] and [`RULE_ONE_RNG`] for the `benchmark/`
-/// harness — frozen to library PRs, it reads each miner's tip once after
-/// a run, not per event, its encode probe times the allocating wrapper on
-/// purpose, it builds its inputs untimed, and its generator is its own;
-/// and [`RULE_ALLOC_ENCODE`] for `codec.rs`, where the wrapper is
-/// defined.  [`RULE_PAIR_LOOP`] binds only the consistency
-/// checkers under a `criteria/` directory.
-fn exempt_rules(path: &Path) -> &'static [&'static str] {
-    let in_dir = |name: &str| path.components().any(|c| c.as_os_str() == name);
-    let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
-    if in_dir("tests")
-        || in_dir("bin")
-        || in_dir("examples")
-        || file == "main.rs"
-        || file == "build.rs"
-    {
-        &[
-            RULE_UNWRAP,
-            RULE_CHAIN_FOR_TIP,
-            RULE_ALLOC_ENCODE,
-            RULE_DELTA_CAP,
-            RULE_PAYLOAD_COPY,
-            RULE_LEAF_SCAN,
-            RULE_PAIR_LOOP,
-            RULE_PRUNE_DOOR,
-            RULE_CHAIN_PER_READ,
-            RULE_K_DOOR,
-        ]
-    } else if in_dir("benchmark") {
-        &[
-            RULE_CHAIN_FOR_TIP,
-            RULE_ALLOC_ENCODE,
-            RULE_PAYLOAD_COPY,
-            RULE_PAIR_LOOP,
-            RULE_ONE_RNG,
-        ]
-    } else if file == "codec.rs" {
-        &[RULE_ALLOC_ENCODE, RULE_PAIR_LOOP]
-    } else if in_dir("criteria") {
-        &[]
-    } else {
-        &[RULE_PAIR_LOOP]
-    }
 }
 
 /// Recursively collects the workspace `.rs` files under `root`, skipping
@@ -751,341 +655,263 @@ pub fn lint_workspace(root: &Path) -> io::Result<(usize, Vec<LintFinding>)> {
             .unwrap_or(path)
             .to_string_lossy()
             .into_owned();
-        findings.extend(lint_source(&label, &source, exempt_rules(path)));
+        findings.extend(lint_source(&label, &source));
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok((files.len(), findings))
 }
 
-/// One corpus case: `(name, source, expected (rule, line) findings)`.
-type CorpusCase = (&'static str, &'static str, Vec<(&'static str, usize)>);
+/// One corpus case: `(name, expected (rule, line) findings, source)`; the
+/// name is the path the source is linted as.
+type CorpusCase = (&'static str, &'static [(&'static str, usize)], &'static str);
 
-/// Built-in corpus.
-/// Exercises every rule positively and negatively; `--self-test` runs it.
-fn corpus() -> Vec<CorpusCase> {
-    vec![
-        (
-            "unsafe-missing",
-            "fn f() {\n    unsafe { core::hint::unreachable_unchecked() }\n}\n",
-            vec![(RULE_SAFETY, 2)],
-        ),
-        (
-            "unsafe-justified",
-            "fn f() {\n    // SAFETY: the branch is unreachable by construction\n    unsafe { core::hint::unreachable_unchecked() }\n}\n",
-            vec![],
-        ),
-        (
-            "unsafe-in-string-or-comment",
-            "fn f() {\n    let _ = \"unsafe .unwrap()\";\n    // unsafe in a comment is fine\n}\n",
-            vec![],
-        ),
-        (
-            "ordering-missing",
-            "fn f(a: &AtomicU64) {\n    a.load(Ordering::Acquire);\n}\n",
-            vec![(RULE_ORDERING, 2)],
-        ),
-        (
-            "ordering-wrong-variant-named",
-            "fn f(a: &AtomicU64) {\n    // ORDERING: Relaxed is fine here\n    a.load(Ordering::Acquire);\n}\n",
-            vec![(RULE_ORDERING, 3)],
-        ),
-        (
-            "ordering-justified",
-            "fn f(a: &AtomicU64) {\n    // ORDERING: Acquire pairs with the Release store in publish()\n    a.load(Ordering::Acquire);\n}\n",
-            vec![],
-        ),
-        (
-            "cmp-ordering-ignored",
-            "fn f(x: u32) -> std::cmp::Ordering {\n    if x == 0 { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater }\n}\n",
-            vec![],
-        ),
-        (
-            "bare-unwrap",
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-            vec![(RULE_UNWRAP, 2)],
-        ),
-        (
-            "literal-expect-is-annotated",
-            "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"present by the caller contract\")\n}\n",
-            vec![],
-        ),
-        (
-            "non-literal-expect",
-            "fn f(x: Option<u32>, msg: &str) -> u32 {\n    x.expect(msg)\n}\n",
-            vec![(RULE_UNWRAP, 2)],
-        ),
-        (
-            "wrapped-literal-expect-is-annotated",
-            "fn f(x: Option<u32>) -> u32 {\n    x.expect(\n        \"a long invariant message that rustfmt wrapped\",\n    )\n}\n",
-            vec![],
-        ),
-        (
-            "allowed-unwrap",
-            "fn f(x: Option<u32>) -> u32 {\n    // LINT-ALLOW: x is Some by the caller contract\n    x.unwrap()\n}\n",
-            vec![],
-        ),
-        (
-            "unwrap-or-is-fine",
-            "fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0) + x.unwrap_or_default()\n}\n",
-            vec![],
-        ),
-        (
-            "expect-named-method-is-fine",
-            "fn f(p: &mut Parser) {\n    p.expect_byte(b'{');\n}\n",
-            vec![],
-        ),
-        (
-            "cfg-test-region-exempt",
-            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        Some(1).unwrap();\n    }\n}\n",
-            vec![],
-        ),
-        (
-            "unwrap-after-test-region-still-checked",
-            "#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\nfn lib(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-            vec![(RULE_UNWRAP, 6)],
-        ),
-        (
-            "raw-string-and-char-masked",
-            "fn f<'a>(s: &'a str) -> usize {\n    let r = r#\"contains .unwrap() and unsafe\"#;\n    let c = '\\'';\n    r.len() + s.len() + (c as usize)\n}\n",
-            vec![],
-        ),
-        (
-            "chain-for-tip",
-            "fn parents(r: &Replica, f: &dyn SelectionFunction, t: &BlockTree) -> (Block, Block) {\n    let a = r.selected().tip().clone();\n    let b = f.select(t.as_ref()).tip().clone();\n    (a, b)\n}\n",
-            vec![(RULE_CHAIN_FOR_TIP, 2), (RULE_CHAIN_FOR_TIP, 3)],
-        ),
-        (
-            "tip-lookup-is-clean",
-            "fn parent(r: &Replica, f: &dyn SelectionFunction, t: &BlockTree) -> Block {\n    let chain = f.select(t);\n    let _ = (chain.tip(), r.tip(), r.selected().len());\n    // LINT-ALLOW: the whole chain is recorded on the next line anyway\n    let _ = r.selected().tip();\n    t.block_at(f.select_tip(t)).clone()\n}\n#[cfg(test)]\nmod tests {\n    fn t(r: &Replica) { r.selected().tip(); }\n}\n",
-            vec![],
-        ),
-        (
-            "allocating-encode",
-            "fn persist(medium: &mut SimMedium, file: &str, block: &Block) {\n    let record = encode_record(block);\n    medium.append(file, &codec::encode_record(block));\n    drop(record);\n}\n",
-            vec![(RULE_ALLOC_ENCODE, 2), (RULE_ALLOC_ENCODE, 3)],
-        ),
-        (
-            "in-place-encode-is-clean",
-            "pub use codec::{encode_record, encode_record_into};\nfn persist(buf: &mut Vec<u8>, block: &Block, chunk: &mut ChunkSum) -> usize {\n    let sum = encode_record_into(buf, block);\n    chunk.push(sum.expect(\"fits\"));\n    // LINT-ALLOW: a one-off probe wants the record's length, not a run\n    encode_record(block).len()\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) { encode_record(b); }\n}\n",
-            vec![],
-        ),
-        (
-            "uncapped-delta",
-            "fn reply(t: &BlockTree, h: u64) -> Vec<Block> {\n    let all: Vec<Block> = t.delta_above(h).cloned().collect();\n    let _ = BlockTree::delta_above(t, h).count();\n    all\n}\n",
-            vec![(RULE_DELTA_CAP, 2), (RULE_DELTA_CAP, 3)],
-        ),
-        (
-            "capped-delta-is-clean",
-            "pub fn delta_above(&self, height: u64) -> Delta<'_> {\n    self.walk(height)\n}\nfn reply(t: &BlockTree, h: u64) -> (Vec<Block>, usize) {\n    let batch = t\n        .delta_above(h)\n        .filter(|b| b.height > 0)\n        .take(MAX_SYNC_BATCH)\n        .cloned()\n        .collect();\n    // LINT-ALLOW: an audit walks the whole index on purpose\n    let n = t.delta_above(h).count();\n    (batch, n)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree) { t.delta_above(0).count(); }\n}\n",
-            vec![],
-        ),
-        (
-            "payload-copy",
-            "fn rebuild(b: &Block, parent: &Block) -> (Block, Vec<Transaction>) {\n    let copy = BlockBuilder::new(parent).payload(b.payload.to_vec()).build();\n    let txs: Vec<Transaction> = b.payload.iter().copied().collect();\n    let again: Vec<Transaction> = b.payload.iter().cloned()\n        .filter(|tx| tx.amount > 0)\n        .collect();\n    (copy, txs.into_iter().chain(again).collect())\n}\n",
-            vec![(RULE_PAYLOAD_COPY, 2), (RULE_PAYLOAD_COPY, 3), (RULE_PAYLOAD_COPY, 4)],
-        ),
-        (
-            "shared-payload-is-clean",
-            "fn rebuild(b: &Block, parent: &Block) -> (Block, u64) {\n    let shared = BlockBuilder::new(parent).payload(b.payload.clone()).build();\n    let total = b.payload.iter().copied().map(|tx| tx.amount).sum();\n    // LINT-ALLOW: the caller mutates its own copy\n    let _mine = b.payload.to_vec();\n    (shared, total)\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) -> Vec<Transaction> { b.payload.to_vec() }\n}\n",
-            vec![],
-        ),
-        (
-            "leaf-scan",
-            "fn audit(t: &BlockTree) -> usize {\n    let leaves = t.leaves();\n    let chains = t\n        .all_chains();\n    leaves.len() + chains.len()\n}\n",
-            vec![(RULE_LEAF_SCAN, 2), (RULE_LEAF_SCAN, 4)],
-        ),
-        (
-            "leaf-count-is-clean",
-            "pub fn leaves(&self) -> Vec<BlockId> {\n    self.scan()\n}\nfn audit(t: &BlockTree) -> usize {\n    // LINT-ALLOW: a report lists every branch once, off the hot path\n    let chains = t.all_chains();\n    t.leaf_count() + chains.len() + t.best_leaf_by_height(true).0 as usize\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree) { t.leaves(); }\n}\n",
-            vec![],
-        ),
-        (
-            "pair-loop",
-            "fn judge(reads: &[Chain]) -> usize {\n    let mut n = 0;\n    for i in 0..reads.len() {\n        for j in (i + 1)..reads.len() {\n            n += usize::from(reads[i] != reads[j]);\n        }\n        for j in i + 1..reads.len() { n += j; }\n    }\n    n\n}\n",
-            vec![(RULE_PAIR_LOOP, 4), (RULE_PAIR_LOOP, 7)],
-        ),
-        (
-            "bounded-pair-loop-is-clean",
-            "fn judge(reads: &[Chain], rows: &[usize]) -> usize {\n    let mut n = 0;\n    for &i in rows {\n        // LINT-ALLOW: only the rows that hold a violation, at most DETAIL_CAP\n        for j in (i + 1)..reads.len() {\n            n += usize::from(reads[i] != reads[j]);\n        }\n    }\n    for k in (n + 2)..8 { n += k; }\n    for j in 1..n { n += j; }\n    let _ = (n + 1..9).count();\n    n\n}\n#[cfg(test)]\nmod tests {\n    fn t(r: &[u8]) { for i in 0..r.len() { for j in (i + 1)..r.len() {} } }\n}\n",
-            vec![],
-        ),
-        (
-            "prune-door",
-            "fn shrink(t: &BlockTree, root: Block, s: &mut BlockStore, keep: &HashSet<BlockId>) -> BlockTree {\n    s.prune(&keep, 9);\n    let window = BlockTree::rerooted(root);\n    window\n}\n",
-            vec![(RULE_PRUNE_DOOR, 2), (RULE_PRUNE_DOOR, 3)],
-        ),
-        (
-            "prune-through-the-core-is-clean",
-            "pub fn prune(&mut self, depth: u64) -> Option<PruneOutcome> {\n    self.prune_inner(depth)\n}\nfn shrink(core: &mut ReplicaCore, s: BlockStore, keep: &HashSet<BlockId>) -> BlockTree {\n    core.prune(16);\n    let _ = s.prune_crashing_before_commit(&keep, 9);\n    // LINT-ALLOW: a throwaway tree interned from recorded chains, not a window\n    let fresh = BlockTree::rerooted(Block::genesis());\n    fresh\n}\n#[cfg(test)]\nmod tests {\n    fn t(s: &mut BlockStore, k: &HashSet<BlockId>) { s.prune(&k, 3); BlockTree::rerooted(Block::genesis()); }\n}\n",
-            vec![],
-        ),
-        (
-            "crates/protocols/src/chain-per-read.rs",
-            "fn read(log: &mut Vec<Blockchain>, tree: &BlockTree, tip: NodeIdx) {\n    log.push(tree.chain_to_idx(tip));\n    let again = BlockTree::chain_to_idx(tree, tip);\n    log.push(again);\n    log.extend(tree.chain_to(tree.block_at(tip).id));\n}\n",
-            vec![
-                (RULE_CHAIN_PER_READ, 2),
-                (RULE_CHAIN_PER_READ, 3),
-                (RULE_CHAIN_PER_READ, 5),
-            ],
-        ),
-        (
-            "crates/core/src/read-by-id-is-a-chain-per-read.rs",
-            "fn read(spines: &mut ReadSpines, tree: &BlockTree, tip: NodeIdx) -> Blockchain {\n    spines.record(tree, tip);\n    let _ = tree.chain_to(tree.block_at(tip).id);\n    // LINT-ALLOW: a report prints one chain, off the replica's path\n    tree.chain_to_idx(tip)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree, tip: NodeIdx) { t.chain_to_idx(tip); t.chain_to(t.genesis().id); }\n}\n",
-            vec![(RULE_CHAIN_PER_READ, 3)],
-        ),
-        (
-            "crates/core/src/read-through-the-recorder-is-clean.rs",
-            "pub fn chain_to(&self, id: BlockId) -> Option<Blockchain> {\n    self.idx_of(id).map(|idx| self.walk(idx))\n}\nfn read(spines: &mut ReadSpines, tree: &BlockTree, tip: NodeIdx) -> (usize, usize) {\n    spines.record(tree, tip)\n}\nfn valid(tree: &BlockTree, parent: BlockId) -> bool {\n    // LINT-ALLOW: the spec's validity context is the whole chain\n    tree.chain_to(parent).is_some()\n}\n",
-            vec![],
-        ),
-        (
-            "crates/oracle/src/second-k.rs",
-            "struct Oracle {\n    slots: Vec<Vec<Block>>,\n    consumed_serials: HashSet<u64>,\n}\nfn fresh(o: &Oracle, serial: u64) -> bool {\n    !o.consumed_serials.contains(&serial) && o.slots.len() < 9\n}\ntype Slab = Vec< Vec<Block> >;\n",
-            vec![(RULE_K_DOOR, 2), (RULE_K_DOOR, 3), (RULE_K_DOOR, 6), (RULE_K_DOOR, 8)],
-        ),
-        (
-            "crates/oracle/src/k-through-the-arena-is-clean.rs",
-            "fn consume(slots: &mut SlotArena, grant: &TokenGrant, consumed_serials_seen: u64) -> bool {\n    // a consumed_serials set is what this replaced\n    let chains: Vec<Vec<BlockId>> = Vec::new();\n    // LINT-ALLOW: a throwaway copy for a report, not the oracle's state\n    let report: Vec<Vec<Block>> = Vec::new();\n    slots.consume(grant, Some(1)) && chains.is_empty() && report.is_empty() && consumed_serials_seen > 0\n}\n#[cfg(test)]\nmod tests {\n    struct Reference { consumed_serials: HashSet<u64>, slots: Vec<Vec<Block>> }\n}\n",
-            vec![],
-        ),
-        (
-            "crates/store/src/private-splitmix.rs",
-            "fn mix(mut x: u64) -> u64 {\n    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);\n    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);\n    x ^ (x >> 31)\n}\nconst SIGMA: [u32; 1] = [0x6170_7865];\n#[cfg(test)]\nmod tests {\n    const K: u64 = 0xbf58_476d_1ce4_e5b9;\n}\n",
-            vec![(RULE_ONE_RNG, 2), (RULE_ONE_RNG, 3), (RULE_ONE_RNG, 6), (RULE_ONE_RNG, 9)],
-        ),
-        (
-            "crates/types/src/rng.rs",
-            "// a comment may name 0xbf58_476d_1ce4_e5b9 anywhere\nconst SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];\nfn mix64(x: u64) -> u64 {\n    let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);\n    let _ = \"0x94d0_49bb_1331_11eb\";\n    (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb)\n}\n",
-            vec![],
-        ),
-        (
-            "block-comment-masked",
-            "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n",
-            vec![],
-        ),
-    ]
-}
+/// Built-in corpus: every row fires in some case and stays quiet in an
+/// annotated or out-of-scope twin; `--self-test` runs it.
+#[rustfmt::skip]
+static CORPUS: &[CorpusCase] = &[
+    ("unsafe-missing", &[("unsafe-needs-safety", 2)],
+        "fn f() {\n    unsafe { core::hint::unreachable_unchecked() }\n}\n"),
+    ("unsafe-justified", &[],
+        "fn f() {\n    // SAFETY: the branch is unreachable by construction\n    unsafe { core::hint::unreachable_unchecked() }\n}\n"),
+    ("unsafe-in-string-or-comment", &[],
+        "fn f() {\n    let _ = \"unsafe .unwrap()\";\n    // unsafe in a comment is fine\n}\n"),
+    ("ordering-missing", &[("atomic-ordering-needs-justification", 2)],
+        "fn f(a: &AtomicU64) {\n    a.load(Ordering::Acquire);\n}\n"),
+    ("ordering-wrong-variant-named", &[("atomic-ordering-needs-justification", 3)],
+        "fn f(a: &AtomicU64) {\n    // ORDERING: Relaxed is fine here\n    a.load(Ordering::Acquire);\n}\n"),
+    ("ordering-justified", &[],
+        "fn f(a: &AtomicU64) {\n    // ORDERING: Acquire pairs with the Release store in publish()\n    a.load(Ordering::Acquire);\n}\n"),
+    ("cmp-ordering-ignored", &[],
+        "fn f(x: u32) -> std::cmp::Ordering {\n    if x == 0 { std::cmp::Ordering::Less } else { std::cmp::Ordering::Greater }\n}\n"),
+    ("bare-unwrap", &[("no-bare-unwrap", 2)],
+        "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n"),
+    ("literal-expect-is-annotated", &[],
+        "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"present by the caller contract\")\n}\n"),
+    ("non-literal-expect", &[("no-bare-unwrap", 2)],
+        "fn f(x: Option<u32>, msg: &str) -> u32 {\n    x.expect(msg)\n}\n"),
+    ("wrapped-literal-expect-is-annotated", &[],
+        "fn f(x: Option<u32>) -> u32 {\n    x.expect(\n        \"a long invariant message that rustfmt wrapped\",\n    )\n}\n"),
+    ("allowed-unwrap", &[],
+        "fn f(x: Option<u32>) -> u32 {\n    // LINT-ALLOW: x is Some by the caller contract\n    x.unwrap()\n}\n"),
+    ("unwrap-or-is-fine", &[],
+        "fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0) + x.unwrap_or_default()\n}\n"),
+    ("expect-named-method-is-fine", &[],
+        "fn f(p: &mut Parser) {\n    p.expect_byte(b'{');\n}\n"),
+    ("cfg-test-region-exempt", &[],
+        "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        Some(1).unwrap();\n    }\n}\n"),
+    ("cfg-test-use-opens-no-region", &[("no-bare-unwrap", 4)],
+        "#[cfg(test)]\nuse std::collections::HashSet;\npub fn lib(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n"),
+    ("cfg-test-mod-declaration-opens-no-region", &[("no-bare-unwrap", 4)],
+        "#[cfg(test)]\nmod tests;\npub fn lib(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n"),
+    ("cfg-test-array-type-still-opens-its-region", &[],
+        "#[cfg(test)]\nfn helper(b: [u8; 2]) -> u8 {\n    Some(b[0]).unwrap()\n}\n"),
+    ("unwrap-after-test-region-still-checked", &[("no-bare-unwrap", 6)],
+        "#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\nfn lib(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n"),
+    ("raw-string-and-char-masked", &[],
+        "fn f<'a>(s: &'a str) -> usize {\n    let r = r#\"contains .unwrap() and unsafe\"#;\n    let c = '\\'';\n    r.len() + s.len() + (c as usize)\n}\n"),
+    ("chain-for-tip", &[("no-chain-for-tip", 2), ("no-chain-for-tip", 3)],
+        "fn parents(r: &Replica, f: &dyn SelectionFunction, t: &BlockTree) -> (Block, Block) {\n    let a = r.selected().tip().clone();\n    let b = f.select(t.as_ref()).tip().clone();\n    (a, b)\n}\n"),
+    ("tip-lookup-is-clean", &[],
+        "fn parent(r: &Replica, f: &dyn SelectionFunction, t: &BlockTree) -> Block {\n    let chain = f.select(t);\n    let _ = (chain.tip(), r.tip(), r.selected().len());\n    // LINT-ALLOW: the whole chain is recorded on the next line anyway\n    let _ = r.selected().tip();\n    t.block_at(f.select_tip(t)).clone()\n}\n#[cfg(test)]\nmod tests {\n    fn t(r: &Replica) { r.selected().tip(); }\n}\n"),
+    ("allocating-encode", &[("no-allocating-encode", 2), ("no-allocating-encode", 3)],
+        "fn persist(medium: &mut SimMedium, file: &str, block: &Block) {\n    let record = encode_record(block);\n    medium.append(file, &codec::encode_record(block));\n    drop(record);\n}\n"),
+    ("in-place-encode-is-clean", &[],
+        "pub use codec::{encode_record, encode_record_into};\nfn persist(buf: &mut Vec<u8>, block: &Block, chunk: &mut ChunkSum) -> usize {\n    let sum = encode_record_into(buf, block);\n    chunk.push(sum.expect(\"fits\"));\n    // LINT-ALLOW: a one-off probe wants the record's length, not a run\n    encode_record(block).len()\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) { encode_record(b); }\n}\n"),
+    ("uncapped-delta", &[("delta-needs-cap", 2), ("delta-needs-cap", 3)],
+        "fn reply(t: &BlockTree, h: u64) -> Vec<Block> {\n    let all: Vec<Block> = t.delta_above(h).cloned().collect();\n    let _ = BlockTree::delta_above(t, h).count();\n    all\n}\n"),
+    ("capped-delta-is-clean", &[],
+        "pub fn delta_above(&self, height: u64) -> Delta<'_> {\n    self.walk(height)\n}\nfn reply(t: &BlockTree, h: u64) -> (Vec<Block>, usize) {\n    let batch = t\n        .delta_above(h)\n        .filter(|b| b.height > 0)\n        .take(MAX_SYNC_BATCH)\n        .cloned()\n        .collect();\n    // LINT-ALLOW: an audit walks the whole index on purpose\n    let n = t.delta_above(h).count();\n    (batch, n)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree) { t.delta_above(0).count(); }\n}\n"),
+    ("payload-copy", &[("no-payload-copy", 2), ("no-payload-copy", 3), ("no-payload-copy", 4)],
+        "fn rebuild(b: &Block, parent: &Block) -> (Block, Vec<Transaction>) {\n    let copy = BlockBuilder::new(parent).payload(b.payload.to_vec()).build();\n    let txs: Vec<Transaction> = b.payload.iter().copied().collect();\n    let again: Vec<Transaction> = b.payload.iter().cloned()\n        .filter(|tx| tx.amount > 0)\n        .collect();\n    (copy, txs.into_iter().chain(again).collect())\n}\n"),
+    ("shared-payload-is-clean", &[],
+        "fn rebuild(b: &Block, parent: &Block) -> (Block, u64) {\n    let shared = BlockBuilder::new(parent).payload(b.payload.clone()).build();\n    let total = b.payload.iter().copied().map(|tx| tx.amount).sum();\n    // LINT-ALLOW: the caller mutates its own copy\n    let _mine = b.payload.to_vec();\n    (shared, total)\n}\n#[cfg(test)]\nmod tests {\n    fn t(b: &Block) -> Vec<Transaction> { b.payload.to_vec() }\n}\n"),
+    ("leaf-scan", &[("no-leaf-scan", 2), ("no-leaf-scan", 4)],
+        "fn audit(t: &BlockTree) -> usize {\n    let leaves = t.leaves();\n    let chains = t\n        .all_chains();\n    leaves.len() + chains.len()\n}\n"),
+    ("leaf-count-is-clean", &[],
+        "pub fn leaves(&self) -> Vec<BlockId> {\n    self.scan()\n}\nfn audit(t: &BlockTree) -> usize {\n    // LINT-ALLOW: a report lists every branch once, off the hot path\n    let chains = t.all_chains();\n    t.leaf_count() + chains.len() + t.best_leaf_by_height(true).0 as usize\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree) { t.leaves(); }\n}\n"),
+    ("crates/core/src/criteria/pair-loop.rs", &[("no-pair-loop", 4), ("no-pair-loop", 7)],
+        "fn judge(reads: &[Chain]) -> usize {\n    let mut n = 0;\n    for i in 0..reads.len() {\n        for j in (i + 1)..reads.len() {\n            n += usize::from(reads[i] != reads[j]);\n        }\n        for j in i + 1..reads.len() { n += j; }\n    }\n    n\n}\n"),
+    ("crates/core/src/criteria/bounded-pair-loop-is-clean.rs", &[],
+        "fn judge(reads: &[Chain], rows: &[usize]) -> usize {\n    let mut n = 0;\n    for &i in rows {\n        // LINT-ALLOW: only the rows that hold a violation, at most DETAIL_CAP\n        for j in (i + 1)..reads.len() {\n            n += usize::from(reads[i] != reads[j]);\n        }\n    }\n    for k in (n + 2)..8 { n += k; }\n    for j in 1..n { n += j; }\n    let _ = (n + 1..9).count();\n    n\n}\n#[cfg(test)]\nmod tests {\n    fn t(r: &[u8]) { for i in 0..r.len() { for j in (i + 1)..r.len() {} } }\n}\n"),
+    ("prune-door", &[("one-prune-door", 2), ("one-prune-door", 3)],
+        "fn shrink(t: &BlockTree, root: Block, s: &mut BlockStore, keep: &HashSet<BlockId>) -> BlockTree {\n    s.prune(&keep, 9);\n    let window = BlockTree::rerooted(root);\n    window\n}\n"),
+    ("prune-through-the-core-is-clean", &[],
+        "pub fn prune(&mut self, depth: u64) -> Option<PruneOutcome> {\n    self.prune_inner(depth)\n}\nfn shrink(core: &mut ReplicaCore, s: BlockStore, keep: &HashSet<BlockId>) -> BlockTree {\n    core.prune(16);\n    let _ = s.prune_crashing_before_commit(&keep, 9);\n    // LINT-ALLOW: a throwaway tree interned from recorded chains, not a window\n    let fresh = BlockTree::rerooted(Block::genesis());\n    fresh\n}\n#[cfg(test)]\nmod tests {\n    fn t(s: &mut BlockStore, k: &HashSet<BlockId>) { s.prune(&k, 3); BlockTree::rerooted(Block::genesis()); }\n}\n"),
+    ("crates/protocols/src/chain-per-read.rs", &[("no-chain-per-read", 2), ("no-chain-per-read", 3), ("no-chain-per-read", 5)],
+        "fn read(log: &mut Vec<Blockchain>, tree: &BlockTree, tip: NodeIdx) {\n    log.push(tree.chain_to_idx(tip));\n    let again = BlockTree::chain_to_idx(tree, tip);\n    log.push(again);\n    log.extend(tree.chain_to(tree.block_at(tip).id));\n}\n"),
+    ("crates/core/src/read-by-id-is-a-chain-per-read.rs", &[("no-chain-per-read", 3)],
+        "fn read(spines: &mut ReadSpines, tree: &BlockTree, tip: NodeIdx) -> Blockchain {\n    spines.record(tree, tip);\n    let _ = tree.chain_to(tree.block_at(tip).id);\n    // LINT-ALLOW: a report prints one chain, off the replica's path\n    tree.chain_to_idx(tip)\n}\n#[cfg(test)]\nmod tests {\n    fn t(t: &BlockTree, tip: NodeIdx) { t.chain_to_idx(tip); t.chain_to(t.genesis().id); }\n}\n"),
+    ("crates/core/src/read-through-the-recorder-is-clean.rs", &[],
+        "pub fn chain_to(&self, id: BlockId) -> Option<Blockchain> {\n    self.idx_of(id).map(|idx| self.walk(idx))\n}\nfn read(spines: &mut ReadSpines, tree: &BlockTree, tip: NodeIdx) -> (usize, usize) {\n    spines.record(tree, tip)\n}\nfn valid(tree: &BlockTree, parent: BlockId) -> bool {\n    // LINT-ALLOW: the spec's validity context is the whole chain\n    tree.chain_to(parent).is_some()\n}\n"),
+    ("crates/oracle/src/second-k.rs", &[("one-k-door", 2), ("one-k-door", 3), ("one-k-door", 6), ("one-k-door", 8)],
+        "struct Oracle {\n    slots: Vec<Vec<Block>>,\n    consumed_serials: HashSet<u64>,\n}\nfn fresh(o: &Oracle, serial: u64) -> bool {\n    !o.consumed_serials.contains(&serial) && o.slots.len() < 9\n}\ntype Slab = Vec< Vec<Block> >;\n"),
+    ("crates/oracle/src/k-through-the-arena-is-clean.rs", &[],
+        "fn consume(slots: &mut SlotArena, grant: &TokenGrant, consumed_serials_seen: u64) -> bool {\n    // a consumed_serials set is what this replaced\n    let chains: Vec<Vec<BlockId>> = Vec::new();\n    // LINT-ALLOW: a throwaway copy for a report, not the oracle's state\n    let report: Vec<Vec<Block>> = Vec::new();\n    slots.consume(grant, Some(1)) && chains.is_empty() && report.is_empty() && consumed_serials_seen > 0\n}\n#[cfg(test)]\nmod tests {\n    struct Reference { consumed_serials: HashSet<u64>, slots: Vec<Vec<Block>> }\n}\n"),
+    ("crates/store/src/private-splitmix.rs", &[("one-rng", 2), ("one-rng", 3), ("one-rng", 6), ("one-rng", 9)],
+        "fn mix(mut x: u64) -> u64 {\n    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);\n    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);\n    x ^ (x >> 31)\n}\nconst SIGMA: [u32; 1] = [0x6170_7865];\n#[cfg(test)]\nmod tests {\n    const K: u64 = 0xbf58_476d_1ce4_e5b9;\n}\n"),
+    ("crates/types/src/rng.rs", &[],
+        "// a comment may name 0xbf58_476d_1ce4_e5b9 anywhere\nconst SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];\nfn mix64(x: u64) -> u64 {\n    let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);\n    let _ = \"0x94d0_49bb_1331_11eb\";\n    (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb)\n}\n"),
+    ("block-comment-masked", &[],
+        "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n"),
+];
 
 /// Runs the embedded corpus; returns the number of cases on success or a
 /// description of the first mismatch.
 pub fn self_test() -> Result<usize, String> {
-    let cases = corpus();
-    for (name, source, expected) in &cases {
-        let got: Vec<(&'static str, usize)> = lint_source(name, source, &[])
+    for (name, expected, source) in CORPUS {
+        let got: Vec<(&str, usize)> = lint_source(name, source)
             .into_iter()
             .map(|f| (f.rule, f.line))
             .collect();
-        if &got != expected {
+        if got != *expected {
             return Err(format!(
                 "corpus case `{name}`: expected {expected:?}, got {got:?}"
             ));
         }
     }
-    Ok(cases.len())
+    Ok(CORPUS.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rules(path: &str, src: &str) -> Vec<(&'static str, usize)> {
+        lint_source(path, src)
+            .into_iter()
+            .map(|f| (f.rule, f.line))
+            .collect()
+    }
+
     #[test]
     fn corpus_self_test_passes() {
-        let n = self_test().expect("corpus verdicts match");
-        assert!(n >= 13);
+        self_test().expect("corpus verdicts match");
+        let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+        for (name, expected, _) in CORPUS {
+            for (rule, _) in *expected {
+                assert!(
+                    ids.contains(rule),
+                    "case `{name}` names `{rule}`, not a row"
+                );
+            }
+        }
+        // Every row fires in some case and stays quiet in another that
+        // mentions one of its patterns (case and `_` ignored).
+        let norm = |s: &str| s.replace('_', "").to_ascii_lowercase();
+        for rule in &RULES {
+            let fires = |c: &CorpusCase| c.1.iter().any(|(r, _)| *r == rule.id);
+            let mentions = |c: &CorpusCase| {
+                rule.finds
+                    .iter()
+                    .any(|f| norm(c.2).contains(&norm(f.pattern)))
+            };
+            assert!(CORPUS.iter().any(fires), "{} never fires", rule.id);
+            assert!(
+                CORPUS.iter().any(|c| !fires(c) && mentions(c)),
+                "{} has no clean case",
+                rule.id
+            );
+        }
+    }
+
+    #[test]
+    fn the_analysis_table_lists_the_registry() {
+        let doc = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/ANALYSIS.md");
+        let doc = fs::read_to_string(doc).expect("docs/ANALYSIS.md");
+        let section = doc
+            .split("\n## ")
+            .find(|s| s.starts_with("3. "))
+            .expect("a section 3");
+        let table: Vec<&str> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect();
+        let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+        assert_eq!(table, ids);
     }
 
     #[test]
     fn lifetimes_do_not_confuse_the_char_scanner() {
         let src = "fn f<'a, 'b>(x: &'a str, y: &'b str) -> usize { x.len() + y.len() }\n";
-        assert!(lint_source("t", src, &[]).is_empty());
+        assert!(lint_source("t", src).is_empty());
     }
 
     #[test]
     fn same_line_justification_counts() {
         let src =
             "fn f(a: &AtomicU64) { a.load(Ordering::Relaxed) } // ORDERING: Relaxed, a counter\n";
-        assert!(lint_source("t", src, &[]).is_empty());
+        assert!(lint_source("t", src).is_empty());
     }
 
     #[test]
     fn lookback_window_is_bounded() {
         let src = "// ORDERING: SeqCst explained too far away\n\n\n\n\nfn f(a: &AtomicU64) { a.load(Ordering::SeqCst); }\n";
-        let findings = lint_source("t", src, &[]);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, RULE_ORDERING);
+        assert_eq!(
+            rules("t", src),
+            [("atomic-ordering-needs-justification", 6)]
+        );
     }
 
     #[test]
     fn exempt_paths_skip_only_the_unwrap_rule() {
         let src =
             "fn main() { std::fs::read(\"x\").unwrap(); let _ = A.load(Ordering::SeqCst); }\n";
-        let findings = lint_source(
-            "src/bin/tool.rs",
-            src,
-            exempt_rules(Path::new("src/bin/tool.rs")),
+        assert_eq!(
+            rules("src/bin/tool.rs", src),
+            [("atomic-ordering-needs-justification", 1)]
         );
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, RULE_ORDERING);
     }
 
     #[test]
     fn the_pair_loop_rule_binds_only_the_criteria() {
         let src = "fn f(r: &[u8]) -> usize {\n    let mut n = 0;\n    for i in 0..r.len() {\n        for j in (i + 1)..r.len() { n += j; }\n    }\n    n\n}\n";
-        let lint = |path: &str| lint_source(path, src, exempt_rules(Path::new(path)));
-        let hits = lint("crates/core/src/criteria/strong_prefix.rs");
-        assert_eq!(hits.len(), 1);
-        assert_eq!((hits[0].rule, hits[0].line), (RULE_PAIR_LOOP, 4));
+        assert_eq!(
+            rules("crates/core/src/criteria/strong_prefix.rs", src),
+            [("no-pair-loop", 4)]
+        );
         for elsewhere in [
             "crates/core/src/reachability.rs",
             "crates/core/tests/criteria/scale.rs",
             "crates/bench/src/scenarios.rs",
+            "benchmark/src/criteria/judge.rs",
         ] {
-            assert!(lint(elsewhere).is_empty(), "{elsewhere}");
+            assert!(rules(elsewhere, src).is_empty(), "{elsewhere}");
         }
     }
 
     #[test]
     fn the_prune_door_is_the_durable_core() {
         let src = "fn f(t: &BlockTree, s: &mut BlockStore, k: &HashSet<BlockId>) {\n    let _ = BlockTree::rerooted(t.genesis().clone());\n    s.prune(&k, 8);\n}\n";
-        let rules = |path: &str| -> Vec<(&str, usize)> {
-            lint_source(path, src, exempt_rules(Path::new(path)))
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect()
-        };
-        assert!(rules("crates/store/src/durable.rs").is_empty());
-        assert_eq!(rules("crates/types/src/tree.rs"), [(RULE_PRUNE_DOOR, 3)]);
+        assert!(rules("crates/store/src/durable.rs", src).is_empty());
         assert_eq!(
-            rules("crates/store/src/store.rs"),
-            [(RULE_PRUNE_DOOR, 2), (RULE_PRUNE_DOOR, 3)]
+            rules("crates/types/src/tree.rs", src),
+            [("one-prune-door", 3)]
         );
-        assert!(rules("crates/store/tests/crash_prefixes.rs").is_empty());
+        assert_eq!(
+            rules("crates/store/src/store.rs", src),
+            [("one-prune-door", 2), ("one-prune-door", 3)]
+        );
+        assert!(rules("crates/store/tests/crash_prefixes.rs", src).is_empty());
     }
 
     #[test]
     fn a_chain_per_read_is_refused_outside_the_types_crate() {
         let src = "fn f(t: &BlockTree, tip: NodeIdx) -> Blockchain {\n    t.chain_to_idx(tip)\n}\n";
-        let rules = |path: &str| -> Vec<(&str, usize)> {
-            lint_source(path, src, exempt_rules(Path::new(path)))
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect()
-        };
         for owner in ["crates/types/src/tree.rs", "crates/types/src/selection.rs"] {
-            assert!(rules(owner).is_empty(), "{owner}");
+            assert!(rules(owner, src).is_empty(), "{owner}");
         }
         for library in [
             "crates/protocols/src/pow.rs",
             "crates/types/benches/walk.rs",
             "crates/bench/src/scenarios.rs",
         ] {
-            assert_eq!(rules(library), [(RULE_CHAIN_PER_READ, 2)], "{library}");
+            assert_eq!(rules(library, src), [("no-chain-per-read", 2)], "{library}");
         }
         for test in [
             "crates/protocols/tests/recorded_reads.rs",
             "crates/types/tests/props.rs",
         ] {
-            assert!(rules(test).is_empty(), "{test}");
+            assert!(rules(test, src).is_empty(), "{test}");
         }
     }
 
@@ -1093,17 +919,15 @@ mod tests {
     fn a_chain_by_id_is_refused_where_histories_are_recorded() {
         let src =
             "fn f(t: &BlockTree, id: BlockId) -> Option<Blockchain> {\n    t.chain_to(id)\n}\n";
-        let rules = |path: &str| -> Vec<(&str, usize)> {
-            lint_source(path, src, exempt_rules(Path::new(path)))
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect()
-        };
         for recorder in [
             "crates/core/src/hierarchy.rs",
             "crates/protocols/src/pow.rs",
         ] {
-            assert_eq!(rules(recorder), [(RULE_CHAIN_PER_READ, 2)], "{recorder}");
+            assert_eq!(
+                rules(recorder, src),
+                [("no-chain-per-read", 2)],
+                "{recorder}"
+            );
         }
         for elsewhere in [
             "crates/types/src/tree.rs",
@@ -1111,23 +935,17 @@ mod tests {
             "crates/core/tests/contended_reads.rs",
             "crates/protocols/tests/recorded_reads.rs",
         ] {
-            assert!(rules(elsewhere).is_empty(), "{elsewhere}");
+            assert!(rules(elsewhere, src).is_empty(), "{elsewhere}");
         }
     }
 
     #[test]
     fn the_k_door_binds_only_the_oracle_sources() {
         let src = "struct Reference {\n    consumed_serials: HashSet<u64>,\n    slots: Vec<Vec<Block>>,\n}\n";
-        let rules = |path: &str| -> Vec<(&str, usize)> {
-            lint_source(path, src, exempt_rules(Path::new(path)))
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect()
-        };
         for oracle in ["crates/oracle/src/oracle.rs", "crates/oracle/src/pow.rs"] {
             assert_eq!(
-                rules(oracle),
-                [(RULE_K_DOOR, 2), (RULE_K_DOOR, 3)],
+                rules(oracle, src),
+                [("one-k-door", 2), ("one-k-door", 3)],
                 "{oracle}"
             );
         }
@@ -1136,29 +954,24 @@ mod tests {
             "crates/concurrent/src/blocktree.rs",
             "crates/bench/src/scenarios.rs",
         ] {
-            assert!(rules(elsewhere).is_empty(), "{elsewhere}");
+            assert!(rules(elsewhere, src).is_empty(), "{elsewhere}");
         }
     }
 
     #[test]
     fn generator_constants_live_only_in_the_rng_module() {
         let src = "#[cfg(test)]\nmod tests {\n    fn step(z: u64) -> u64 { z.wrapping_mul(0xBF58_476D_1CE4_E5B9) }\n}\n";
-        let rules = |path: &str| -> Vec<(&str, usize)> {
-            lint_source(path, src, exempt_rules(Path::new(path)))
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect()
-        };
-        assert!(rules("crates/types/src/rng.rs").is_empty());
-        assert!(rules("benchmark/src/gen.rs").is_empty());
+        assert!(rules("crates/types/src/rng.rs", src).is_empty());
+        assert!(rules("benchmark/src/gen.rs", src).is_empty());
         for elsewhere in [
             "crates/types/src/tree.rs",
             "crates/concurrent/src/fault.rs",
             "crates/pipeline/tests/equivalence.rs",
             "crates/bench/src/bin/store.rs",
             "crates/shims/rand_chacha/src/lib.rs",
+            "benchmark/src/main.rs",
         ] {
-            assert_eq!(rules(elsewhere), [(RULE_ONE_RNG, 3)], "{elsewhere}");
+            assert_eq!(rules(elsewhere, src), [("one-rng", 3)], "{elsewhere}");
         }
     }
 
