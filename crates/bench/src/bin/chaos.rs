@@ -22,66 +22,31 @@
 //! recovery run fails to converge or drops blocks its durable store held,
 //! or any sync drill fails to converge.
 
-use btadt_bench::harness::{workspace_root, write_report};
 use btadt_bench::robustness::{grid_cells, print_summary, render_json, run_all, SEEDS};
 use btadt_concurrent::{chaos_grid, Seam};
+use btadt_types::report::{args, write_report, Flag};
 
 fn main() {
-    let mut smoke = false;
-    let mut workers: usize = 2;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut seam: Option<Seam> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--workers expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--out" => {
-                out = args.next().map(std::path::PathBuf::from).or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-            }
-            "--seam" => {
-                let name = args.next().unwrap_or_else(|| {
-                    eprintln!("--seam expects a seam name");
-                    std::process::exit(2);
-                });
-                seam = Seam::from_label(&name).or_else(|| {
-                    let known: Vec<&str> = Seam::all().into_iter().map(Seam::label).collect();
-                    eprintln!("unknown seam: {name} (known: {})", known.join(", "));
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!(
-                    "unknown argument: {other} (expected --smoke, --workers N, --out PATH or \
-                     --seam NAME)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(seam) = seam {
-        run_seam(seam, smoke, workers);
+    let args = args(
+        "chaos",
+        &[Flag::Smoke, Flag::Workers, Flag::Out, Flag::Seam],
+        &[],
+    );
+    let workers = args.workers.unwrap_or(2);
+    if let Some(name) = &args.seam {
+        let Some(seam) = Seam::from_label(name) else {
+            let known: Vec<&str> = Seam::all().into_iter().map(Seam::label).collect();
+            eprintln!("unknown seam: {name} (known: {})", known.join(", "));
+            std::process::exit(2);
+        };
+        run_seam(seam, args.smoke, workers);
         return;
     }
 
-    let report = run_all(smoke, workers);
+    let report = run_all(args.smoke, workers);
     print_summary(&report);
-    match out.or_else(|| (!smoke).then(|| workspace_root().join("BENCH_robustness.json"))) {
-        Some(path) => write_report(&path, &render_json(&report)),
-        None => println!("chaos: smoke run complete"),
+    if !write_report(&args, "BENCH_robustness.json", &render_json(&report)) {
+        println!("chaos: smoke run complete");
     }
     if !report.all_clean() {
         eprintln!("chaos: suite is NOT clean");
@@ -93,12 +58,8 @@ fn main() {
 /// verdict line.  Exits 2 when no default plan arms the seam (a coverage
 /// hole worth failing loudly on) and 1 when any cell is dirty.
 fn run_seam(seam: Seam, smoke: bool, workers: usize) {
-    let seeds: Vec<u64> = if smoke {
-        vec![SEEDS[0]]
-    } else {
-        SEEDS.to_vec()
-    };
-    let cells: Vec<_> = grid_cells(&seeds)
+    let seeds = if smoke { &SEEDS[..1] } else { &SEEDS[..] };
+    let cells: Vec<_> = grid_cells(seeds)
         .into_iter()
         .filter(|cell| cell.plan.arms_seam(seam))
         .collect();

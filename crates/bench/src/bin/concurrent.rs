@@ -8,28 +8,14 @@
 //! Exits nonzero, after writing the report, when any history is rejected.
 
 use btadt_bench::concurrent::{print_summary, render_json, run_all};
-use btadt_bench::harness::{workspace_root, write_report};
+use btadt_types::report::{args, write_report, Flag};
 
 fn main() {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = run_all(smoke);
+    let args = args("concurrent", &[Flag::Smoke], &[]);
+    let report = run_all(args.smoke);
     print_summary(&report);
-    if smoke {
+    if !write_report(&args, "BENCH_concurrent.json", &render_json(&report)) {
         println!("concurrent: smoke run complete");
-    } else {
-        write_report(
-            &workspace_root().join("BENCH_concurrent.json"),
-            &render_json(&report),
-        );
     }
     if !report.all_verified() {
         eprintln!("concurrent: a recorded history failed its claimed criterion");

@@ -3,16 +3,17 @@
 //! ```bash
 //! cargo run --release -p btadt-bench --bin figures [seeds]
 //! ```
+//!
+//! Runs seeds `0..seeds` (default 8).  Exits 1 when the runs do not
+//! confirm the hierarchy of Figure 14, 2 on a malformed argument.
 
 use btadt_bench::{classify_contended, hierarchy_report};
 use btadt_core::hierarchy::OracleKind;
+use btadt_types::report::args;
 
 fn main() {
-    let seeds: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(8);
-    let seeds: Vec<u64> = (0..seeds).collect();
+    let args = args("figures", &[], &[("seeds", 8)]);
+    let seeds: Vec<u64> = (0..args.positional[0]).collect();
 
     println!("Figures 2–4 — history classification under contention");
     println!("{}", "-".repeat(72));
@@ -65,6 +66,10 @@ fn main() {
     println!("  Strong-Prefix violations per oracle (Theorem 4.8 / Figure 14):");
     for (label, violating, total) in &report.strong_prefix {
         println!("    {label:<14} {violating}/{total} runs violate Strong Prefix");
+    }
+    if !report.confirms_paper() {
+        eprintln!("figures: these runs do not confirm the hierarchy of Figure 14");
+        std::process::exit(1);
     }
     println!(
         "\n  → only R(BT-ADT_SC, Θ_F,k=1) survives on the Strong-Consistency side,\n    exactly the hierarchy of Figure 14."

@@ -9,29 +9,15 @@
 //! writes nothing, which is what CI exercises on every push.  Exits
 //! nonzero, after writing the report, when any row is not clean.
 
-use btadt_bench::harness::{workspace_root, write_report};
 use btadt_bench::store::{print_summary, render_json, run_all};
+use btadt_types::report::{args, write_report, Flag};
 
 fn main() {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let report = run_all(smoke);
+    let args = args("store", &[Flag::Smoke], &[]);
+    let report = run_all(args.smoke);
     print_summary(&report);
-    if smoke {
+    if !write_report(&args, "BENCH_store.json", &render_json(&report)) {
         println!("store: smoke run complete");
-    } else {
-        write_report(
-            &workspace_root().join("BENCH_store.json"),
-            &render_json(&report),
-        );
     }
     if !report.all_clean() {
         eprintln!("store: suite is NOT clean");

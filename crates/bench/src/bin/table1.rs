@@ -4,14 +4,19 @@
 //! ```bash
 //! cargo run --release -p btadt-bench --bin table1 [replicas] [duration] [seed]
 //! ```
+//!
+//! Exits 1 when a row misses the paper's classification, 2 on a malformed
+//! argument (the usage line shows the defaults).
 
 use btadt_protocols::table1;
+use btadt_types::report::args;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let replicas: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-    let duration: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(2019);
+    let table = [("replicas", 8), ("duration", 20), ("seed", 2019)];
+    let [replicas, duration, seed] = args("table1", &[], &table).positional[..] else {
+        unreachable!("one value per declared argument")
+    };
+    let replicas = replicas as usize;
 
     println!("Table 1 — mapping of existing systems (replicas={replicas}, duration={duration}, seed={seed})");
     println!("{}", "=".repeat(100));

@@ -10,8 +10,8 @@
 //! measured by `benchmark/` (`adt_append`, `adt_read_mostly`).
 
 use btadt_concurrent::{check_claimed, claimed_criterion, run_workload, AppendPath, DriverConfig};
-
-use crate::harness::json_string;
+use btadt_types::json_object;
+use btadt_types::report::Value;
 
 /// The thread counts the suite sweeps.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -98,38 +98,19 @@ pub fn run_all(smoke: bool) -> ConcurrentReport {
 
 /// Renders the report as the `BENCH_concurrent.json` document.
 pub fn render_json(report: &ConcurrentReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"concurrent\",");
-    let _ = writeln!(out, "  \"verification\": [");
-    for (i, c) in report.verification.iter().enumerate() {
-        let comma = if i + 1 == report.verification.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"path\": {}, \"threads\": {}, \"criterion\": {}, \"admitted\": {}, \
-             \"violations\": {}, \"ops\": {}}}{comma}",
-            json_string(c.path),
-            c.threads,
-            json_string(c.criterion),
-            c.admitted,
-            c.violations,
-            c.ops,
-        );
+    let rows = report.verification.iter().map(|c| {
+        json_object! {
+            "path": c.path, "threads": c.threads, "criterion": c.criterion,
+            "admitted": c.admitted, "violations": c.violations, "ops": c.ops,
+        }
+    });
+    let admitted = if report.all_verified() { 1.0 } else { 0.0 };
+    json_object! {
+        "bench": "concurrent",
+        "verification": rows.collect::<Vec<_>>(),
+        "metrics": json_object! { "all_histories_admitted": Value::fixed(admitted, 3) },
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"metrics\": {{");
-    let _ = writeln!(
-        out,
-        "    \"all_histories_admitted\": {:.3}",
-        if report.all_verified() { 1.0 } else { 0.0 }
-    );
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
-    out
+    .render()
 }
 
 /// Prints a human summary of the report.  The fork degree a threaded

@@ -5,9 +5,11 @@
 //! * `table1` — regenerates Table 1 (the classification of Bitcoin,
 //!   Ethereum, Algorand, ByzCoin, PeerCensus, Red Belly and Hyperledger
 //!   Fabric);
-//! * `figures` — regenerates the figure experiments (example histories,
-//!   oracle transitions, hierarchy inclusions, consensus reductions,
-//!   update-agreement necessity);
+//! * `figures` — regenerates the figure experiments: SC/EC classification
+//!   of contended runs per oracle (Figures 2–4) and the hierarchy
+//!   inclusions and Strong-Prefix counts of Figures 8 and 14 (the oracle
+//!   transitions, consensus reductions and update-agreement necessity are
+//!   tier-1 tests: `tests/figures.rs`, `tests/theorems.rs`);
 //! * `scenarios`, `concurrent`, `chaos` and `store` — the generators of
 //!   `BENCH_scenarios.json`, `BENCH_concurrent.json`,
 //!   `BENCH_robustness.json` and `BENCH_store.json` (`--smoke` for the
@@ -17,8 +19,9 @@
 //! wall time, no host parallelism — so each one regenerates byte for byte
 //! on any host and is guarded by `git diff --exit-code`.  Timings live in
 //! `benchmark/`, the one perf ledger.  The library hosts the experiment
-//! drivers the binaries share, the report writer ([`harness`]) and the
-//! JSON reader ([`json`]) `benchmark/` uses.
+//! drivers the binaries share; the JSON writer, worker pool, flag parser
+//! and write path are [`btadt_types::report`], of which [`harness`] and
+//! [`json`] re-export what `benchmark/` imports.
 
 #![warn(missing_docs)]
 
@@ -49,6 +52,14 @@ pub fn default_contention(seed: u64) -> ContendedRunConfig {
     }
 }
 
+/// The oracles the SC ⊆ EC and Strong-Prefix experiments compare, in
+/// [`HierarchyReport::strong_prefix`] order.
+const KINDS: [OracleKind; 3] = [
+    OracleKind::Frugal(1),
+    OracleKind::Frugal(4),
+    OracleKind::Prodigal,
+];
+
 /// Outcome of the Figure 8 / Figure 14 hierarchy experiment.
 #[derive(Clone, Debug)]
 pub struct HierarchyReport {
@@ -56,8 +67,26 @@ pub struct HierarchyReport {
     pub fork_inclusions: Vec<(usize, Option<usize>, InclusionReport)>,
     /// SC ⊆ EC inclusion.
     pub sc_ec: InclusionReport,
-    /// Strong-Prefix violations per oracle kind: (label, violating, total).
+    /// Strong-Prefix violations per oracle kind: (label, violating, total),
+    /// for frugal(k=1), frugal(k=4) and prodigal.
     pub strong_prefix: Vec<(String, usize, usize)>,
+}
+
+impl HierarchyReport {
+    /// Whether the runs show the paper's hierarchy: every Θ_F,k1 ⊆ Θ_F,k2
+    /// inclusion holds, SC ⊆ EC holds strictly, frugal(k=1) never violates
+    /// Strong Prefix and prodigal does.
+    pub fn confirms_paper(&self) -> bool {
+        let fork_inclusions = self
+            .fork_inclusions
+            .iter()
+            .all(|(_, _, inc)| inc.inclusion_holds());
+        fork_inclusions
+            && self.sc_ec.inclusion_holds()
+            && self.sc_ec.is_strict()
+            && self.strong_prefix[0].1 == 0
+            && self.strong_prefix[2].1 > 0
+    }
 }
 
 /// Runs the hierarchy experiments of Figures 8 and 14 over the given seeds.
@@ -68,26 +97,13 @@ pub fn hierarchy_report(seeds: &[u64]) -> HierarchyReport {
         .iter()
         .map(|&(k1, k2)| (k1, k2, fork_bound_inclusion(k1, k2, seeds, base)))
         .collect();
-    let sc_ec = sc_subset_ec(
-        &[
-            OracleKind::Frugal(1),
-            OracleKind::Frugal(4),
-            OracleKind::Prodigal,
-        ],
-        seeds,
-        base,
-    );
-    let strong_prefix = [
-        OracleKind::Frugal(1),
-        OracleKind::Frugal(4),
-        OracleKind::Prodigal,
-    ]
-    .iter()
-    .map(|&kind| {
-        let (v, t) = strong_prefix_violations(kind, seeds, base);
-        (kind.label(), v, t)
-    })
-    .collect();
+    let sc_ec = sc_subset_ec(&KINDS, seeds, base);
+    let strong_prefix = (KINDS.iter())
+        .map(|&kind| {
+            let (v, t) = strong_prefix_violations(kind, seeds, base);
+            (kind.label(), v, t)
+        })
+        .collect();
     HierarchyReport {
         fork_inclusions,
         sc_ec,
@@ -116,14 +132,7 @@ mod tests {
     fn hierarchy_report_confirms_the_paper() {
         let seeds: Vec<u64> = (0..4).collect();
         let report = hierarchy_report(&seeds);
-        for (k1, k2, inc) in &report.fork_inclusions {
-            assert!(inc.inclusion_holds(), "k1={k1}, k2={k2:?}");
-        }
-        assert!(report.sc_ec.inclusion_holds());
-        assert!(report.sc_ec.is_strict());
-        // frugal(k=1) never violates Strong Prefix; the others do.
-        assert_eq!(report.strong_prefix[0].1, 0);
-        assert!(report.strong_prefix[2].1 > 0);
+        assert!(report.confirms_paper(), "{report:#?}");
     }
 
     #[test]

@@ -30,9 +30,8 @@ use std::sync::Arc;
 use btadt_concurrent::{chaos_grid, default_plans, AppendPath, ChaosCell, ChaosOutcome, ReadStats};
 use btadt_netsim::{ChannelModel, FailurePlan, SimConfig, SimTime, Simulator};
 use btadt_protocols::{PowConfig, PowReplica, RecoveryMode, SyncStats};
-use btadt_types::LongestChain;
-
-use crate::harness::json_string;
+use btadt_types::report::Value;
+use btadt_types::{json_object, LongestChain};
 
 /// Seeds of the shipped grid (the smoke grid uses the first only).
 pub const SEEDS: [u64; 3] = [5, 23, 71];
@@ -354,82 +353,52 @@ pub fn print_summary(report: &RobustnessReport) {
 /// Renders the report as the `BENCH_robustness.json` document:
 /// deterministic fields only.
 pub fn render_json(report: &RobustnessReport) -> String {
-    let mut out = String::from("{\n  \"bench\": \"robustness\",\n");
-    out.push_str("  \"chaos\": [\n");
-    for (i, o) in report.chaos.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cell\": {}, \"path\": {}, \"plan\": {}, \"seed\": {}, \"threads\": {}, \
-             \"storage\": {}, \"admitted\": {}, \"violations\": {}}}{}\n",
-            json_string(&o.label),
-            json_string(o.path),
-            json_string(o.plan),
-            o.seed,
-            o.threads,
-            o.storage,
-            o.admitted,
-            o.violations.len(),
-            if i + 1 < report.chaos.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"recovery\": [\n");
-    for (i, r) in report.recovery.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"seed\": {}, \"mode\": {}, \"replayed_blocks\": {}, \"recovery_rounds\": {}, \
-             \"rejoins\": {}, \"self_mined_kept\": {}, \"converged\": {}}}{}\n",
-            r.seed,
-            json_string(r.mode),
-            r.replayed_blocks,
-            r.recovery_rounds,
-            r.rejoins,
-            r.self_mined_kept,
-            r.converged,
-            if i + 1 < report.recovery.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n  \"sync\": [\n");
-    for (i, s) in report.sync.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fault\": {}, \"seed\": {}, \"requests\": {}, \"retries\": {}, \
-             \"timeouts\": {}, \"responses\": {}, \"empty\": {}, \"late\": {}, \"stale\": {}, \
-             \"corrupt_rejected\": {}, \"rejoins\": {}, \"replayed\": {}, \"converged\": {}}}{}\n",
-            json_string(s.fault),
-            s.seed,
-            s.stats.requests_sent,
-            s.stats.retries,
-            s.stats.timeouts,
-            s.stats.responses,
-            s.stats.empty_responses,
-            s.stats.late_responses,
-            s.stats.stale_responses,
-            s.stats.corrupt_rejected,
-            s.stats.rejoins,
-            s.stats.replayed_blocks,
-            s.converged,
-            if i + 1 < report.sync.len() { "," } else { "" }
-        ));
-    }
+    let chaos = report.chaos.iter().map(|o| {
+        json_object! {
+            "cell": o.label.as_str(), "path": o.path, "plan": o.plan, "seed": o.seed,
+            "threads": o.threads, "storage": o.storage, "admitted": o.admitted,
+            "violations": o.violations.len(),
+        }
+    });
+    let recovery = report.recovery.iter().map(|r| {
+        json_object! {
+            "seed": r.seed, "mode": r.mode, "replayed_blocks": r.replayed_blocks,
+            "recovery_rounds": r.recovery_rounds, "rejoins": r.rejoins,
+            "self_mined_kept": r.self_mined_kept, "converged": r.converged,
+        }
+    });
+    let sync = report.sync.iter().map(|s| {
+        json_object! {
+            "fault": s.fault, "seed": s.seed, "requests": s.stats.requests_sent,
+            "retries": s.stats.retries, "timeouts": s.stats.timeouts,
+            "responses": s.stats.responses, "empty": s.stats.empty_responses,
+            "late": s.stats.late_responses, "stale": s.stats.stale_responses,
+            "corrupt_rejected": s.stats.corrupt_rejected, "rejoins": s.stats.rejoins,
+            "replayed": s.stats.replayed_blocks, "converged": s.converged,
+        }
+    });
     let checkpoint = report.mean_recovery_rounds("checkpoint").unwrap_or(0.0);
     let restart = report.mean_recovery_rounds("restart").unwrap_or(0.0);
     let admitted = report.chaos.iter().filter(|o| o.admitted).count() as f64
         / report.chaos.len().max(1) as f64;
-    out.push_str("  ],\n  \"metrics\": {\n");
-    out.push_str(&format!(
-        "    \"chaos_admitted\": {admitted:.3},\n    \"checkpoint_recovery_rounds\": {checkpoint:.1},\n"
-    ));
-    out.push_str(&format!(
-        "    \"restart_recovery_rounds\": {restart:.1},\n    \"checkpoint_vs_restart\": {:.3}\n",
-        if restart > 0.0 {
-            checkpoint / restart
-        } else {
-            0.0
-        }
-    ));
-    out.push_str("  }\n}\n");
-    out
+    let ratio = if restart > 0.0 {
+        checkpoint / restart
+    } else {
+        0.0
+    };
+    json_object! {
+        "bench": "robustness",
+        "chaos": chaos.collect::<Vec<_>>(),
+        "recovery": recovery.collect::<Vec<_>>(),
+        "sync": sync.collect::<Vec<_>>(),
+        "metrics": json_object! {
+            "chaos_admitted": Value::fixed(admitted, 3),
+            "checkpoint_recovery_rounds": Value::fixed(checkpoint, 1),
+            "restart_recovery_rounds": Value::fixed(restart, 1),
+            "checkpoint_vs_restart": Value::fixed(ratio, 3),
+        },
+    }
+    .render()
 }
 
 #[cfg(test)]

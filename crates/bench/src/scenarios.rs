@@ -27,9 +27,8 @@ use btadt_netsim::{
 use btadt_protocols::adversary::{build_miners, scenario_pow_config};
 use btadt_protocols::extract::{build_histories, ReplicaLog};
 use btadt_protocols::SyncStats;
-use btadt_types::{AlwaysValid, Blockchain, LengthScore};
-
-use crate::harness::json_string;
+use btadt_types::report::Value;
+use btadt_types::{json_object, AlwaysValid, Blockchain, LengthScore};
 
 /// Release delay of withholding miners in scenario cells, in ticks (a few
 /// synchronous δ's: long enough to let honest miners extend a stale tip).
@@ -215,10 +214,10 @@ pub fn smoke_matrix() -> ScenarioMatrix {
     ScenarioMatrix::new(scenarios, vec![1, 2])
 }
 
-/// Runs every cell of `matrix` on `threads` threads; the cells come back
+/// Runs every cell of `matrix` on `workers` threads; the cells come back
 /// in matrix order.
-pub fn sweep(matrix: &ScenarioMatrix, threads: usize) -> Vec<MatrixCell<CellOutcome>> {
-    matrix.run(threads, run_cell)
+pub fn sweep(matrix: &ScenarioMatrix, workers: usize) -> Vec<MatrixCell<CellOutcome>> {
+    matrix.run(workers, run_cell)
 }
 
 /// Per-scenario aggregate over the seeds the sweep ran.
@@ -288,64 +287,36 @@ pub fn summarize(sweep: &[MatrixCell<CellOutcome>]) -> Vec<ScenarioSummary> {
 /// Renders the sweep as the `BENCH_scenarios.json` document (see
 /// `docs/SCENARIOS.md` for the schema).  Outcomes are a pure function of
 /// (scenario, seed), so two sweeps of the same matrix render
-/// byte-identical documents whatever the thread count or machine load.
+/// byte-identical documents whatever the worker count or machine load.
 pub fn render_json(sweep: &[MatrixCell<CellOutcome>]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"scenarios\",");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, cell) in sweep.iter().enumerate() {
+    let cells = sweep.iter().map(|cell| {
         let o = &cell.result;
-        let comma = if i + 1 == sweep.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"scenario\": {}, \"seed\": {}, \"events\": {}, \
-             \"quiescent\": {}, \"converged\": {}, \"convergence_time\": {}, \
-             \"divergence_depth\": {}, \"max_fork_degree\": {}, \"blocks_created\": {}, \
-             \"strong\": {}, \"eventual\": {}, \"delivered\": {}, \"dropped\": {}, \
-             \"sync_requests\": {}, \"reply_blocks\": {}, \"reply_blocks_new\": {}}}{comma}",
-            json_string(&cell.scenario),
-            cell.seed,
-            o.report.events_processed,
-            o.report.quiescent,
-            o.converged,
-            o.convergence_time,
-            o.divergence_depth,
-            o.max_fork_degree,
-            o.blocks_created,
-            o.strong,
-            o.eventual,
-            o.delivered,
-            o.dropped,
-            o.sync_requests,
-            o.reply_blocks,
-            o.reply_blocks_new,
-        );
+        json_object! {
+            "scenario": cell.scenario.as_str(), "seed": cell.seed,
+            "events": o.report.events_processed, "quiescent": o.report.quiescent,
+            "converged": o.converged, "convergence_time": o.convergence_time,
+            "divergence_depth": o.divergence_depth, "max_fork_degree": o.max_fork_degree,
+            "blocks_created": o.blocks_created, "strong": o.strong, "eventual": o.eventual,
+            "delivered": o.delivered, "dropped": o.dropped, "sync_requests": o.sync_requests,
+            "reply_blocks": o.reply_blocks, "reply_blocks_new": o.reply_blocks_new,
+        }
+    });
+    let scenarios = summarize(sweep).into_iter().map(|s| {
+        json_object! {
+            "name": s.name, "cells": s.cells,
+            "sc_pass_rate": Value::fixed(s.sc_pass_rate, 3),
+            "ec_pass_rate": Value::fixed(s.ec_pass_rate, 3),
+            "converged_rate": Value::fixed(s.converged_rate, 3),
+            "mean_convergence_time": Value::fixed(s.mean_convergence_time, 1),
+            "max_divergence_depth": s.max_divergence_depth, "max_fork_degree": s.max_fork_degree,
+        }
+    });
+    json_object! {
+        "bench": "scenarios",
+        "cells": cells.collect::<Vec<_>>(),
+        "scenarios": scenarios.collect::<Vec<_>>(),
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"scenarios\": [");
-    let summaries = summarize(sweep);
-    for (i, s) in summaries.iter().enumerate() {
-        let comma = if i + 1 == summaries.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": {}, \"cells\": {}, \"sc_pass_rate\": {:.3}, \
-             \"ec_pass_rate\": {:.3}, \"converged_rate\": {:.3}, \
-             \"mean_convergence_time\": {:.1}, \"max_divergence_depth\": {}, \
-             \"max_fork_degree\": {}}}{comma}",
-            json_string(&s.name),
-            s.cells,
-            s.sc_pass_rate,
-            s.ec_pass_rate,
-            s.converged_rate,
-            s.mean_convergence_time,
-            s.max_divergence_depth,
-            s.max_fork_degree,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
+    .render()
 }
 
 /// Prints the per-scenario aggregate table to stdout.
@@ -369,9 +340,10 @@ pub fn print_summary(sweep: &[MatrixCell<CellOutcome>]) {
     }
 }
 
-/// The thread count a full sweep should use: the machine's parallelism,
-/// at least 4, at most the cell count.  Outcomes do not depend on it.
-pub fn default_threads(cells: usize) -> usize {
+/// The worker count a sweep uses without `--workers`: the machine's
+/// parallelism, at least 4, at most the cell count.  Outcomes do not
+/// depend on it.
+pub fn default_workers(cells: usize) -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)

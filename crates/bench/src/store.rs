@@ -24,10 +24,9 @@ use std::collections::HashMap;
 
 use btadt_core::{check_block_tree, check_store_tree_agreement};
 use btadt_store::{BlockStore, ReplicaCore, SimMedium, StoreConfig, MANIFEST};
+use btadt_types::report::Value;
 use btadt_types::rng::mix64;
-use btadt_types::{Block, BlockBuilder, BlockId};
-
-use crate::harness::json_string;
+use btadt_types::{json_object, Block, BlockBuilder, BlockId};
 
 /// Workload seed of the steady-state run.
 pub const STEADY_SEED: u64 = 9;
@@ -460,69 +459,39 @@ pub fn print_summary(report: &StoreReport) {
 /// Renders the report as the `BENCH_store.json` document: deterministic
 /// fields only.
 pub fn render_json(report: &StoreReport) -> String {
-    let mut out = String::from("{\n  \"bench\": \"store\",\n  \"steady\": [\n");
-    for (i, s) in report.steady.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scale\": {}, \"seed\": {}, \"blocks\": {}, \"height\": {}, \
-             \"resident_peak\": {}, \"memory_ceiling\": {}, \"under_ceiling\": {}, \
-             \"pruning_height\": {}, \"pruned_from_hot\": {}, \"store_blocks\": {}, \
-             \"chunks_sealed\": {}, \"checkpoints\": {}, \"gc_dropped\": {}}}{}\n",
-            json_string(s.scale),
-            s.seed,
-            s.blocks,
-            s.height,
-            s.resident_peak,
-            s.memory_ceiling,
-            s.under_ceiling,
-            s.pruning_height,
-            s.pruned_from_hot,
-            s.store_blocks,
-            s.chunks_sealed,
-            s.checkpoints,
-            s.gc_dropped,
-            if i + 1 < report.steady.len() { "," } else { "" }
-        ));
+    let steady = report.steady.iter().map(|s| {
+        json_object! {
+            "scale": s.scale, "seed": s.seed, "blocks": s.blocks, "height": s.height,
+            "resident_peak": s.resident_peak, "memory_ceiling": s.memory_ceiling,
+            "under_ceiling": s.under_ceiling, "pruning_height": s.pruning_height,
+            "pruned_from_hot": s.pruned_from_hot, "store_blocks": s.store_blocks,
+            "chunks_sealed": s.chunks_sealed, "checkpoints": s.checkpoints,
+            "gc_dropped": s.gc_dropped,
+        }
+    });
+    let corruption = report.corruption.iter().map(|c| {
+        json_object! {
+            "fault": c.fault, "seed": c.seed, "blocks_recovered": c.blocks_recovered,
+            "corrupt_records": c.corrupt_records, "chunks_quarantined": c.chunks_quarantined,
+            "torn_tail_bytes": c.torn_tail_bytes, "manifest_fallback": c.manifest_fallback,
+            "healed_blocks": c.healed_blocks, "resync_rounds": c.resync_rounds,
+            "healed": c.healed, "converged": c.converged, "clean": c.clean,
+        }
+    });
+    let cells_clean = (report.corruption.iter())
+        .filter(|c| c.healed && c.converged && c.clean)
+        .count();
+    json_object! {
+        "bench": "store",
+        "steady": steady.collect::<Vec<_>>(),
+        "corruption": corruption.collect::<Vec<_>>(),
+        "metrics": json_object! {
+            "steady_under_ceiling": report.steady.iter().all(|s| s.under_ceiling),
+            "cells_clean": cells_clean,
+            "mean_resync_rounds": Value::fixed(report.mean_resync_rounds(), 1),
+        },
     }
-    out.push_str("  ],\n  \"corruption\": [\n");
-    for (i, c) in report.corruption.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fault\": {}, \"seed\": {}, \"blocks_recovered\": {}, \
-             \"corrupt_records\": {}, \"chunks_quarantined\": {}, \"torn_tail_bytes\": {}, \
-             \"manifest_fallback\": {}, \"healed_blocks\": {}, \"resync_rounds\": {}, \
-             \"healed\": {}, \"converged\": {}, \"clean\": {}}}{}\n",
-            json_string(c.fault),
-            c.seed,
-            c.blocks_recovered,
-            c.corrupt_records,
-            c.chunks_quarantined,
-            c.torn_tail_bytes,
-            c.manifest_fallback,
-            c.healed_blocks,
-            c.resync_rounds,
-            c.healed,
-            c.converged,
-            c.clean,
-            if i + 1 < report.corruption.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n  \"metrics\": {\n");
-    out.push_str(&format!(
-        "    \"steady_under_ceiling\": {},\n    \"cells_clean\": {},\n    \
-         \"mean_resync_rounds\": {:.1}\n",
-        report.steady.iter().all(|s| s.under_ceiling),
-        report
-            .corruption
-            .iter()
-            .filter(|c| c.healed && c.converged && c.clean)
-            .count(),
-        report.mean_resync_rounds(),
-    ));
-    out.push_str("  }\n}\n");
-    out
+    .render()
 }
 
 #[cfg(test)]

@@ -60,10 +60,19 @@ fn a_report_that_cannot_be_written_fails_the_run() {
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("Cargo.toml")
         .join("report.json");
-    let run = Command::new(env!("CARGO_BIN_EXE_scenarios"))
-        .args(["--smoke", "--threads", "1", "--out"])
-        .arg(&out)
-        .output()
-        .expect("the scenarios binary starts");
-    assert!(!run.status.success(), "a lost report must not exit 0");
+    for bin in [env!("CARGO_BIN_EXE_scenarios"), env!("CARGO_BIN_EXE_chaos")] {
+        let run = Command::new(bin)
+            .args(["--smoke", "--workers", "1", "--out"])
+            .arg(&out)
+            .output()
+            .expect("the binary starts");
+        // Exit 1 from the write path, not 2 from a flag the binary refused.
+        assert_eq!(
+            run.status.code(),
+            Some(1),
+            "{bin}: a lost report must not exit 0"
+        );
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains("could not write"), "{bin}: {stderr}");
+    }
 }

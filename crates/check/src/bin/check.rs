@@ -10,16 +10,16 @@
 //! at a time — and the report is ordered by cell index, so the bytes are
 //! identical at any worker count: the CI determinism gate diffs
 //! `--workers 1` against `--workers 4`).  `--out PATH` writes the report
-//! to PATH instead of (or, without `--smoke`, in addition to) stdout.
+//! to PATH instead of the committed file (with `--smoke`, it is the only
+//! report written).  Any other argument exits 2 with the usage line.
 //!
-//! Exits nonzero when any cell or probe misses its expectation.
-
-use std::fmt::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! Exits nonzero when any cell or probe misses its expectation, or when
+//! the report cannot be written.
 
 use btadt_check::checker::{cells, run_cell, scripted_racy_overlap, traced_run_races, CellResult};
 use btadt_concurrent::AppendPath;
+use btadt_types::json_object;
+use btadt_types::report::{args, run_ordered, write_report, Flag};
 
 /// Fixed seed for the threaded race probes (verdicts are
 /// schedule-independent; the seed only pins the op mix).
@@ -33,62 +33,10 @@ struct Probe {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut workers: usize = 2;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--workers expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--out" => {
-                out = args.next().map(std::path::PathBuf::from).or_else(|| {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke, --workers N, --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let specs = cells(smoke);
-    let slots: Vec<Mutex<Option<CellResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(specs.len()).max(1) {
-            scope.spawn(|| loop {
-                // ORDERING: Relaxed suffices — the cursor is a pure work
-                // ticket with no data published through it; the slot
-                // mutexes order the results.
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let result = run_cell(*spec);
-                *slots[i]
-                    .lock()
-                    .expect("no worker panics while holding a slot") = Some(result);
-            });
-        }
+    let args = args("check", &[Flag::Smoke, Flag::Workers, Flag::Out], &[]);
+    let results = run_ordered(&cells(args.smoke), args.workers.unwrap_or(2), |spec| {
+        run_cell(*spec)
     });
-    let results: Vec<CellResult> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no worker panics while holding a slot")
-                .expect("every cell index was claimed and completed")
-        })
-        .collect();
 
     // The race probes: two real multi-threaded runs expected clean, one
     // scripted deterministic overlap expected flagged.
@@ -127,22 +75,8 @@ fn main() {
         eprintln!("  race probe {:<20} stores {:>3}", p.name, p.stores);
     }
 
-    let json = render_report(smoke, &results, &probes);
-    if let Some(path) = &out {
-        std::fs::write(path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        });
-    }
-    if !smoke {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let path = root.join("BENCH_check.json");
-        std::fs::write(&path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        println!("check: wrote {}", path.display());
-    }
+    let report = render_report(args.smoke, &results, &probes);
+    write_report(&args, "BENCH_check.json", &report);
 
     let bad = results.iter().filter(|r| !r.as_expected).count()
         + probes.iter().filter(|p| !p.as_expected).count();
@@ -174,107 +108,43 @@ fn run_probes() -> Vec<Probe> {
     probes
 }
 
-/// Renders the report by hand: the shape is flat enough that a writer
-/// beats hauling in a serializer, and the output is deterministic by
-/// construction (cells in grid order, no timestamps, no durations).
+/// Renders the `BENCH_check.json` document: cells in grid order, no
+/// timestamps, no durations.
 fn render_report(smoke: bool, results: &[CellResult], probes: &[Probe]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"check\",\n");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    s.push_str("  \"model\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let o = &r.outcome;
+    let model = results.iter().map(|r| {
+        let (o, config) = (&r.outcome, &r.spec.config);
         // One program per client: "Append Read | Append Read".
-        let programs = (r.spec.config.programs.iter())
+        let programs = (config.programs.iter())
             .map(|ops| ops.iter().map(|op| format!("{op:?}")).collect::<Vec<_>>())
             .map(|ops| ops.join(" "))
             .collect::<Vec<_>>()
             .join(" | ");
-        let _ = write!(
-            s,
-            "    {{\"cell\": \"{}\", \"path\": \"{}\", \"programs\": \"{}\", \"weaken_cas\": {}, \
-             \"max_schedule_len\": {}, \"expect\": \"{}\", \
-             \"schedules\": {}, \"sleep_pruned\": {}, \"exhausted\": {}, \
-             \"structural_violations\": {}, \"rejected\": {}, \"racy_schedules\": {}, \
-             \"races\": {}, \"replay_confirmed\": {}, \"as_expected\": {}, \"counterexample\": ",
-            r.spec.name,
-            r.spec.config.path.label(),
-            programs,
-            r.spec.config.weaken_cas,
-            r.spec.config.max_schedule_len(),
-            r.spec.expect.label(),
-            o.schedules,
-            o.sleep_pruned,
-            o.exhausted,
-            o.structural_violations,
-            o.rejected,
-            o.racy_schedules,
-            o.races,
-            match r.replay_confirmed {
-                None => "null".to_string(),
-                Some(b) => b.to_string(),
-            },
-            r.as_expected,
-        );
-        match &o.counterexample {
-            None => s.push_str("null"),
-            Some(ce) => {
-                s.push_str("{\"schedule\": [");
-                for (j, c) in ce.schedule.iter().enumerate() {
-                    if j > 0 {
-                        s.push_str(", ");
-                    }
-                    let _ = write!(s, "{c}");
-                }
-                s.push_str("], \"seams\": [");
-                for (j, (c, seam)) in ce.seams.iter().enumerate() {
-                    if j > 0 {
-                        s.push_str(", ");
-                    }
-                    let _ = write!(s, "\"c{c}:{seam}\"");
-                }
-                s.push_str("], \"reasons\": [");
-                for (j, reason) in ce.reasons.iter().enumerate() {
-                    if j > 0 {
-                        s.push_str(", ");
-                    }
-                    let _ = write!(s, "\"{}\"", json_escape(reason));
-                }
-                s.push_str("]}");
+        let counterexample = o.counterexample.as_ref().map(|ce| {
+            json_object! {
+                "schedule": ce.schedule.clone(),
+                "seams": ce.seams.iter().map(|(c, seam)| format!("c{c}:{seam}")).collect::<Vec<_>>(),
+                "reasons": ce.reasons.clone(),
             }
+        });
+        json_object! {
+            "cell": r.spec.name, "path": config.path.label(), "programs": programs,
+            "weaken_cas": config.weaken_cas, "max_schedule_len": config.max_schedule_len(),
+            "expect": r.spec.expect.label(), "schedules": o.schedules,
+            "sleep_pruned": o.sleep_pruned, "exhausted": o.exhausted,
+            "structural_violations": o.structural_violations, "rejected": o.rejected,
+            "racy_schedules": o.racy_schedules, "races": o.races,
+            "replay_confirmed": r.replay_confirmed, "as_expected": r.as_expected,
+            "counterexample": counterexample,
         }
-        s.push('}');
-        s.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
+    });
+    let race = probes.iter().map(|p| {
+        json_object! { "probe": p.name, "races": p.races, "as_expected": p.as_expected }
+    });
+    json_object! {
+        "bench": "check",
+        "mode": if smoke { "smoke" } else { "full" },
+        "model": model.collect::<Vec<_>>(),
+        "race": race.collect::<Vec<_>>(),
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"race\": [\n");
-    for (i, p) in probes.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"probe\": \"{}\", \"races\": {}, \"as_expected\": {}}}",
-            p.name, p.races, p.as_expected
-        );
-        s.push_str(if i + 1 < probes.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn json_escape(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    for c in input.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    .render()
 }

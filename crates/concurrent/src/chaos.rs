@@ -12,8 +12,8 @@
 //!
 //! A cell is *clean* when the claimed criterion admits the history and the
 //! monitor saw zero invariant violations.  [`chaos_grid`] runs many cells
-//! across worker threads (atomic-cursor work stealing, mirroring the
-//! scenario matrix in `btadt-bench`); every cell must come back clean for
+//! across worker threads (`btadt_types::report::run_ordered`, as the
+//! scenario matrix does); every cell must come back clean for
 //! the grid to pass — that is the CI gate in `tests/chaos.rs` and
 //! `bench/src/bin/chaos.rs`.
 
@@ -25,6 +25,7 @@ use crate::blocktree::{AppendPath, ReadStats};
 use crate::driver::{build_replica, check_claimed, run_workload_with_on, DriverConfig};
 use crate::fault::FaultPlan;
 use crate::storage::{crash_recover_heal, faulted_store, StorageReport};
+use btadt_types::report::run_ordered;
 use btadt_types::{BlockTree, NodeIdx};
 
 /// One cell of the chaos grid: a workload pinned to a seed, a fault plan,
@@ -280,30 +281,7 @@ pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosOutcome {
 /// spawns its client threads, so keep `workers` modest).  Results come
 /// back in cell order.
 pub fn chaos_grid(cells: &[ChaosCell], workers: usize) -> Vec<ChaosOutcome> {
-    let workers = workers.clamp(1, cells.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<ChaosOutcome>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // ORDERING: Relaxed — a work-ticket cursor; the result
-                // slot mutexes publish the outcomes.
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let outcome = run_chaos_cell(cell);
-                *results[i].lock().expect("result slot lock") = Some(outcome);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .expect("every claimed cell completes")
-        })
-        .collect()
+    run_ordered(cells, workers, run_chaos_cell)
 }
 
 #[cfg(test)]

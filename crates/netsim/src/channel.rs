@@ -12,9 +12,9 @@
 //! On top of these we provide the failure-prone variants needed by the
 //! necessity experiments: **lossy** channels (each message independently
 //! dropped with some probability — Theorem 4.7 shows even a single lost
-//! message among correct processes breaks Eventual Prefix) and
-//! **partitioned** channels (two groups cannot communicate until the
-//! partition heals).
+//! message among correct processes breaks Eventual Prefix) and **faulty**
+//! channels (duplication, reordering, corruption).  Partitions are not a
+//! channel model: the simulator's `FailurePlan` schedules them as windows.
 
 use btadt_types::rng::ChaCha8;
 
@@ -81,17 +81,6 @@ pub enum ChannelModel {
         /// Per-message drop probability in `[0, 1]`.
         drop_probability: f64,
     },
-    /// Processes are split into two groups; messages across groups are
-    /// dropped until `heals_at`, after which the channel behaves like the
-    /// inner model.
-    Partitioned {
-        /// The underlying timing model.
-        inner: Box<ChannelModel>,
-        /// Members of the first group (everyone else is in the second).
-        group_a: Vec<usize>,
-        /// When the partition heals.
-        heals_at: SimTime,
-    },
     /// Like the inner model, but messages can additionally be duplicated,
     /// reordered (an extra delay past the inner model's bound) or corrupted
     /// in flight.  Each fault is drawn independently per message; a fault
@@ -148,16 +137,6 @@ impl ChannelModel {
         }
     }
 
-    /// Wraps a model with a partition separating `group_a` from the rest
-    /// until `heals_at`.
-    pub fn partitioned(inner: ChannelModel, group_a: Vec<usize>, heals_at: u64) -> Self {
-        ChannelModel::Partitioned {
-            inner: Box::new(inner),
-            group_a,
-            heals_at: SimTime(heals_at),
-        }
-    }
-
     /// Wraps a model with duplication / reordering / corruption faults.
     pub fn faulty(
         inner: ChannelModel,
@@ -205,18 +184,6 @@ impl ChannelModel {
                 drop_probability,
             } => {
                 if rng.gen_bool(*drop_probability) {
-                    Delivery::Drop
-                } else {
-                    inner.delivery(now, from, to, rng)
-                }
-            }
-            ChannelModel::Partitioned {
-                inner,
-                group_a,
-                heals_at,
-            } => {
-                let split = group_a.contains(&from) != group_a.contains(&to);
-                if split && now < *heals_at {
                     Delivery::Drop
                 } else {
                     inner.delivery(now, from, to, rng)
@@ -287,7 +254,6 @@ impl ChannelModel {
             } => Some((*max_delay_before_gst).max(*delta)),
             ChannelModel::Asynchronous { max_delay } => Some(*max_delay),
             ChannelModel::Lossy { inner, .. } => inner.delay_bound(),
-            ChannelModel::Partitioned { inner, .. } => inner.delay_bound(),
             ChannelModel::Faulty {
                 inner,
                 reorder_extra,
@@ -308,11 +274,6 @@ impl ChannelModel {
                 inner,
                 drop_probability,
             } => format!("lossy(p={drop_probability}, {})", inner.label()),
-            ChannelModel::Partitioned {
-                inner, heals_at, ..
-            } => {
-                format!("partitioned(heal={}, {})", heals_at.0, inner.label())
-            }
             ChannelModel::Faulty {
                 inner,
                 duplicate_probability,
@@ -384,25 +345,6 @@ mod tests {
         let ch = ChannelModel::lossy(ChannelModel::synchronous(3), 0.0);
         let mut rng = rng();
         assert!((0..500).all(|_| ch.delivery(SimTime(0), 0, 1, &mut rng) != Delivery::Drop));
-    }
-
-    #[test]
-    fn partition_drops_cross_group_messages_until_heal() {
-        let ch = ChannelModel::partitioned(ChannelModel::synchronous(2), vec![0, 1], 100);
-        let mut rng = rng();
-        // Cross-group before heal: dropped.
-        assert_eq!(ch.delivery(SimTime(10), 0, 2, &mut rng), Delivery::Drop);
-        assert_eq!(ch.delivery(SimTime(10), 2, 1, &mut rng), Delivery::Drop);
-        // Same group before heal: delivered.
-        assert!(matches!(
-            ch.delivery(SimTime(10), 0, 1, &mut rng),
-            Delivery::At(_)
-        ));
-        // Cross-group after heal: delivered.
-        assert!(matches!(
-            ch.delivery(SimTime(150), 0, 2, &mut rng),
-            Delivery::At(_)
-        ));
     }
 
     #[test]
@@ -495,11 +437,6 @@ mod tests {
         assert!(ChannelModel::lossy(ChannelModel::synchronous(3), 0.1)
             .label()
             .contains("lossy"));
-        assert!(
-            ChannelModel::partitioned(ChannelModel::synchronous(3), vec![0], 5)
-                .label()
-                .contains("partitioned")
-        );
         assert!(ChannelModel::partially_synchronous(10, 20, 3)
             .label()
             .contains("partial-sync"));

@@ -10,7 +10,7 @@
 //!
 //! * [`time`] — the fictional global clock (never visible to processes);
 //! * [`channel`] — channel models: synchronous, partially synchronous,
-//!   asynchronous, lossy and partitioned;
+//!   asynchronous, lossy and faulty;
 //! * [`process`] — the process state-machine trait and its action context;
 //! * [`simulator`] — the event loop, failure injection (crash, Byzantine
 //!   omission, timed partitions with heal, node churn with rejoin) and

@@ -11,10 +11,10 @@
 //!   schedule ([`PartitionWindow`] / [`ChurnWindow`]), crash and Byzantine
 //!   sets, and an [`AdversaryMix`] of selfish-mining and block-withholding
 //!   processes riding alongside the honest ones;
-//! * [`ScenarioMatrix`] — the (scenario × seed) product, fanned across OS
-//!   threads.  Every cell runs on its *own* deterministic
+//! * [`ScenarioMatrix`] — the (scenario × seed) product, fanned across
+//!   worker threads.  Every cell runs on its *own* deterministic
 //!   [`Simulator`](crate::simulator::Simulator) seeded from the cell's
-//!   seed, so results are bit-for-bit identical whatever the thread count
+//!   seed, so results are bit-for-bit identical whatever the worker count
 //!   — parallelism changes wall-clock only, never outcomes.
 //!
 //! The scenario description is deliberately protocol-agnostic: it names
@@ -23,8 +23,7 @@
 //! (`btadt-bench::scenarios`), which aggregates per-cell reports into
 //! `BENCH_scenarios.json`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use btadt_types::report::run_ordered;
 
 use crate::channel::ChannelModel;
 use crate::simulator::{ChurnWindow, FailurePlan, PartitionWindow, SimConfig};
@@ -274,12 +273,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the hard simulation-time bound.
-    pub fn with_max_time(mut self, max_time: u64) -> Self {
-        self.max_time = max_time;
-        self
-    }
-
     /// The channel model the scenario induces: the latency regime, wrapped
     /// with loss when `loss > 0` and with duplication / reordering /
     /// corruption when any of those knobs is non-zero.
@@ -368,56 +361,23 @@ impl ScenarioMatrix {
         self.len() == 0
     }
 
-    /// Runs every cell on `threads` OS threads and returns the results in
-    /// matrix order.
-    ///
-    /// Work is distributed dynamically (an atomic cursor over the cell
-    /// list), so long cells do not serialise behind short ones.  With
-    /// `threads == 1` the sweep degenerates to a serial loop; the results
-    /// are identical either way because each cell is deterministic in
-    /// (scenario, seed) alone.
-    pub fn run<R, F>(&self, threads: usize, runner: F) -> Vec<MatrixCell<R>>
+    /// Runs every cell on `workers` OS threads and returns the results in
+    /// matrix order ([`run_ordered`]); the results are the same at any
+    /// worker count because each cell is deterministic in (scenario, seed)
+    /// alone.
+    pub fn run<R, F>(&self, workers: usize, runner: F) -> Vec<MatrixCell<R>>
     where
         R: Send,
         F: Fn(&Scenario, u64) -> R + Sync,
     {
-        let cells: Vec<(usize, &Scenario, u64)> = self
-            .scenarios
-            .iter()
+        let cells: Vec<(&Scenario, u64)> = (self.scenarios.iter())
             .flat_map(|s| self.seeds.iter().map(move |&seed| (s, seed)))
-            .enumerate()
-            .map(|(i, (s, seed))| (i, s, seed))
             .collect();
-        let slots: Mutex<Vec<Option<MatrixCell<R>>>> =
-            Mutex::new((0..cells.len()).map(|_| None).collect());
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.clamp(1, cells.len().max(1));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // ORDERING: Relaxed — a work-ticket cursor; results are
-                    // published through the slot mutex, not this counter.
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(idx, scenario, seed)) = cells.get(i) else {
-                        break;
-                    };
-                    let cell = MatrixCell {
-                        scenario: scenario.name.clone(),
-                        seed,
-                        result: runner(scenario, seed),
-                    };
-                    slots.lock().expect("no panics while holding the lock")[idx] = Some(cell);
-                });
-            }
-        });
-
-        slots
-            .into_inner()
-            .expect("worker threads have exited")
-            .into_iter()
-            .map(|slot| slot.expect("every cell ran"))
-            .collect()
+        run_ordered(&cells, workers, |&(scenario, seed)| MatrixCell {
+            scenario: scenario.name.clone(),
+            seed,
+            result: runner(scenario, seed),
+        })
     }
 }
 

@@ -54,10 +54,8 @@ impl SimConfig {
 /// A timed network partition: messages crossing the `group_a` / rest split
 /// are dropped while `from ≤ now < until`, after which the partition heals.
 ///
-/// Unlike [`ChannelModel::Partitioned`](crate::channel::ChannelModel), which
-/// models a single partition baked into the channel for the whole run, a
-/// plan may schedule several windows (partition, heal, re-partition) — the
-/// adversarial schedules the scenario engine fans out.
+/// A plan may schedule several windows (partition, heal, re-partition) —
+/// the adversarial schedules the scenario engine fans out.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Members of the first group (everyone else is in the second).
@@ -699,11 +697,12 @@ mod tests {
     fn partitioned_groups_do_not_converge_before_heal() {
         let config = SimConfig {
             seed: 6,
-            channel: ChannelModel::partitioned(ChannelModel::synchronous(2), vec![0, 1], 1_000),
+            channel: ChannelModel::synchronous(2),
             max_time: 60,
             max_events: 100_000,
         };
-        let mut sim = Simulator::new(flooders(4, 3), config, FailurePlan::none());
+        let plan = FailurePlan::none().with_partition(vec![0, 1], 0, 1_000);
+        let mut sim = Simulator::new(flooders(4, 3), config, plan);
         sim.run();
         // Processes 2 and 3 are on the other side of the partition and never
         // hear the bumps originating at process 0.

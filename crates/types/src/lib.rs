@@ -33,12 +33,15 @@
 //!   validity, no double spend, payload limits, …).
 //! * [`rng`] — the one seeded randomness source: a ChaCha8 keystream and
 //!   SplitMix64, whose streams every report and tape is a function of.
+//! * [`report`] — the harness of the verdict-report binaries: one JSON
+//!   writer and reader, one ordered worker pool, one flag parser and one
+//!   report write path.
 //! * [`workload`] — deterministic generators of blocks, chains, forks and
 //!   transaction streams used by tests, examples and the benchmark harness.
 //!
-//! Everything in this crate is purely sequential and deterministic; the
-//! concurrent semantics (histories, criteria, oracles) live in the other
-//! workspace crates.
+//! Everything in this crate but [`report::run_ordered`] is purely
+//! sequential, and all of it is deterministic; the concurrent semantics
+//! (histories, criteria, oracles) live in the other workspace crates.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -47,6 +50,7 @@ pub mod block;
 pub mod chain;
 pub mod reachability;
 pub mod reference;
+pub mod report;
 pub mod rng;
 pub mod score;
 pub mod selection;
