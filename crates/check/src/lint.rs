@@ -318,10 +318,12 @@ pub struct Rule {
 
 const RNG: &[&str] = &["crates/types/src/rng.rs"];
 const ORACLE: &[&str] = &["crates/oracle/src"];
+const CRITERIA: &[&str] = &["crates/core/src/criteria"];
+const JUDGE_INDEX: &[&str] = &["crates/core/src/criteria/index.rs"];
 
 /// The rules, in the order `docs/ANALYSIS.md` §3 numbers them.
 #[rustfmt::skip]
-pub static RULES: [Rule; 13] = [
+pub static RULES: [Rule; 14] = [
     Rule { id: "unsafe-needs-safety", lift: Some("SAFETY:"), tests: true, benchmark: true,
         details: &["`unsafe` without a `// SAFETY:` justification"],
         finds: &[find("unsafe").by(word)] },
@@ -367,6 +369,10 @@ pub static RULES: [Rule; 13] = [
         details: &["a SplitMix64 / ChaCha constant outside `btadt_types::rng` (draw from `ChaCha8`, `SplitMix64` or `mix64` instead of a private copy)"],
         finds: &[find("bf58476d1ce4e5b9").by(generator).owners(RNG), find("94d049bb133111eb").by(generator).owners(RNG),
             find("61707865").by(generator).owners(RNG)] },
+    Rule { id: "one-judge-index", lift: None, tests: false, benchmark: true,
+        details: &["a property builds an index of its own (read it from the check's `JudgeIndex`, which `criteria/index.rs` builds once per check)"],
+        finds: &[find("ReadIndex::new(").under(CRITERIA).owners(JUDGE_INDEX),
+            find("ReachForest::from_chains(").under(CRITERIA).owners(JUDGE_INDEX)] },
 ];
 
 impl Rule {
@@ -751,6 +757,10 @@ static CORPUS: &[CorpusCase] = &[
         "fn mix(mut x: u64) -> u64 {\n    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);\n    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);\n    x ^ (x >> 31)\n}\nconst SIGMA: [u32; 1] = [0x6170_7865];\n#[cfg(test)]\nmod tests {\n    const K: u64 = 0xbf58_476d_1ce4_e5b9;\n}\n"),
     ("crates/types/src/rng.rs", &[],
         "// a comment may name 0xbf58_476d_1ce4_e5b9 anywhere\nconst SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];\nfn mix64(x: u64) -> u64 {\n    let z = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);\n    let _ = \"0x94d0_49bb_1331_11eb\";\n    (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb)\n}\n"),
+    ("crates/core/src/criteria/own-index.rs", &[("one-judge-index", 2), ("one-judge-index", 3)],
+        "fn check(&self, history: &BtHistory) -> Verdict {\n    let index = ReadIndex::new(history, self.score.as_ref());\n    let forest = crate::reachability::ReachForest::from_chains(index.chains());\n    self.judge(&index, forest)\n}\n"),
+    ("crates/core/src/criteria/index.rs", &[],
+        "fn new(history: &BtHistory, needs: Needs<'_>) -> JudgeIndex<'_> {\n    let by_process = ReadIndex::new(&reads, &record_at);\n    let forest = ReachForest::from_chains(reads.iter().map(|(_, c)| *c));\n    JudgeIndex { by_process, forest }\n}\n#[cfg(test)]\nmod tests {\n    fn t(c: &[Blockchain]) { ReachForest::from_chains(c); }\n}\n"),
     ("block-comment-masked", &[],
         "/* unsafe\n   .unwrap()\n   Ordering::SeqCst */\nfn f() {}\n"),
 ];

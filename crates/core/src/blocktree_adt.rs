@@ -68,17 +68,6 @@ impl BlockTreeAdt {
         }
     }
 
-    /// Creates a BT-ADT from shared parameters.
-    pub fn from_shared(
-        selection: Arc<dyn SelectionFunction>,
-        validity: Arc<dyn ValidityPredicate>,
-    ) -> Self {
-        BlockTreeAdt {
-            selection,
-            validity,
-        }
-    }
-
     /// The paper's running example: longest-chain selection, every block
     /// valid.
     pub fn longest_chain() -> Self {

@@ -5,14 +5,13 @@
 //! the chain preceding `b`) and (ii) have been inserted with an `append(b)`
 //! operation whose invocation precedes the read's response in program order.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use btadt_history::{ConsistencyCriterion, Timestamp, Verdict};
-use btadt_types::{Block, BlockId, ValidityPredicate};
+use btadt_types::{Block, BlockId, BlockIdMap, ValidityPredicate};
 
-use crate::criteria::index::appends_unordered;
-use crate::criteria::CappedViolations;
+use crate::criteria::index::{appends_unordered, JudgeIndex, Needs};
+use crate::criteria::{check_alone, CappedViolations, Property};
 use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtRecord, BtResponse};
 
 /// Checks the Block Validity property.
@@ -68,43 +67,43 @@ impl BlockValidity {
     ///
     /// A block's chain context is its ancestor path, which its structural
     /// id determines below a given root (the same interning assumption the
-    /// tree relies on), and the predicate is deterministic — so each
-    /// (root id, block id) gets one [`PathAggregate`], filled from the
-    /// deepest ancestor that already has one.  The root is part of the key
+    /// tree relies on), and the predicate is deterministic — so each block
+    /// id below one root id gets one [`PathAggregate`], filled from the
+    /// deepest ancestor that already has one.  Each root gets its own map
     /// because a pruned window's boundary root keeps its id but not its
     /// ancestors.  A read whose tip aggregate says "every block valid, every
-    /// block's first append invoked before this read responded" cannot
-    /// violate either clause and costs one lookup.  Any other read takes
-    /// the reference walk (memoised verdicts, appends grouped by id, both
-    /// halves of program order), so its violations come out in the same
-    /// order as the reference's.
-    fn check_indexed(&self, history: &BtHistory) -> Verdict {
+    /// block's first append (from the index) invoked before this read
+    /// responded" cannot violate either clause and costs one lookup.  Any
+    /// other read takes the reference walk (memoised verdicts, appends
+    /// grouped by id — built on the first such read — and both halves of
+    /// program order), so its violations come out in the same order as the
+    /// reference's.
+    fn check_indexed(&self, history: &BtHistory, index: &JudgeIndex<'_>) -> Verdict {
         let mut violations = CappedViolations::new("block-validity");
-        let mut appends_by_id: HashMap<BlockId, Vec<&BtRecord>> = HashMap::new();
-        for (a, b) in appends_unordered(history) {
-            appends_by_id.entry(b.id).or_default().push(a);
-        }
-        let first_append: HashMap<BlockId, Timestamp> = appends_by_id
-            .iter()
-            .map(|(&id, records)| {
-                let first = records.iter().map(|a| a.invoked_at).min();
-                (id, first.expect("grouped ids have an append"))
-            })
-            .collect();
-        let mut paths: HashMap<(BlockId, BlockId), PathAggregate> = HashMap::new();
+        let first_append = &index.first_append;
+        let mut appends_by_id: Option<BlockIdMap<Vec<&BtRecord>>> = None;
+        let mut roots: Vec<(BlockId, BlockIdMap<PathAggregate>)> = Vec::new();
 
-        for (read, chain) in history.reads() {
+        for &(read, chain) in &index.reads {
             let blocks = chain.blocks();
             let root = blocks[0].id;
+            let paths = match roots.iter().position(|(id, _)| *id == root) {
+                Some(k) => &mut roots[k].1,
+                None => {
+                    roots.push((root, BlockIdMap::default()));
+                    &mut roots.last_mut().expect("just pushed").1
+                }
+            };
             // The deepest block with an aggregate; extend from there.
             let mut known = blocks.len();
-            while known > 0 && !paths.contains_key(&(root, blocks[known - 1].id)) {
+            let mut path = PathAggregate::EMPTY;
+            while known > 0 {
+                if let Some(&found) = paths.get(&blocks[known - 1].id) {
+                    path = found;
+                    break;
+                }
                 known -= 1;
             }
-            let mut path = match known {
-                0 => PathAggregate::EMPTY,
-                k => paths[&(root, blocks[k - 1].id)],
-            };
             for (idx, block) in blocks.iter().enumerate().skip(known) {
                 if !block.is_genesis() {
                     let valid = self.validity.is_valid(block, &blocks[..idx]);
@@ -120,14 +119,21 @@ impl BlockValidity {
                 } else {
                     path.valid = true;
                 }
-                paths.insert((root, block.id), path);
+                paths.insert(block.id, path);
             }
             let responded = read.responded_at.expect("reads are complete");
             if path.path_valid && path.path_appended_by < responded {
                 continue;
             }
+            let appends_by_id = appends_by_id.get_or_insert_with(|| {
+                let mut grouped: BlockIdMap<Vec<&BtRecord>> = BlockIdMap::default();
+                for (a, b) in appends_unordered(history) {
+                    grouped.entry(b.id).or_default().push(a);
+                }
+                grouped
+            });
             for block in blocks.iter().filter(|b| !b.is_genesis()) {
-                if !paths[&(root, block.id)].valid {
+                if !paths[&block.id].valid {
                     violations.push_with(vec![read.id], || invalid_detail(block));
                 }
                 let appended_before = first_append
@@ -193,13 +199,26 @@ fn unappended_detail(block: &Block) -> String {
     )
 }
 
-impl ConsistencyCriterion<BtOperation, BtResponse> for BlockValidity {
-    fn check(&self, history: &BtHistory) -> Verdict {
+impl Property for BlockValidity {
+    fn needs(&self) -> Needs<'_> {
+        Needs {
+            first_append: self.use_index,
+            ..Needs::default()
+        }
+    }
+
+    fn check_with(&self, history: &BtHistory, index: &JudgeIndex<'_>) -> Verdict {
         if self.use_index {
-            self.check_indexed(history)
+            self.check_indexed(history, index)
         } else {
             self.check_reference(history)
         }
+    }
+}
+
+impl ConsistencyCriterion<BtOperation, BtResponse> for BlockValidity {
+    fn check(&self, history: &BtHistory) -> Verdict {
+        check_alone(self, history)
     }
 
     fn name(&self) -> &'static str {

@@ -19,13 +19,14 @@
 //! the default of `0` is sound there.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use btadt_history::{ConsistencyCriterion, ProcessId, Verdict};
-use btadt_types::{Blockchain, Score};
+use btadt_types::{BlockIdHasher, Blockchain, Score};
 
-use crate::criteria::index::ReadIndex;
-use crate::criteria::CappedViolations;
+use crate::criteria::index::{JudgeIndex, Needs};
+use crate::criteria::{check_alone, CappedViolations, Property};
 use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtRecord, BtResponse};
 
 /// Checks the Eventual Prefix property under a given score function.
@@ -78,49 +79,46 @@ impl EventualPrefix {
     /// distinct tuple of final reads.
     ///
     /// Each process's final read after `r` comes from
-    /// [`ReadIndex::last_after`] (two suffix-max searches, one per half of
+    /// [`JudgeIndex::last_after`] (two suffix-max searches, one per half of
     /// program order).  The tuple of finals changes rarely — in a recorded
-    /// run it is almost always "every process's last read" — so the
-    /// pairwise `mcps` are memoised per tuple with their minimum, and the
-    /// pairwise loop (and its `format!`) runs only for a reference score
-    /// above that minimum: exactly the reads the reference reports, in the
-    /// same pair order.
-    fn check_indexed(&self, history: &BtHistory) -> Verdict {
-        let index = ReadIndex::new(history, self.score.as_ref());
+    /// run it is almost always "every process's last read" — so it is
+    /// first compared with the previous read's tuple, and the pairwise
+    /// `mcps` are memoised per tuple (under the pass-through hasher) with
+    /// their minimum.  The pairwise loop (and its `format!`) runs only for
+    /// a reference score above that minimum: exactly the reads the
+    /// reference reports, in the same pair order.
+    fn check_indexed(&self, index: &JudgeIndex<'_>) -> Verdict {
         let reads = &index.reads;
+        let processes = &index.by_process.processes;
         let mut violations = CappedViolations::new("eventual-prefix");
         let reference_count = reads.len().saturating_sub(self.ignore_last);
-        let mut memo: HashMap<Vec<usize>, FinalPairs> = HashMap::new();
-        let mut finals: Vec<usize> = Vec::with_capacity(index.processes.len());
-
+        let mut memo: HashMap<Vec<usize>, usize, BuildHasherDefault<BlockIdHasher>> =
+            HashMap::default();
+        let mut tuples: Vec<FinalPairs> = Vec::new();
+        let mut finals = Vec::with_capacity(processes.len());
+        // The last tuple looked up (never empty once set) and its slot.
+        let (mut previous, mut current) = (Vec::new(), 0);
         for i in 0..reference_count {
             finals.clear();
-            finals.extend(
-                index
-                    .processes
-                    .iter()
-                    .filter_map(|p| index.last_after(p, i)),
-            );
+            finals.extend(processes.iter().filter_map(|p| index.last_after(p, i)));
             if finals.len() < 2 {
                 continue;
             }
-            if !memo.contains_key(&finals) {
-                let mut pairs = Vec::with_capacity(finals.len() * (finals.len() - 1) / 2);
-                for (a, &ja) in finals.iter().enumerate() {
-                    for &jb in &finals[a + 1..] {
-                        pairs.push((ja, jb, self.score.mcps(reads[ja].1, reads[jb].1)));
-                    }
+            if finals != previous {
+                let next = tuples.len();
+                current = *memo.entry(finals.clone()).or_insert(next);
+                if current == next {
+                    tuples.push(self.final_pairs(index, &finals));
                 }
-                let min = pairs.iter().map(|&(_, _, m)| m).min().unwrap_or(u64::MAX);
-                memo.insert(finals.clone(), FinalPairs { pairs, min });
+                std::mem::swap(&mut previous, &mut finals);
             }
-            let finals = &memo[&finals];
+            let tuple = &tuples[current];
             let s = index.scores[i];
-            if s <= finals.min {
+            if s <= tuple.min {
                 continue;
             }
             let r = reads[i].0;
-            for &(ja, jb, m) in finals.pairs.iter().filter(|&&(_, _, m)| m < s) {
+            for &(ja, jb, m) in tuple.pairs.iter().filter(|&&(_, _, m)| m < s) {
                 let (ra, rb) = (reads[ja].0, reads[jb].0);
                 violations.push_with(vec![r.id, ra.id, rb.id], || {
                     violation_detail(s, ra.process, rb.process, m)
@@ -128,6 +126,19 @@ impl EventualPrefix {
             }
         }
         Verdict::from_violations(violations.finish())
+    }
+
+    /// Every pair of one tuple of final reads with its `mcps`.
+    fn final_pairs(&self, index: &JudgeIndex<'_>, finals: &[usize]) -> FinalPairs {
+        let reads = &index.reads;
+        let mut pairs = Vec::with_capacity(finals.len() * (finals.len() - 1) / 2);
+        for (a, &ja) in finals.iter().enumerate() {
+            for &jb in &finals[a + 1..] {
+                pairs.push((ja, jb, self.score.mcps(reads[ja].1, reads[jb].1)));
+            }
+        }
+        let min = pairs.iter().map(|&(_, _, m)| m).min().unwrap_or(u64::MAX);
+        FinalPairs { pairs, min }
     }
 
     /// The spec: for every reference read, filter the whole history for
@@ -180,13 +191,26 @@ fn violation_detail(s: u64, a: ProcessId, b: ProcessId, m: u64) -> String {
     )
 }
 
-impl ConsistencyCriterion<BtOperation, BtResponse> for EventualPrefix {
-    fn check(&self, history: &BtHistory) -> Verdict {
+impl Property for EventualPrefix {
+    fn needs(&self) -> Needs<'_> {
+        Needs {
+            scores: self.use_index.then_some(self.score.as_ref()),
+            ..Needs::default()
+        }
+    }
+
+    fn check_with(&self, history: &BtHistory, index: &JudgeIndex<'_>) -> Verdict {
         if self.use_index {
-            self.check_indexed(history)
+            self.check_indexed(index)
         } else {
             self.check_reference(history)
         }
+    }
+}
+
+impl ConsistencyCriterion<BtOperation, BtResponse> for EventualPrefix {
+    fn check(&self, history: &BtHistory) -> Verdict {
+        check_alone(self, history)
     }
 
     fn name(&self) -> &'static str {

@@ -21,11 +21,11 @@
 
 use std::sync::Arc;
 
-use btadt_history::{ConsistencyCriterion, Timestamp, Verdict};
+use btadt_history::{ConsistencyCriterion, Verdict};
 use btadt_types::Score;
 
-use crate::criteria::index::{appends_unordered, Above, ReadIndex};
-use crate::criteria::CappedViolations;
+use crate::criteria::index::{Above, JudgeIndex, Needs};
+use crate::criteria::{check_alone, CappedViolations, Property};
 use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtResponse};
 
 /// Checks the Ever-Growing Tree property under a given score function.
@@ -68,9 +68,10 @@ impl EverGrowingTree {
         }
     }
 
-    fn window_for(&self, history: &BtHistory) -> usize {
+    /// The window for a history that names `processes` processes.
+    fn window(&self, processes: usize) -> usize {
         self.min_later_appends
-            .unwrap_or_else(|| 2 * history.processes().len().max(1))
+            .unwrap_or_else(|| 2 * processes.max(1))
     }
 
     /// The fast body, O((R + A)·log(R + A)).
@@ -86,24 +87,10 @@ impl EverGrowingTree {
     /// maxima of scores: over reads sorted by invocation, and over `r`'s
     /// process's reads sorted by seq.  (Read `r` itself may fall in the
     /// first set on an inverted record, but its score is `s`, not `> s`.)
-    fn check_indexed(&self, history: &BtHistory) -> Verdict {
-        let window = self.window_for(history);
-        let index = ReadIndex::new(history, self.score.as_ref());
-        let mut appends_by_time: Vec<Timestamp> = Vec::new();
-        // Per process with a read (aligned with `index.processes`): its
-        // appends as (seq, invocation), sorted by seq.
-        let mut appends_by_seq: Vec<Vec<(u64, Timestamp)>> =
-            vec![Vec::new(); index.processes.len()];
-        for (a, _) in appends_unordered(history) {
-            appends_by_time.push(a.invoked_at);
-            if let Some(k) = index.slot_of(a.process) {
-                appends_by_seq[k].push((a.seq, a.invoked_at));
-            }
-        }
-        appends_by_time.sort_unstable();
-        for list in &mut appends_by_seq {
-            list.sort_unstable();
-        }
+    fn check_indexed(&self, index: &JudgeIndex<'_>) -> Verdict {
+        let window = self.window(index.appends.processes);
+        let appends_by_time = &index.appends.by_time;
+        let by_process = &index.by_process;
         let reads_by_time = Above::new(
             index
                 .reads
@@ -112,7 +99,7 @@ impl EverGrowingTree {
                 .map(|((r, _), &s)| (r.invoked_at, s))
                 .collect(),
         );
-        let reads_by_seq: Vec<Above<u64>> = index
+        let reads_by_seq: Vec<Above<u64>> = by_process
             .processes
             .iter()
             .map(|p| {
@@ -127,7 +114,7 @@ impl EverGrowingTree {
             let responded = r.responded_at.expect("reads are complete");
             let by_time =
                 appends_by_time.len() - appends_by_time.partition_point(|&t| t <= responded);
-            let own = &appends_by_seq[index.slot[i]];
+            let own = &index.appends.by_seq[by_process.slot[i]];
             let own = &own[own.partition_point(|&(seq, _)| seq <= r.seq)..];
             // |A_op ∪ A_proc| = A_op + the same-process later appends
             // invoked no later than r's response.
@@ -139,7 +126,7 @@ impl EverGrowingTree {
             }
             let best_later = reads_by_time
                 .max_value_above(responded)
-                .max(reads_by_seq[index.slot[i]].max_value_above(r.seq));
+                .max(reads_by_seq[by_process.slot[i]].max_value_above(r.seq));
             if best_later.is_some_and(|best| best > s) {
                 continue;
             }
@@ -153,7 +140,7 @@ impl EverGrowingTree {
     fn check_reference(&self, history: &BtHistory) -> Verdict {
         let reads = history.reads();
         let appends = history.appends();
-        let window = self.window_for(history);
+        let window = self.window(history.processes().len());
         let mut violations = CappedViolations::new("ever-growing-tree");
 
         for (i, (r, chain)) in reads.iter().enumerate() {
@@ -191,13 +178,27 @@ fn violation_detail(s: u64, later_appends: usize) -> String {
     )
 }
 
-impl ConsistencyCriterion<BtOperation, BtResponse> for EverGrowingTree {
-    fn check(&self, history: &BtHistory) -> Verdict {
+impl Property for EverGrowingTree {
+    fn needs(&self) -> Needs<'_> {
+        Needs {
+            scores: self.use_index.then_some(self.score.as_ref()),
+            append_lists: self.use_index,
+            ..Needs::default()
+        }
+    }
+
+    fn check_with(&self, history: &BtHistory, index: &JudgeIndex<'_>) -> Verdict {
         if self.use_index {
-            self.check_indexed(history)
+            self.check_indexed(index)
         } else {
             self.check_reference(history)
         }
+    }
+}
+
+impl ConsistencyCriterion<BtOperation, BtResponse> for EverGrowingTree {
+    fn check(&self, history: &BtHistory) -> Verdict {
+        check_alone(self, history)
     }
 
     fn name(&self) -> &'static str {
@@ -281,7 +282,7 @@ mod tests {
         read(&mut rec, 0, Blockchain::genesis_only());
         read(&mut rec, 1, Blockchain::genesis_only());
         let h = rec.into_history();
-        assert_eq!(p.window_for(&h), 4);
+        assert_eq!(p.window(h.processes().len()), 4);
         // No appends at all: nothing is required.
         assert!(p.admits(&h));
     }

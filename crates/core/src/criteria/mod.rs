@@ -22,17 +22,27 @@
 //! protocol simulations always end with a quiescent round so that the grace
 //! window can be zero.
 //!
+//! ## One index per check
+//!
+//! A criterion is one [`BtCriterion`]: its `check` builds one
+//! `JudgeIndex` (`index.rs`) holding what its parts read — the
+//! complete reads in response order, their scores and per-process suffix
+//! maxima, the first-append time per block id, Ever-Growing Tree's append
+//! lists, and the `ReachForest` only when Strong Prefix is a part — and
+//! every part answers from it.  A property checked on its own builds its
+//! own index through the same constructor, asking only for its parts.
+//!
 //! ## Two implementations, one verdict
 //!
-//! Every property but Local Monotonic Read has two bodies: the default one,
-//! which answers each read's quantifier from indexes built once per history
-//! (`index.rs`, Block Validity's path aggregates, the `ReachForest`'s
-//! pre-order numbering for Strong Prefix, which counts its diverging pairs
-//! instead of enumerating them), and `::reference()`, which rescans the
-//! history per read and is kept as the executable spec.  The default body
-//! is exact on any history — ties, inverted or pending records, seq order
-//! disagreeing with time order — with no well-formedness gate;
-//! `tests/equivalence.rs` holds the two to byte-identical verdicts.
+//! Every property has two bodies: the default one, which answers each
+//! read's quantifier from the index (Block Validity's path aggregates, the
+//! `ReachForest`'s pre-order numbering for Strong Prefix, which counts its
+//! diverging pairs instead of enumerating them), and `::reference()`,
+//! which rescans the history per read and is kept as the executable spec.
+//! The default body is exact on any history — ties, inverted or pending
+//! records, seq order disagreeing with time order — with no
+//! well-formedness gate; `tests/equivalence.rs` holds the two to
+//! byte-identical verdicts.
 
 mod block_validity;
 mod eventual_prefix;
@@ -49,10 +59,11 @@ pub use strong_prefix::StrongPrefix;
 
 use std::sync::Arc;
 
-use btadt_history::{Conjunction, OpId, Violation};
+use btadt_history::{ConsistencyCriterion, OpId, Verdict, Violation};
 use btadt_types::{Score, ValidityPredicate};
 
-use crate::ops::{BtOperation, BtResponse};
+use crate::criteria::index::{JudgeIndex, Needs};
+use crate::ops::{BtHistory, BtOperation, BtResponse};
 
 /// How many fully-formatted violations a property reports before it folds
 /// the remainder into one summary entry.
@@ -125,8 +136,67 @@ impl CappedViolations {
     }
 }
 
-/// A consistency criterion over BT histories.
-pub type BtCriterion = Conjunction<BtOperation, BtResponse>;
+/// A property the criteria are conjunctions of: it names the parts of
+/// the index it reads and answers from an index built elsewhere.
+pub(crate) trait Property: ConsistencyCriterion<BtOperation, BtResponse> {
+    /// The parts of a [`JudgeIndex`] [`check_with`](Property::check_with)
+    /// reads (none in reference mode).
+    fn needs(&self) -> Needs<'_>;
+
+    /// Checks `history` from `index`, built over `history` with at least
+    /// [`needs`](Property::needs).
+    fn check_with(&self, history: &BtHistory, index: &JudgeIndex<'_>) -> Verdict;
+}
+
+/// [`ConsistencyCriterion::check`] for a property on its own: it builds
+/// the index it needs and answers from it.
+pub(crate) fn check_alone(property: &impl Property, history: &BtHistory) -> Verdict {
+    property.check_with(history, &JudgeIndex::new(history, property.needs()))
+}
+
+/// A consistency criterion over BT histories: a conjunction of properties
+/// judged from one shared index.
+///
+/// A history is admitted iff every part admits it; the verdict holds every
+/// part's violations, in part order (not short-circuited), so reports show
+/// the full picture.
+pub struct BtCriterion {
+    name: &'static str,
+    parts: Vec<Box<dyn Property>>,
+}
+
+impl BtCriterion {
+    /// Number of component properties.
+    pub fn len(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Returns `true` iff the criterion has no components.
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// Names of the component properties, in check order.
+    pub fn part_names(&self) -> Vec<&'static str> {
+        self.parts.iter().map(|p| p.name()).collect()
+    }
+}
+
+impl ConsistencyCriterion<BtOperation, BtResponse> for BtCriterion {
+    fn check(&self, history: &BtHistory) -> Verdict {
+        let needs = self.parts.iter().map(|p| p.needs());
+        let index = JudgeIndex::new(history, needs.fold(Needs::default(), Needs::union));
+        let mut verdict = Verdict::admitted();
+        for part in &self.parts {
+            verdict.merge(part.check_with(history, &index));
+        }
+        verdict
+    }
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+}
 
 /// Builds the **BT Strong Consistency** criterion (Definition 3.2) for the
 /// given score function and validity predicate.
@@ -134,11 +204,15 @@ pub fn strong_consistency(
     score: Arc<dyn Score>,
     validity: Arc<dyn ValidityPredicate>,
 ) -> BtCriterion {
-    Conjunction::named("BT Strong Consistency")
-        .and(BlockValidity::new(validity))
-        .and(LocalMonotonicRead::new(score.clone()))
-        .and(StrongPrefix::new())
-        .and(EverGrowingTree::new(score))
+    BtCriterion {
+        name: "BT Strong Consistency",
+        parts: vec![
+            Box::new(BlockValidity::new(validity)),
+            Box::new(LocalMonotonicRead::new(score.clone())),
+            Box::new(StrongPrefix::new()),
+            Box::new(EverGrowingTree::new(score)),
+        ],
+    }
 }
 
 /// Builds the **BT Eventual Consistency** criterion (Definition 3.4) for the
@@ -147,26 +221,35 @@ pub fn eventual_consistency(
     score: Arc<dyn Score>,
     validity: Arc<dyn ValidityPredicate>,
 ) -> BtCriterion {
-    Conjunction::named("BT Eventual Consistency")
-        .and(BlockValidity::new(validity))
-        .and(LocalMonotonicRead::new(score.clone()))
-        .and(EverGrowingTree::new(score.clone()))
-        .and(EventualPrefix::new(score))
+    BtCriterion {
+        name: "BT Eventual Consistency",
+        parts: vec![
+            Box::new(BlockValidity::new(validity)),
+            Box::new(LocalMonotonicRead::new(score.clone())),
+            Box::new(EverGrowingTree::new(score.clone())),
+            Box::new(EventualPrefix::new(score)),
+        ],
+    }
 }
 
 /// [`strong_consistency`] with every property in **reference mode**: the
-/// rescanning, chain-walking implementations kept as the executable spec.
-/// The equivalence tests assert this conjunction and the default (indexed)
-/// one produce byte-identical verdicts on recorded and hostile histories.
+/// rescanning, chain-walking implementations kept as the executable spec,
+/// reading no index.  The equivalence tests assert this criterion and the
+/// default (indexed) one produce byte-identical verdicts on recorded and
+/// hostile histories.
 pub fn strong_consistency_reference(
     score: Arc<dyn Score>,
     validity: Arc<dyn ValidityPredicate>,
 ) -> BtCriterion {
-    Conjunction::named("BT Strong Consistency")
-        .and(BlockValidity::reference(validity))
-        .and(LocalMonotonicRead::new(score.clone()))
-        .and(StrongPrefix::reference())
-        .and(EverGrowingTree::reference(score))
+    BtCriterion {
+        name: "BT Strong Consistency",
+        parts: vec![
+            Box::new(BlockValidity::reference(validity)),
+            Box::new(LocalMonotonicRead::reference(score.clone())),
+            Box::new(StrongPrefix::reference()),
+            Box::new(EverGrowingTree::reference(score)),
+        ],
+    }
 }
 
 /// [`eventual_consistency`] with every property in **reference mode** (see
@@ -175,11 +258,15 @@ pub fn eventual_consistency_reference(
     score: Arc<dyn Score>,
     validity: Arc<dyn ValidityPredicate>,
 ) -> BtCriterion {
-    Conjunction::named("BT Eventual Consistency")
-        .and(BlockValidity::reference(validity))
-        .and(LocalMonotonicRead::new(score.clone()))
-        .and(EverGrowingTree::reference(score.clone()))
-        .and(EventualPrefix::reference(score))
+    BtCriterion {
+        name: "BT Eventual Consistency",
+        parts: vec![
+            Box::new(BlockValidity::reference(validity)),
+            Box::new(LocalMonotonicRead::reference(score.clone())),
+            Box::new(EverGrowingTree::reference(score.clone())),
+            Box::new(EventualPrefix::reference(score)),
+        ],
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +277,7 @@ mod tests {
     #[test]
     fn strong_consistency_has_four_properties() {
         let sc = strong_consistency(Arc::new(LengthScore), Arc::new(AlwaysValid));
+        assert_eq!(sc.name(), "BT Strong Consistency");
         assert_eq!(sc.len(), 4);
         assert_eq!(
             sc.part_names(),
@@ -205,6 +293,7 @@ mod tests {
     #[test]
     fn eventual_consistency_has_four_properties() {
         let ec = eventual_consistency(Arc::new(LengthScore), Arc::new(AlwaysValid));
+        assert_eq!(ec.name(), "BT Eventual Consistency");
         assert_eq!(ec.len(), 4);
         assert_eq!(
             ec.part_names(),

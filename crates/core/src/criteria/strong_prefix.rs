@@ -8,10 +8,11 @@
 //!
 //! ## Two implementations, one verdict
 //!
-//! The default path interns every read chain into a [`ReachForest`] and
-//! asks it, in one O(R log n) sweep, how many later reads diverge from
-//! each read ([`ReachForest::diverging_later`]).  A total of zero admits.
-//! Otherwise only rows with a non-zero count are scanned, in the same
+//! The default path reads the [`ReachForest`] of every read chain from the
+//! check's index and asks it, in one O(R log n) sweep, how many later
+//! reads diverge from each read ([`ReachForest::diverging_later`]).  A
+//! total of zero admits.  Otherwise only rows with a non-zero count are
+//! scanned, in the same
 //! `(i, j)` order as the spec and with two O(1) span checks per pair,
 //! until [`DETAIL_CAP`] details exist — at most `DETAIL_CAP` rows of R
 //! probes — and the rest of the total is folded into the summary without
@@ -24,15 +25,17 @@
 //! construction bail and the default path falls back to the reference
 //! walk.
 //!
+//! [`ReachForest`]: crate::reachability::ReachForest
+//! [`ReachForest::diverging_later`]: crate::reachability::ReachForest::diverging_later
 //! [`DETAIL_CAP`]: crate::criteria::DETAIL_CAP
 //! [`Blockchain::prefix_compatible`]: btadt_types::Blockchain::prefix_compatible
 
 use btadt_history::{ConsistencyCriterion, Verdict};
 use btadt_types::Blockchain;
 
-use crate::criteria::{CappedViolations, DETAIL_CAP};
+use crate::criteria::index::{JudgeIndex, Needs};
+use crate::criteria::{check_alone, CappedViolations, Property, DETAIL_CAP};
 use crate::ops::{BtHistory, BtHistoryExt, BtOperation, BtResponse};
-use crate::reachability::ReachForest;
 
 /// Checks the Strong Prefix property.
 pub struct StrongPrefix {
@@ -81,15 +84,22 @@ fn divergence(a: &Blockchain, b: &Blockchain) -> String {
     format!("reads returned diverging chains {a:?} and {b:?} (neither prefixes the other)")
 }
 
-impl ConsistencyCriterion<BtOperation, BtResponse> for StrongPrefix {
-    fn check(&self, history: &BtHistory) -> Verdict {
+impl Property for StrongPrefix {
+    fn needs(&self) -> Needs<'_> {
+        Needs {
+            forest: self.use_index,
+            ..Needs::default()
+        }
+    }
+
+    fn check_with(&self, history: &BtHistory, index: &JudgeIndex<'_>) -> Verdict {
         if !self.use_index {
             return self.check_walk(history);
         }
-        let reads = history.reads();
-        let Some(forest) = ReachForest::from_chains(reads.iter().map(|(_, c)| *c)) else {
+        let Some(forest) = &index.forest else {
             return self.check_walk(history);
         };
+        let reads = &index.reads;
         let counts = forest.diverging_later();
         let total: usize = counts.iter().sum();
         if total == 0 {
@@ -113,6 +123,12 @@ impl ConsistencyCriterion<BtOperation, BtResponse> for StrongPrefix {
         }
         violations.suppress(total - violations.len());
         Verdict::from_violations(violations.finish())
+    }
+}
+
+impl ConsistencyCriterion<BtOperation, BtResponse> for StrongPrefix {
+    fn check(&self, history: &BtHistory) -> Verdict {
+        check_alone(self, history)
     }
 
     fn name(&self) -> &'static str {

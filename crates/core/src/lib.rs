@@ -11,7 +11,9 @@
 //! * [`criteria`] — the four BT properties (Block Validity, Local Monotonic
 //!   Read, Strong Prefix, Ever-Growing Tree) plus Eventual Prefix, and the
 //!   two consistency criteria built from them: **BT Strong Consistency**
-//!   (Definition 3.2) and **BT Eventual Consistency** (Definition 3.4).
+//!   (Definition 3.2) and **BT Eventual Consistency** (Definition 3.4), each
+//!   a [`criteria::BtCriterion`] whose check builds one index its parts
+//!   share.
 //! * [`refinement`] — `R(BT-ADT, Θ)` (Definition 3.7, Figure 7): the append
 //!   operation refined into `getToken* ; consumeToken`, executed atomically
 //!   against a token oracle, with oracle-log capture for k-Fork-Coherence
@@ -24,10 +26,10 @@
 //!   abstraction (Definition 4.4), as executable checks over
 //!   message-passing histories.
 //! * [`reachability`] — the [`ReachForest`]: all read chains of a history
-//!   interned into one [`btadt_types::BlockTree`] and numbered once in
-//!   pre-order, turning pairwise prefix tests into O(1) span containment
-//!   checks, `mcp` into a span-guided binary ascent, and Strong Prefix's
-//!   count of diverging read pairs into one O(R log n) sweep.
+//!   interned into one parent arena and numbered once in pre-order,
+//!   turning pairwise prefix tests into O(1) span containment checks, `mcp`
+//!   into a span-guided binary ascent, and Strong Prefix's count of
+//!   diverging read pairs into one O(R log n) sweep.
 //! * [`invariant`] — recompute-and-compare structural checking of
 //!   [`btadt_types::BlockTree`] instances (link consistency, leaf-count
 //!   agreement, cumulative-work monotonicity) for fault-injection monitors.

@@ -5,11 +5,10 @@
 //! `prefix_compatible` for Strong Prefix, pairwise divergence depth for the
 //! scenario metrics.  Walking and zipping the chains makes every pair
 //! O(chain length); instead, [`ReachForest`] interns all chains of a
-//! history into one [`BlockTree`] and then numbers that tree once, by a
-//! single iterative depth-first walk over its child lists: each node gets
-//! its **pre-order position** and the **end** of its subtree's positions
-//! (exclusive).  A node is an ancestor of (or equal to) another ⟺ the
-//! other's position falls in its `[pre, end)` span, so:
+//! history into one union tree and then numbers that tree once: each node
+//! gets its **pre-order position** and the **end** of its subtree's
+//! positions (exclusive).  A node is an ancestor of (or equal to)
+//! another ⟺ the other's position falls in its `[pre, end)` span, so:
 //!
 //! * two chains are prefix-compatible ⟺ one tip's span holds the other's
 //!   position — **two comparisons per pair** instead of a zip;
@@ -21,22 +20,27 @@
 //!   chains with two Fenwick trees over pre-order positions — O(R log n)
 //!   for R chains over n blocks, never the R² pairs.
 //!
-//! The numbering belongs to the forest: the tree's own online interval
-//! index (`btadt_types::reachability`) still labels every insert, but no
-//! query here reads it.
+//! The forest is a bare parent arena, not a `BlockTree`: interning a
+//! block is one map probe and three checks, with no block validation
+//! beyond them, no online reachability label, no height lists and no best
+//! tips.  The numbering needs no child lists either: a parent's slot is
+//! below its children's, so subtree sizes are one reverse pass over the
+//! slots and pre-order positions one forward pass.
 //!
 //! Ingestion is incremental per chain: walk backward from the tip to the
-//! first block the tree already holds, verify the boundary block is
-//! *identical* to the resident copy, and insert only the missing suffix.
+//! first block the forest already holds, verify the boundary block is
+//! *identical* to the resident copy, and intern only the missing suffix.
 //! Structurally inconsistent inputs — chains that disagree on their root,
 //! boundary blocks whose content differs from the resident copy under the
-//! same id, or suffixes the tree rejects — make construction return `None`,
-//! and callers fall back to the walk-based spec checkers.  (Block ids are
-//! structural hashes, so distinct blocks colliding on an id is already
-//! excluded by the repo-wide interning assumption; the boundary equality
-//! check is a cheap tripwire on top.)
+//! same id, or suffix blocks a `BlockTree` would refuse to insert (no
+//! parent pointer, unknown parent, height not the parent's + 1, cumulative
+//! work past `u64::MAX`, an id interned twice) — make construction return
+//! `None`, and callers fall back to the walk-based spec checkers.  (Block
+//! ids are structural hashes, so distinct blocks colliding on an id is
+//! already excluded by the repo-wide interning assumption; the boundary
+//! equality check is a cheap tripwire on top.)
 
-use btadt_types::{BlockTree, Blockchain, NodeIdx};
+use btadt_types::{Block, BlockIdMap, Blockchain, NodeIdx};
 
 /// A node's place in the forest's pre-order: its own position and the end
 /// (exclusive) of its subtree's positions.
@@ -58,65 +62,95 @@ impl Span {
 /// All read chains of a history interned into one union tree, numbered
 /// once in pre-order, with one tip per input chain (in input order).
 pub struct ReachForest {
-    tree: BlockTree,
+    /// The arena slot of every interned block.
+    index: BlockIdMap<NodeIdx>,
     tips: Vec<NodeIdx>,
     /// The pre-order span of every node, indexed by `NodeIdx`.
     spans: Vec<Span>,
 }
 
+/// One interned node while the forest is built: the chain block it was
+/// first read from, and its path's cumulative work.
+struct Resident<'a> {
+    block: &'a Block,
+    cumulative_work: u64,
+}
+
 impl ReachForest {
     /// Builds the union tree of the given chains.  Returns `None` when the
     /// chains are not mutually consistent tree paths (disjoint roots,
-    /// boundary mismatches, rejected inserts) or when there are no chains —
-    /// callers then fall back to chain-walking checkers.
+    /// boundary mismatches, suffix blocks a `BlockTree` would refuse) or
+    /// when there are no chains — callers then fall back to chain-walking
+    /// checkers.
     pub fn from_chains<'a, I>(chains: I) -> Option<ReachForest>
     where
         I: IntoIterator<Item = &'a Blockchain>,
     {
-        let chains: Vec<&Blockchain> = chains.into_iter().collect();
-        let root = chains.first()?.blocks().first()?;
-        // The rerooted boundary copy clears the parent pointer, so chains
-        // over pruned windows intern exactly like genesis-rooted ones.
-        // LINT-ALLOW: a fresh tree interned from recorded chains, not a
-        // replica's window.
-        let mut tree = BlockTree::rerooted(root.clone());
-        let mut tips = Vec::with_capacity(chains.len());
+        let mut chains = chains.into_iter().peekable();
+        // The root's parent pointer is cleared, so chains over pruned
+        // windows intern exactly like genesis-rooted ones.
+        let mut root = chains.peek()?.blocks().first()?.clone();
+        root.parent = None;
+        let mut index = BlockIdMap::default();
+        index.insert(root.id, NodeIdx::GENESIS);
+        let mut parents = vec![NodeIdx::GENESIS];
+        let mut residents = vec![Resident {
+            block: &root,
+            cumulative_work: root.work,
+        }];
+        let mut tips = Vec::with_capacity(chains.size_hint().0);
 
-        for chain in &chains {
+        for chain in chains {
             let blocks = chain.blocks();
             let head = &blocks[0];
-            if head.id != tree.genesis().id {
-                return None; // disjoint roots: not one tree
-            }
-            {
-                let mut normalized = head.clone();
-                normalized.parent = None;
-                if normalized != *tree.genesis() {
-                    return None;
+            let same_root = match head.parent {
+                None => *head == root,
+                Some(_) => {
+                    Block {
+                        parent: None,
+                        ..head.clone()
+                    } == root
                 }
+            };
+            if !same_root {
+                return None; // disjoint roots: not one tree
             }
             // Deepest block already interned; position 0 always is.
             let mut k = blocks.len() - 1;
-            while !tree.contains(blocks[k].id) {
-                k -= 1;
-            }
-            if k > 0 && tree.get(blocks[k].id) != Some(&blocks[k]) {
+            let mut at = loop {
+                match index.get(&blocks[k].id) {
+                    Some(&at) => break at,
+                    None => k -= 1,
+                }
+            };
+            if k > 0 && *residents[at.0 as usize].block != blocks[k] {
                 return None; // boundary content diverges from the resident copy
             }
             for block in &blocks[k + 1..] {
-                if tree.insert(block.clone()).is_err() {
+                // A `BlockTree` insert's refusals.  A chain's invariant
+                // (checked in debug builds) rules out the first three — no
+                // parent pointer, unknown parent, height mismatch — so only
+                // a release-built `from_blocks_trusted` chain can reach them.
+                let parent = index.get(&block.parent?).copied()?;
+                let above = &residents[parent.0 as usize];
+                if block.height != above.block.height + 1 {
                     return None;
                 }
+                let cumulative_work = above.cumulative_work.checked_add(block.work)?;
+                at = NodeIdx(u32::try_from(parents.len()).expect("arena capacity exceeded"));
+                if index.insert(block.id, at).is_some() {
+                    return None; // an id interned twice
+                }
+                parents.push(parent);
+                residents.push(Resident {
+                    block,
+                    cumulative_work,
+                });
             }
-            tips.push(tree.idx_of(chain.tip().id).expect("tip was interned"));
+            tips.push(at);
         }
-        let spans = euler_spans(&tree);
-        Some(ReachForest { tree, tips, spans })
-    }
-
-    /// The underlying union tree.
-    pub fn tree(&self) -> &BlockTree {
-        &self.tree
+        let spans = pre_order_spans(&parents);
+        Some(ReachForest { index, tips, spans })
     }
 
     /// The interned tip of the `i`-th input chain.
@@ -147,10 +181,7 @@ impl ReachForest {
     /// this forest.
     pub fn mcp_len(&self, chain: &Blockchain, other_tip: NodeIdx) -> u64 {
         let blocks = chain.blocks();
-        let shared = blocks.partition_point(|block| {
-            let idx = self.tree.idx_of(block.id).expect("chain was interned");
-            self.holds(idx, other_tip)
-        });
+        let shared = blocks.partition_point(|block| self.holds(self.index[&block.id], other_tip));
         debug_assert!(shared > 0, "interned chains share at least the root");
         (shared - 1) as u64
     }
@@ -184,25 +215,28 @@ impl ReachForest {
     }
 }
 
-/// Numbers `tree` in pre-order by one iterative depth-first walk over its
-/// child lists (no recursion: a chain-shaped tree is as deep as it is
-/// large).
-fn euler_spans(tree: &BlockTree) -> Vec<Span> {
-    let mut spans = vec![Span::default(); tree.len()];
-    let mut next = 1u32; // the root holds position 0
-    let mut stack = vec![(NodeIdx::GENESIS, tree.children_idx(NodeIdx::GENESIS))];
-    while let Some((node, children)) = stack.last_mut() {
-        match children.next() {
-            Some(child) => {
-                spans[child.0 as usize].pre = next;
-                next += 1;
-                stack.push((child, tree.children_idx(child)));
-            }
-            None => {
-                spans[node.0 as usize].end = next;
-                stack.pop();
-            }
-        }
+/// Numbers the arena in pre-order, children in slot order.  Every
+/// parent's slot is below its children's, so one reverse pass sums the
+/// subtree sizes and one forward pass hands each child the next free
+/// position inside its parent's span.
+fn pre_order_spans(parents: &[NodeIdx]) -> Vec<Span> {
+    let mut size = vec![1u32; parents.len()];
+    for (node, parent) in parents.iter().enumerate().skip(1).rev() {
+        size[parent.0 as usize] += size[node];
+    }
+    let mut spans = vec![Span::default(); parents.len()];
+    // The next free position below each node, starting after its own.
+    let mut next = vec![1u32; parents.len()];
+    spans[0].end = size[0];
+    for (node, parent) in parents.iter().enumerate().skip(1) {
+        let parent = parent.0 as usize;
+        let pre = next[parent];
+        next[parent] += size[node];
+        next[node] = pre + 1;
+        spans[node] = Span {
+            pre,
+            end: pre + size[node],
+        };
     }
     spans
 }
@@ -294,21 +328,29 @@ mod tests {
         }
     }
 
-    /// The pre-order spans agree with a parent walk on every node pair.
-    fn assert_spans_match_parent_walks(forest: &ReachForest) {
-        let tree = forest.tree();
+    /// The pre-order spans agree with a parent walk on every node pair;
+    /// each interned block's parent is the block before it in its chain.
+    fn assert_spans_match_parent_walks(forest: &ReachForest, chains: &[Blockchain]) {
+        let n = forest.spans.len();
+        let mut parents = vec![None; n];
+        for chain in chains {
+            for pair in chain.blocks().windows(2) {
+                let at = forest.index[&pair[1].id].0 as usize;
+                parents[at] = Some(forest.index[&pair[0].id]);
+            }
+        }
         let walk = |a: NodeIdx, b: NodeIdx| {
             let mut cursor = Some(b);
             while let Some(node) = cursor {
                 if node == a {
                     return true;
                 }
-                cursor = tree.parent_idx(node);
+                cursor = parents[node.0 as usize];
             }
             false
         };
-        for a in 0..tree.len() as u32 {
-            for b in 0..tree.len() as u32 {
+        for a in 0..n as u32 {
+            for b in 0..n as u32 {
                 let (a, b) = (NodeIdx(a), NodeIdx(b));
                 assert_eq!(
                     forest.holds(a, b),
@@ -324,7 +366,9 @@ mod tests {
         for seed in [3u64, 12, 51] {
             let tree = Workload::new(seed).random_tree(60, 0.5, 0);
             let chains = tree.all_chains();
-            assert_spans_match_parent_walks(&ReachForest::from_chains(chains.iter()).unwrap());
+            let forest = ReachForest::from_chains(chains.iter()).unwrap();
+            assert_eq!(forest.spans.len(), tree.len());
+            assert_spans_match_parent_walks(&forest, &chains);
         }
         // A rerooted window: the forest's root is a non-genesis block.
         let tree = Workload::new(5).random_tree(60, 0.5, 0);
@@ -343,11 +387,12 @@ mod tests {
         assert!(window.len() > 1);
         let chains = window.all_chains();
         let forest = ReachForest::from_chains(chains.iter()).unwrap();
-        assert_eq!(forest.tree().len(), window.len());
-        assert_spans_match_parent_walks(&forest);
+        assert_eq!(forest.spans.len(), window.len());
+        assert_spans_match_parent_walks(&forest, &chains);
         // A genesis-only forest: one node, its own ancestor.
         let g = Blockchain::genesis_only();
-        assert_spans_match_parent_walks(&ReachForest::from_chains([&g]).unwrap());
+        let forest = ReachForest::from_chains([&g]).unwrap();
+        assert_spans_match_parent_walks(&forest, &[g]);
     }
 
     #[test]
@@ -357,7 +402,7 @@ mod tests {
         let prefix = chain.truncated(4);
         let forest =
             ReachForest::from_chains([&chain, &prefix, &chain]).expect("consistent chains");
-        assert_eq!(forest.tree().len(), chain.len());
+        assert_eq!(forest.spans.len(), chain.len());
         assert!(forest.compatible(0, 1));
         assert!(forest.compatible(1, 2));
         assert_eq!(forest.tip(0), forest.tip(2));
@@ -406,5 +451,120 @@ mod tests {
         let forest = ReachForest::from_chains([&g, &g]).unwrap();
         assert!(forest.compatible(0, 1));
         assert_eq!(forest.mcp_len(&g, forest.tip(1)), 0);
+    }
+
+    /// Whether the chains intern through `BlockTree` inserts, as the
+    /// forest did before it became a bare arena: the refusals to match.
+    fn interns_into_a_block_tree(chains: &[Blockchain]) -> bool {
+        let Some(root) = chains.first().map(|c| c.blocks()[0].clone()) else {
+            return false;
+        };
+        let mut tree = BlockTree::rerooted(root);
+        for chain in chains {
+            let blocks = chain.blocks();
+            let mut head = blocks[0].clone();
+            head.parent = None;
+            if head != *tree.genesis() {
+                return false;
+            }
+            let mut k = blocks.len() - 1;
+            while !tree.contains(blocks[k].id) {
+                k -= 1;
+            }
+            if k > 0 && tree.get(blocks[k].id) != Some(&blocks[k]) {
+                return false;
+            }
+            if blocks[k + 1..]
+                .iter()
+                .any(|b| tree.insert(b.clone()).is_err())
+            {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// `chain` with `forge` applied to its blocks.
+    fn forged(chain: &Blockchain, forge: impl FnOnce(&mut Vec<Block>)) -> Blockchain {
+        let mut blocks = chain.blocks().to_vec();
+        forge(&mut blocks);
+        Blockchain::from_blocks_trusted(blocks)
+    }
+
+    /// A block with `earlier`'s id and content on top of `blocks`.
+    fn push_copy_of(blocks: &mut Vec<Block>, earlier: usize) {
+        let tip = blocks.last().unwrap();
+        let mut copy = blocks[earlier].clone();
+        (copy.parent, copy.height) = (Some(tip.id), tip.height + 1);
+        blocks.push(copy);
+    }
+
+    /// The two errors a `BlockTree` insert can raise on a chain's suffix —
+    /// cumulative work past `u64::MAX` and an id already interned — are
+    /// refused, as the tree refused them.  The other three cannot arise
+    /// from a `Blockchain`: its invariant (each block names the one before
+    /// it as parent, one height above) means every suffix block has a
+    /// parent pointer (no `MissingParent`), to an interned block (no
+    /// `UnknownParent`) whose height is the resident's (no
+    /// `HeightMismatch`), as the boundary check compares their content.
+    #[test]
+    fn every_insert_error_a_chain_can_carry_refuses_to_build() {
+        let chain = Workload::new(9).linear_chain(4, 0);
+        let cases: [(&str, Blockchain); 3] = [
+            ("work overflow", forged(&chain, |b| b[3].work = u64::MAX)),
+            (
+                "duplicate, earlier chain",
+                forged(&chain, |b| push_copy_of(b, 1)),
+            ),
+            (
+                "duplicate, same suffix",
+                forged(&chain.truncated(1), |b| {
+                    push_copy_of(b, 1);
+                    push_copy_of(b, 1);
+                }),
+            ),
+        ];
+        for (name, bad) in cases {
+            let inputs = [chain.truncated(1), bad];
+            assert!(
+                !interns_into_a_block_tree(&inputs),
+                "{name}: the tree accepts it"
+            );
+            assert!(ReachForest::from_chains(&inputs).is_none(), "{name}");
+        }
+    }
+
+    /// Random forgeries of random trees' chains — overflowing work, forged
+    /// content under a resident id, a copied id on top, a pruned-window
+    /// root — are refused exactly when interning them into a `BlockTree`
+    /// was.
+    #[test]
+    fn refuses_exactly_what_block_tree_interning_refused() {
+        let mut refused = 0;
+        for seed in 0..200u64 {
+            let mut rng = ChaCha8::new(seed);
+            let tree = Workload::new(seed).random_tree(12, 0.5, 0);
+            let mut chains = tree.all_chains();
+            let c = rng.gen_range(0..chains.len());
+            let len = chains[c].len();
+            let at = rng.gen_range(1..len.max(2)).min(len - 1);
+            chains[c] = match rng.gen_range(0..4u32) {
+                0 => forged(&chains[c], |b| b[at].work = u64::MAX),
+                1 => forged(&chains[c], |b| b[at].work += 1),
+                2 => forged(&chains[c], |b| push_copy_of(b, at)),
+                _ => forged(&chains[c], |b| {
+                    b.drain(..at);
+                    b[0].parent = None;
+                }),
+            };
+            let expected = interns_into_a_block_tree(&chains);
+            refused += usize::from(!expected);
+            assert_eq!(
+                ReachForest::from_chains(&chains).is_some(),
+                expected,
+                "seed {seed}"
+            );
+        }
+        assert!(refused > 50, "only {refused} forgeries refused");
     }
 }

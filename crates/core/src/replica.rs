@@ -76,9 +76,6 @@ impl BtReplica {
     }
 }
 
-/// Re-exported event types so callers only need this module.
-pub type ReplicaEventRecord = ReplicaEvent;
-
 /// A coordinated run of several replicas with caller-controlled delivery.
 pub struct ReplicatedRun {
     replicas: Vec<BtReplica>,

@@ -148,14 +148,6 @@ impl MessageHistory {
             .min()
     }
 
-    /// Whether process `p` applied the block, and if so when (first time).
-    pub fn updated_at(&self, p: ProcessId, block: BlockId) -> Option<Timestamp> {
-        self.updates()
-            .filter(|e| e.process == p && e.kind.block_id() == block)
-            .map(|e| e.at)
-            .min()
-    }
-
     /// The process that created a block: the first process to apply an update
     /// for it without receiving it first.
     pub fn creator_of(&self, block: BlockId) -> Option<ProcessId> {

@@ -9,9 +9,8 @@
 //!
 //! The BT-specific properties (Block Validity, Local Monotonic Read, Strong
 //! Prefix, Ever-Growing Tree, Eventual Prefix) live in `btadt-core` and
-//! implement this trait; the [`Conjunction`] combinator builds the SC and EC
-//! criteria from them, mirroring how the paper defines the criteria as
-//! conjunctions of properties.
+//! implement this trait, as do the SC and EC criteria built there as
+//! conjunctions of them, mirroring how the paper defines the criteria.
 
 use std::fmt;
 
@@ -106,65 +105,6 @@ pub trait ConsistencyCriterion<Op, Resp>: Send + Sync {
     }
 }
 
-/// Conjunction of several properties: a history is admitted iff every
-/// component admits it; violations are accumulated from every component
-/// (not short-circuited) so that reports show the full picture.
-pub struct Conjunction<Op, Resp> {
-    name: &'static str,
-    parts: Vec<Box<dyn ConsistencyCriterion<Op, Resp>>>,
-}
-
-impl<Op, Resp> Conjunction<Op, Resp> {
-    /// Creates an empty (always-admitting) conjunction with a name.
-    pub fn named(name: &'static str) -> Self {
-        Conjunction {
-            name,
-            parts: Vec::new(),
-        }
-    }
-
-    /// Adds a property to the conjunction.
-    pub fn and(mut self, part: impl ConsistencyCriterion<Op, Resp> + 'static) -> Self {
-        self.parts.push(Box::new(part));
-        self
-    }
-
-    /// Adds an already-boxed property to the conjunction.
-    pub fn and_boxed(mut self, part: Box<dyn ConsistencyCriterion<Op, Resp>>) -> Self {
-        self.parts.push(part);
-        self
-    }
-
-    /// Number of component properties.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Returns `true` iff the conjunction has no components.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
-    }
-
-    /// Names of the component properties.
-    pub fn part_names(&self) -> Vec<&'static str> {
-        self.parts.iter().map(|p| p.name()).collect()
-    }
-}
-
-impl<Op, Resp> ConsistencyCriterion<Op, Resp> for Conjunction<Op, Resp> {
-    fn check(&self, history: &ConcurrentHistory<Op, Resp>) -> Verdict {
-        let mut verdict = Verdict::admitted();
-        for part in &self.parts {
-            verdict.merge(part.check(history));
-        }
-        verdict
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,29 +128,6 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "non-zero"
-        }
-    }
-
-    /// Property: responses are monotonically non-decreasing per process.
-    struct MonotonePerProcess;
-    impl ConsistencyCriterion<&'static str, u32> for MonotonePerProcess {
-        fn check(&self, history: &ConcurrentHistory<&'static str, u32>) -> Verdict {
-            let mut violations = Vec::new();
-            for (_, seq) in history.by_process() {
-                for w in seq.windows(2) {
-                    if w[1].response < w[0].response {
-                        violations.push(Violation {
-                            property: "monotone",
-                            witnesses: vec![w[0].id, w[1].id],
-                            detail: "response decreased".to_string(),
-                        });
-                    }
-                }
-            }
-            Verdict::from_violations(violations)
-        }
-        fn name(&self) -> &'static str {
-            "monotone"
         }
     }
 
@@ -246,39 +163,5 @@ mod tests {
         let verdict = NonZero.check(&bad);
         assert_eq!(verdict.violations.len(), 1);
         assert_eq!(verdict.violations[0].property, "non-zero");
-    }
-
-    #[test]
-    fn conjunction_accumulates_violations_from_all_parts() {
-        let h = sample_history(&[(0, 5), (0, 0)]); // violates both: zero and decreasing
-        let c = Conjunction::named("both")
-            .and(NonZero)
-            .and(MonotonePerProcess);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
-        assert_eq!(c.part_names(), vec!["non-zero", "monotone"]);
-        let verdict = c.check(&h);
-        assert_eq!(verdict.violations.len(), 2);
-        assert!(!c.admits(&h));
-    }
-
-    #[test]
-    fn empty_conjunction_admits_everything() {
-        let c: Conjunction<&'static str, u32> = Conjunction::named("empty");
-        assert!(c.is_empty());
-        assert!(c.admits(&sample_history(&[(0, 0)])));
-    }
-
-    #[test]
-    fn conjunction_name_is_reported() {
-        let c: Conjunction<&'static str, u32> = Conjunction::named("my-criterion");
-        assert_eq!(c.name(), "my-criterion");
-    }
-
-    #[test]
-    fn and_boxed_accepts_preboxed_parts() {
-        let c = Conjunction::named("boxed").and_boxed(Box::new(NonZero));
-        assert_eq!(c.len(), 1);
-        assert!(c.admits(&sample_history(&[(0, 3)])));
     }
 }

@@ -16,7 +16,7 @@
 //!   live executions.
 //! * [`criterion`] — consistency criteria `C : T → P(H)` (Definition 2.5) as
 //!   executable predicates over histories, with verdicts that carry
-//!   violation witnesses, and combinators for conjunction.
+//!   violation witnesses.
 //!
 //! The BT-specific criteria (Strong/Eventual consistency) live in
 //! `btadt-core`; this crate is deliberately generic so that the token oracle
@@ -31,6 +31,6 @@ pub mod event;
 pub mod history;
 
 pub use adt::{AbstractDataType, SequentialChecker, SequentialError};
-pub use criterion::{Conjunction, ConsistencyCriterion, Verdict, Violation};
+pub use criterion::{ConsistencyCriterion, Verdict, Violation};
 pub use event::{EventId, EventKind, OpId, ProcessId, Timestamp};
 pub use history::{ConcurrentHistory, HistoryRecorder, OperationRecord};

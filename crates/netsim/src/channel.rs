@@ -154,8 +154,9 @@ impl ChannelModel {
         }
     }
 
-    /// Decides the fate of a message sent at `now` from `from` to `to`.
-    pub fn delivery(&self, now: SimTime, from: usize, to: usize, rng: &mut ChaCha8) -> Delivery {
+    /// Decides the fate of a message sent at `now`.  No model depends on
+    /// the endpoints: a partition is a [`FailurePlan`](crate::FailurePlan) window.
+    pub fn delivery(&self, now: SimTime, rng: &mut ChaCha8) -> Delivery {
         match self {
             ChannelModel::Synchronous { min_delay, delta } => {
                 let d = rng.gen_range(*min_delay..=(*delta).max(*min_delay));
@@ -186,12 +187,12 @@ impl ChannelModel {
                 if rng.gen_bool(*drop_probability) {
                     Delivery::Drop
                 } else {
-                    inner.delivery(now, from, to, rng)
+                    inner.delivery(now, rng)
                 }
             }
             // A faulty channel collapses to its first fate when the caller
             // cannot represent duplicates; the simulator uses `fates`.
-            ChannelModel::Faulty { .. } => match self.fates(now, from, to, rng).first() {
+            ChannelModel::Faulty { .. } => match self.fates(now, rng).first() {
                 Some(Fate::Deliver(at)) | Some(Fate::DeliverCorrupted(at)) => Delivery::At(*at),
                 _ => Delivery::Drop,
             },
@@ -202,7 +203,7 @@ impl ChannelModel {
     /// general form of [`ChannelModel::delivery`] that the simulator uses.
     /// Non-faulty models produce exactly one fate; a [`ChannelModel::Faulty`]
     /// wrapper may corrupt, delay or duplicate it.
-    pub fn fates(&self, now: SimTime, from: usize, to: usize, rng: &mut ChaCha8) -> Vec<Fate> {
+    pub fn fates(&self, now: SimTime, rng: &mut ChaCha8) -> Vec<Fate> {
         match self {
             ChannelModel::Faulty {
                 inner,
@@ -212,7 +213,7 @@ impl ChannelModel {
                 corrupt_probability,
             } => {
                 let mut fates = Vec::with_capacity(1);
-                match inner.delivery(now, from, to, rng) {
+                match inner.delivery(now, rng) {
                     Delivery::Drop => fates.push(Fate::Drop),
                     Delivery::At(mut at) => {
                         if *reorder_probability > 0.0 && rng.gen_bool(*reorder_probability) {
@@ -228,13 +229,13 @@ impl ChannelModel {
                 if *duplicate_probability > 0.0 && rng.gen_bool(*duplicate_probability) {
                     // The duplicate takes an independent trip through the
                     // inner model (it is never corrupted or re-duplicated).
-                    if let Delivery::At(at) = inner.delivery(now, from, to, rng) {
+                    if let Delivery::At(at) = inner.delivery(now, rng) {
                         fates.push(Fate::Deliver(at));
                     }
                 }
                 fates
             }
-            _ => match self.delivery(now, from, to, rng) {
+            _ => match self.delivery(now, rng) {
                 Delivery::At(at) => vec![Fate::Deliver(at)],
                 Delivery::Drop => vec![Fate::Drop],
             },
@@ -302,7 +303,7 @@ mod tests {
         let ch = ChannelModel::synchronous(5);
         let mut rng = rng();
         for _ in 0..200 {
-            match ch.delivery(SimTime(10), 0, 1, &mut rng) {
+            match ch.delivery(SimTime(10), &mut rng) {
                 Delivery::At(t) => assert!(t > SimTime(10) && t <= SimTime(15)),
                 Delivery::Drop => panic!("synchronous channels never drop"),
             }
@@ -316,13 +317,13 @@ mod tests {
         let mut rng = rng();
         let mut before_max = 0;
         for _ in 0..200 {
-            if let Delivery::At(t) = ch.delivery(SimTime(0), 0, 1, &mut rng) {
+            if let Delivery::At(t) = ch.delivery(SimTime(0), &mut rng) {
                 before_max = before_max.max(t.0);
             }
         }
         assert!(before_max > 4, "pre-GST delays can exceed δ");
         for _ in 0..200 {
-            if let Delivery::At(t) = ch.delivery(SimTime(200), 0, 1, &mut rng) {
+            if let Delivery::At(t) = ch.delivery(SimTime(200), &mut rng) {
                 assert!(t <= SimTime(204));
             }
         }
@@ -334,7 +335,7 @@ mod tests {
         let mut rng = rng();
         let n = 5_000;
         let drops = (0..n)
-            .filter(|_| ch.delivery(SimTime(0), 0, 1, &mut rng) == Delivery::Drop)
+            .filter(|_| ch.delivery(SimTime(0), &mut rng) == Delivery::Drop)
             .count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.03, "drop rate {rate}");
@@ -344,7 +345,7 @@ mod tests {
     fn loss_probability_zero_never_drops() {
         let ch = ChannelModel::lossy(ChannelModel::synchronous(3), 0.0);
         let mut rng = rng();
-        assert!((0..500).all(|_| ch.delivery(SimTime(0), 0, 1, &mut rng) != Delivery::Drop));
+        assert!((0..500).all(|_| ch.delivery(SimTime(0), &mut rng) != Delivery::Drop));
     }
 
     #[test]
@@ -353,7 +354,7 @@ mod tests {
         let mut rng = rng();
         let mut max_seen = 0;
         for _ in 0..2_000 {
-            if let Delivery::At(t) = ch.delivery(SimTime(0), 0, 1, &mut rng) {
+            if let Delivery::At(t) = ch.delivery(SimTime(0), &mut rng) {
                 max_seen = max_seen.max(t.0);
                 assert!(t.0 >= 1 && t.0 <= 50);
             }
@@ -369,7 +370,7 @@ mod tests {
         let mut copies = 0usize;
         let mut corrupted = 0usize;
         for _ in 0..n {
-            let fates = ch.fates(SimTime(0), 0, 1, &mut rng);
+            let fates = ch.fates(SimTime(0), &mut rng);
             copies += fates.len();
             corrupted += fates
                 .iter()
@@ -391,7 +392,7 @@ mod tests {
         let mut rng = rng();
         let mut max_seen = 0;
         for _ in 0..500 {
-            for fate in ch.fates(SimTime(0), 0, 1, &mut rng) {
+            for fate in ch.fates(SimTime(0), &mut rng) {
                 if let Fate::Deliver(t) = fate {
                     assert!(t.0 <= 12, "delay bound {t:?}");
                     max_seen = max_seen.max(t.0);
@@ -409,8 +410,8 @@ mod tests {
         let mut a = rng();
         let mut b = rng();
         for _ in 0..200 {
-            let fates = faulty.fates(SimTime(5), 0, 1, &mut a);
-            let base = plain.delivery(SimTime(5), 0, 1, &mut b);
+            let fates = faulty.fates(SimTime(5), &mut a);
+            let base = plain.delivery(SimTime(5), &mut b);
             assert_eq!(fates.len(), 1);
             match (fates[0], base) {
                 (Fate::Deliver(x), Delivery::At(y)) => assert_eq!(x, y),
@@ -424,7 +425,7 @@ mod tests {
         let ch = ChannelModel::lossy(ChannelModel::synchronous(3), 0.5);
         let mut rng = rng();
         for _ in 0..200 {
-            let fates = ch.fates(SimTime(0), 0, 1, &mut rng);
+            let fates = ch.fates(SimTime(0), &mut rng);
             assert_eq!(fates.len(), 1);
             assert!(matches!(fates[0], Fate::Deliver(_) | Fate::Drop));
         }

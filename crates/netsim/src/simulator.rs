@@ -367,10 +367,7 @@ impl<M: Clone, P: Process<M>> Simulator<M, P> {
                 }
                 // `fates` generalizes `delivery`: a faulty channel can
                 // duplicate, reorder or corrupt the message in flight.
-                let fates = self
-                    .config
-                    .channel
-                    .fates(self.clock, from, to, &mut self.rng);
+                let fates = self.config.channel.fates(self.clock, &mut self.rng);
                 for fate in fates {
                     match fate {
                         Fate::Drop => {

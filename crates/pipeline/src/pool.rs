@@ -8,12 +8,10 @@
 //! door built on it: the one place a `BlockTree` replica stages, links,
 //! pools and releases.
 
-use std::collections::{HashMap, HashSet};
-
-use btadt_types::{BatchInsert, Block, BlockId, BlockTree, NodeIdx};
+use btadt_types::{BatchInsert, Block, BlockId, BlockIdMap, BlockIdSet, BlockTree, NodeIdx};
 
 use crate::ingest::finish_report;
-use crate::stage::{stage_batch, IdHasher, StagedBatch};
+use crate::stage::{stage_batch, StagedBatch};
 use crate::verdict::{BatchReport, IngestVerdict};
 
 /// Blocks waiting for their parent, keyed by the parent id they miss.
@@ -23,9 +21,9 @@ use crate::verdict::{BatchReport, IngestVerdict};
 #[derive(Clone, Debug, Default)]
 pub struct OrphanPool {
     /// Missing parent id → the blocks waiting on it, in arrival order.
-    waiting: HashMap<BlockId, Vec<Block>, IdHasher>,
+    waiting: BlockIdMap<Vec<Block>>,
     /// Ids of every pooled block.
-    pooled: HashSet<BlockId, IdHasher>,
+    pooled: BlockIdSet,
 }
 
 impl OrphanPool {

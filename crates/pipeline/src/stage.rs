@@ -11,19 +11,12 @@
 //! one pass, no retries.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::BinaryHeap;
 
-use btadt_types::{Block, BlockId, BlockIdHasher};
+use btadt_types::{Block, BlockId, BlockIdMap};
 
 use crate::error::IngestError;
 use crate::verdict::IngestVerdict;
-
-/// Block ids are already structural hashes, so staging's membership map
-/// (and the orphan pool) use the same pass-through hasher as the tree's
-/// interning map.
-pub(crate) type IdHasher = BuildHasherDefault<BlockIdHasher>;
-type IdMap<V> = HashMap<BlockId, V, IdHasher>;
 
 /// Stage 1: structural validation in isolation.
 ///
@@ -95,7 +88,7 @@ pub fn stage_batch(blocks: Vec<Block>, contains: impl Fn(BlockId) -> bool) -> St
     let mut verdicts: Vec<Option<IngestVerdict>> = vec![None; blocks.len()];
     // One map serves both duplicate detection and in-batch parent lookup:
     // each first-seen id maps to its candidate slot.
-    let mut slot_of = IdMap::with_capacity_and_hasher(blocks.len(), Default::default());
+    let mut slot_of = BlockIdMap::with_capacity_and_hasher(blocks.len(), Default::default());
     let mut candidates: Vec<(usize, Block)> = Vec::with_capacity(blocks.len());
     // Parent resolutions, built inline for as long as the batch stays
     // parents-first — the overwhelmingly common shape, since delta-sync

@@ -70,9 +70,8 @@
 //! both, which recovery's id-dedup canonicalisation collapses.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasherDefault;
 
-use btadt_types::{Block, BlockId, BlockIdHasher};
+use btadt_types::{Block, BlockId, BlockIdSet};
 
 use crate::codec::{
     decode_record, decode_summed, encode_record_into, get_u32, get_u64, put_u32, put_u64,
@@ -410,7 +409,7 @@ pub struct BlockStore {
     /// Encoded records of the stretch being written; reused across runs and
     /// empty between calls — the store never holds unwritten bytes.
     buf: Vec<u8>,
-    index: HashSet<BlockId, BuildHasherDefault<BlockIdHasher>>,
+    index: BlockIdSet,
     generation: u64,
     pruning_height: u64,
     checkpoint_height: u64,
@@ -429,7 +428,7 @@ impl BlockStore {
             medium,
             layout: Layout::starting_at(0),
             buf: Vec::new(),
-            index: HashSet::default(),
+            index: BlockIdSet::default(),
             generation: 0,
             pruning_height: 0,
             checkpoint_height: 0,

@@ -175,11 +175,6 @@ impl Block {
         self.id == GENESIS_ID
     }
 
-    /// Total number of transactions carried by the block.
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
     /// Computes the structural identifier of a block from its contents.
     ///
     /// FNV-1a over the parent id, producer, nonce, work and transaction ids.

@@ -68,7 +68,9 @@ pub use score::{ChainScore, LengthScore, Score, WorkScore};
 pub use selection::{GhostSelection, HeaviestChain, LongestChain, SelectionFunction, TieBreak};
 pub use spines::ReadSpines;
 pub use transaction::{Transaction, TxId};
-pub use tree::{BatchInsert, BlockIdHasher, BlockTree, Children, InsertError, NodeIdx};
+pub use tree::{
+    BatchInsert, BlockIdHasher, BlockIdMap, BlockIdSet, BlockTree, Children, InsertError, NodeIdx,
+};
 pub use validity::{
     AlwaysValid, CompositeValidity, MaxPayload, NeverValid, NoDoubleSpend, StructuralValidity,
     ValidityPredicate,

@@ -57,7 +57,7 @@
 //! specification the property tests compare against.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::block::{Block, BlockId};
@@ -76,7 +76,8 @@ impl Hasher for BlockIdHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are ever hashed; this path exists for completeness.
+        // Composite keys (a slice of positions, say) come through here and
+        // fold every byte, unlike `write_u64`, which replaces the state.
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         }
@@ -87,7 +88,14 @@ impl Hasher for BlockIdHasher {
     }
 }
 
-type BlockIdMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockIdHasher>>;
+/// A map keyed by [`BlockId`] through the pass-through [`BlockIdHasher`].
+///
+/// `write_u64` *replaces* the hasher's state, so only a single id may be
+/// the key: a tuple of ids would hash as its last component.
+pub type BlockIdMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockIdHasher>>;
+
+/// A set of [`BlockId`]s through the pass-through [`BlockIdHasher`].
+pub type BlockIdSet = HashSet<BlockId, BuildHasherDefault<BlockIdHasher>>;
 
 /// Dense index of a block inside the tree's arena.
 ///
